@@ -24,7 +24,6 @@ from .errors import (
 from .grid import GridSampler
 from .kernels import (
     AssumptionReport,
-    ConstantKernel,
     KGMKernel,
     KernelDiagonal,
     LangevinKernel,

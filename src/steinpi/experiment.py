@@ -22,6 +22,7 @@ from .errors import (
     EmptySummary,
     GramTooLarge,
     InsufficientReplicates,
+    NonConvergence,
     SteinpiError,
 )
 from .grid import GridSampler
@@ -289,20 +290,27 @@ class MethodRuntime:
         return out.states, out
 
     def post_process(self, points, post):
+        """Post-processed sample and its Gram (None when thinning changes the points).
+
+        Raises NonConvergence when the optimal weights are not certified.
+        """
         if len(points) > GRAM_GUARD:
             raise GramTooLarge(f"n = {len(points)} exceeds the dense Gram guard {GRAM_GUARD}")
         gram = self.kernel.gram(points)
         kind = post.get("kind", "none")
         if kind == "none":
-            sample = uniform_sample(points)
-        elif kind == "optimal":
+            return uniform_sample(points), gram
+        if kind == "optimal":
             qp = optimal_weights(points, self.kernel, gram=gram)
-            sample = WeightedSample(points=points, weights=qp.weights)
-        else:
-            m = post["m"]
-            m = max(1, int(round(m * len(points)))) if isinstance(m, float) and m < 1 else int(m)
-            sample = greedy_thin(points, self.kernel, m, gram=gram)
-        return sample, gram
+            if not qp.converged:
+                raise NonConvergence(
+                    f"optimal weights not certified after {qp.iterations} iterations: "
+                    f"duality gap {qp.duality_gap!r} at objective {qp.objective!r}"
+                )
+            return WeightedSample(points=points, weights=qp.weights), gram
+        m = post["m"]
+        m = max(1, int(round(m * len(points)))) if isinstance(m, float) and m < 1 else int(m)
+        return greedy_thin(points, self.kernel, m, gram=gram), None
 
 
 def _reference_sample(spec, target, mode):
@@ -337,8 +345,8 @@ def _run_cell(spec, runtime, method_index, replicate, reference):
                 points = source[:n]
             else:
                 points = random_window(source, n, rng)
-            sample, _ = runtime.post_process(points, method.post)
-            value = ksd(sample, runtime.kernel)
+            sample, gram = runtime.post_process(points, method.post)
+            value = ksd(sample, runtime.kernel, gram=gram)
             wass = None
             if reference is not None:
                 if sample.dim == 1:

@@ -23,7 +23,6 @@ __all__ = [
     "SteinKernel",
     "LangevinKernel",
     "KGMKernel",
-    "ConstantKernel",
     "KernelDiagonal",
     "make_kernel",
     "AssumptionReport",
@@ -396,42 +395,6 @@ class KGMKernel(LangevinKernel):
         cell = np.sqrt(d) * box_halfwidth / (grid_points - 1)
         lower = vals - cell * np.linalg.norm(grads, axis=1)
         return float(max(lower.min(), 0.0))
-
-
-class ConstantKernel:
-    """Degenerate kernel k(x, y) = value; a diagnostic and test double."""
-
-    family = "constant"
-    order = 1
-
-    def __init__(self, value=1.0, dim=1):
-        if value <= 0:
-            raise ValueError("value must be positive")
-        self.value = float(value)
-        self.dim = dim
-
-    def gram(self, x, y=None):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = x if y is None else np.atleast_2d(np.asarray(y, dtype=np.float64))
-        return np.full((x.shape[0], y.shape[0]), self.value)
-
-    def __call__(self, x, y):
-        return self.value
-
-    def diag_values(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.full(x.shape[0], self.value)
-
-    def diag_grads(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.zeros_like(x)
-
-    def diag(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return KernelDiagonal(value=self.value, grad=np.zeros_like(x))
-
-    def c1_squared(self, box_halfwidth=None, grid_points=33):
-        return self.value
 
 
 def make_kernel(target, mode, family="langevin", s=3, beta=0.5):

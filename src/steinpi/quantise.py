@@ -1,14 +1,16 @@
 """Post-processing of sampler output against a Stein kernel.
 
 Provides the kernel discrepancy of a weighted point set, the optimal
-simplex-constrained reweighting (an away-step conditional-gradient solve
-of min w^T K w - 2 z^T w over the probability simplex), greedy thinning
+simplex-constrained reweighting (an exact active-set solve of
+min w^T K w - 2 z^T w over the probability simplex by Wolfe's
+minimum-norm-point method, certified by its duality gap), greedy thinning
 to m uniformly weighted points, and the root-kernel importance weights
 used as a baseline.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,28 +77,14 @@ def uniform_sample(points):
     return WeightedSample(points=points, weights=np.full(n, 1.0 / n))
 
 
-def _neumaier_dot(a, b):
-    """Compensated dot product; keeps tiny quadratic forms meaningful."""
-    total = 0.0
-    comp = 0.0
-    for x in a * b:
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
-
-
 def quadratic_form(gram, weights):
-    """w^T K w with compensated accumulation, clamped at tiny negatives.
+    """w^T K w with exactly rounded accumulation, clamped at tiny negatives.
 
     Raises NegativeQuadraticForm when the form is negative beyond rounding
     scale, which signals a broken (non-PSD) kernel.
     """
     kw = gram @ weights
-    q = _neumaier_dot(weights, kw)
+    q = math.fsum(weights * kw)
     if q < 0:
         scale = float(np.max(np.abs(gram))) if gram.size else 0.0
         if q < -1e-10 * scale:
@@ -124,44 +112,6 @@ class QPResult:
     duality_gap: float
 
 
-def _support_polish(gram, z, w, eps=1e-10, max_peels=12):
-    """Fully-corrective step: exact solve on a candidate support.
-
-    Solves the equality-constrained QP on the support of w; while the
-    stationary point leaves the simplex, all negative coordinates are
-    peeled off and the solve repeated (an active-set inner loop).  The
-    caller adopts the candidate only when it lowers the objective, so
-    this is purely an acceleration: once the optimal support is reached
-    the outer duality-gap test certifies optimality.
-    """
-    support = np.nonzero(w > eps)[0]
-    if len(support) > 400:  # keep the dense solves from dominating
-        return None
-    for _ in range(max_peels):
-        m = len(support)
-        if m == 0:
-            return None
-        system = np.zeros((m + 1, m + 1))
-        system[:m, :m] = 2.0 * gram[np.ix_(support, support)]
-        system[:m, m] = 1.0
-        system[m, :m] = 1.0
-        rhs = np.concatenate([2.0 * z[support], [1.0]])
-        sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        w_sub = sol[:m]
-        if abs(w_sub.sum() - 1.0) > 1e-9:
-            return None
-        keep = w_sub >= -1e-12
-        if keep.all():
-            cand = np.zeros_like(w)
-            cand[support] = np.maximum(w_sub, 0.0)
-            cand /= cand.sum()
-            return cand
-        if not keep.any():
-            return None
-        support = support[keep]
-    return None
-
-
 def _kkt_residual(gram, z, w, support_tol=1e-8):
     """Max violation of stationarity/complementarity at w.
 
@@ -179,15 +129,50 @@ def _kkt_residual(gram, z, w, support_tol=1e-8):
     return resid
 
 
+def _affine_minimiser(gram, z, support):
+    """Minimiser of w^T K w - 2 z^T w on the affine hull of the support.
+
+    Solves the bordered KKT system [K_SS 1; 1^T 0][v; mu] = [z_S; 1].
+    Repeated states make K_SS singular; least squares then returns the
+    minimum-norm solution of the (consistent) system.
+    """
+    m = len(support)
+    system = np.ones((m + 1, m + 1))
+    system[:m, :m] = gram[np.ix_(support, support)]
+    system[m, m] = 0.0
+    rhs = np.append(z[support], 1.0)
+    try:
+        sol = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    return sol[:m]
+
+
+def _objective(gram, z, w):
+    return float(w @ (gram @ w) - 2.0 * (z @ w))
+
+
+def _certified(gap, f, tol, floor):
+    return gap <= tol * abs(f) + floor
+
+
 def optimal_weights(points, kernel, tol=1e-8, max_iter=None, z=None, gram=None):
     """Minimise w^T K w - 2 z^T w over the probability simplex.
 
-    Away-step conditional gradient from the uniform start, with exact line
-    search and a relative duality-gap stopping rule
-    gap <= tol * max(1, objective).  For Stein kernels the linear term
-    vanishes (z = 0); a nonzero z is accepted for generic kernels.  Returns
-    the best iterate with ``converged=False`` if the iteration budget runs
-    out.  Guarded against Gram matrices larger than 2e4 points.
+    Wolfe's active-set (minimum-norm-point) method on the Gram: each major
+    step adds the steepest-descent vertex to the support S, then minor
+    steps move toward the minimiser on the affine hull of S, dropping the
+    first coordinate to reach zero, until that minimiser lies strictly
+    inside the simplex.  With u = eps * max|diag K|, the rounding unit of
+    the gradient, the result is certified optimal (``converged``) when the
+    Frank-Wolfe duality gap satisfies gap <= tol * |f| + n * u.  Iteration
+    goes on below that, until gap <= tol * |f| + u or rounding stalls the
+    method (the entering vertex leaves at once), so the weights are as
+    accurate as the arithmetic allows.  For Stein kernels the linear term
+    vanishes (z = 0); a nonzero z is accepted for generic kernels.  If
+    ``max_iter`` major steps (default 10 n) run out, the better of the
+    iterate and the uniform weights is returned with ``converged=False``.
+    Guarded against Gram matrices larger than 2e4 points.
     """
     points = _as_points(points)
     n = points.shape[0]
@@ -197,73 +182,53 @@ def optimal_weights(points, kernel, tol=1e-8, max_iter=None, z=None, gram=None):
         gram = kernel.gram(points)
     z = np.zeros(n) if z is None else np.asarray(z, dtype=np.float64)
     if max_iter is None:
-        max_iter = 50 * n
+        max_iter = 10 * n
     diag = np.diag(gram)
-    w = np.full(n, 1.0 / n)
-    kw = gram @ w
-    f = float(w @ kw - 2.0 * (z @ w))
+    unit = float(np.finfo(np.float64).eps * np.max(np.abs(diag)))
+    support = np.array([np.argmin(diag - 2.0 * z)])
+    w = np.zeros(n)
+    w[support] = 1.0
+    exhausted = True
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if iterations % 128 == 0:
-            kw = gram @ w  # refresh incremental updates
-            f = float(w @ kw - 2.0 * (z @ w))
-        if iterations % 128 == 32:
-            # fully-corrective step: exact solve on the active support
-            cand = _support_polish(gram, z, w)
-            if cand is not None:
-                kw_cand = gram @ cand
-                f_cand = float(cand @ kw_cand - 2.0 * (z @ cand))
-                if f_cand <= f:
-                    w, kw, f = cand, kw_cand, f_cand
-        grad = 2.0 * (kw - z)
-        i_fw = int(np.argmin(grad))
-        gap = float(grad @ w - grad[i_fw])
-        if gap <= tol * max(1.0, abs(f)):
+        grad = 2.0 * (gram[:, support] @ w[support] - z)
+        f = float(w[support] @ (0.5 * grad[support] - z[support]))
+        j = int(np.argmin(grad))
+        gap = float(grad[support] @ w[support] - grad[j])
+        if _certified(gap, f, tol, unit) or j in support:
+            exhausted = False
             break
-        support = np.nonzero(w > 0)[0]
-        i_aw = support[int(np.argmax(grad[support]))]
-        away_gap = float(grad[i_aw] - grad @ w)
-        if away_gap > gap and len(support) > 1:
-            # away direction w - e_a, feasible up to gamma w_a / (1 - w_a)
-            w_a = w[i_aw]
-            gamma_max = w_a / (1.0 - w_a)
-            slope = -away_gap
-            curv = f + 2.0 * (z @ w) - 2.0 * kw[i_aw] + diag[i_aw]
-            gamma = gamma_max if curv <= 0 else min(gamma_max, -slope / (2.0 * curv))
-            if gamma <= 0:
+        previous = w.copy()
+        support = np.append(support, j)
+        while True:  # minor steps
+            v = _affine_minimiser(gram, z, support)
+            if np.all(v > 0):
+                w[support] = v
                 break
-            col = gram[:, i_aw]
-            w *= 1.0 + gamma
-            w[i_aw] -= gamma
-            if gamma == gamma_max:
-                w[i_aw] = 0.0  # drop step: the coordinate leaves the support
-            kw = (1.0 + gamma) * kw - gamma * col
-            f = f + gamma * slope + gamma * gamma * curv
-        else:
-            # toward vertex e_i, feasible up to gamma = 1
-            slope = -gap
-            curv = f + 2.0 * (z @ w) - 2.0 * kw[i_fw] + diag[i_fw]
-            gamma = 1.0 if curv <= 0 else min(1.0, -slope / (2.0 * curv))
-            if gamma <= 0:
-                break
-            col = gram[:, i_fw]
-            w *= 1.0 - gamma
-            w[i_fw] += gamma
-            kw = (1.0 - gamma) * kw + gamma * col
-            f = f + gamma * slope + gamma * gamma * curv
-    w = np.maximum(w, 0.0)
+            ws = w[support]
+            blocking = np.flatnonzero(v <= 0)
+            ratios = ws[blocking] / np.maximum(ws[blocking] - v[blocking], np.finfo(np.float64).tiny)
+            ws = np.maximum(ws + float(ratios.min()) * (v - ws), 0.0)
+            ws[blocking[np.argmin(ratios)]] = 0.0
+            w[support] = ws
+            support = support[ws > 0]
+        if np.array_equal(w, previous):  # stalled: the same step would repeat forever
+            exhausted = False
+            break
     w /= w.sum()
-    kw = gram @ w
-    f = float(w @ kw - 2.0 * (z @ w))
-    grad = 2.0 * (kw - z)
+    if exhausted:
+        uniform = np.full(n, 1.0 / n)
+        if _objective(gram, z, uniform) < _objective(gram, z, w):
+            w = uniform
+    f = _objective(gram, z, w)
+    grad = 2.0 * (gram @ w - z)
     gap = float(grad @ w - grad.min())
-    converged = gap <= tol * max(1.0, abs(f))
     return QPResult(
         weights=w,
         objective=f,
         kkt_residual=_kkt_residual(gram, z, w),
         iterations=iterations,
-        converged=converged,
+        converged=not exhausted and _certified(gap, f, tol, n * unit),
         duality_gap=gap,
     )
 

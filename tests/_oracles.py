@@ -1,13 +1,16 @@
-"""Independent reference implementations used only to check the library.
+"""Independent reference implementations and test doubles used only to
+check the library.
 
 Everything here is deliberately naive: finite differences, exhaustive
-enumeration, dense grids.  None of it shares code with the paths it
-verifies.
+enumeration, dense grids, an off-the-shelf NNLS solve.  None of it shares
+code with the paths it verifies.
 """
 
 import itertools
 
 import numpy as np
+
+from steinpi.kernels import KernelDiagonal
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -106,6 +109,29 @@ def qp_support_enumeration(gram, z=None):
     return best_val, best_w
 
 
+def qp_nnls(gram, penalty=1e3):
+    """Simplex QP min w^T K w by nonnegative least squares.
+
+    K = A^T A through an eigen-factor (negative rounding eigenvalues
+    clipped), the constraint 1^T w = 1 enters as a heavily weighted extra
+    row, and the NNLS solution is renormalised onto the simplex.  Returns
+    (objective, weights); the weights are feasible, so the objective is an
+    upper bound on the optimum.
+    """
+    from scipy.optimize import nnls
+
+    n = gram.shape[0]
+    lam, vec = np.linalg.eigh(0.5 * (gram + gram.T))
+    factor = np.sqrt(np.maximum(lam, 0.0))[:, None] * vec.T
+    rho = penalty * np.sqrt(max(float(np.max(np.diag(gram))), 1e-300))
+    a = np.vstack([factor, np.full((1, n), rho)])
+    b = np.zeros(n + 1)
+    b[-1] = rho
+    w, _ = nnls(a, b, maxiter=50 * n)
+    w = w / w.sum()
+    return float(w @ gram @ w), w
+
+
 def greedy_reference(points, kernel, m):
     """Greedy thinning re-evaluated from scratch each step, no caching."""
     n = points.shape[0]
@@ -163,3 +189,39 @@ def mala_log_ratio_reference(x, prop, eps, m, target):
     log_q_fwd = multivariate_normal.logpdf(prop, mean=mean(x), cov=cov)
     log_q_bwd = multivariate_normal.logpdf(x, mean=mean(prop), cov=cov)
     return target.log_density(prop) - target.log_density(x) + log_q_bwd - log_q_fwd
+
+
+class ConstantKernel:
+    """Degenerate kernel k(x, y) = value; a diagnostic and test double."""
+
+    family = "constant"
+    order = 1
+
+    def __init__(self, value=1.0, dim=1):
+        if value <= 0:
+            raise ValueError("value must be positive")
+        self.value = float(value)
+        self.dim = dim
+
+    def gram(self, x, y=None):
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        y = x if y is None else np.atleast_2d(np.asarray(y, dtype=np.float64))
+        return np.full((x.shape[0], y.shape[0]), self.value)
+
+    def __call__(self, x, y):
+        return self.value
+
+    def diag_values(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        return np.full(x.shape[0], self.value)
+
+    def diag_grads(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        return np.zeros_like(x)
+
+    def diag(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        return KernelDiagonal(value=self.value, grad=np.zeros_like(x))
+
+    def c1_squared(self, box_halfwidth=None, grid_points=33):
+        return self.value

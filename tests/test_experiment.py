@@ -2,9 +2,12 @@
 row-count accounting, summaries with the error-bar rule, and byte-stable
 CSV/SVG emission."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import steinpi.experiment as experiment
 from steinpi.errors import ConfigError, EmptySummary, InsufficientReplicates
 from steinpi.experiment import (
     ResultRow,
@@ -170,6 +173,20 @@ def test_failures_are_recorded_not_raised():
     assert len(result.rows) + len(result.failures) == expected_total
     assert len(result.failures) == 4  # every (method, replicate) at the huge n
     assert all(f.n == 30_000 for f in result.failures)
+
+
+def test_uncertified_optimal_weights_are_recorded_as_failures(monkeypatch):
+    solve = experiment.optimal_weights
+
+    def uncertified_at_20(points, kernel, **kwargs):
+        res = solve(points, kernel, **kwargs)
+        return dataclasses.replace(res, converged=False) if len(points) == 20 else res
+
+    monkeypatch.setattr(experiment, "optimal_weights", uncertified_at_20)
+    result = run_experiment(parse_experiment_spec(_base_config(replicates=2)))
+    assert len(result.failures) == 4  # every (method, replicate) at n = 20
+    assert all(f.n == 20 and "not certified" in f.message for f in result.failures)
+    assert len(result.rows) == 4 and all(r.n == 10 for r in result.rows)
 
 
 def test_wasserstein_column_optional():

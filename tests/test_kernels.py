@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from steinpi.kernels import (
-    ConstantKernel,
     KGMKernel,
     LangevinKernel,
     check_theorem_assumptions,
@@ -13,7 +12,7 @@ from steinpi.kernels import (
 )
 from steinpi.targets import default_mixture, find_mode, make_gaussian
 
-from _oracles import rel_err
+from _oracles import ConstantKernel, rel_err
 
 
 def _gaussian_setup(d=2):

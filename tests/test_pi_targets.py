@@ -8,12 +8,12 @@ from scipy.integrate import quad
 
 from steinpi.errors import NoExactSampler
 from steinpi.grid import GridSampler
-from steinpi.kernels import ConstantKernel, LangevinKernel
+from steinpi.kernels import LangevinKernel
 from steinpi.pi_targets import estimate_c2, make_pi, make_power_tilt
 from steinpi.quantise import snis_weights
 from steinpi.targets import default_mixture, find_mode, make_gaussian, make_regression_posterior
 
-from _oracles import fd_gradient, rel_err
+from _oracles import ConstantKernel, fd_gradient, rel_err
 
 
 def _standard_normal_pi():

@@ -6,10 +6,12 @@ import pytest
 
 from steinpi.errors import GramTooLarge, InvalidSimplex, NegativeQuadraticForm
 from steinpi.grid import GridSampler
-from steinpi.kernels import ConstantKernel, LangevinKernel
+from steinpi.kernels import LangevinKernel
+from steinpi.mala import AdaptSchedule, adaptive_warmup, random_window
 from steinpi.pi_targets import make_pi
 from steinpi.quantise import (
     WeightedSample,
+    _affine_minimiser,
     greedy_thin,
     greedy_thin_indices,
     ksd,
@@ -18,9 +20,9 @@ from steinpi.quantise import (
     snis_weights,
     uniform_sample,
 )
-from steinpi.targets import find_mode, make_gaussian
+from steinpi.targets import default_mixture, find_mode, make_gaussian
 
-from _oracles import greedy_reference, qp_grid_search, qp_support_enumeration
+from _oracles import ConstantKernel, greedy_reference, qp_grid_search, qp_nnls, qp_support_enumeration
 
 
 def _std_normal_kernel():
@@ -203,6 +205,43 @@ def test_qp_iteration_budget_returns_flagged_best(rng):
     assert res.objective <= quadratic_form(kernel.gram(pts), np.full(40, 1 / 40)) + 1e-12
 
 
+def test_qp_matches_nnls_oracle_on_mala_window_with_repeats():
+    target = default_mixture()
+    mode = find_mode(target, np.array([0.1]))
+    kernel = LangevinKernel(target, mode)
+    schedule = AdaptSchedule(epoch_lengths=(500,) * 5 + (8000,), learning_rates=(0.3,) * 5)
+    _, out = adaptive_warmup(mode.x_star, make_pi(target, kernel), schedule, seed=5, stream=(0,))
+    pts = random_window(out.states, 1000, np.random.default_rng(0))
+    assert len(np.unique(pts[:, 0])) < 700  # rejected proposals repeat states
+    gram = kernel.gram(pts)
+    res = optimal_weights(pts, kernel, gram=gram)
+    oracle, _ = qp_nnls(gram)
+    assert res.converged
+    assert res.objective <= oracle * (1.0 + 1e-8)
+    assert res.kkt_residual <= 1e-6
+
+
+def test_qp_tripled_duplicates_singular_support(rng):
+    _, kernel = _std_normal_kernel()
+    base = rng.standard_normal((8, 1)) * 2.0
+    pts = np.repeat(base, 3, axis=0)
+    gram = kernel.gram(pts)
+    # a support holding two copies of a state has a singular K_SS; the
+    # bordered solve must still return the affine minimiser
+    support = np.array([0, 1, 3, 6])
+    v = _affine_minimiser(gram, np.zeros(len(pts)), support)
+    kv = gram[np.ix_(support, support)] @ v
+    assert np.all(np.isfinite(v)) and abs(v.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(kv - kv.mean())) <= 1e-10
+    # copies tie in the gradient, so the full solve matches the deduplicated problem
+    res = optimal_weights(pts, kernel, gram=gram)
+    exact, _ = qp_support_enumeration(kernel.gram(base))
+    assert res.converged
+    assert abs(res.objective - exact) <= 1e-8 * exact + 1e-12
+    assert res.kkt_residual <= 1e-6
+    assert abs(res.weights.sum() - 1.0) <= 1e-12
+
+
 def test_qp_size_guard():
     _, kernel = _std_normal_kernel()
     with pytest.raises(GramTooLarge):
@@ -210,7 +249,7 @@ def test_qp_size_guard():
 
 
 def test_qp_objective_never_above_uniform(rng):
-    # the solve starts at uniform weights and is monotone
+    # the certified optimum can never lie above the uniform weights
     target, kernel = _std_normal_kernel()
     for seed in range(5):
         pts = target.sample(60, np.random.default_rng(seed))
