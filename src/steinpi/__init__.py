@@ -30,7 +30,7 @@ from .kernels import (
     check_theorem_assumptions,
     make_kernel,
 )
-from .mala import AdaptSchedule, ChainConfig, ChainOutput, adaptive_warmup, mala_step, random_window, run_chain
+from .mala import AdaptSchedule, ChainConfig, ChainOutput, adaptive_warmup, random_window, run_chain
 from .metrics import TransportPlan, dimension_effect, wasserstein1_1d, wasserstein1_exact
 from .pi_targets import C2Estimate, PiTarget, PowerTilt, estimate_c2, make_pi, make_power_tilt
 from .quantise import (

@@ -27,7 +27,7 @@ from .experiment import (
 )
 from .kernels import check_theorem_assumptions, make_kernel
 from .metrics import wasserstein1_1d, wasserstein1_exact
-from .quantise import WeightedSample, greedy_thin_indices, ksd, optimal_weights, uniform_sample
+from .quantise import WeightedSample, greedy_thin_indices, ksd, uniform_sample
 from .targets import find_mode
 
 __all__ = ["main"]
@@ -99,7 +99,7 @@ def _cmd_sample(args):
         sampler_cfg["distribution"] = args.target_dist
     target, mode, runtime, seed = _single_runtime(cfg, args.seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
-    points, _ = runtime.draw(args.n, seed, 0, 0, rng)
+    points = runtime.draw(args.n, seed, 0, 0, rng)
     points = points[: args.n]
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -114,11 +114,11 @@ def _cmd_weights(args):
     cfg = _load_config(args.config)
     _, _, runtime, _ = _single_runtime(cfg, args.seed if args.seed is not None else 0)
     points, _ = _read_points(args.points)
-    qp = optimal_weights(points, runtime.kernel)
+    sample, _ = runtime.post_process(points, {"kind": "optimal"})  # raises if uncertified
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "weights.csv")
-    write_csv(path, ["index", "weight"], list(enumerate(qp.weights)))
+    write_csv(path, ["index", "weight"], list(enumerate(sample.weights)))
     print(path)
     return 0
 

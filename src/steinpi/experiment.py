@@ -4,7 +4,9 @@ An experiment is described by a JSON-friendly dict: one target, a list of
 methods (kernel + sampling distribution + mechanism + post-processor), a
 grid of sample sizes, a replicate count and a seed.  Execution is
 deterministic given the seed; replicates run on independent RNG streams so
-the emitted tables are byte-identical regardless of thread count.  Wall
+the emitted tables are byte-identical regardless of thread count.  The
+MALA chains of a method's replicates run as one lockstep ensemble, and a
+chain does not depend on the ensemble it runs in.  Wall
 times are recorded but written to a separate file, outside the
 determinism contract.
 """
@@ -142,6 +144,14 @@ class ExperimentSpec:
     out_dir: str | None = None
 
 
+def _schedule(sampler, path):
+    """The MALA warm-up schedule of a sampler block; ConfigError when invalid."""
+    try:
+        return AdaptSchedule(**sampler.get("warmup", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.sampler.warmup: {exc}") from None
+
+
 _DISTRIBUTIONS = ("p", "pi", "power_tilt")
 _MECHANISMS = ("exact", "mala")
 _POST_KINDS = ("none", "optimal", "thin")
@@ -191,6 +201,11 @@ def parse_experiment_spec(cfg):
             raise ConfigError(f"{path}.post.kind: unknown post-processor {kind!r}")
         if kind == "thin" and "m" not in post:
             raise ConfigError(f"{path}.post.m: thinning needs a size or ratio")
+        if mechanism == "mala" and _schedule(sampler, path).epoch_lengths[-1] < max(ns):
+            raise ConfigError(
+                f"{path}.sampler.warmup.epoch_lengths: the production (last) epoch "
+                f"needs at least max(ns) = {max(ns)} steps"
+            )
         methods.append(MethodSpec(name=name, kernel=kernel, sampler=sampler, post=post))
     mode_init = cfg.get("mode_init")
     return ExperimentSpec(
@@ -267,27 +282,24 @@ class MethodRuntime:
             num = grid_cfg.get("num", 2001 if len(bounds) > 1 else 20001)
             self.sampler = GridSampler(self.law, bounds, num=num)
         else:
-            warm = dict(method.sampler.get("warmup", {}))
-            self.schedule = AdaptSchedule(
-                epsilon0=float(warm.get("epsilon0", 1.0)),
-                epoch_lengths=tuple(warm.get("epoch_lengths", (1000,) * 9 + (100_000,))),
-                learning_rates=tuple(
-                    warm.get("learning_rates", (0.3,) * (len(warm.get("epoch_lengths", [0] * 10)) - 1))
-                ),
-                target_accept=float(warm.get("target_accept", 0.57)),
-            )
+            self.schedule = _schedule(method.sampler, "config")  # parsed experiments are valid
 
     def draw(self, n_max, seed, method_index, replicate, rng):
+        """One replicate's states: n_max exact draws, or its MALA production epoch."""
         if self.mechanism == "exact":
-            return self.sampler.sample(n_max, rng), None
+            return self.sampler.sample(n_max, rng)
+        return self.chains(seed, method_index, [replicate])[:, 0]
+
+    def chains(self, seed, method_index, replicates):
+        """Production states (n, R, d) of one MALA chain per replicate, run as one ensemble."""
         _, out = adaptive_warmup(
-            self.mode.x_star,
+            np.tile(self.mode.x_star, (len(replicates), 1)),
             self.law,
             self.schedule,
             seed=seed,
-            stream=(method_index, replicate),
+            stream=[(method_index, r) for r in replicates],
         )
-        return out.states, out
+        return out.states
 
     def post_process(self, points, post):
         """Post-processed sample and its Gram (None when thinning changes the points).
@@ -326,17 +338,41 @@ def _reference_sample(spec, target, mode):
     return uniform_sample(sampler.sample(n_ref, rng))
 
 
-def _run_cell(spec, runtime, method_index, replicate, reference):
-    """All sample sizes for one (method, replicate); returns (rows, failures)."""
+_CELL_ERRORS = (SteinpiError, np.linalg.LinAlgError)
+
+
+def _mala_sources(spec, runtime, method_index, replicates):
+    """Each replicate's MALA production states, or the error that stopped its chain.
+
+    The replicates' chains run as one ensemble.  A chain does not depend
+    on the ensemble it runs in, so when the ensemble fails each replicate
+    is rerun alone: the others come out bitwise the same, and only the
+    failing ones are lost.
+    """
+    try:
+        states = runtime.chains(spec.seed, method_index, replicates)
+    except _CELL_ERRORS as exc:
+        if len(replicates) == 1:
+            return {replicates[0]: exc}
+        return {r: _mala_sources(spec, runtime, method_index, [r])[r] for r in replicates}
+    return {r: np.ascontiguousarray(states[:, i]) for i, r in enumerate(replicates)}
+
+
+def _run_cell(spec, runtime, method_index, replicate, reference, source=None):
+    """All sample sizes for one (method, replicate); returns (rows, failures).
+
+    ``source`` is the replicate's MALA states, or the error that stopped
+    its chain; exact-grid methods draw here.
+    """
     rows = []
     failures = []
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(method_index, replicate)))
     method = runtime.method
-    try:
-        source, chain = runtime.draw(max(spec.ns), spec.seed, method_index, replicate, rng)
-    except (SteinpiError, np.linalg.LinAlgError) as exc:
+    if source is None:
+        source = runtime.draw(max(spec.ns), spec.seed, method_index, replicate, rng)
+    elif isinstance(source, Exception):
         for n in spec.ns:
-            failures.append(FailureRecord(method.name, replicate, n, f"sampling failed: {exc}"))
+            failures.append(FailureRecord(method.name, replicate, n, f"sampling failed: {source}"))
         return rows, failures
     for n in spec.ns:
         start = time.perf_counter()
@@ -363,7 +399,7 @@ def _run_cell(spec, runtime, method_index, replicate, reference):
                     wall_time=time.perf_counter() - start,
                 )
             )
-        except (SteinpiError, np.linalg.LinAlgError) as exc:
+        except _CELL_ERRORS as exc:
             failures.append(FailureRecord(method.name, replicate, n, str(exc)))
     return rows, failures
 
@@ -371,28 +407,34 @@ def _run_cell(spec, runtime, method_index, replicate, reference):
 def run_experiment(spec, threads=1):
     """Execute every (method, replicate, n) cell; deterministic given seed.
 
-    Per-cell failures are recorded and the run continues.  Replicates run
-    in a thread pool; rows are sorted by key before returning, so the
-    output is independent of scheduling.
+    Per-cell failures are recorded and the run continues.  Each MALA
+    method first runs all its replicates' chains as one ensemble; the
+    cells then run in a thread pool, and rows are sorted by key before
+    returning, so the output is independent of scheduling.
     """
     target = build_target(spec.target)
     init = np.asarray(spec.mode_init, dtype=np.float64) if spec.mode_init else np.zeros(target.dim)
     mode = find_mode(target, init)
     runtimes = [MethodRuntime(m, target, mode) for m in spec.methods]
     reference = _reference_sample(spec, target, mode)
-    tasks = [
-        (mi, replicate)
-        for mi in range(len(runtimes))
-        for replicate in range(spec.replicates)
-    ]
+    replicates = list(range(spec.replicates))
+    sources = {}
+    for mi, runtime in enumerate(runtimes):
+        if runtime.mechanism == "mala":
+            for r, source in _mala_sources(spec, runtime, mi, replicates).items():
+                sources[mi, r] = source
+    tasks = [(mi, replicate) for mi in range(len(runtimes)) for replicate in replicates]
+
+    def cell(task):
+        mi, replicate = task
+        return _run_cell(spec, runtimes[mi], mi, replicate, reference, sources.get(task))
+
     result = ExperimentResult()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(
-                pool.map(lambda tr: _run_cell(spec, runtimes[tr[0]], tr[0], tr[1], reference), tasks)
-            )
+            outcomes = list(pool.map(cell, tasks))
     else:
-        outcomes = [_run_cell(spec, runtimes[mi], mi, r, reference) for mi, r in tasks]
+        outcomes = [cell(task) for task in tasks]
     for rows, failures in outcomes:
         result.rows.extend(rows)
         result.failures.extend(failures)

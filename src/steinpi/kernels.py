@@ -182,8 +182,8 @@ class SteinKernel:
     def _diag_parts(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         delta = x - self.x_star
-        a1 = delta @ self.sigma_inv
-        a2 = delta @ self.sigma_inv2
+        a1 = np.einsum("ni,ij->nj", delta, self.sigma_inv)  # row-invariant, unlike matmul
+        a2 = np.einsum("ni,ij->nj", delta, self.sigma_inv2)
         v = 1.0 + np.einsum("nd,nd->n", delta, a1)
         q = np.einsum("nd,nd->n", delta, a2)
         return x, delta, v, q, a1, a2

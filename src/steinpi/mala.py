@@ -12,12 +12,19 @@ Metropolis--Hastings log-ratio, with squared norms ||z||^2 = z^T M z.
 Randomness is counter-based (Philox) with a fixed raw budget per step, so
 a chain can be restarted bitwise from any intermediate state and replicate
 streams are independent of thread scheduling.
+
+Chains run as an ensemble: R chains, each with its own step size,
+preconditioner and stream, step in lockstep as one (R, d) state, so the
+target is evaluated once per step for all of them.  Every operation acts
+on each chain's row alone, so a chain's states do not depend on the batch
+it runs in; a single chain is the R = 1 case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -26,7 +33,6 @@ __all__ = [
     "ChainConfig",
     "ChainOutput",
     "AdaptSchedule",
-    "mala_step",
     "run_chain",
     "adaptive_warmup",
     "random_window",
@@ -39,14 +45,19 @@ def _as_spd_matrix(m, dim):
         m = m * np.eye(dim)
     elif m.ndim == 1:
         m = np.diag(m)
-    if m.shape != (dim, dim):
+    if m.shape[-2:] != (dim, dim):
         raise ValueError(f"preconditioner must be {dim}x{dim}, got {m.shape}")
     return m
 
 
 @dataclass(frozen=True, eq=False)
 class ChainConfig:
-    """Step size, preconditioner, length and RNG stream of one chain."""
+    """Step size, preconditioner, length and RNG stream of a chain or an ensemble.
+
+    For an ensemble of R chains, ``epsilon`` holds R step sizes, ``m`` is
+    (R, d, d) or one (d, d) matrix shared by all, and ``stream`` holds R
+    stream keys, one per chain.
+    """
 
     epsilon: float
     m: np.ndarray
@@ -55,7 +66,7 @@ class ChainConfig:
     stream: tuple = ()
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if np.any(np.asarray(self.epsilon) <= 0):
             raise ValueError("epsilon must be positive")
         if self.n < 1:
             raise ValueError("chain length must be >= 1")
@@ -64,13 +75,21 @@ class ChainConfig:
 
 @dataclass(frozen=True, eq=False)
 class ChainOutput:
-    """States and acceptance statistics of a completed chain."""
+    """States and acceptance statistics of a completed chain or ensemble.
+
+    Steps are on axis 0: ``states`` is (n, d) for one chain and (n, R, d)
+    for an ensemble, ``accept_flags`` (n,) or (n, R).  ``accept_rate`` and
+    ``nonfinite_proposals`` pool all chains; ``chain_accept_rates`` and
+    ``chain_nonfinite`` hold them per chain, shape (R,).
+    """
 
     states: np.ndarray
     accept_flags: np.ndarray
     accept_rate: float
     final_config: ChainConfig
-    nonfinite_proposals: int = 0
+    nonfinite_proposals: int
+    chain_accept_rates: np.ndarray
+    chain_nonfinite: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,16 +98,18 @@ class AdaptSchedule:
 
     Defaults: unit initial step, identity preconditioner, nine tuning
     epochs of 1000 steps followed by a production epoch of 1e5, blending
-    rate 0.3 and acceptance target 0.57.
+    rate 0.3 after every tuning epoch and acceptance target 0.57.
     """
 
     epsilon0: float = 1.0
     m0: np.ndarray | None = None
     epoch_lengths: tuple = (1000,) * 9 + (100_000,)
-    learning_rates: tuple = (0.3,) * 9
+    learning_rates: tuple | None = None
     target_accept: float = 0.57
 
     def __post_init__(self):
+        if self.learning_rates is None:
+            object.__setattr__(self, "learning_rates", (0.3,) * (len(self.epoch_lengths) - 1))
         if len(self.learning_rates) != len(self.epoch_lengths) - 1:
             raise ValueError("need one learning rate per epoch after the first")
         if any(not 0.0 <= a <= 1.0 for a in self.learning_rates):
@@ -99,23 +120,41 @@ class AdaptSchedule:
             raise ValueError("epsilon0 must be positive")
 
 
+def _rowdot(u, v):
+    """Dot products over the last axis, summed left to right.
+
+    Element-wise operations only, so a row's result never depends on the
+    other rows; BLAS and einsum reductions may group their sums
+    differently for different batch shapes.
+    """
+    out = u[..., 0] * v[..., 0]
+    for j in range(1, u.shape[-1]):
+        out = out + u[..., j] * v[..., j]
+    return out
+
+
 class _Precond:
-    """Cholesky-backed preconditioner operations, factorised once."""
+    """Cholesky-backed preconditioner operations, factorised once.
+
+    ``m`` is one (d, d) matrix or one per chain, (R, d, d); the operations
+    take one vector (d,) or a batch (R, d), row r with chain r's matrix.
+    """
 
     def __init__(self, m):
         self.m = np.asarray(m, dtype=np.float64)
-        self.chol = np.linalg.cholesky(self.m)
-        ident = np.eye(self.m.shape[0])
-        li = np.linalg.solve(self.chol, ident)
-        self.m_inv = li.T @ li
+        li = np.linalg.inv(np.linalg.cholesky(self.m))
+        self.sqrt_inv = np.swapaxes(li, -1, -2)  # B with B B^T = M^{-1}
+        self.m_inv = self.sqrt_inv @ li
+
+    def inv_apply(self, v):
+        return _rowdot(self.m_inv, v[..., None, :])
 
     def sqrt_inv_apply(self, z):
-        # B z with B B^T = M^{-1}; B is inv(chol(M))^T.
-        return np.linalg.solve(self.chol.T, z)
+        return _rowdot(self.sqrt_inv, z[..., None, :])
 
     def quad(self, z):
         # z^T M z, the squared proposal norm.
-        return float(z @ self.m @ z)
+        return _rowdot(z, _rowdot(self.m, z[..., None, :]))
 
 
 def _raws_per_step(dim):
@@ -135,82 +174,93 @@ def _stream_randoms(seed, stream, n, dim, start_step=0):
     return ndtri(u[:, :dim]), np.log(u[:, dim])
 
 
-class _StepResult:
-    __slots__ = ("x", "logp", "grad", "accepted", "nonfinite", "proposal", "log_ratio")
-
-    def __init__(self, x, logp, grad, accepted, nonfinite, proposal, log_ratio):
-        self.x = x
-        self.logp = logp
-        self.grad = grad
-        self.accepted = accepted
-        self.nonfinite = nonfinite
-        self.proposal = proposal
-        self.log_ratio = log_ratio
+class _Transition(NamedTuple):
+    x: np.ndarray
+    logp: np.ndarray
+    grad: np.ndarray
+    accepted: np.ndarray
+    nonfinite: np.ndarray
+    proposal: np.ndarray
+    log_ratio: np.ndarray
 
 
 def _step(x, logp_x, grad_x, target, eps, pre, z, log_u):
-    """One MALA transition from a state with cached density and gradient."""
-    nu_x = x + eps * (pre.m_inv @ grad_x)
-    prop = nu_x + math.sqrt(2.0 * eps) * pre.sqrt_inv_apply(z)
-    logp_p, grad_p = target.log_density_with_grad(prop)
-    if not (np.isfinite(logp_p) and np.all(np.isfinite(grad_p))):
-        return _StepResult(x, logp_x, grad_x, False, True, prop, -np.inf)
-    nu_p = prop + eps * (pre.m_inv @ grad_p)
-    log_ratio = (
-        logp_p
-        - logp_x
-        - pre.quad(x - nu_p) / (4.0 * eps)
-        + pre.quad(prop - nu_x) / (4.0 * eps)
-    )
-    if log_u < log_ratio:
-        return _StepResult(prop, logp_p, grad_p, True, False, prop, log_ratio)
-    return _StepResult(x, logp_x, grad_x, False, False, prop, log_ratio)
+    """One MALA transition from states with cached densities and gradients.
 
-
-def mala_step(state, target, config, rng):
-    """Single transition using an externally supplied numpy Generator.
-
-    Nonfinite proposal densities reject the move rather than aborting.
-    To sample the plain target P, pass P itself; the kernel drift term is
-    then implicitly zero.
+    Takes one chain (a (d,) state with scalar density, step size and
+    log-uniform) or an ensemble ((R, d) states with (R,) of the others),
+    and a standard normal z shaped like the states.  A proposal with a
+    nonfinite density or gradient is rejected.
     """
-    state = np.asarray(state, dtype=np.float64)
-    pre = _Precond(_as_spd_matrix(config.m, state.shape[0]))
-    logp, grad = target.log_density_with_grad(state)
-    z = rng.standard_normal(state.shape[0])
-    log_u = np.log(rng.random())
-    res = _step(state, logp, grad, target, config.epsilon, pre, z, log_u)
-    return res.x, res.accepted
+    col = np.asarray(eps)[..., None]
+    nu_x = x + col * pre.inv_apply(grad_x)
+    prop = nu_x + np.sqrt(2.0 * col) * pre.sqrt_inv_apply(z)
+    logp_p, grad_p = target.log_density_with_grad(prop)
+    finite = np.isfinite(logp_p) & np.isfinite(grad_p).all(axis=-1)
+    if not finite.all():  # a -inf density rejects; a zero gradient keeps the ratio quiet
+        logp_p = np.where(finite, logp_p, -np.inf)
+        grad_p = np.where(finite[..., None], grad_p, 0.0)
+    nu_p = prop + col * pre.inv_apply(grad_p)
+    # ||prop - nu_x||_M^2 / (4 eps) = ||z||^2 / 2
+    log_ratio = logp_p - logp_x - pre.quad(x - nu_p) / (4.0 * eps) + 0.5 * _rowdot(z, z)
+    accepted = log_u < log_ratio
+    keep = accepted[..., None]
+    return _Transition(
+        np.where(keep, prop, x),
+        np.where(accepted, logp_p, logp_x),
+        np.where(keep, grad_p, grad_x),
+        accepted,
+        ~finite,
+        prop,
+        log_ratio,
+    )
+
+
+def _ensemble(init, stream):
+    """States (R, d), R stream keys, and whether init was a single chain's state."""
+    x = np.array(init, dtype=np.float64)
+    if x.ndim == 1:
+        return x[None], [tuple(stream)], True
+    return x, [tuple(key) for key in stream], False
 
 
 def run_chain(init, target, config, start_step=0):
-    """Run a chain of config.n steps; deterministic given (seed, stream).
+    """Run config.n steps of one chain (d,), or of an ensemble (R, d) in lockstep.
 
-    ``states[0]`` is the first post-init state.  Restarting from
-    ``states[k]`` with ``start_step = k + 1`` reproduces ``states[k+1:]``
-    bitwise, because each step owns a fixed slice of the Philox stream.
+    An ensemble's config holds R step sizes, preconditioners and stream
+    keys.  Deterministic given (seed, stream), and chain r's states are
+    bitwise the same alone or in any ensemble.  ``states[0]`` is the first
+    post-init state.  Restarting from ``states[k]`` with
+    ``start_step = k + 1`` reproduces ``states[k+1:]`` bitwise, because
+    each step owns a fixed slice of each chain's Philox stream.
     """
-    x = np.asarray(init, dtype=np.float64).copy()
-    dim = x.shape[0]
+    x, streams, single = _ensemble(init, config.stream)
+    chains, dim = x.shape
+    if len(streams) != chains:
+        raise ValueError(f"{chains} chains need {chains} stream keys, got {len(streams)}")
+    eps = np.broadcast_to(np.asarray(config.epsilon, dtype=np.float64), (chains,))
     pre = _Precond(_as_spd_matrix(config.m, dim))
-    normals, log_us = _stream_randoms(config.seed, config.stream, config.n, dim, start_step)
-    states = np.empty((config.n, dim))
-    accept = np.zeros(config.n, dtype=bool)
-    nonfinite = 0
+    draws = [_stream_randoms(config.seed, s, config.n, dim, start_step) for s in streams]
+    normals, log_us = (np.stack(a, axis=1) for a in zip(*draws))
+    states = np.empty((config.n, chains, dim))
+    accept = np.empty((config.n, chains), dtype=bool)
+    nonfinite = np.zeros(chains, dtype=np.int64)
     logp, grad = target.log_density_with_grad(x)
-    eps = config.epsilon
     for i in range(config.n):
-        res = _step(x, logp, grad, target, eps, pre, normals[i], log_us[i])
-        x, logp, grad = res.x, res.logp, res.grad
+        x, logp, grad, accept[i], bad = _step(x, logp, grad, target, eps, pre, normals[i], log_us[i])[:5]
         states[i] = x
-        accept[i] = res.accepted
-        nonfinite += res.nonfinite
+        nonfinite += bad
+    rates = accept.mean(axis=0)
+    if single:
+        states, accept = states[:, 0], accept[:, 0]
     return ChainOutput(
         states=states,
         accept_flags=accept,
         accept_rate=float(accept.mean()),
         final_config=config,
-        nonfinite_proposals=nonfinite,
+        nonfinite_proposals=int(nonfinite.sum()),
+        chain_accept_rates=rates,
+        chain_nonfinite=nonfinite,
     )
 
 
@@ -228,34 +278,49 @@ def _regularised(cov):
 
 
 def adaptive_warmup(init, target, schedule=None, *, seed=0, stream=()):
-    """Epoch-based tuning of the step size and preconditioner.
+    """Epoch-based tuning of each chain's step size and preconditioner.
 
-    After each tuning epoch the step size is scaled by
-    exp(rate - target_accept) and the proposal covariance M^{-1} is blended
-    with the epoch sample covariance using the epoch's learning rate (the
+    ``init`` is one state (d,), or R states (R, d) run as one ensemble
+    with ``stream`` holding one stream key per chain; epoch k of a chain
+    draws from its key extended by k.  After each tuning epoch, each
+    chain's step size is scaled by exp(rate - target_accept) with its own
+    acceptance rate, and its proposal covariance M^{-1} is blended with
+    its own epoch sample covariance using the epoch's learning rate (the
     preconditioner itself is the inverse of the blend, consistent with the
-    proposal using M^{-1}).  Returns the production epoch's output and its
-    ChainConfig.
+    proposal using M^{-1}).  Returns the production epoch's ChainConfig
+    and output.
     """
     schedule = schedule or AdaptSchedule()
-    x = np.asarray(init, dtype=np.float64)
-    dim = x.shape[0]
-    eps = schedule.epsilon0
-    m = np.eye(dim) if schedule.m0 is None else _as_spd_matrix(schedule.m0, dim)
+    x, keys, single = _ensemble(init, stream)
+    chains, dim = x.shape
+
+    def pick(a):  # the single-chain form of a per-chain sequence
+        return a[0] if single else a
+
+    eps = np.full(chains, float(schedule.epsilon0))
+    m0 = np.eye(dim) if schedule.m0 is None else _as_spd_matrix(schedule.m0, dim)
+    m = np.array(np.broadcast_to(m0, (chains, dim, dim)))
     m_inv = np.linalg.inv(m)
-    out = None
-    cfg = None
+    out = cfg = None
     for epoch, length in enumerate(schedule.epoch_lengths):
         if epoch > 0:
             alpha = schedule.learning_rates[epoch - 1]
-            eps = eps * math.exp(out.accept_rate - schedule.target_accept)
-            cov = np.cov(out.states, rowvar=False).reshape(dim, dim)
-            m_inv = _regularised(alpha * m_inv + (1.0 - alpha) * cov)
-            m = np.linalg.inv(m_inv)
-            m = 0.5 * (m + m.T)
-            x = out.states[-1]
-        cfg = ChainConfig(epsilon=eps, m=m, n=length, seed=seed, stream=tuple(stream) + (epoch,))
-        out = run_chain(x, target, cfg)
+            states = out.states.reshape(-1, chains, dim)
+            for r in range(chains):
+                eps[r] *= math.exp(out.chain_accept_rates[r] - schedule.target_accept)
+                cov = np.cov(states[:, r], rowvar=False).reshape(dim, dim)
+                m_inv[r] = _regularised(alpha * m_inv[r] + (1.0 - alpha) * cov)
+                m_r = np.linalg.inv(m_inv[r])
+                m[r] = 0.5 * (m_r + m_r.T)
+            x = states[-1]
+        cfg = ChainConfig(
+            epsilon=pick(eps.copy()),
+            m=pick(m.copy()),
+            n=length,
+            seed=seed,
+            stream=pick(tuple(key + (epoch,) for key in keys)),
+        )
+        out = run_chain(pick(x), target, cfg)
     return cfg, out
 
 

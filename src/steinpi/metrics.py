@@ -59,6 +59,18 @@ def wasserstein1_1d(a, b):
     return float(np.sum(np.abs(cdf_diff[:-1]) * np.diff(xs)))
 
 
+def _marginal_constraints(na, nb):
+    """Sparse equality constraints of the transport LP over the flat plan.
+
+    Rows 0..na-1 are the row sums (row i covers flat indices i*nb ..
+    i*nb + nb - 1), then the column sums (column j covers j, j + nb, ...).
+    The final column constraint is implied by the others and is dropped.
+    """
+    rows = np.concatenate([np.repeat(np.arange(na), nb), np.repeat(np.arange(na, na + nb - 1), na)])
+    cols = np.concatenate([np.arange(na * nb), (np.arange(nb - 1)[:, None] + nb * np.arange(na)).ravel()])
+    return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(na + nb - 1, na * nb))
+
+
 def wasserstein1_exact(a, b):
     """Exact discrete optimal transport with Euclidean ground cost.
 
@@ -73,18 +85,7 @@ def wasserstein1_exact(a, b):
         raise SizeGuard(f"{na} x {nb} pairs exceed the exact-transport guard {PAIR_GUARD}")
     diff = a.points[:, None, :] - b.points[None, :, :]
     cost = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-    # Equality constraints: row sums = a.weights, column sums = b.weights.
-    # The final column constraint is implied by the others and is dropped.
-    rows = []
-    cols = []
-    for i in range(na):
-        rows.extend([i] * nb)
-        cols.extend(range(i * nb, (i + 1) * nb))
-    for j in range(nb - 1):
-        rows.extend([na + j] * na)
-        cols.extend(range(j, na * nb, nb))
-    data = np.ones(len(rows))
-    a_eq = coo_matrix((data, (rows, cols)), shape=(na + nb - 1, na * nb))
+    a_eq = _marginal_constraints(na, nb)
     b_eq = np.concatenate([a.weights, b.weights[:-1]])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:

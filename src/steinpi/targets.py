@@ -3,7 +3,10 @@
 Every target exposes an unnormalised log-density together with its exact
 gradient and Hessian; no automatic differentiation is used anywhere.  All
 three evaluators accept either a single point of shape ``(d,)`` or a batch
-of shape ``(n, d)`` and return correspondingly shaped arrays.
+of shape ``(n, d)`` and return correspondingly shaped arrays.  Row r of a
+batch is bitwise the value at the single point r: products over the
+dimension use einsum, not BLAS matmul, whose rounding depends on the
+batch size.
 """
 
 from __future__ import annotations
@@ -197,11 +200,11 @@ class Gaussian(TargetModel):
 
     def _log_density(self, x):
         delta = x - self.mean
-        quad = np.einsum("ni,ij,nj->n", delta, self._prec, delta)
+        quad = np.einsum("nj,nj->n", np.einsum("ni,ij->nj", delta, self._prec), delta)
         return self._log_norm - 0.5 * quad
 
     def _grad(self, x):
-        return -(x - self.mean) @ self._prec
+        return -np.einsum("ni,ij->nj", x - self.mean, self._prec)
 
     def _hessian(self, x):
         return np.broadcast_to(-self._prec, (x.shape[0], self.dim, self.dim)).copy()
@@ -349,7 +352,7 @@ class RegressionPosterior(TargetModel):
         h11 = -np.einsum("ni,ni->n", basis, basis)
         h22 = -np.einsum("ni,ni->n", dfdx2, dfdx2)
         # cross term picks up resid_i * d^2 f_i / dx1 dx2 = resid_i * t_i
-        h12 = -np.einsum("ni,ni->n", basis, dfdx2) + resid @ self.t
+        h12 = -np.einsum("ni,ni->n", basis, dfdx2) + np.einsum("ni,i->n", resid, self.t)
         hess = np.empty((x.shape[0], 2, 2))
         hess[:, 0, 0] = h11 - 1.0
         hess[:, 1, 1] = h22 - 1.0

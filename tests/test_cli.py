@@ -1,6 +1,7 @@
 """Command-line interface: every verb end to end, exit-code contract, seed
 determinism of emitted files, and the thread-count environment override."""
 
+import dataclasses
 import json
 import os
 
@@ -186,6 +187,22 @@ def test_numerical_failure_exit_code(pipeline_config, tmp_path, capsys):
     )
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_weights_verb_refuses_uncertified_solve(pipeline_config, tmp_path, capsys, monkeypatch):
+    import steinpi.experiment as experiment
+
+    solve = experiment.optimal_weights
+    monkeypatch.setattr(
+        experiment, "optimal_weights", lambda *a, **k: dataclasses.replace(solve(*a, **k), converged=False)
+    )
+    points = tmp_path / "points.csv"
+    points.write_text("x0\n-1.0\n0.0\n0.5\n2.0\n")
+    out = tmp_path / "wout"
+    code = main(["weights", "--config", pipeline_config, "--points", str(points), "--out-dir", str(out)])
+    assert code == 2
+    assert "not certified" in capsys.readouterr().err
+    assert not (out / "weights.csv").exists()
 
 
 def test_threads_env_override(experiment_config, tmp_path, monkeypatch):

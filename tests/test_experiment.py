@@ -57,6 +57,19 @@ def _base_config(**overrides):
     return cfg
 
 
+def _mala_method(epoch_lengths=(100, 100, 200)):
+    return {
+        "name": "pi-mala",
+        "kernel": {"family": "langevin"},
+        "sampler": {
+            "distribution": "pi",
+            "mechanism": "mala",
+            "warmup": {"epoch_lengths": list(epoch_lengths), "epsilon0": 0.5},
+        },
+        "post": {"kind": "optimal"},
+    }
+
+
 # ----------------------------------------------------------------------
 # config validation
 # ----------------------------------------------------------------------
@@ -100,6 +113,16 @@ def test_parse_rejects_bad_ns():
         parse_experiment_spec(_base_config(ns=[10, 0]))
 
 
+def test_parse_rejects_production_epoch_shorter_than_max_n():
+    # a window of max(ns) states must fit in every MALA production epoch
+    cfg = _base_config(ns=[10, 500])
+    cfg["methods"].append(_mala_method(epoch_lengths=(50, 100)))
+    with pytest.raises(ConfigError, match=r"methods\[2\].sampler.warmup.epoch_lengths"):
+        parse_experiment_spec(cfg)
+    cfg["methods"][2] = _mala_method(epoch_lengths=(50, 500))
+    parse_experiment_spec(cfg)
+
+
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
@@ -116,7 +139,9 @@ def test_row_count_contract_and_determinism():
 
 
 def test_threading_does_not_change_results():
-    spec = parse_experiment_spec(_base_config())
+    cfg = _base_config()
+    cfg["methods"].append(_mala_method())
+    spec = parse_experiment_spec(cfg)
     a = run_experiment(spec, threads=1)
     b = run_experiment(spec, threads=3)
     assert [(r.method, r.n, r.replicate, r.ksd) for r in a.rows] == [
@@ -126,23 +151,33 @@ def test_threading_does_not_change_results():
 
 def test_mala_mechanism_runs_and_is_deterministic():
     cfg = _base_config(replicates=2, ns=[15])
-    cfg["methods"] = [
-        {
-            "name": "pi-mala",
-            "kernel": {"family": "langevin"},
-            "sampler": {
-                "distribution": "pi",
-                "mechanism": "mala",
-                "warmup": {"epoch_lengths": [100, 100, 200], "epsilon0": 0.5},
-            },
-            "post": {"kind": "optimal"},
-        }
-    ]
+    cfg["methods"] = [_mala_method()]
     spec = parse_experiment_spec(cfg)
     a = run_experiment(spec)
     b = run_experiment(spec)
     assert len(a.rows) == 2
     assert [r.ksd for r in a.rows] == [r.ksd for r in b.rows]
+
+
+def test_failed_chain_loses_only_its_replicate(monkeypatch):
+    # the ensemble fails as a whole; the rerun alone recovers the other
+    # replicates bitwise, because a chain does not depend on its ensemble
+    spec = parse_experiment_spec(_base_config(replicates=3, ns=[15], methods=[_mala_method()]))
+    clean = run_experiment(spec)
+    warmup = experiment.adaptive_warmup
+
+    def fails_for_replicate_1(init, target, schedule, *, seed, stream):
+        if (0, 1) in stream:
+            raise np.linalg.LinAlgError("singular preconditioner")
+        return warmup(init, target, schedule, seed=seed, stream=stream)
+
+    monkeypatch.setattr(experiment, "adaptive_warmup", fails_for_replicate_1)
+    result = run_experiment(spec)
+    assert [(f.replicate, f.n) for f in result.failures] == [(1, 15)]
+    assert "sampling failed: singular preconditioner" in result.failures[0].message
+    assert [(r.replicate, r.ksd) for r in result.rows] == [
+        (r.replicate, r.ksd) for r in clean.rows if r.replicate != 1
+    ]
 
 
 def test_power_tilt_and_thin_post_processor():

@@ -13,12 +13,18 @@ from steinpi.mala import (
     _step,
     _stream_randoms,
     adaptive_warmup,
-    mala_step,
     random_window,
     run_chain,
 )
+from steinpi.kernels import make_kernel
 from steinpi.pi_targets import make_pi
-from steinpi.targets import TargetModel, find_mode, make_gaussian
+from steinpi.targets import (
+    TargetModel,
+    default_mixture,
+    find_mode,
+    make_gaussian,
+    make_regression_posterior,
+)
 
 from _oracles import mala_log_ratio_reference
 
@@ -81,12 +87,24 @@ def test_proposal_noise_scale_with_scalar_preconditioner(rng):
     assert abs(noise.std() - np.sqrt(eps / 2.0)) / np.sqrt(eps / 2.0) < 0.01
 
 
-def test_mala_step_generator_interface(rng):
+def test_ensemble_call_form_shapes_and_pooled_statistics():
+    # steps stay on axis 0; the scalar statistics pool the chains
     target = make_gaussian(np.zeros(2))
-    cfg = _cfg(0.5, np.eye(2), 1)
-    new, accepted = mala_step(np.array([0.2, -0.4]), target, cfg, rng)
-    assert new.shape == (2,)
-    assert isinstance(accepted, bool)
+    cfg = ChainConfig(
+        epsilon=np.array([0.2, 0.5, 1.5]),
+        m=np.stack([np.eye(2), 2.0 * np.eye(2), np.diag([1.0, 3.0])]),
+        n=40,
+        seed=3,
+        stream=((0,), (1,), (2,)),
+    )
+    out = run_chain(np.zeros((3, 2)), target, cfg)
+    assert out.states.shape == (40, 3, 2)
+    assert out.accept_flags.shape == (40, 3)
+    np.testing.assert_array_equal(out.chain_accept_rates, out.accept_flags.mean(axis=0))
+    assert out.accept_rate == out.accept_flags.mean()
+    assert out.chain_nonfinite.shape == (3,) and out.nonfinite_proposals == out.chain_nonfinite.sum()
+    with pytest.raises(ValueError):
+        run_chain(np.zeros((2, 2)), target, cfg)  # three stream keys for two chains
 
 
 class _BoundedTarget(TargetModel):
@@ -140,6 +158,62 @@ def test_chain_restart_reproduces_tail_bitwise():
         full.states[k], target, _cfg(0.6, np.eye(2), 120 - k - 1, seed=7, stream=(1,)), start_step=k + 1
     )
     np.testing.assert_array_equal(full.states[k + 1 :], tail.states)
+
+
+def test_ensemble_restart_reproduces_tail_bitwise():
+    target = make_gaussian(np.zeros(2))
+    cfg = ChainConfig(
+        epsilon=np.array([0.3, 0.6, 1.2]),
+        m=np.stack([np.eye(2), np.diag([2.0, 0.5]), np.array([[1.0, 0.3], [0.3, 2.0]])]),
+        n=120,
+        seed=7,
+        stream=((1, 0), (1, 1), (1, 2)),
+    )
+    full = run_chain(np.zeros((3, 2)), target, cfg)
+    k = 50
+    tail_cfg = ChainConfig(epsilon=cfg.epsilon, m=cfg.m, n=120 - k - 1, seed=7, stream=cfg.stream)
+    tail = run_chain(full.states[k], target, tail_cfg, start_step=k + 1)
+    np.testing.assert_array_equal(full.states[k + 1 :], tail.states)
+    np.testing.assert_array_equal(full.accept_flags[k + 1 :], tail.accept_flags)
+
+
+@pytest.mark.parametrize("name", ["regression", "mixture"])
+@pytest.mark.parametrize("law", ["p", "pi"])
+def test_chain_does_not_depend_on_its_ensemble(name, law):
+    # chain r's warm-up and production are bitwise the same run alone and
+    # inside ensembles of 7 and 64 chains
+    target = make_regression_posterior() if name == "regression" else default_mixture()
+    mode = find_mode(target, np.full(target.dim, 0.1))
+    if law == "pi":
+        target = make_pi(target, make_kernel(target, mode, family="langevin"))
+    inits = mode.x_star + 0.3 * np.random.default_rng(1).standard_normal((64, target.dim))
+    schedule = AdaptSchedule(epsilon0=0.5, epoch_lengths=(60, 60, 100), learning_rates=(0.3, 0.3))
+    streams = [(4, r) for r in range(64)]
+    runs = {
+        size: adaptive_warmup(inits[:size], target, schedule, seed=3, stream=streams[:size])
+        for size in (7, 64)
+    }
+    for r in (0, 3, 6):
+        cfg_1, out_1 = adaptive_warmup(inits[r], target, schedule, seed=3, stream=streams[r])
+        for cfg, out in runs.values():
+            np.testing.assert_array_equal(out.states[:, r], out_1.states)
+            np.testing.assert_array_equal(out.accept_flags[:, r], out_1.accept_flags)
+            assert cfg.epsilon[r] == cfg_1.epsilon
+            np.testing.assert_array_equal(cfg.m[r], cfg_1.m)
+    assert 0.0 < runs[64][1].accept_rate < 1.0  # the chains moved
+
+
+def test_row_looped_garch_target_runs_in_an_ensemble():
+    from steinpi.targets import make_garch_posterior, simulate_garch_series
+
+    target = make_garch_posterior(simulate_garch_series((0.2, 0.5, 0.3, 0.4), 50, seed=4))
+    mode = find_mode(target, np.zeros(4), max_iter=400)
+    schedule = AdaptSchedule(epoch_lengths=(40, 60), learning_rates=(0.3,))
+    inits = np.tile(mode.x_star, (3, 1))
+    _, ens = adaptive_warmup(inits, target, schedule, seed=2, stream=[(r,) for r in range(3)])
+    for r in range(3):
+        _, alone = adaptive_warmup(inits[r], target, schedule, seed=2, stream=(r,))
+        np.testing.assert_array_equal(ens.states[:, r], alone.states)
 
 
 def test_duplicate_states_iff_rejections():

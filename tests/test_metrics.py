@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinpi.errors import DimensionMismatch, SizeGuard
-from steinpi.metrics import dimension_effect, wasserstein1_1d, wasserstein1_exact
+from steinpi.metrics import _marginal_constraints, dimension_effect, wasserstein1_1d, wasserstein1_exact
 from steinpi.quantise import WeightedSample, uniform_sample
 
 from _oracles import wasserstein1_1d_monotone
@@ -109,6 +109,23 @@ def test_exact_transport_metric_axioms(rng):
         dik = wasserstein1_exact(samples[i], samples[k]).cost
         dkj = wasserstein1_exact(samples[k], samples[j]).cost
         assert dij <= dik + dkj + 1e-8
+
+
+@pytest.mark.parametrize("na, nb", [(1, 1), (1, 4), (4, 1), (3, 5), (40, 17)])
+def test_marginal_constraints_match_loop_reference(na, nb):
+    # the loop build the vectorised one replaced: same COO entries in the same order
+    rows, cols = [], []
+    for i in range(na):
+        rows.extend([i] * nb)
+        cols.extend(range(i * nb, (i + 1) * nb))
+    for j in range(nb - 1):
+        rows.extend([na + j] * na)
+        cols.extend(range(j, na * nb, nb))
+    a_eq = _marginal_constraints(na, nb)
+    assert a_eq.shape == (na + nb - 1, na * nb)
+    np.testing.assert_array_equal(a_eq.row, rows)
+    np.testing.assert_array_equal(a_eq.col, cols)
+    np.testing.assert_array_equal(a_eq.data, np.ones(len(rows)))
 
 
 def test_exact_transport_size_guard():
