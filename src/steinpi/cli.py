@@ -99,8 +99,10 @@ def _cmd_sample(args):
         sampler_cfg["distribution"] = args.target_dist
     target, mode, runtime, seed = _single_runtime(cfg, args.seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
-    points = runtime.draw(args.n, seed, 0, 0, rng)
-    points = points[: args.n]
+    if runtime.mechanism == "exact":
+        points = runtime.sampler.sample(args.n, rng)
+    else:
+        points = runtime.chains(seed, 0, [0])[0][: args.n]
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "sample.csv")

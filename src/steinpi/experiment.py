@@ -144,10 +144,19 @@ class ExperimentSpec:
     out_dir: str | None = None
 
 
+_WARMUP_KEYS = {"epsilon0": float, "epoch_lengths": tuple, "learning_rates": tuple, "target_accept": float}
+
+
 def _schedule(sampler, path):
     """The MALA warm-up schedule of a sampler block; ConfigError when invalid."""
+    warm = sampler.get("warmup", {})
+    if not isinstance(warm, dict):
+        raise ConfigError(f"{path}.sampler.warmup: expected an object")
+    for key in warm:
+        if key not in _WARMUP_KEYS:
+            raise ConfigError(f"{path}.sampler.warmup.{key}: unknown key")
     try:
-        return AdaptSchedule(**sampler.get("warmup", {}))
+        return AdaptSchedule(**{key: _WARMUP_KEYS[key](value) for key, value in warm.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}.sampler.warmup: {exc}") from None
 
@@ -282,24 +291,14 @@ class MethodRuntime:
             num = grid_cfg.get("num", 2001 if len(bounds) > 1 else 20001)
             self.sampler = GridSampler(self.law, bounds, num=num)
         else:
-            self.schedule = _schedule(method.sampler, "config")  # parsed experiments are valid
-
-    def draw(self, n_max, seed, method_index, replicate, rng):
-        """One replicate's states: n_max exact draws, or its MALA production epoch."""
-        if self.mechanism == "exact":
-            return self.sampler.sample(n_max, rng)
-        return self.chains(seed, method_index, [replicate])[:, 0]
+            self.schedule = _schedule(method.sampler, "config")
 
     def chains(self, seed, method_index, replicates):
-        """Production states (n, R, d) of one MALA chain per replicate, run as one ensemble."""
-        _, out = adaptive_warmup(
-            np.tile(self.mode.x_star, (len(replicates), 1)),
-            self.law,
-            self.schedule,
-            seed=seed,
-            stream=[(method_index, r) for r in replicates],
-        )
-        return out.states
+        """Production states (R, n, d) of one MALA chain per replicate, run as one ensemble."""
+        init = np.tile(self.mode.x_star, (len(replicates), 1))
+        stream = [(method_index, r) for r in replicates]
+        _, out = adaptive_warmup(init, self.law, self.schedule, seed=seed, stream=stream)
+        return out.states.reshape(init.shape[0], -1, init.shape[1])
 
     def post_process(self, points, post):
         """Post-processed sample and its Gram (None when thinning changes the points).
@@ -350,26 +349,25 @@ def _mala_sources(spec, runtime, method_index, replicates):
     failing ones are lost.
     """
     try:
-        states = runtime.chains(spec.seed, method_index, replicates)
+        return dict(zip(replicates, runtime.chains(spec.seed, method_index, replicates)))
     except _CELL_ERRORS as exc:
         if len(replicates) == 1:
             return {replicates[0]: exc}
-        return {r: _mala_sources(spec, runtime, method_index, [r])[r] for r in replicates}
-    return {r: np.ascontiguousarray(states[:, i]) for i, r in enumerate(replicates)}
+    return {r: _mala_sources(spec, runtime, method_index, [r])[r] for r in replicates}
 
 
 def _run_cell(spec, runtime, method_index, replicate, reference, source=None):
     """All sample sizes for one (method, replicate); returns (rows, failures).
 
     ``source`` is the replicate's MALA states, or the error that stopped
-    its chain; exact-grid methods draw here.
+    its chain; exact-grid methods (``source=None``) draw here.
     """
     rows = []
     failures = []
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(method_index, replicate)))
     method = runtime.method
     if source is None:
-        source = runtime.draw(max(spec.ns), spec.seed, method_index, replicate, rng)
+        source = runtime.sampler.sample(max(spec.ns), rng)
     elif isinstance(source, Exception):
         for n in spec.ns:
             failures.append(FailureRecord(method.name, replicate, n, f"sampling failed: {source}"))
@@ -418,11 +416,12 @@ def run_experiment(spec, threads=1):
     runtimes = [MethodRuntime(m, target, mode) for m in spec.methods]
     reference = _reference_sample(spec, target, mode)
     replicates = list(range(spec.replicates))
-    sources = {}
-    for mi, runtime in enumerate(runtimes):
-        if runtime.mechanism == "mala":
-            for r, source in _mala_sources(spec, runtime, mi, replicates).items():
-                sources[mi, r] = source
+    sources = {
+        (mi, r): source
+        for mi, runtime in enumerate(runtimes)
+        if runtime.mechanism == "mala"
+        for r, source in _mala_sources(spec, runtime, mi, replicates).items()
+    }
     tasks = [(mi, replicate) for mi in range(len(runtimes)) for replicate in replicates]
 
     def cell(task):

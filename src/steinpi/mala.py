@@ -77,10 +77,11 @@ class ChainConfig:
 class ChainOutput:
     """States and acceptance statistics of a completed chain or ensemble.
 
-    Steps are on axis 0: ``states`` is (n, d) for one chain and (n, R, d)
-    for an ensemble, ``accept_flags`` (n,) or (n, R).  ``accept_rate`` and
-    ``nonfinite_proposals`` pool all chains; ``chain_accept_rates`` and
-    ``chain_nonfinite`` hold them per chain, shape (R,).
+    Axis 0 counts chain steps: R chains of n steps give ``states``
+    (R * n, d) and ``accept_flags`` (R * n,), with chain r in rows r * n
+    to r * n + n - 1, i.e. ``states.reshape(R, n, d)[r]``; one chain gives
+    (n, d) and (n,).  ``accept_rate`` and ``nonfinite_proposals`` pool the
+    chains; ``chain_accept_rates`` holds one rate per chain, shape (R,).
     """
 
     states: np.ndarray
@@ -89,7 +90,6 @@ class ChainOutput:
     final_config: ChainConfig
     nonfinite_proposals: int
     chain_accept_rates: np.ndarray
-    chain_nonfinite: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ class AdaptSchedule:
             raise ValueError("need one learning rate per epoch after the first")
         if any(not 0.0 <= a <= 1.0 for a in self.learning_rates):
             raise ValueError("learning rates must lie in [0, 1]")
-        if any(n < 1 for n in self.epoch_lengths):
-            raise ValueError("epoch lengths must be positive")
+        if any(not isinstance(n, (int, np.integer)) or n < 1 for n in self.epoch_lengths):
+            raise ValueError("epoch lengths must be positive integers")
         if self.epsilon0 <= 0:
             raise ValueError("epsilon0 must be positive")
 
@@ -136,25 +136,22 @@ def _rowdot(u, v):
 class _Precond:
     """Cholesky-backed preconditioner operations, factorised once.
 
-    ``m`` is one (d, d) matrix or one per chain, (R, d, d); the operations
-    take one vector (d,) or a batch (R, d), row r with chain r's matrix.
+    With M = L L^T, ``whiten`` applies L^{-1} and ``sqrt_inv_apply`` applies
+    B = L^{-T}, so B B^T = M^{-1}.  ``m`` is one (d, d) matrix or one per
+    chain, (R, d, d); the operations take one vector (d,) or a batch (R, d),
+    row r with chain r's matrix.
     """
 
     def __init__(self, m):
         self.m = np.asarray(m, dtype=np.float64)
-        li = np.linalg.inv(np.linalg.cholesky(self.m))
-        self.sqrt_inv = np.swapaxes(li, -1, -2)  # B with B B^T = M^{-1}
-        self.m_inv = self.sqrt_inv @ li
+        self.whitener = np.linalg.inv(np.linalg.cholesky(self.m))
+        self.sqrt_inv = np.swapaxes(self.whitener, -1, -2)
 
-    def inv_apply(self, v):
-        return _rowdot(self.m_inv, v[..., None, :])
+    def whiten(self, g):
+        return _rowdot(self.whitener, g[..., None, :])
 
     def sqrt_inv_apply(self, z):
         return _rowdot(self.sqrt_inv, z[..., None, :])
-
-    def quad(self, z):
-        # z^T M z, the squared proposal norm.
-        return _rowdot(z, _rowdot(self.m, z[..., None, :]))
 
 
 def _raws_per_step(dim):
@@ -189,20 +186,23 @@ def _step(x, logp_x, grad_x, target, eps, pre, z, log_u):
 
     Takes one chain (a (d,) state with scalar density, step size and
     log-uniform) or an ensemble ((R, d) states with (R,) of the others),
-    and a standard normal z shaped like the states.  A proposal with a
-    nonfinite density or gradient is rejected.
+    and a standard normal z shaped like the states.  In whitened terms,
+    with h = L^{-1} grad, the move is prop - x = B (eps h_x + sqrt(2 eps) z)
+    and the reverse move's residual is x - nu_prop = -B w with
+    w = eps (h_x + h_prop) + sqrt(2 eps) z, so its squared M-norm is
+    ||w||^2.  A proposal with a nonfinite density or gradient is rejected.
     """
     col = np.asarray(eps)[..., None]
-    nu_x = x + col * pre.inv_apply(grad_x)
-    prop = nu_x + np.sqrt(2.0 * col) * pre.sqrt_inv_apply(z)
+    root = np.sqrt(2.0 * col)
+    h_x = pre.whiten(grad_x)
+    prop = x + pre.sqrt_inv_apply(col * h_x + root * z)
     logp_p, grad_p = target.log_density_with_grad(prop)
     finite = np.isfinite(logp_p) & np.isfinite(grad_p).all(axis=-1)
     if not finite.all():  # a -inf density rejects; a zero gradient keeps the ratio quiet
         logp_p = np.where(finite, logp_p, -np.inf)
         grad_p = np.where(finite[..., None], grad_p, 0.0)
-    nu_p = prop + col * pre.inv_apply(grad_p)
-    # ||prop - nu_x||_M^2 / (4 eps) = ||z||^2 / 2
-    log_ratio = logp_p - logp_x - pre.quad(x - nu_p) / (4.0 * eps) + 0.5 * _rowdot(z, z)
+    w = col * (h_x + pre.whiten(grad_p)) + root * z
+    log_ratio = logp_p - logp_x - _rowdot(w, w) / (4.0 * eps) + 0.5 * _rowdot(z, z)
     accepted = log_u < log_ratio
     keep = accepted[..., None]
     return _Transition(
@@ -218,10 +218,9 @@ def _step(x, logp_x, grad_x, target, eps, pre, z, log_u):
 
 def _ensemble(init, stream):
     """States (R, d), R stream keys, and whether init was a single chain's state."""
-    x = np.array(init, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None], [tuple(stream)], True
-    return x, [tuple(key) for key in stream], False
+    single = np.ndim(init) == 1
+    x = np.array(init, dtype=np.float64, ndmin=2)
+    return x, [tuple(stream)] if single else [tuple(key) for key in stream], single
 
 
 def run_chain(init, target, config, start_step=0):
@@ -229,12 +228,12 @@ def run_chain(init, target, config, start_step=0):
 
     An ensemble's config holds R step sizes, preconditioners and stream
     keys.  Deterministic given (seed, stream), and chain r's states are
-    bitwise the same alone or in any ensemble.  ``states[0]`` is the first
-    post-init state.  Restarting from ``states[k]`` with
-    ``start_step = k + 1`` reproduces ``states[k+1:]`` bitwise, because
-    each step owns a fixed slice of each chain's Philox stream.
+    bitwise the same alone or in any ensemble.  A chain's first state is
+    its first post-init state.  Restarting every chain from its state k
+    with ``start_step = k + 1`` reproduces the states after k bitwise,
+    because each step owns a fixed slice of each chain's Philox stream.
     """
-    x, streams, single = _ensemble(init, config.stream)
+    x, streams, _ = _ensemble(init, config.stream)
     chains, dim = x.shape
     if len(streams) != chains:
         raise ValueError(f"{chains} chains need {chains} stream keys, got {len(streams)}")
@@ -242,25 +241,21 @@ def run_chain(init, target, config, start_step=0):
     pre = _Precond(_as_spd_matrix(config.m, dim))
     draws = [_stream_randoms(config.seed, s, config.n, dim, start_step) for s in streams]
     normals, log_us = (np.stack(a, axis=1) for a in zip(*draws))
-    states = np.empty((config.n, chains, dim))
-    accept = np.empty((config.n, chains), dtype=bool)
+    states = np.empty((chains, config.n, dim))
+    accept = np.empty((chains, config.n), dtype=bool)
     nonfinite = np.zeros(chains, dtype=np.int64)
     logp, grad = target.log_density_with_grad(x)
     for i in range(config.n):
-        x, logp, grad, accept[i], bad = _step(x, logp, grad, target, eps, pre, normals[i], log_us[i])[:5]
-        states[i] = x
+        x, logp, grad, accept[:, i], bad = _step(x, logp, grad, target, eps, pre, normals[i], log_us[i])[:5]
+        states[:, i] = x
         nonfinite += bad
-    rates = accept.mean(axis=0)
-    if single:
-        states, accept = states[:, 0], accept[:, 0]
     return ChainOutput(
-        states=states,
-        accept_flags=accept,
+        states=states.reshape(-1, dim),
+        accept_flags=accept.ravel(),
         accept_rate=float(accept.mean()),
         final_config=config,
         nonfinite_proposals=int(nonfinite.sum()),
-        chain_accept_rates=rates,
-        chain_nonfinite=nonfinite,
+        chain_accept_rates=accept.mean(axis=1),
     )
 
 
@@ -305,14 +300,14 @@ def adaptive_warmup(init, target, schedule=None, *, seed=0, stream=()):
     for epoch, length in enumerate(schedule.epoch_lengths):
         if epoch > 0:
             alpha = schedule.learning_rates[epoch - 1]
-            states = out.states.reshape(-1, chains, dim)
+            states = out.states.reshape(chains, -1, dim)
             for r in range(chains):
                 eps[r] *= math.exp(out.chain_accept_rates[r] - schedule.target_accept)
-                cov = np.cov(states[:, r], rowvar=False).reshape(dim, dim)
+                cov = np.cov(states[r], rowvar=False).reshape(dim, dim)
                 m_inv[r] = _regularised(alpha * m_inv[r] + (1.0 - alpha) * cov)
                 m_r = np.linalg.inv(m_inv[r])
                 m[r] = 0.5 * (m_r + m_r.T)
-            x = states[-1]
+            x = states[:, -1]
         cfg = ChainConfig(
             epsilon=pick(eps.copy()),
             m=pick(m.copy()),

@@ -179,6 +179,31 @@ def test_usage_error_is_config_error(capsys):
     assert main(["sample"]) == 1  # missing required flags
 
 
+def test_sample_verb_runs_one_mala_chain(tmp_path, capsys):
+    cfg = {
+        "target": {"name": "mixture"},
+        "mode_init": [0.1],
+        "kernel": {"family": "langevin"},
+        "sampler": {"distribution": "pi", "mechanism": "mala"},
+        "seed": 5,
+    }
+    path = _write_config(tmp_path / "mala.json", cfg)
+    warmup = ["--epochs", "3", "--epoch-length", "50", "--final-length", "60"]
+    outputs = []
+    for run in ("a", "b"):
+        out = str(tmp_path / run)
+        assert main(["sample", "--config", path, "--n", "40", "--out-dir", out] + warmup) == 0
+        outputs.append(open(os.path.join(out, "sample.csv"), encoding="utf-8").read())
+    assert outputs[0] == outputs[1]
+    assert len(read_csv(os.path.join(str(tmp_path / "a"), "sample.csv"))[1]) == 40
+
+    cfg["sampler"]["warmup"] = {"m0": [[1.0]]}
+    path = _write_config(tmp_path / "bad.json", cfg)
+    capsys.readouterr()
+    assert main(["sample", "--config", path, "--n", "40", "--out-dir", str(tmp_path / "c")]) == 1
+    assert "warmup.m0: unknown key" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(pipeline_config, tmp_path, capsys):
     bad_points = tmp_path / "bad.csv"
     bad_points.write_text("x0,weight\n0.0,nan\n1.0,0.5\n")

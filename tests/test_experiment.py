@@ -123,6 +123,23 @@ def test_parse_rejects_production_epoch_shorter_than_max_n():
     parse_experiment_spec(cfg)
 
 
+@pytest.mark.parametrize(
+    "warmup, key",
+    [
+        ({"m0": [[1.0]]}, r"warmup\.m0: unknown key"),
+        ({"epsilon0": -1.0}, "warmup: epsilon0"),
+        ({"epoch_lengths": [100.0, 200.0]}, "warmup: epoch lengths"),
+        ([100], "warmup"),
+    ],
+)
+def test_parse_rejects_bad_warmup(warmup, key):
+    # only epsilon0, epoch_lengths, learning_rates and target_accept are read
+    method = _mala_method()
+    method["sampler"]["warmup"] = warmup
+    with pytest.raises(ConfigError, match=r"methods\[0\].sampler." + key):
+        parse_experiment_spec(_base_config(methods=[method]))
+
+
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------

@@ -88,7 +88,7 @@ def test_proposal_noise_scale_with_scalar_preconditioner(rng):
 
 
 def test_ensemble_call_form_shapes_and_pooled_statistics():
-    # steps stay on axis 0; the scalar statistics pool the chains
+    # axis 0 counts chain steps, chain by chain; the scalar statistics pool the chains
     target = make_gaussian(np.zeros(2))
     cfg = ChainConfig(
         epsilon=np.array([0.2, 0.5, 1.5]),
@@ -98,11 +98,14 @@ def test_ensemble_call_form_shapes_and_pooled_statistics():
         stream=((0,), (1,), (2,)),
     )
     out = run_chain(np.zeros((3, 2)), target, cfg)
-    assert out.states.shape == (40, 3, 2)
-    assert out.accept_flags.shape == (40, 3)
-    np.testing.assert_array_equal(out.chain_accept_rates, out.accept_flags.mean(axis=0))
+    assert out.states.shape == (3 * 40, 2)
+    assert out.accept_flags.shape == (3 * 40,)
+    np.testing.assert_array_equal(out.chain_accept_rates, out.accept_flags.reshape(3, 40).mean(axis=1))
     assert out.accept_rate == out.accept_flags.mean()
-    assert out.chain_nonfinite.shape == (3,) and out.nonfinite_proposals == out.chain_nonfinite.sum()
+    assert out.nonfinite_proposals == 0
+    for r in range(3):  # chain r alone is rows r * 40 .. r * 40 + 39
+        alone = ChainConfig(epsilon=cfg.epsilon[r], m=cfg.m[r], n=40, seed=3, stream=(r,))
+        np.testing.assert_array_equal(run_chain(np.zeros(2), target, alone).states, out.states[40 * r : 40 * r + 40])
     with pytest.raises(ValueError):
         run_chain(np.zeros((2, 2)), target, cfg)  # three stream keys for two chains
 
@@ -170,11 +173,12 @@ def test_ensemble_restart_reproduces_tail_bitwise():
         stream=((1, 0), (1, 1), (1, 2)),
     )
     full = run_chain(np.zeros((3, 2)), target, cfg)
+    states, flags = full.states.reshape(3, 120, 2), full.accept_flags.reshape(3, 120)
     k = 50
     tail_cfg = ChainConfig(epsilon=cfg.epsilon, m=cfg.m, n=120 - k - 1, seed=7, stream=cfg.stream)
-    tail = run_chain(full.states[k], target, tail_cfg, start_step=k + 1)
-    np.testing.assert_array_equal(full.states[k + 1 :], tail.states)
-    np.testing.assert_array_equal(full.accept_flags[k + 1 :], tail.accept_flags)
+    tail = run_chain(states[:, k], target, tail_cfg, start_step=k + 1)
+    np.testing.assert_array_equal(states[:, k + 1 :], tail.states.reshape(3, -1, 2))
+    np.testing.assert_array_equal(flags[:, k + 1 :], tail.accept_flags.reshape(3, -1))
 
 
 @pytest.mark.parametrize("name", ["regression", "mixture"])
@@ -195,9 +199,9 @@ def test_chain_does_not_depend_on_its_ensemble(name, law):
     }
     for r in (0, 3, 6):
         cfg_1, out_1 = adaptive_warmup(inits[r], target, schedule, seed=3, stream=streams[r])
-        for cfg, out in runs.values():
-            np.testing.assert_array_equal(out.states[:, r], out_1.states)
-            np.testing.assert_array_equal(out.accept_flags[:, r], out_1.accept_flags)
+        for size, (cfg, out) in runs.items():
+            np.testing.assert_array_equal(out.states.reshape(size, -1, target.dim)[r], out_1.states)
+            np.testing.assert_array_equal(out.accept_flags.reshape(size, -1)[r], out_1.accept_flags)
             assert cfg.epsilon[r] == cfg_1.epsilon
             np.testing.assert_array_equal(cfg.m[r], cfg_1.m)
     assert 0.0 < runs[64][1].accept_rate < 1.0  # the chains moved
@@ -213,7 +217,7 @@ def test_row_looped_garch_target_runs_in_an_ensemble():
     _, ens = adaptive_warmup(inits, target, schedule, seed=2, stream=[(r,) for r in range(3)])
     for r in range(3):
         _, alone = adaptive_warmup(inits[r], target, schedule, seed=2, stream=(r,))
-        np.testing.assert_array_equal(ens.states[:, r], alone.states)
+        np.testing.assert_array_equal(ens.states.reshape(3, -1, 4)[r], alone.states)
 
 
 def test_duplicate_states_iff_rejections():
