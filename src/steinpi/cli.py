@@ -3,7 +3,10 @@
 Subcommands: sample, weights, thin, ksd, wasserstein, experiment,
 check-assumptions.  All randomness is seeded from configs or flags; there
 is no wall-clock seeding.  Exit codes: 0 success, 1 configuration error,
-2 numerical failure.  STEINPI_THREADS overrides --threads.
+2 numerical failure.  Only experiment runs worker threads: --threads, which
+STEINPI_THREADS overrides.  Only sample, weights, thin and experiment
+write files, into --out-dir; wasserstein reads no config and takes no
+flags.
 """
 
 from __future__ import annotations
@@ -206,12 +209,11 @@ def _build_parser():
     parser = _Parser(prog="steinpi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config path")
+    def common(p, writes_files=True):
+        p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--out-dir", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        if writes_files:
+            p.add_argument("--out-dir", default=None, help="output directory")
 
     p = sub.add_parser("sample", help="draw samples from p, pi or a power tilt")
     common(p)
@@ -235,7 +237,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_thin)
 
     p = sub.add_parser("ksd", help="kernel discrepancy of a (weighted) sample")
-    common(p)
+    common(p, writes_files=False)
     p.add_argument("--points", required=True, help="points CSV")
     p.add_argument("--weights", default=None, help="optional weights CSV")
     p.set_defaults(func=_cmd_ksd)
@@ -243,17 +245,15 @@ def _build_parser():
     p = sub.add_parser("wasserstein", help="exact 1-Wasserstein between two sample CSVs")
     p.add_argument("sample_a")
     p.add_argument("sample_b")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_wasserstein)
 
     p = sub.add_parser("experiment", help="run a declarative experiment config")
     common(p)
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("check-assumptions", help="probe convergence assumptions numerically")
-    common(p)
+    common(p, writes_files=False)
     p.add_argument("--radius", type=float, default=10.0, help="probe shell radius")
     p.add_argument("--probes", type=int, default=64, help="number of shell probes")
     p.add_argument("--b1", type=float, default=None, help="user curvature bound to locate")

@@ -177,8 +177,9 @@ def parse_experiment_spec(cfg):
     if not isinstance(seed, int):
         raise ConfigError("config.seed: must be an integer (wall-clock seeding is not allowed)")
     replicates = _require(cfg, "replicates", "config")
-    if not isinstance(replicates, int) or replicates < 1:
-        raise ConfigError("config.replicates: must be a positive integer")
+    if not isinstance(replicates, int) or replicates < 2:
+        # the summary's standard error needs two replicates per cell
+        raise ConfigError("config.replicates: must be an integer >= 2")
     ns = _require(cfg, "ns", "config")
     if not ns or any((not isinstance(n, int)) or n < 1 for n in ns):
         raise ConfigError("config.ns: must be a nonempty list of positive integers")

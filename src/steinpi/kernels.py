@@ -8,7 +8,11 @@ Both are parameterised by a mode location x* and a length-scale matrix
 Sigma with Sigma^{-1} the negative log-density Hessian at x*.
 
 All heavy evaluations (Gram matrices, diagonals over batches) are
-vectorised; pure functions throughout, safe for concurrent use.
+vectorised; pure functions throughout, safe for concurrent use.  The
+diagonal k_P(x) and its gradient come from one assembly, ``_diag_at``,
+over the target score and Hessian at x: the public diagonal methods
+evaluate the target once for it, and the over-dispersed target pi hands
+in the derivatives of its own base evaluation.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ class SteinKernel:
 
     Subclasses provide the base-kernel cross pieces and the closed-form
     diagonal coefficients; the diagonal path never calls the cross path, so
-    the two can be used to validate one another.
+    the two can be used to validate one another.  On the diagonal,
+
+        k_P(x) = c2(x) + 2 c1(x).s(x) + c0(x) ||s(x)||^2.
     """
 
     family = "stein"
@@ -70,15 +76,12 @@ class SteinKernel:
     # family-specific pieces
     # ------------------------------------------------------------------
 
-    def base_kappa(self, x, y):
-        """Base kernel kappa with gradients: (value, grad_x, grad_y, div_xy)."""
-        raise NotImplementedError
-
     def _kappa_cross(self, blocks):
         raise NotImplementedError
 
-    def _diag_coeffs(self, delta, v, q, a1, a2):
-        """Closed-form c0, c1, c2 and their gradients over a batch."""
+    def _diag_coeffs(self, delta, v, q, a1, a2, grads):
+        """Closed-form (c0, c1, c2) over a batch, and their gradients
+        (gc0, gc1, gc2) when ``grads`` is true (else None)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -180,40 +183,47 @@ class SteinKernel:
         return float(self._gram_cross(x[None, :], y[None, :])[0, 0])
 
     def _diag_parts(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         delta = x - self.x_star
         a1 = np.einsum("ni,ij->nj", delta, self.sigma_inv)  # row-invariant, unlike matmul
         a2 = np.einsum("ni,ij->nj", delta, self.sigma_inv2)
         v = 1.0 + np.einsum("nd,nd->n", delta, a1)
         q = np.einsum("nd,nd->n", delta, a2)
-        return x, delta, v, q, a1, a2
+        return delta, v, q, a1, a2
 
-    def diag_values(self, x):
-        """k_P(x) over a batch, via closed-form diagonal coefficients."""
-        x, delta, v, q, a1, a2 = self._diag_parts(x)
-        c0, c1, c2, _, _, _ = self._diag_coeffs(delta, v, q, a1, a2)
-        score = self.target.grad_log_density(x)
+    def _diag_at(self, x, score, hess=None):
+        """k_P over a batch x from the target score there, and its gradient
+        when the target Hessian is given (else None)."""
+        delta, v, q, a1, a2 = self._diag_parts(x)
+        (c0, c1, c2), gcoeffs = self._diag_coeffs(delta, v, q, a1, a2, hess is not None)
         snorm2 = np.einsum("nd,nd->n", score, score)
-        return c2 + 2.0 * np.einsum("nd,nd->n", c1, score) + c0 * snorm2
-
-    def diag_grads(self, x):
-        """Gradient of k_P(x) over a batch; needs the target Hessian."""
-        x, delta, v, q, a1, a2 = self._diag_parts(x)
-        c0, c1, c2, gc0, gc1, gc2 = self._diag_coeffs(delta, v, q, a1, a2)
-        score = self.target.grad_log_density(x)
-        hess = self.target.hessian_log_density(x)
-        snorm2 = np.einsum("nd,nd->n", score, score)
+        values = c2 + 2.0 * np.einsum("nd,nd->n", c1, score) + c0 * snorm2
+        if hess is None:
+            return values, None
+        gc0, gc1, gc2 = gcoeffs
         hs = np.einsum("nij,nj->ni", hess, score)
         hc1 = np.einsum("nij,nj->ni", hess, c1)
         gc1_s = np.einsum("nij,nj->ni", gc1, score)
-        return gc2 + 2.0 * gc1_s + 2.0 * hc1 + gc0 * snorm2[:, None] + 2.0 * c0[:, None] * hs
+        grads = gc2 + 2.0 * gc1_s + 2.0 * hc1 + gc0 * snorm2[:, None] + 2.0 * c0[:, None] * hs
+        return values, grads
+
+    def _diag(self, x, order):
+        """k_P and, at order 1, its gradient over a batch; one target evaluation."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        _, score, hess = self.target._at(x, order + 1)
+        return self._diag_at(x, score, hess)
+
+    def diag_values(self, x):
+        """k_P(x) over a batch, via closed-form diagonal coefficients."""
+        return self._diag(x, 0)[0]
+
+    def diag_grads(self, x):
+        """Gradient of k_P(x) over a batch; needs the target Hessian."""
+        return self._diag(x, 1)[1]
 
     def diag(self, x):
         """KernelDiagonal at a single point."""
-        x = np.asarray(x, dtype=np.float64)
-        value = self.diag_values(x[None, :])[0]
-        grad = self.diag_grads(x[None, :])[0]
-        return KernelDiagonal(value=float(value), grad=grad)
+        values, grads = self._diag(x, 1)  # a point (d,) is a batch of one
+        return KernelDiagonal(value=float(values[0]), grad=grads[0])
 
     def c1_squared(self, box_halfwidth=None, grid_points=33):
         """Lower bound for inf_x k_P(x); exact for Langevin, numeric for KGM."""
@@ -225,23 +235,6 @@ class LangevinKernel(SteinKernel):
 
     family = "langevin"
     order = 1
-
-    def base_kappa(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        si = self.sigma_inv
-        diff = x - y
-        sid = si @ diff
-        w = 1.0 + diff @ sid
-        beta = self.beta
-        value = w ** (-beta)
-        grad_x = -2.0 * beta * w ** (-beta - 1.0) * sid
-        grad_y = -grad_x
-        div = (
-            -4.0 * beta * (beta + 1.0) * w ** (-beta - 2.0) * (sid @ sid)
-            + 2.0 * beta * self.tr_sigma_inv * w ** (-beta - 1.0)
-        )
-        return value, grad_x, grad_y, div
 
     def _imq_cross(self, blocks):
         # In-place arithmetic throughout: these matrices can reach 1e7
@@ -277,15 +270,12 @@ class LangevinKernel(SteinKernel):
 
     _kappa_cross = _imq_cross
 
-    def _diag_coeffs(self, delta, v, q, a1, a2):
+    def _diag_coeffs(self, delta, v, q, a1, a2, grads):
         n, d = delta.shape
-        c0 = np.ones(n)
-        c1 = np.zeros((n, d))
-        c2 = np.full(n, 2.0 * self.beta * self.tr_sigma_inv)
-        gc0 = np.zeros((n, d))
-        gc1 = np.zeros((n, d, d))
-        gc2 = np.zeros((n, d))
-        return c0, c1, c2, gc0, gc1, gc2
+        coeffs = (np.ones(n), np.zeros((n, d)), np.full(n, 2.0 * self.beta * self.tr_sigma_inv))
+        if not grads:
+            return coeffs, None
+        return coeffs, (np.zeros((n, d)), np.zeros((n, d, d)), np.zeros((n, d)))
 
     def c1_squared(self, box_halfwidth=None, grid_points=33):
         # k_P(x) = 2 beta tr(Sigma^-1) + ||score||^2, so the infimum is the
@@ -303,30 +293,6 @@ class KGMKernel(LangevinKernel):
         if int(s) != s or s < 1:
             raise ValueError("order s must be a positive integer")
         self.order = int(s)
-
-    def base_kappa(self, x, y):
-        imq_value, imq_gx, imq_gy, imq_div = super().base_kappa(x, y)
-        si = self.sigma_inv
-        si2 = self.sigma_inv2
-        s = self.order
-        dx = np.asarray(x, dtype=np.float64) - self.x_star
-        dy = np.asarray(y, dtype=np.float64) - self.x_star
-        sidx = si @ dx
-        sidy = si @ dy
-        vx = 1.0 + dx @ sidx
-        vy = 1.0 + dy @ sidy
-        num = 1.0 + dx @ sidy
-        denom = vx ** (s / 2.0) * vy ** (s / 2.0)
-        value = imq_value + num / denom
-        grad_x = imq_gx + (sidy - s * num * sidx / vx) / denom
-        grad_y = imq_gy + (sidx - s * num * sidy / vy) / denom
-        div = imq_div + (
-            self.tr_sigma_inv
-            - s * (dx @ si2 @ dx) / vx
-            - s * (dy @ si2 @ dy) / vy
-            + s**2 * num * (dx @ si2 @ dy) / (vx * vy)
-        ) / denom
-        return value, grad_x, grad_y, div
 
     def _kappa_cross(self, blocks):
         kappa, dxk_sy, dyk_sx, dysi_dxk, dxsi_dyk, divk = self._imq_cross(blocks)
@@ -349,14 +315,15 @@ class KGMKernel(LangevinKernel):
         ) * inv_denom
         return kappa, dxk_sy, dyk_sx, dysi_dxk, dxsi_dyk, divk
 
-    def _diag_coeffs(self, delta, v, q, a1, a2):
+    def _diag_coeffs(self, delta, v, q, a1, a2, grads):
         s = self.order
         beta = self.beta
         tr = self.tr_sigma_inv
-        d = delta.shape[1]
         c0 = 1.0 + v ** (s - 1)
         c1 = (s - 1) * v[:, None] ** (s - 2) * a1
         c2 = ((s - 1) ** 2 * v ** (s - 1) - 1.0) * q / v**2 + tr * (1.0 + 2.0 * beta * v**s) / v
+        if not grads:
+            return (c0, c1, c2), None
         gc0 = 2.0 * (s - 1) * v[:, None] ** (s - 2) * a1
         gc1 = 2.0 * (s - 1) * (s - 2) * v[:, None, None] ** (s - 3) * np.einsum(
             "ni,nj->nij", a1, a1
@@ -368,7 +335,7 @@ class KGMKernel(LangevinKernel):
             - 2.0 * v[:, None] ** (-2) * (a2 + tr * a1)
             + 4.0 * (v ** (-3) * q)[:, None] * a1
         )
-        return c0, c1, c2, gc0, gc1, gc2
+        return (c0, c1, c2), (gc0, gc1, gc2)
 
     def c1_squared(self, box_halfwidth=None, grid_points=129):
         """Numeric lower bound on a compact box around x*; advisory only.
@@ -390,8 +357,7 @@ class KGMKernel(LangevinKernel):
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = self.diag_values(pts)
-        grads = self.diag_grads(pts)
+        vals, grads = self._diag(pts, 1)
         cell = np.sqrt(d) * box_halfwidth / (grid_points - 1)
         lower = vals - cell * np.linalg.norm(grads, axis=1)
         return float(max(lower.min(), 0.0))

@@ -4,6 +4,8 @@ The recommended sampling density multiplies the target by the square root
 of the kernel diagonal, log pi(x) = log p(x) + log(k_P(x)) / 2 up to a
 constant; its gradient uses the analytic kernel-diagonal gradient.  The
 power tilt p(x)^{d/(d+r)} is the generic over-dispersion alternative.
+Both are targets: they implement the ``TargetModel`` hook on top of the
+base target's, so one evaluation of either evaluates the base once.
 Neither density needs a normalising constant anywhere in the package;
 ``estimate_c2`` exists purely as a diagnostic.
 """
@@ -14,16 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .targets import TargetModel
+
 __all__ = ["PiTarget", "PowerTilt", "make_pi", "make_power_tilt", "estimate_c2", "C2Estimate"]
 
 
-class PiTarget:
-    """Density proportional to p(x) sqrt(k_P(x)).
+class PiTarget(TargetModel):
+    """Density proportional to p(x) sqrt(k_P(x)), for a Stein kernel of p.
 
-    Compatible with the sampler interface (log_density, grad_log_density);
-    the kernel diagonal is strictly positive, so the log is always finite.
-    A Hessian is deliberately not provided: it would require third
-    derivatives of log p.
+    An evaluation at order o evaluates the base once, at order o + 1: the
+    kernel diagonal needs the base score, and its gradient the base
+    Hessian.  The kernel diagonal is strictly positive, so the log is
+    always finite.  A Hessian is deliberately not provided: it would
+    require third derivatives of log p.
     """
 
     def __init__(self, target, kernel):
@@ -31,34 +36,15 @@ class PiTarget:
         self.kernel = kernel
         self.dim = target.dim
 
-    def log_density(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        out = self.base.log_density(xb) + 0.5 * np.log(self.kernel.diag_values(xb))
-        return float(out[0]) if single else out
-
-    def grad_log_density(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        values = self.kernel.diag_values(xb)
-        grads = self.kernel.diag_grads(xb)
-        out = self.base.grad_log_density(xb) + 0.5 * grads / values[:, None]
-        return out[0] if single else out
-
-    def log_density_with_grad(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        logp, grad = self.base.log_density_with_grad(xb)
-        values = self.kernel.diag_values(xb)
-        grads = self.kernel.diag_grads(xb)
+    def _evaluate(self, x, order):
+        if order > 1:
+            raise NotImplementedError("the Hessian of log pi needs third derivatives of log p")
+        logp, score, hess = self.base._evaluate(x, order + 1)
+        values, grads = self.kernel._diag_at(x, score, hess)
         logq = logp + 0.5 * np.log(values)
-        gradq = grad + 0.5 * grads / values[:, None]
-        if single:
-            return float(logq[0]), gradq[0]
-        return logq, gradq
+        if order < 1:
+            return logq, None, None
+        return logq, score + 0.5 * grads / values[:, None], None
 
     def density_ratio_to_base(self, x):
         """Unnormalised dP/dPi, proportional to 1 / sqrt(k_P(x))."""
@@ -66,7 +52,7 @@ class PiTarget:
         return 1.0 / np.sqrt(self.kernel.diag_values(x))
 
 
-class PowerTilt:
+class PowerTilt(TargetModel):
     """Density proportional to p(x)^{d/(d+r)}."""
 
     def __init__(self, target, r):
@@ -77,18 +63,8 @@ class PowerTilt:
         self.dim = target.dim
         self.exponent = target.dim / (target.dim + self.r)
 
-    def log_density(self, x):
-        return self.exponent * self.base.log_density(x)
-
-    def grad_log_density(self, x):
-        return self.exponent * self.base.grad_log_density(x)
-
-    def hessian_log_density(self, x):
-        return self.exponent * self.base.hessian_log_density(x)
-
-    def log_density_with_grad(self, x):
-        logp, grad = self.base.log_density_with_grad(x)
-        return self.exponent * logp, self.exponent * grad
+    def _evaluate(self, x, order):
+        return tuple(None if a is None else self.exponent * a for a in self.base._evaluate(x, order))
 
 
 def make_pi(target, kernel):

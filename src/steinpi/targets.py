@@ -1,12 +1,14 @@
 """Differentiable target distributions with analytic gradients and Hessians.
 
 Every target exposes an unnormalised log-density together with its exact
-gradient and Hessian; no automatic differentiation is used anywhere.  All
-three evaluators accept either a single point of shape ``(d,)`` or a batch
-of shape ``(n, d)`` and return correspondingly shaped arrays.  Row r of a
-batch is bitwise the value at the single point r: products over the
-dimension use einsum, not BLAS matmul, whose rounding depends on the
-batch size.
+gradient and Hessian; no automatic differentiation is used anywhere.  A
+target implements one hook, ``_evaluate(x, order)``, which computes log p
+and its derivatives up to ``order`` over a batch in one pass; the public
+evaluators wrap it and accept either a single point of shape ``(d,)`` or a
+batch of shape ``(n, d)``, returning correspondingly shaped arrays.  Row r
+of a batch is bitwise the value at the single point r: products over the
+dimension use einsum, not BLAS matmul, whose rounding depends on the batch
+size.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, logsumexp, ndtr
+from scipy.special import erfcx, log_ndtr, ndtr
 
 from .errors import InvalidSimplex, NoExactSampler, NonConvergence, NotPositiveDefinite
 
@@ -54,40 +56,43 @@ class DimensionError(ValueError):
 class TargetModel:
     """A distribution known up to a constant, with exact derivatives.
 
-    Subclasses implement the batched ``_log_density``, ``_grad`` and
-    ``_hessian`` over arrays of shape (n, d).  Evaluation is pure and
-    re-entrant; instances are safe to share across threads.
+    Subclasses implement the hook ``_evaluate(x, order)``.  Over a batch x
+    of shape (n, d) it returns ``(logp, grad, hess)`` of shapes (n,),
+    (n, d) and (n, d, d), computed in one pass, with every entry above
+    ``order`` (0, 1 or 2) left as None.  The public evaluators are thin
+    wrappers on the hook that also take a single point (d,).  Evaluation
+    is pure and re-entrant; instances are safe to share across threads.
     """
 
     dim: int
 
-    def _log_density(self, x):
+    def _evaluate(self, x, order):
         raise NotImplementedError
 
-    def _grad(self, x):
-        raise NotImplementedError
-
-    def _hessian(self, x):
-        raise NotImplementedError
+    def _at(self, x, order):
+        """The hook at a point (d,) or a batch (n, d), shaped like the input."""
+        xb, single = _as_batch(x, self.dim)
+        logp, grad, hess = self._evaluate(xb, order)
+        if not single:
+            return logp, grad, hess
+        return (
+            float(logp[0]),
+            None if grad is None else grad[0],
+            None if hess is None else hess[0],
+        )
 
     def log_density(self, x):
-        xb, single = _as_batch(x, self.dim)
-        out = self._log_density(xb)
-        return float(out[0]) if single else out
+        return self._at(x, 0)[0]
 
     def grad_log_density(self, x):
-        xb, single = _as_batch(x, self.dim)
-        out = self._grad(xb)
-        return out[0] if single else out
+        return self._at(x, 1)[1]
 
     def hessian_log_density(self, x):
-        xb, single = _as_batch(x, self.dim)
-        out = self._hessian(xb)
-        return out[0] if single else out
+        return self._at(x, 2)[2]
 
     def log_density_with_grad(self, x):
-        """(log p, grad) in one call; subclasses may share work."""
-        return self.log_density(x), self.grad_log_density(x)
+        """(log p, grad) from one evaluation."""
+        return self._at(x, 1)[:2]
 
     def sample(self, n, rng):
         """Draw n exact samples, when the target admits an exact sampler."""
@@ -146,15 +151,13 @@ def find_mode(target, init, max_iter=200, grad_tol=1e-8):
     if grad_tol <= 0:
         raise ValueError("grad_tol must be positive")
     x = np.asarray(init, dtype=np.float64).copy()
-    if not np.all(np.isfinite(target.grad_log_density(x))):
+    logp, g, h = target._at(x, 2)
+    if not np.all(np.isfinite(g)):
         raise ValueError("target gradient is not finite at init")
-    logp = target.log_density(x)
     for _ in range(max_iter):
-        g = target.grad_log_density(x)
         gnorm = np.linalg.norm(g)
         if gnorm <= grad_tol:
-            return ModeInfo.from_hessian(x, target.hessian_log_density(x))
-        h = target.hessian_log_density(x)
+            return ModeInfo.from_hessian(x, h)
         step = None
         try:
             # Newton ascent direction solve(-H, g); valid only if -H is PD.
@@ -176,9 +179,9 @@ def find_mode(target, init, max_iter=200, grad_tol=1e-8):
         else:
             raise NonConvergence("line search failed to make progress")
         x = x + t * step
-        logp = target.log_density(x)
+        logp, g, h = target._at(x, 2)
     raise NonConvergence(
-        f"gradient norm {np.linalg.norm(target.grad_log_density(x)):.3e} "
+        f"gradient norm {np.linalg.norm(g):.3e} "
         f"above tolerance {grad_tol:.3e} after {max_iter} iterations"
     )
 
@@ -198,16 +201,15 @@ class Gaussian(TargetModel):
         sign, logdet = np.linalg.slogdet(self.cov)
         self._log_norm = -0.5 * (self.dim * np.log(2.0 * np.pi) + logdet)
 
-    def _log_density(self, x):
+    def _evaluate(self, x, order):
         delta = x - self.mean
-        quad = np.einsum("nj,nj->n", np.einsum("ni,ij->nj", delta, self._prec), delta)
-        return self._log_norm - 0.5 * quad
-
-    def _grad(self, x):
-        return -np.einsum("ni,ij->nj", x - self.mean, self._prec)
-
-    def _hessian(self, x):
-        return np.broadcast_to(-self._prec, (x.shape[0], self.dim, self.dim)).copy()
+        prec_delta = np.einsum("ni,ij->nj", delta, self._prec)
+        logp = self._log_norm - 0.5 * np.einsum("nj,nj->n", prec_delta, delta)
+        grad = -prec_delta if order >= 1 else None
+        hess = None
+        if order >= 2:
+            hess = np.broadcast_to(-self._prec, (x.shape[0], self.dim, self.dim)).copy()
+        return logp, grad, hess
 
     def sample(self, n, rng):
         z = rng.standard_normal((n, self.dim))
@@ -255,43 +257,23 @@ class GaussianMixture(TargetModel):
         quad = np.einsum("nkd,nkd->nk", delta, delta) / self._var
         return self._log_w + self._log_norm - 0.5 * quad
 
-    def _log_density(self, x):
-        return logsumexp(self._component_logpdfs(x), axis=1)
-
-    def _responsibilities(self, x):
-        lp = self._component_logpdfs(x)
-        lp -= lp.max(axis=1, keepdims=True)
-        r = np.exp(lp)
-        r /= r.sum(axis=1, keepdims=True)
-        return r
-
-    def _grad(self, x):
-        r = self._responsibilities(x)
-        comp_grads = (self.means[None, :, :] - x[:, None, :]) / self._var[None, :, None]
-        return np.einsum("nk,nkd->nd", r, comp_grads)
-
-    def _hessian(self, x):
-        r = self._responsibilities(x)
-        comp_grads = (self.means[None, :, :] - x[:, None, :]) / self._var[None, :, None]
-        g = np.einsum("nk,nkd->nd", r, comp_grads)
-        outer = np.einsum("nk,nkd,nke->nde", r, comp_grads, comp_grads)
-        diag_term = np.einsum("nk,k->n", r, 1.0 / self._var)
-        eye = np.eye(self.dim)
-        return outer - diag_term[:, None, None] * eye - np.einsum("nd,ne->nde", g, g)
-
-    def log_density_with_grad(self, x):
-        xb, single = _as_batch(x, self.dim)
-        lp_comp = self._component_logpdfs(xb)
+    def _evaluate(self, x, order):
+        lp_comp = self._component_logpdfs(x)
         m = lp_comp.max(axis=1, keepdims=True)
         e = np.exp(lp_comp - m)
         s = e.sum(axis=1, keepdims=True)
         logp = (m + np.log(s))[:, 0]
-        r = e / s
-        comp_grads = (self.means[None, :, :] - xb[:, None, :]) / self._var[None, :, None]
-        grad = np.einsum("nk,nkd->nd", r, comp_grads)
-        if single:
-            return float(logp[0]), grad[0]
-        return logp, grad
+        if order < 1:
+            return logp, None, None
+        r = e / s  # component responsibilities
+        comp_grads = (self.means[None, :, :] - x[:, None, :]) / self._var[None, :, None]
+        g = np.einsum("nk,nkd->nd", r, comp_grads)
+        if order < 2:
+            return logp, g, None
+        outer = np.einsum("nk,nkd,nke->nde", r, comp_grads, comp_grads)
+        diag_term = np.einsum("nk,k->n", r, 1.0 / self._var)
+        eye = np.eye(self.dim)
+        return logp, g, outer - diag_term[:, None, None] * eye - np.einsum("nd,ne->nde", g, g)
 
     def sample(self, n, rng):
         idx = rng.choice(len(self.weights), size=n, p=self.weights)
@@ -328,27 +310,21 @@ class RegressionPosterior(TargetModel):
         self.t = t
         self.y = y
 
-    def _pieces(self, x):
+    def _evaluate(self, x, order):
         x1 = x[:, 0:1]
         x2 = x[:, 1:2]
         basis = 1.0 + self.t[None, :] * x2  # d f_i / d x1
         f = x1 * basis
         resid = self.y[None, :] - f
         dfdx2 = self.t[None, :] * x1
-        return basis, resid, dfdx2
-
-    def _log_density(self, x):
-        _, resid, _ = self._pieces(x)
-        return -0.5 * np.einsum("nd,nd->n", x, x) - 0.5 * np.einsum("ni,ni->n", resid, resid)
-
-    def _grad(self, x):
-        basis, resid, dfdx2 = self._pieces(x)
+        logp = -0.5 * np.einsum("nd,nd->n", x, x) - 0.5 * np.einsum("ni,ni->n", resid, resid)
+        if order < 1:
+            return logp, None, None
         g1 = np.einsum("ni,ni->n", resid, basis)
         g2 = np.einsum("ni,ni->n", resid, dfdx2)
-        return -x + np.stack([g1, g2], axis=1)
-
-    def _hessian(self, x):
-        basis, resid, dfdx2 = self._pieces(x)
+        grad = -x + np.stack([g1, g2], axis=1)
+        if order < 2:
+            return logp, grad, None
         h11 = -np.einsum("ni,ni->n", basis, basis)
         h22 = -np.einsum("ni,ni->n", dfdx2, dfdx2)
         # cross term picks up resid_i * d^2 f_i / dx1 dx2 = resid_i * t_i
@@ -358,7 +334,7 @@ class RegressionPosterior(TargetModel):
         hess[:, 1, 1] = h22 - 1.0
         hess[:, 0, 1] = h12
         hess[:, 1, 0] = h12
-        return hess
+        return logp, grad, hess
 
 
 def simulated_regression_data(seed=_REGRESSION_DATA_SEED):
@@ -401,28 +377,26 @@ class SkewNormal2D(TargetModel):
     def __init__(self, a1=6.0, a2=-3.0):
         self.a = np.array([a1, a2], dtype=np.float64)
 
-    def _log_density(self, x):
+    def _evaluate(self, x, order):
         z = x * self.a[None, :]
-        return (
+        logp = (
             np.log(4.0)
             - 0.5 * np.einsum("nd,nd->n", x, x)
             - np.log(2.0 * np.pi)
             + log_ndtr(z).sum(axis=1)
         )
-
-    def _grad(self, x):
-        z = x * self.a[None, :]
-        return -x + self.a[None, :] * _normal_hazard(z)
-
-    def _hessian(self, x):
-        z = x * self.a[None, :]
+        if order < 1:
+            return logp, None, None
         h = _normal_hazard(z)
+        grad = -x + self.a[None, :] * h
+        if order < 2:
+            return logp, grad, None
         hprime = -z * h - h**2
         hess = np.zeros((x.shape[0], 2, 2))
         diag = -1.0 + self.a[None, :] ** 2 * hprime
         hess[:, 0, 0] = diag[:, 0]
         hess[:, 1, 1] = diag[:, 1]
-        return hess
+        return logp, grad, hess
 
 
 def make_skew_normal_2d():
@@ -552,23 +526,13 @@ class GarchPosterior(TargetModel):
         hess = jac.T @ h_phi @ jac + np.einsum("k,kij->ij", g_phi, jhess) + lj_hess
         return logp, grad, hess
 
-    def _log_density(self, x):
-        return np.array([self._eval_one(row, order=0)[0] for row in x])
-
-    def _grad(self, x):
-        return np.stack([self._eval_one(row, order=1)[1] for row in x])
-
-    def _hessian(self, x):
-        return np.stack([self._eval_one(row, order=2)[2] for row in x])
-
-    def log_density_with_grad(self, x):
-        xb, single = _as_batch(x, self.dim)
-        pairs = [self._eval_one(row, order=1)[:2] for row in xb]
-        logp = np.array([p[0] for p in pairs])
-        grad = np.stack([p[1] for p in pairs])
-        if single:
-            return float(logp[0]), grad[0]
-        return logp, grad
+    def _evaluate(self, x, order):
+        logps, grads, hesses = zip(*(self._eval_one(row, order) for row in x))
+        return (
+            np.array(logps),
+            np.stack(grads) if order >= 1 else None,
+            np.stack(hesses) if order >= 2 else None,
+        )
 
     def log_jacobian(self, theta):
         """log |J| of the unconstraining transform's inverse at theta."""

@@ -132,6 +132,54 @@ def qp_nnls(gram, penalty=1e3):
     return float(w @ gram @ w), w
 
 
+def base_kappa(kernel, x, y):
+    """Base kernel kappa of a Stein kernel at one pair, with its gradients:
+    (value, grad_x, grad_y, div_xy).
+
+    The inverse multi-quadric (1 + ||x - y||^2_Sigma)^-beta; the KGM family
+    of order s adds the normalised linear term
+    (1 + (x - x*)^T Sigma^-1 (y - x*)) / (v(x) v(y))^{s/2}, with
+    v(z) = 1 + (z - x*)^T Sigma^-1 (z - x*).  Written pointwise from the
+    formulas, independent of the kernels' batched cross path.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    si = kernel.sigma_inv
+    beta = kernel.beta
+    diff = x - y
+    sid = si @ diff
+    w = 1.0 + diff @ sid
+    value = w ** (-beta)
+    grad_x = -2.0 * beta * w ** (-beta - 1.0) * sid
+    grad_y = -grad_x
+    div = (
+        -4.0 * beta * (beta + 1.0) * w ** (-beta - 2.0) * (sid @ sid)
+        + 2.0 * beta * kernel.tr_sigma_inv * w ** (-beta - 1.0)
+    )
+    if kernel.family != "kgm":
+        return value, grad_x, grad_y, div
+    si2 = kernel.sigma_inv2
+    s = kernel.order
+    dx = x - kernel.x_star
+    dy = y - kernel.x_star
+    sidx = si @ dx
+    sidy = si @ dy
+    vx = 1.0 + dx @ sidx
+    vy = 1.0 + dy @ sidy
+    num = 1.0 + dx @ sidy
+    denom = vx ** (s / 2.0) * vy ** (s / 2.0)
+    value = value + num / denom
+    grad_x = grad_x + (sidy - s * num * sidx / vx) / denom
+    grad_y = grad_y + (sidx - s * num * sidy / vy) / denom
+    div = div + (
+        kernel.tr_sigma_inv
+        - s * (dx @ si2 @ dx) / vx
+        - s * (dy @ si2 @ dy) / vy
+        + s**2 * num * (dx @ si2 @ dy) / (vx * vy)
+    ) / denom
+    return value, grad_x, grad_y, div
+
+
 def greedy_reference(points, kernel, m):
     """Greedy thinning re-evaluated from scratch each step, no caching."""
     n = points.shape[0]
@@ -218,6 +266,9 @@ class ConstantKernel:
     def diag_grads(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return np.zeros_like(x)
+
+    def _diag_at(self, x, score, hess=None):
+        return self.diag_values(x), None if hess is None else self.diag_grads(x)
 
     def diag(self, x):
         x = np.asarray(x, dtype=np.float64)

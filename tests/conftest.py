@@ -9,14 +9,8 @@ class QuarticTarget(TargetModel):
 
     dim = 1
 
-    def _log_density(self, x):
-        return -(x[:, 0] ** 4)
-
-    def _grad(self, x):
-        return -4.0 * x**3
-
-    def _hessian(self, x):
-        return (-12.0 * x**2)[:, :, None]
+    def _evaluate(self, x, order):
+        return -(x[:, 0] ** 4), -4.0 * x**3, (-12.0 * x**2)[:, :, None]
 
 
 @pytest.fixture

@@ -314,20 +314,10 @@ def test_criterion_09_detailed_balance_and_preconditioning():
     class _Whitened(sp.TargetModel):
         dim = 2
 
-        def _log_density(self, y):
-            return target.log_density(y @ np.linalg.inv(chol))
-
-        def _grad(self, y):
-            return target.grad_log_density(y @ np.linalg.inv(chol)) @ np.linalg.inv(chol).T
-
-        def log_density_with_grad(self, y):
-            y = np.asarray(y, dtype=np.float64)
-            single = y.ndim == 1
-            yb = y[None, :] if single else y
+        def _evaluate(self, y, order):
             inv = np.linalg.inv(chol)
-            lp, g = target.log_density_with_grad(yb @ inv)
-            g = g @ inv.T
-            return (float(lp[0]), g[0]) if single else (lp, g)
+            lp, g = target.log_density_with_grad(y @ inv)
+            return lp, g @ inv.T, None
 
     x0 = np.array([0.7, -0.2])
     out_m = sp.run_chain(x0, target, sp.ChainConfig(epsilon=0.4, m=m, n=400, seed=9, stream=(0,)))

@@ -179,6 +179,50 @@ def test_usage_error_is_config_error(capsys):
     assert main(["sample"]) == 1  # missing required flags
 
 
+def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_path, capsys):
+    with open(experiment_config, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["replicates"] = 1
+    path = _write_config(tmp_path / "one.json", cfg)
+    out = tmp_path / "one-out"
+    assert main(["experiment", "--config", path, "--out-dir", str(out)]) == 1
+    assert "config.replicates" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "verb, flag",
+    [
+        ("sample", "--threads"),
+        ("weights", "--threads"),
+        ("thin", "--threads"),
+        ("ksd", "--threads"),
+        ("ksd", "--out-dir"),
+        ("check-assumptions", "--threads"),
+        ("check-assumptions", "--out-dir"),
+        ("wasserstein", "--seed"),
+        ("wasserstein", "--out-dir"),
+        ("wasserstein", "--threads"),
+    ],
+)
+def test_flags_a_verb_does_not_read_are_usage_errors(verb, flag, tmp_path, capsys):
+    cfg = _write_config(tmp_path / "gauss.json", {"target": {"name": "gaussian", "dim": 1}, "seed": 1})
+    points = tmp_path / "points.csv"
+    points.write_text("x0\n0.0\n1.0\n")
+    args = {
+        "sample": ["--config", cfg, "--n", "5"],
+        "weights": ["--config", cfg, "--points", str(points)],
+        "thin": ["--config", cfg, "--points", str(points), "--m", "1"],
+        "ksd": ["--config", cfg, "--points", str(points)],
+        "check-assumptions": ["--config", cfg, "--probes", "4"],
+        "wasserstein": [str(points), str(points)],
+    }[verb]
+    value = str(tmp_path / "out") if flag == "--out-dir" else "2"
+    assert main([verb] + args + [flag, value]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sample_verb_runs_one_mala_chain(tmp_path, capsys):
     cfg = {
         "target": {"name": "mixture"},

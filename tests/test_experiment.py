@@ -113,6 +113,12 @@ def test_parse_rejects_bad_ns():
         parse_experiment_spec(_base_config(ns=[10, 0]))
 
 
+@pytest.mark.parametrize("replicates", [1, 0, 2.0, "3"])
+def test_parse_rejects_bad_replicates(replicates):
+    with pytest.raises(ConfigError, match="config.replicates"):
+        parse_experiment_spec(_base_config(replicates=replicates))
+
+
 def test_parse_rejects_production_epoch_shorter_than_max_n():
     # a window of max(ns) states must fit in every MALA production epoch
     cfg = _base_config(ns=[10, 500])

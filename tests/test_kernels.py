@@ -12,7 +12,7 @@ from steinpi.kernels import (
 )
 from steinpi.targets import default_mixture, find_mode, make_gaussian
 
-from _oracles import ConstantKernel, rel_err
+from _oracles import ConstantKernel, base_kappa, rel_err
 
 
 def _gaussian_setup(d=2):
@@ -42,7 +42,7 @@ def test_base_kappa_langevin_on_diagonal():
     target, mode = _gaussian_setup()
     kernel = LangevinKernel(target, mode)
     x = np.array([0.7, -0.3])
-    value, grad_x, grad_y, div = kernel.base_kappa(x, x)
+    value, grad_x, grad_y, div = base_kappa(kernel, x, x)
     assert value == 1.0
     np.testing.assert_array_equal(grad_x, np.zeros(2))
     np.testing.assert_array_equal(grad_y, np.zeros(2))
@@ -52,7 +52,7 @@ def test_base_kappa_langevin_on_diagonal():
 def test_base_kappa_kgm_at_centre():
     target, mode = _gaussian_setup()
     kernel = KGMKernel(target, mode, s=3)
-    value, _, _, _ = kernel.base_kappa(mode.x_star, mode.x_star)
+    value, _, _, _ = base_kappa(kernel, mode.x_star, mode.x_star)
     assert value == pytest.approx(2.0, rel=1e-14)
 
 
@@ -62,16 +62,16 @@ def test_base_kappa_derivatives_match_finite_differences(kernel, rng):
     for _ in range(20):
         x = rng.standard_normal(2)
         y = rng.standard_normal(2)
-        _, grad_x, grad_y, div = kernel.base_kappa(x, y)
+        _, grad_x, grad_y, div = base_kappa(kernel, x, y)
         fd_gx = np.empty(2)
         fd_gy = np.empty(2)
         fd_div = 0.0
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            fd_gx[i] = (kernel.base_kappa(x + e, y)[0] - kernel.base_kappa(x - e, y)[0]) / (2 * h)
-            fd_gy[i] = (kernel.base_kappa(x, y + e)[0] - kernel.base_kappa(x, y - e)[0]) / (2 * h)
-            fd_div += (kernel.base_kappa(x + e, y)[2][i] - kernel.base_kappa(x - e, y)[2][i]) / (
+            fd_gx[i] = (base_kappa(kernel, x + e, y)[0] - base_kappa(kernel, x - e, y)[0]) / (2 * h)
+            fd_gy[i] = (base_kappa(kernel, x, y + e)[0] - base_kappa(kernel, x, y - e)[0]) / (2 * h)
+            fd_div += (base_kappa(kernel, x + e, y)[2][i] - base_kappa(kernel, x - e, y)[2][i]) / (
                 2 * h
             )
         assert rel_err(grad_x, fd_gx) < 1e-6

@@ -115,21 +115,10 @@ class _BoundedTarget(TargetModel):
 
     dim = 1
 
-    def _log_density(self, x):
+    def _evaluate(self, x, order):
         out = -0.5 * x[:, 0] ** 2
         out[np.abs(x[:, 0]) > 1.5] = np.nan
-        return out
-
-    def _grad(self, x):
-        return -x
-
-    def log_density_with_grad(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        lp = self._log_density(xb)
-        g = self._grad(xb)
-        return (float(lp[0]), g[0]) if single else (lp, g)
+        return out, -x, None
 
 
 def test_nonfinite_proposals_counted_not_raised():
@@ -264,19 +253,9 @@ class _Pushforward(TargetModel):
         self.a = a
         self.dim = base.dim
 
-    def _log_density(self, y):
-        return self.base.log_density(y @ self.a.T)
-
-    def _grad(self, y):
-        return self.base.grad_log_density(y @ self.a.T) @ self.a
-
-    def log_density_with_grad(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        single = y.ndim == 1
-        yb = y[None, :] if single else y
-        lp, g = self.base.log_density_with_grad(yb @ self.a.T)
-        g = g @ self.a
-        return (float(lp[0]), g[0]) if single else (lp, g)
+    def _evaluate(self, y, order):
+        lp, g = self.base.log_density_with_grad(y @ self.a.T)
+        return lp, g @ self.a, None
 
 
 def test_preconditioned_chain_equals_whitened_identity_chain():

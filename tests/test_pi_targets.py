@@ -8,10 +8,16 @@ from scipy.integrate import quad
 
 from steinpi.errors import NoExactSampler
 from steinpi.grid import GridSampler
-from steinpi.kernels import LangevinKernel
+from steinpi.kernels import LangevinKernel, make_kernel
 from steinpi.pi_targets import estimate_c2, make_pi, make_power_tilt
 from steinpi.quantise import snis_weights
-from steinpi.targets import default_mixture, find_mode, make_gaussian, make_regression_posterior
+from steinpi.targets import (
+    TargetModel,
+    default_mixture,
+    find_mode,
+    make_gaussian,
+    make_regression_posterior,
+)
 
 from _oracles import ConstantKernel, fd_gradient, rel_err
 
@@ -48,6 +54,38 @@ def test_pi_gradient_is_exactly_assembled_from_pieces(rng):
         diag = kernel.diag(x)
         expected = target.grad_log_density(x) + 0.5 * diag.grad / diag.value
         np.testing.assert_array_equal(pi.grad_log_density(x), expected)
+
+
+class _Counting(TargetModel):
+    """Delegates to a base target and records the order of each evaluation."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.orders = []
+
+    def _evaluate(self, x, order):
+        self.orders.append(order)
+        return self.base._evaluate(x, order)
+
+
+@pytest.mark.parametrize("family", ["langevin", "kgm"])
+def test_one_pi_evaluation_evaluates_base_and_diagonal_once(family, monkeypatch, rng):
+    target = _Counting(make_regression_posterior())
+    kernel = make_kernel(target, find_mode(target, np.zeros(2)), family=family, s=3)
+    diag_parts = []
+    original = kernel._diag_parts
+    monkeypatch.setattr(kernel, "_diag_parts", lambda x: diag_parts.append(len(x)) or original(x))
+    pi = make_pi(target, kernel)
+    for x in (rng.standard_normal((6, 2)), rng.standard_normal(2)):
+        target.orders.clear()
+        diag_parts.clear()
+        pi.log_density_with_grad(x)
+        assert target.orders == [2]  # the gradient of k_P needs the base Hessian
+        assert diag_parts == [1 if x.ndim == 1 else 6]
+    target.orders.clear()
+    pi.log_density(rng.standard_normal((6, 2)))
+    assert target.orders == [1]
 
 
 def test_pi_has_heavier_tails_than_base():

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinpi.errors import InvalidSimplex, NoExactSampler, NotPositiveDefinite
+from steinpi.kernels import make_kernel
+from steinpi.pi_targets import PiTarget, make_pi, make_power_tilt
 from steinpi.targets import (
     ModeInfo,
     default_mixture,
@@ -63,12 +65,29 @@ def test_hessians_are_symmetric(name, rng):
     np.testing.assert_allclose(hess, np.swapaxes(hess, 1, 2), rtol=0, atol=1e-12)
 
 
+def _derived_targets(target):
+    """The power tilt and pi under Langevin and KGM-3 kernels of a target."""
+    mode = find_mode(target, np.zeros(target.dim), max_iter=400)
+    pis = [make_pi(target, make_kernel(target, mode, family=f, s=3)) for f in ("langevin", "kgm")]
+    return [make_power_tilt(target, 1.0)] + pis
+
+
 def test_log_density_with_grad_agrees(rng):
+    # every entry point is a view of one evaluation, so all agree bitwise
     for target, spread in builtin_targets().values():
         pts = spread * rng.standard_normal((10, target.dim))
-        logp, grad = target.log_density_with_grad(pts)
-        np.testing.assert_allclose(logp, target.log_density(pts), rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(grad, target.grad_log_density(pts), rtol=0, atol=1e-13)
+        for law in [target] + _derived_targets(target):
+            logp, grad = law.log_density_with_grad(pts)
+            np.testing.assert_array_equal(logp, law.log_density(pts))
+            np.testing.assert_array_equal(grad, law.grad_log_density(pts))
+            if isinstance(law, PiTarget):
+                with pytest.raises(NotImplementedError):
+                    law.hessian_log_density(pts)
+                continue
+            logp2, grad2, hess = law._evaluate(pts, 2)
+            np.testing.assert_array_equal(logp2, logp)
+            np.testing.assert_array_equal(grad2, grad)
+            np.testing.assert_array_equal(hess, law.hessian_log_density(pts))
 
 
 # ----------------------------------------------------------------------
