@@ -25,7 +25,6 @@ from .grid import GridSampler
 from .kernels import (
     AssumptionReport,
     KGMKernel,
-    KernelDiagonal,
     LangevinKernel,
     check_theorem_assumptions,
     make_kernel,

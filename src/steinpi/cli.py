@@ -6,7 +6,8 @@ is no wall-clock seeding.  Exit codes: 0 success, 1 configuration error,
 2 numerical failure.  Only experiment runs worker threads: --threads, which
 STEINPI_THREADS overrides.  Only sample, weights, thin and experiment
 write files, into --out-dir; wasserstein reads no config and takes no
-flags.
+flags.  Only sample and experiment build a sampler; weights, thin, ksd
+and check-assumptions build just the target, its mode and the kernel.
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ from .errors import ConfigError, SteinpiError
 from .experiment import (
     MethodRuntime,
     MethodSpec,
+    build_kernel,
     build_target,
     parse_experiment_spec,
+    post_process,
     run_experiment,
     write_csv,
     write_experiment_outputs,
 )
-from .kernels import check_theorem_assumptions, make_kernel
+from .kernels import check_theorem_assumptions
 from .metrics import wasserstein1_1d, wasserstein1_exact
 from .quantise import WeightedSample, greedy_thin_indices, ksd, uniform_sample
 from .targets import find_mode
@@ -70,11 +73,20 @@ def _read_points(path):
     return data, None
 
 
-def _single_runtime(cfg, seed_override=None):
-    """Kernel + sampling law for the single-pipeline commands."""
+def _target_and_mode(cfg):
     target = build_target(cfg.get("target", {}))
     init = np.asarray(cfg.get("mode_init", np.zeros(target.dim)), dtype=np.float64)
-    mode = find_mode(target, init)
+    return target, find_mode(target, init)
+
+
+def _kernel(cfg):
+    """The config's Stein kernel; no sampling law or sampler is built."""
+    return build_kernel(cfg.get("kernel", {"family": "langevin"}), *_target_and_mode(cfg))
+
+
+def _single_runtime(cfg, seed_override=None):
+    """Kernel, sampling law and sampler of the sample command."""
+    target, mode = _target_and_mode(cfg)
     method = MethodSpec(
         name="cli",
         kernel=dict(cfg.get("kernel", {"family": "langevin"})),
@@ -84,7 +96,7 @@ def _single_runtime(cfg, seed_override=None):
     seed = seed_override if seed_override is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("config.seed: a seed is required (or pass --seed)")
-    return target, mode, MethodRuntime(method, target, mode), int(seed)
+    return MethodRuntime(method, target, mode), int(seed)
 
 
 def _cmd_sample(args):
@@ -100,7 +112,7 @@ def _cmd_sample(args):
         warm["epoch_lengths"] = [epoch_length] * (epochs - 1) + [final_length]
     if args.target_dist is not None:
         sampler_cfg["distribution"] = args.target_dist
-    target, mode, runtime, seed = _single_runtime(cfg, args.seed)
+    runtime, seed = _single_runtime(cfg, args.seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
     if runtime.mechanism == "exact":
         points = runtime.sampler.sample(args.n, rng)
@@ -117,9 +129,9 @@ def _cmd_sample(args):
 
 def _cmd_weights(args):
     cfg = _load_config(args.config)
-    _, _, runtime, _ = _single_runtime(cfg, args.seed if args.seed is not None else 0)
+    kernel = _kernel(cfg)
     points, _ = _read_points(args.points)
-    sample, _ = runtime.post_process(points, {"kind": "optimal"})  # raises if uncertified
+    sample, _ = post_process(points, kernel, {"kind": "optimal"})  # raises if uncertified
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "weights.csv")
@@ -130,9 +142,9 @@ def _cmd_weights(args):
 
 def _cmd_thin(args):
     cfg = _load_config(args.config)
-    _, _, runtime, _ = _single_runtime(cfg, args.seed if args.seed is not None else 0)
+    kernel = _kernel(cfg)
     points, _ = _read_points(args.points)
-    idx = greedy_thin_indices(points, runtime.kernel, args.m)
+    idx = greedy_thin_indices(points, kernel, args.m)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "indices.csv")
@@ -143,7 +155,7 @@ def _cmd_thin(args):
 
 def _cmd_ksd(args):
     cfg = _load_config(args.config)
-    _, _, runtime, _ = _single_runtime(cfg, args.seed if args.seed is not None else 0)
+    kernel = _kernel(cfg)
     points, weights = _read_points(args.points)
     if args.weights:
         _, wcol = _read_points(args.weights)
@@ -154,7 +166,7 @@ def _cmd_ksd(args):
         sample = uniform_sample(points)
     else:
         sample = WeightedSample(points=points, weights=weights)
-    print(repr(ksd(sample, runtime.kernel)))
+    print(repr(ksd(sample, kernel)))
     return 0
 
 
@@ -187,19 +199,8 @@ def _cmd_experiment(args):
 
 def _cmd_check_assumptions(args):
     cfg = _load_config(args.config)
-    target = build_target(cfg.get("target", {}))
-    init = np.asarray(cfg.get("mode_init", np.zeros(target.dim)), dtype=np.float64)
-    mode = find_mode(target, init)
-    kcfg = cfg.get("kernel", {"family": "langevin"})
-    kernel = make_kernel(
-        target,
-        mode,
-        family=kcfg.get("family", "langevin"),
-        s=int(kcfg.get("s", 3)),
-        beta=float(kcfg.get("beta", 0.5)),
-    )
     report = check_theorem_assumptions(
-        kernel, args.radius, args.probes, b1=args.b1, seed=args.seed or 0
+        _kernel(cfg), args.radius, args.probes, b1=args.b1, seed=args.seed or 0
     )
     print(report)
     return 0

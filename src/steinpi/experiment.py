@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     EmptySummary,
-    GramTooLarge,
     InsufficientReplicates,
     NonConvergence,
     SteinpiError,
@@ -33,7 +32,6 @@ from .mala import AdaptSchedule, adaptive_warmup, random_window
 from .metrics import wasserstein1_1d, wasserstein1_exact
 from .pi_targets import make_pi, make_power_tilt
 from .quantise import (
-    GRAM_GUARD,
     WeightedSample,
     greedy_thin,
     ksd,
@@ -59,6 +57,8 @@ __all__ = [
     "ExperimentResult",
     "parse_experiment_spec",
     "build_target",
+    "build_kernel",
+    "post_process",
     "run_experiment",
     "summarise",
     "significant_improvement",
@@ -78,10 +78,6 @@ def _require(cfg, key, path):
     if key not in cfg:
         raise ConfigError(f"{path}.{key}: required key is missing")
     return cfg[key]
-
-
-def _get(cfg, key, default=None):
-    return cfg.get(key, default)
 
 
 def build_target(cfg, path="target"):
@@ -113,11 +109,17 @@ def build_target(cfg, path="target"):
     if name == "garch":
         if "y" in cfg:
             return make_garch_posterior(np.asarray(cfg["y"], dtype=np.float64))
-        phi = _get(cfg, "phi", (0.2, 0.5, 0.3, 0.4))
-        length = int(_get(cfg, "length", 50))
-        sim_seed = int(_get(cfg, "sim_seed", 0))
+        phi = cfg.get("phi", (0.2, 0.5, 0.3, 0.4))
+        length = int(cfg.get("length", 50))
+        sim_seed = int(cfg.get("sim_seed", 0))
         return make_garch_posterior(simulate_garch_series(phi, length, seed=sim_seed))
     raise ConfigError(f"{path}.name: unknown target {name!r}")
+
+
+def build_kernel(cfg, target, mode):
+    """Construct the Stein kernel of a kernel block (family, s, beta)."""
+    family = cfg.get("family", "langevin")
+    return make_kernel(target, mode, family=family, s=int(cfg.get("s", 3)), beta=float(cfg.get("beta", 0.5)))
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ def parse_experiment_spec(cfg):
         if name in seen:
             raise ConfigError(f"{path}.name: duplicate method name {name!r}")
         seen.add(name)
-        kernel = dict(_get(m, "kernel", {"family": "langevin"}))
+        kernel = dict(m.get("kernel", {"family": "langevin"}))
         family = kernel.get("family", "langevin")
         if family not in _FAMILIES:
             raise ConfigError(f"{path}.kernel.family: unknown family {family!r}")
@@ -205,12 +207,15 @@ def parse_experiment_spec(cfg):
         mechanism = sampler.get("mechanism", "exact")
         if mechanism not in _MECHANISMS:
             raise ConfigError(f"{path}.sampler.mechanism: unknown mechanism {mechanism!r}")
-        post = dict(_get(m, "post", {"kind": "none"}))
+        post = dict(m.get("post", {"kind": "none"}))
         kind = post.get("kind", "none")
         if kind not in _POST_KINDS:
             raise ConfigError(f"{path}.post.kind: unknown post-processor {kind!r}")
-        if kind == "thin" and "m" not in post:
-            raise ConfigError(f"{path}.post.m: thinning needs a size or ratio")
+        if kind == "thin":
+            m_thin = _require(post, "m", f"{path}.post")
+            size = isinstance(m_thin, int) and not isinstance(m_thin, bool) and m_thin >= 1
+            if not (size or (isinstance(m_thin, float) and 0.0 < m_thin < 1.0)):
+                raise ConfigError(f"{path}.post.m: must be an integer >= 1 or a float in (0, 1)")
         if mechanism == "mala" and _schedule(sampler, path).epoch_lengths[-1] < max(ns):
             raise ConfigError(
                 f"{path}.sampler.warmup.epoch_lengths: the production (last) epoch "
@@ -259,9 +264,14 @@ class ExperimentResult:
     failures: list = field(default_factory=list)
 
 
-def _default_bounds(mode, scale=12.0):
-    sig = np.sqrt(np.diag(mode.sigma))
-    return [(float(x - scale * s), float(x + scale * s)) for x, s in zip(mode.x_star, sig)]
+def _grid_sampler(law, grid_cfg, mode):
+    """Exact grid sampler of a law; bounds default to 12 sd around the mode."""
+    bounds = grid_cfg.get("bounds")
+    if not bounds:
+        sig = np.sqrt(np.diag(mode.sigma))
+        bounds = [(float(x - 12.0 * s), float(x + 12.0 * s)) for x, s in zip(mode.x_star, sig)]
+    num = grid_cfg.get("num", 2001 if len(bounds) > 1 else 20001)
+    return GridSampler(law, bounds, num=num)
 
 
 class MethodRuntime:
@@ -269,14 +279,7 @@ class MethodRuntime:
 
     def __init__(self, method, target, mode):
         self.method = method
-        kcfg = method.kernel
-        self.kernel = make_kernel(
-            target,
-            mode,
-            family=kcfg.get("family", "langevin"),
-            s=int(kcfg.get("s", 3)),
-            beta=float(kcfg.get("beta", 0.5)),
-        )
+        self.kernel = build_kernel(method.kernel, target, mode)
         dist = method.sampler.get("distribution", "p")
         if dist == "p":
             self.law = target
@@ -287,10 +290,7 @@ class MethodRuntime:
         self.mechanism = method.sampler.get("mechanism", "exact")
         self.mode = mode
         if self.mechanism == "exact":
-            grid_cfg = method.sampler.get("grid", {})
-            bounds = grid_cfg.get("bounds") or _default_bounds(mode)
-            num = grid_cfg.get("num", 2001 if len(bounds) > 1 else 20001)
-            self.sampler = GridSampler(self.law, bounds, num=num)
+            self.sampler = _grid_sampler(self.law, method.sampler.get("grid", {}), mode)
         else:
             self.schedule = _schedule(method.sampler, "config")
 
@@ -301,28 +301,29 @@ class MethodRuntime:
         _, out = adaptive_warmup(init, self.law, self.schedule, seed=seed, stream=stream)
         return out.states.reshape(init.shape[0], -1, init.shape[1])
 
-    def post_process(self, points, post):
-        """Post-processed sample and its Gram (None when thinning changes the points).
 
-        Raises NonConvergence when the optimal weights are not certified.
-        """
-        if len(points) > GRAM_GUARD:
-            raise GramTooLarge(f"n = {len(points)} exceeds the dense Gram guard {GRAM_GUARD}")
-        gram = self.kernel.gram(points)
-        kind = post.get("kind", "none")
-        if kind == "none":
-            return uniform_sample(points), gram
-        if kind == "optimal":
-            qp = optimal_weights(points, self.kernel, gram=gram)
-            if not qp.converged:
-                raise NonConvergence(
-                    f"optimal weights not certified after {qp.iterations} iterations: "
-                    f"duality gap {qp.duality_gap!r} at objective {qp.objective!r}"
-                )
-            return WeightedSample(points=points, weights=qp.weights), gram
+def post_process(points, kernel, post):
+    """Post-processed sample, and the n x n Gram its KSD reuses.
+
+    Thinning returns before any n x n Gram is built, with None in its
+    place: its KSD needs only the Gram of the picks.  Raises
+    NonConvergence when the optimal weights are not certified.
+    """
+    kind = post.get("kind", "none")
+    if kind == "thin":
         m = post["m"]
-        m = max(1, int(round(m * len(points)))) if isinstance(m, float) and m < 1 else int(m)
-        return greedy_thin(points, self.kernel, m, gram=gram), None
+        m = max(1, int(round(m * len(points)))) if isinstance(m, float) else m
+        return greedy_thin(points, kernel, m), None
+    gram = kernel.gram(points)
+    if kind == "none":
+        return uniform_sample(points), gram
+    qp = optimal_weights(points, kernel, gram=gram)
+    if not qp.converged:
+        raise NonConvergence(
+            f"optimal weights not certified after {qp.iterations} iterations: "
+            f"duality gap {qp.duality_gap!r} at objective {qp.objective!r}"
+        )
+    return WeightedSample(points=points, weights=qp.weights), gram
 
 
 def _reference_sample(spec, target, mode):
@@ -330,10 +331,7 @@ def _reference_sample(spec, target, mode):
     n_ref = int(cfg.get("reference_n", 0))
     if n_ref <= 0:
         return None
-    grid_cfg = cfg.get("grid", {})
-    bounds = grid_cfg.get("bounds") or _default_bounds(mode)
-    num = grid_cfg.get("num", 2001 if len(bounds) > 1 else 20001)
-    sampler = GridSampler(target, bounds, num=num)
+    sampler = _grid_sampler(target, cfg.get("grid", {}), mode)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(2**31,)))
     return uniform_sample(sampler.sample(n_ref, rng))
 
@@ -380,7 +378,7 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source=None):
                 points = source[:n]
             else:
                 points = random_window(source, n, rng)
-            sample, gram = runtime.post_process(points, method.post)
+            sample, gram = post_process(points, runtime.kernel, method.post)
             value = ksd(sample, runtime.kernel, gram=gram)
             wass = None
             if reference is not None:

@@ -21,26 +21,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import GramTooLarge
 from .targets import ModeInfo
 
 __all__ = [
     "SteinKernel",
     "LangevinKernel",
     "KGMKernel",
-    "KernelDiagonal",
     "make_kernel",
     "AssumptionReport",
     "check_theorem_assumptions",
 ]
 
-
-@dataclass(frozen=True)
-class KernelDiagonal:
-    """Diagonal value k_P(x) and its spatial gradient."""
-
-    value: float
-    grad: np.ndarray
-
+GRAM_GUARD = 20_000  # a Gram may hold at most GRAM_GUARD**2 entries
 
 class SteinKernel:
     """Common assembly of a Stein kernel from family-specific base pieces.
@@ -125,15 +118,20 @@ class SteinKernel:
         """Cross Gram matrix [k_P(x_i, y_j)].
 
         With one argument the result is made bitwise symmetric by mirroring
-        the upper triangle (row-major canonical entries).
+        the upper triangle (row-major canonical entries).  Raises
+        GramTooLarge, before anything is allocated, when rows x columns
+        exceeds GRAM_GUARD**2; a single column passes for any number of rows.
         """
+        symmetric = y is None
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if y is None:
-            k = self._gram_cross(x, x)
+        y = x if symmetric else np.atleast_2d(np.asarray(y, dtype=np.float64))
+        if x.shape[0] * y.shape[0] > GRAM_GUARD**2:
+            raise GramTooLarge(f"a {x.shape[0]} x {y.shape[0]} Gram exceeds the guard of {GRAM_GUARD}**2 entries")
+        k = self._gram_cross(x, y)
+        if symmetric:
             lower = np.tril_indices(k.shape[0], -1)
             k[lower] = k.T[lower]
-            return k
-        return self._gram_cross(x, np.atleast_2d(np.asarray(y, dtype=np.float64)))
+        return k
 
     def _gram_cross(self, x, y):
         blocks = self._blocks(x, y)
@@ -219,11 +217,6 @@ class SteinKernel:
     def diag_grads(self, x):
         """Gradient of k_P(x) over a batch; needs the target Hessian."""
         return self._diag(x, 1)[1]
-
-    def diag(self, x):
-        """KernelDiagonal at a single point."""
-        values, grads = self._diag(x, 1)  # a point (d,) is a batch of one
-        return KernelDiagonal(value=float(values[0]), grad=grads[0])
 
     def c1_squared(self, box_halfwidth=None, grid_points=33):
         """Lower bound for inf_x k_P(x); exact for Langevin, numeric for KGM."""

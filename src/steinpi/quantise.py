@@ -5,7 +5,9 @@ simplex-constrained reweighting (an exact active-set solve of
 min w^T K w - 2 z^T w over the probability simplex by Wolfe's
 minimum-norm-point method, certified by its duality gap), greedy thinning
 to m uniformly weighted points, and the root-kernel importance weights
-used as a baseline.
+used as a baseline.  Thinning reads the kernel diagonal and one Gram
+column per pick, so its working memory is O(n) and it never builds the
+n x n Gram; the dense-Gram size guard lives in ``SteinKernel.gram``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GramTooLarge, InvalidSimplex, NegativeQuadraticForm
+from .errors import InvalidSimplex, NegativeQuadraticForm
 
 __all__ = [
     "WeightedSample",
@@ -28,8 +30,6 @@ __all__ = [
     "greedy_thin_indices",
     "snis_weights",
 ]
-
-GRAM_GUARD = 20_000  # dense Gram guard for the QP
 
 
 def _as_points(points):
@@ -172,12 +172,11 @@ def optimal_weights(points, kernel, tol=1e-8, max_iter=None, z=None, gram=None):
     vanishes (z = 0); a nonzero z is accepted for generic kernels.  If
     ``max_iter`` major steps (default 10 n) run out, the better of the
     iterate and the uniform weights is returned with ``converged=False``.
-    Guarded against Gram matrices larger than 2e4 points.
+    Without a ``gram``, ``kernel.gram`` builds one and raises GramTooLarge
+    beyond its dense size guard.
     """
     points = _as_points(points)
     n = points.shape[0]
-    if n > GRAM_GUARD:
-        raise GramTooLarge(f"n = {n} exceeds the dense Gram guard {GRAM_GUARD}")
     if gram is None:
         gram = kernel.gram(points)
     z = np.zeros(n) if z is None else np.asarray(z, dtype=np.float64)
@@ -233,13 +232,16 @@ def optimal_weights(points, kernel, tol=1e-8, max_iter=None, z=None, gram=None):
     )
 
 
-def greedy_thin_indices(points, kernel, m, gram=None):
+def greedy_thin_indices(points, kernel, m):
     """Indices selected by m steps of greedy discrepancy minimisation.
 
     Step j picks argmin over candidates y of
     k_P(y)/2 + sum_{i<j} k_P(y, y_i); candidates stay available, so an
     index may repeat.  Ties resolve to the lowest index (strict < scan).
-    Running cross sums are cached, so the cost is m Gram columns.
+    The cost is the kernel diagonal plus one n x 1 Gram column per pick,
+    added to a running sum: O(nm) kernel evaluations and O(n) memory, with
+    no n x n Gram.  At m >= n/2 this is slower than slicing a full Gram
+    (up to 4x at m = n = 1000).
     """
     points = _as_points(points)
     n = points.shape[0]
@@ -247,22 +249,21 @@ def greedy_thin_indices(points, kernel, m, gram=None):
         raise ValueError("m must be >= 1")
     if n == 0:
         raise ValueError("candidate set must be nonempty")
-    half_diag = 0.5 * (np.diag(gram) if gram is not None else kernel.diag_values(points))
+    half_diag = 0.5 * kernel.diag_values(points)
     running = np.zeros(n)
     chosen = np.empty(m, dtype=np.int64)
     for j in range(m):
         pick = int(np.argmin(half_diag + running))
         chosen[j] = pick
         if j + 1 < m:
-            col = gram[:, pick] if gram is not None else kernel.gram(points, points[pick : pick + 1])[:, 0]
-            running += col
+            running += kernel.gram(points, points[pick : pick + 1])[:, 0]
     return chosen
 
 
-def greedy_thin(points, kernel, m, gram=None):
+def greedy_thin(points, kernel, m):
     """Greedy thinning to m points with uniform weights 1/m."""
     points = _as_points(points)
-    idx = greedy_thin_indices(points, kernel, m, gram=gram)
+    idx = greedy_thin_indices(points, kernel, m)
     return WeightedSample(points=points[idx], weights=np.full(m, 1.0 / m))
 
 

@@ -7,10 +7,9 @@ code with the paths it verifies.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
-
-from steinpi.kernels import KernelDiagonal
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -270,9 +269,19 @@ class ConstantKernel:
     def _diag_at(self, x, score, hess=None):
         return self.diag_values(x), None if hess is None else self.diag_grads(x)
 
-    def diag(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return KernelDiagonal(value=self.value, grad=np.zeros_like(x))
-
     def c1_squared(self, box_halfwidth=None, grid_points=33):
         return self.value
+
+
+@dataclass(frozen=True)
+class KernelDiagonal:
+    """Diagonal value k_P(x) and its spatial gradient at one point."""
+
+    value: float
+    grad: np.ndarray
+
+
+def kernel_diagonal(kernel, x):
+    """KernelDiagonal of a kernel at a single point x of shape (d,)."""
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    return KernelDiagonal(value=float(kernel.diag_values(x)[0]), grad=kernel.diag_grads(x)[0])

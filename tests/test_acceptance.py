@@ -276,7 +276,7 @@ def test_criterion_08_weight_dominance_chain():
         best = sp.ksd(sp.WeightedSample(points=pts, weights=qp.weights), kernel, gram=gram)
         snis = sp.ksd(sp.snis_weights(pts, kernel), kernel, gram=gram)
         uniform = sp.ksd(sp.uniform_sample(pts), kernel, gram=gram)
-        greedy = sp.ksd(sp.greedy_thin(pts, kernel, 50, gram=gram), kernel)
+        greedy = sp.ksd(sp.greedy_thin(pts, kernel, 50), kernel)
         assert best <= snis + 1e-8
         assert best <= uniform + 1e-8
         assert best <= greedy + 1e-8
@@ -376,7 +376,7 @@ def test_criterion_11_thinning_near_optimal():
         gram = kernel.gram(pts)
         qp = sp.optimal_weights(pts, kernel, gram=gram)
         k_opt = sp.ksd(sp.WeightedSample(points=pts, weights=qp.weights), kernel, gram=gram)
-        k_thin = sp.ksd(sp.greedy_thin(pts, kernel, 500, gram=gram), kernel)
+        k_thin = sp.ksd(sp.greedy_thin(pts, kernel, 500), kernel)
         ratios.append(k_thin / k_opt)
     assert np.median(ratios) <= 1.2, f"median ratio {np.median(ratios):.3f}; ratios {np.round(ratios, 2)}"
 

@@ -122,6 +122,15 @@ def test_ksd_accepts_weight_file(pipeline_config, tmp_path, capsys):
     assert weighted <= uniform + 1e-8
 
 
+def test_ksd_builds_no_sampler_for_a_four_dimensional_target(tmp_path, capsys):
+    # an exact grid sampler supports one or two dimensions only
+    cfg = _write_config(tmp_path / "garch.json", {"target": {"name": "garch"}, "seed": 1})
+    points = tmp_path / "points.csv"
+    points.write_text("x0,x1,x2,x3\n0.1,-1.0,0.2,0.3\n0.0,-0.8,0.1,0.5\n0.2,-1.2,0.0,0.1\n")
+    assert main(["ksd", "--config", cfg, "--points", str(points)]) == 0
+    assert np.isfinite(float(capsys.readouterr().out.strip()))
+
+
 def test_wasserstein_verb(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

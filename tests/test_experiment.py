@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import steinpi.experiment as experiment
-from steinpi.errors import ConfigError, EmptySummary, InsufficientReplicates
+from steinpi.errors import ConfigError, EmptySummary, GramTooLarge, InsufficientReplicates
 from steinpi.experiment import (
     ResultRow,
     SummaryRow,
     emit_plot,
     parse_experiment_spec,
+    post_process,
     read_csv,
     run_experiment,
     significant_improvement,
@@ -21,6 +22,8 @@ from steinpi.experiment import (
     write_csv,
     write_experiment_outputs,
 )
+from steinpi.kernels import LangevinKernel, SteinKernel
+from steinpi.targets import find_mode, make_gaussian
 
 
 def _base_config(**overrides):
@@ -105,6 +108,14 @@ def test_parse_rejects_thin_without_size():
     cfg = _base_config()
     cfg["methods"][0]["post"] = {"kind": "thin"}
     with pytest.raises(ConfigError, match=r"methods\[0\].post.m"):
+        parse_experiment_spec(cfg)
+
+
+@pytest.mark.parametrize("m", [0, -3, 1.5, "ten", True])
+def test_parse_rejects_bad_thin_size(m):
+    cfg = _base_config()
+    cfg["methods"][1]["post"] = {"kind": "thin", "m": m}
+    with pytest.raises(ConfigError, match=r"methods\[1\].post.m"):
         parse_experiment_spec(cfg)
 
 
@@ -221,6 +232,36 @@ def test_power_tilt_and_thin_post_processor():
     result = run_experiment(parse_experiment_spec(cfg))
     assert len(result.rows) == 2
     assert all(np.isfinite(r.ksd) and r.ksd >= 0 for r in result.rows)
+
+
+def test_thin_cell_builds_no_square_gram_of_its_candidates(monkeypatch):
+    shapes = []
+    gram = SteinKernel.gram
+
+    def recording(self, x, y=None):
+        out = gram(self, x, y)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(SteinKernel, "gram", recording)
+    cfg = _base_config(replicates=2, ns=[40])
+    cfg["methods"] = [dict(cfg["methods"][1], post={"kind": "thin", "m": 0.25})]
+    result = run_experiment(parse_experiment_spec(cfg))
+    assert len(result.rows) == 2
+    assert (40, 40) not in shapes
+    assert shapes.count((10, 10)) == 2  # the KSD of each cell's 10 picks
+    assert set(shapes) == {(40, 1), (10, 10)}
+
+
+def test_only_square_grams_hit_the_size_guard():
+    target = make_gaussian([0.0])
+    kernel = LangevinKernel(target, find_mode(target, np.array([1.0])))
+    points = np.linspace(-3.0, 3.0, 20_001)[:, None]
+    sample, gram = post_process(points, kernel, {"kind": "thin", "m": 2})
+    assert sample.n == 2 and gram is None
+    for kind in ("none", "optimal"):
+        with pytest.raises(GramTooLarge):
+            post_process(points, kernel, {"kind": kind})
 
 
 def test_failures_are_recorded_not_raised():

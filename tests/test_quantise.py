@@ -302,7 +302,7 @@ def test_greedy_full_support_never_beats_optimal(rng):
     target, kernel = _std_normal_kernel()
     pts = target.sample(40, rng)
     gram = kernel.gram(pts)
-    thinned = greedy_thin(pts, kernel, 40, gram=gram)
+    thinned = greedy_thin(pts, kernel, 40)
     optimal = optimal_weights(pts, kernel, gram=gram)
     best = WeightedSample(points=pts, weights=optimal.weights)
     assert ksd(best, kernel, gram=gram) <= ksd(thinned, kernel) + 1e-8
