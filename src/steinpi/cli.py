@@ -2,12 +2,14 @@
 
 Subcommands: sample, weights, thin, ksd, wasserstein, experiment,
 check-assumptions.  All randomness is seeded from configs or flags; there
-is no wall-clock seeding.  Exit codes: 0 success, 1 configuration error,
-2 numerical failure.  Only experiment runs worker threads: --threads, which
-STEINPI_THREADS overrides.  Only sample, weights, thin and experiment
-write files, into --out-dir; wasserstein reads no config and takes no
-flags.  Only sample and experiment build a sampler; weights, thin, ksd
-and check-assumptions build just the target, its mode and the kernel.
+is no wall-clock seeding.  Only sample, experiment and check-assumptions
+draw random numbers, so only they take --seed.  Exit codes: 0 success,
+1 configuration error, 2 numerical failure.  Only experiment runs worker
+threads: --threads, which STEINPI_THREADS overrides.  Only sample,
+weights, thin and experiment write files, into --out-dir; wasserstein
+reads no config and takes no flags.  Only sample and experiment build a
+sampler; weights, thin, ksd and check-assumptions build just the target,
+its mode and the kernel.
 """
 
 from __future__ import annotations
@@ -210,14 +212,15 @@ def _build_parser():
     parser = _Parser(prog="steinpi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, writes_files=True):
+    def common(p, writes_files=True, seeded=False):
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="seed override")
         if writes_files:
             p.add_argument("--out-dir", default=None, help="output directory")
 
     p = sub.add_parser("sample", help="draw samples from p, pi or a power tilt")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--target", dest="target_dist", choices=["p", "pi", "power_tilt"], default=None)
     p.add_argument("--epsilon0", type=float, default=None, help="initial MALA step size")
@@ -249,12 +252,12 @@ def _build_parser():
     p.set_defaults(func=_cmd_wasserstein)
 
     p = sub.add_parser("experiment", help="run a declarative experiment config")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("check-assumptions", help="probe convergence assumptions numerically")
-    common(p, writes_files=False)
+    common(p, writes_files=False, seeded=True)
     p.add_argument("--radius", type=float, default=10.0, help="probe shell radius")
     p.add_argument("--probes", type=int, default=64, help="number of shell probes")
     p.add_argument("--b1", type=float, default=None, help="user curvature bound to locate")

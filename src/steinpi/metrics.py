@@ -2,17 +2,24 @@
 
 Exact 1-Wasserstein between weighted samples: in one dimension via
 quantile-function integration, and for small multivariate instances by
-solving the discrete optimal-transport linear program exactly.  Also the
+exact discrete optimal transport with Euclidean ground cost, solved one
+of two ways.  When every weight within each sample is the same
+(compared exactly), the larger size L is a multiple of the smaller and
+L^2 <= PAIR_GUARD, transport is an assignment problem: each point is
+repeated L / n times and the L x L assignment is solved.  Every other
+input is solved as the transport linear program.  Both paths return an
+(n_a, n_b) plan whose marginals are checked on every solve.  Also the
 dimension diagnostic comparing the variance of the normalised kernel
 diagonal on a standard Gaussian against its 2 c^2 / d closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 
 from .errors import DimensionMismatch, SizeGuard
@@ -24,7 +31,7 @@ __all__ = [
     "dimension_effect",
 ]
 
-PAIR_GUARD = 1_000_000  # largest n_a * n_b accepted by the exact solver
+PAIR_GUARD = 1_000_000  # largest n_a * n_b (and L^2 of an assignment) of the exact solver
 
 
 @dataclass(frozen=True)
@@ -71,12 +78,43 @@ def _marginal_constraints(na, nb):
     return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(na + nb - 1, na * nb))
 
 
+def _plan_by_lp(cost, wa, wb):
+    """Optimal (cost, plan) of the transport LP, solved by HiGHS simplex."""
+    na, nb = cost.shape
+    a_eq = _marginal_constraints(na, nb)
+    b_eq = np.concatenate([wa, wb[:-1]])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return float(res.fun), res.x.reshape(na, nb)
+
+
+def _plan_by_assignment(cost):
+    """Optimal (cost, plan) between equal-weight samples whose sizes divide.
+
+    With L = max(n_a, n_b), repeating each point L / n times turns the
+    transport into an L x L assignment with mass 1 / L per matched pair.
+    """
+    na, nb = cost.shape
+    size = max(na, nb)
+    ra, rb = size // na, size // nb
+    rows, cols = linear_sum_assignment(np.repeat(np.repeat(cost, ra, axis=0), rb, axis=1))
+    i, j = rows // ra, cols // rb
+    plan = np.zeros((na, nb))
+    plan[i, j] = 1.0 / size  # ra or rb is 1, so no (i, j) repeats
+    return math.fsum(cost[i, j]) / size, plan
+
+
 def wasserstein1_exact(a, b):
     """Exact discrete optimal transport with Euclidean ground cost.
 
-    Solves the transport linear program with the HiGHS simplex solver and
-    returns the optimal plan; feasibility of the returned plan (marginal
-    sums within 1e-8) is verified on every solve.
+    Solved as an assignment when every weight within each sample is the
+    same (compared exactly), the larger size L is a multiple of the
+    smaller and L^2 <= PAIR_GUARD; its cost is the correctly rounded sum
+    of the matched distances, divided by L.  Otherwise the transport
+    linear program is solved with the HiGHS simplex solver.  Either way
+    the optimal plan is returned, and its feasibility (marginal sums
+    within 1e-8) is verified on every solve.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"samples have dimensions {a.dim} and {b.dim}")
@@ -85,12 +123,12 @@ def wasserstein1_exact(a, b):
         raise SizeGuard(f"{na} x {nb} pairs exceed the exact-transport guard {PAIR_GUARD}")
     diff = a.points[:, None, :] - b.points[None, :, :]
     cost = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-    a_eq = _marginal_constraints(na, nb)
-    b_eq = np.concatenate([a.weights, b.weights[:-1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    gamma = res.x.reshape(na, nb)
+    size = max(na, nb)
+    equal_weights = np.all(a.weights == a.weights[0]) and np.all(b.weights == b.weights[0])
+    if size % min(na, nb) == 0 and size * size <= PAIR_GUARD and equal_weights:
+        value, gamma = _plan_by_assignment(cost)
+    else:
+        value, gamma = _plan_by_lp(cost, a.weights, b.weights)
     row_err = np.max(np.abs(gamma.sum(axis=1) - a.weights))
     col_err = np.max(np.abs(gamma.sum(axis=0) - b.weights))
     if max(row_err, col_err) > 1e-8:
@@ -99,7 +137,7 @@ def wasserstein1_exact(a, b):
         (int(i), int(j), float(gamma[i, j]))
         for i, j in zip(*np.nonzero(gamma > 0))
     )
-    return TransportPlan(cost=float(res.fun), plan=entries)
+    return TransportPlan(cost=value, plan=entries)
 
 
 def dimension_effect(d, n_mc, beta=0.5, seed=0, chunk=200_000):

@@ -204,9 +204,12 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
     [
         ("sample", "--threads"),
         ("weights", "--threads"),
+        ("weights", "--seed"),
         ("thin", "--threads"),
+        ("thin", "--seed"),
         ("ksd", "--threads"),
         ("ksd", "--out-dir"),
+        ("ksd", "--seed"),
         ("check-assumptions", "--threads"),
         ("check-assumptions", "--out-dir"),
         ("wasserstein", "--seed"),

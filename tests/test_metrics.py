@@ -1,13 +1,21 @@
-"""Transport distances: metric axioms, agreement between the 1D and LP
-paths, plan feasibility, and the 1/d variance law of the kernel diagonal."""
+"""Transport distances: metric axioms, agreement between the 1D, LP and
+assignment paths, which inputs take the assignment, plan feasibility, and
+the 1/d variance law of the kernel diagonal."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import steinpi.metrics as metrics
 from steinpi.errors import DimensionMismatch, SizeGuard
-from steinpi.metrics import _marginal_constraints, dimension_effect, wasserstein1_1d, wasserstein1_exact
+from steinpi.metrics import (
+    _marginal_constraints,
+    _plan_by_lp,
+    dimension_effect,
+    wasserstein1_1d,
+    wasserstein1_exact,
+)
 from steinpi.quantise import WeightedSample, uniform_sample
 
 from _oracles import wasserstein1_1d_monotone
@@ -95,6 +103,15 @@ def test_exact_transport_plan_is_feasible(rng):
     np.testing.assert_allclose(gamma.sum(axis=1), a.weights, atol=1e-8)
     np.testing.assert_allclose(gamma.sum(axis=0), b.weights, atol=1e-8)
     assert all(mass >= 0 for _, _, mass in plan.plan)
+    # equal weights, 4 divides 12, repeated points: the assignment path
+    pts = rng.standard_normal((3, 2))
+    a = uniform_sample(pts[[0, 0, 1, 2]])
+    b = uniform_sample(np.concatenate([pts, rng.standard_normal((9, 2))]))
+    plan = wasserstein1_exact(a, b)
+    gamma = plan.as_matrix((4, 12))
+    np.testing.assert_allclose(gamma.sum(axis=1), a.weights, atol=1e-8)
+    np.testing.assert_allclose(gamma.sum(axis=0), b.weights, atol=1e-8)
+    assert all(mass >= 0 for _, _, mass in plan.plan)
 
 
 def test_exact_transport_metric_axioms(rng):
@@ -109,6 +126,62 @@ def test_exact_transport_metric_axioms(rng):
         dik = wasserstein1_exact(samples[i], samples[k]).cost
         dkj = wasserstein1_exact(samples[k], samples[j]).cost
         assert dij <= dik + dkj + 1e-8
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Counts of the assignment and LP solver calls made through ``metrics``."""
+    counts = {"assignment": 0, "lp": 0}
+
+    def counted(key, solver):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return solver(*args, **kwargs)
+
+        return call
+
+    for key, name in (("assignment", "linear_sum_assignment"), ("lp", "linprog")):
+        monkeypatch.setattr(metrics, name, counted(key, getattr(metrics, name)))
+    return counts
+
+
+def _thinned(rng, n, d, distinct):
+    """n equal-weight points drawn with repeats from ``distinct`` locations."""
+    pts = rng.standard_normal((distinct, d))
+    return uniform_sample(pts[rng.integers(0, distinct, n)])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("na, nb", [(1, 7), (7, 1), (5, 20), (20, 5), (100, 500)])
+def test_assignment_cost_equals_lp_cost(na, nb, d, rng, solver_calls):
+    shared = rng.standard_normal((min(na, nb), d))
+    pairs = [
+        (_thinned(rng, na, d, max(1, na // 2)), uniform_sample(rng.standard_normal((nb, d)))),
+        # both repeat the same points, so the cost is zero
+        (uniform_sample(np.repeat(shared, na // len(shared), axis=0)),
+         uniform_sample(np.repeat(shared, nb // len(shared), axis=0))),
+    ]
+    for a, b in pairs:
+        cost = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=-1)
+        reference, _ = _plan_by_lp(cost, a.weights, b.weights)
+        assert wasserstein1_exact(a, b).cost == pytest.approx(reference, rel=1e-12, abs=1e-15)
+    assert solver_calls == {"assignment": 2, "lp": 2}
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        pytest.param(
+            _weighted(np.eye(5, 2), [0.1, 0.2, 0.3, 0.2, 0.2]), uniform_sample(np.ones((20, 2))),
+            id="non-uniform-weights",
+        ),
+        pytest.param(uniform_sample(np.eye(3, 2)), uniform_sample(np.ones((5, 2))), id="3x5-not-divisible"),
+        pytest.param(uniform_sample(np.zeros((1, 2))), uniform_sample(np.eye(1001, 2)), id="1x1001-over-guard"),
+    ],
+)
+def test_inputs_without_the_assignment_property_take_the_lp(a, b, solver_calls):
+    wasserstein1_exact(a, b)
+    assert solver_calls == {"assignment": 0, "lp": 1}
 
 
 @pytest.mark.parametrize("na, nb", [(1, 1), (1, 4), (4, 1), (3, 5), (40, 17)])
