@@ -4,7 +4,8 @@ Subcommands: sample, weights, thin, ksd, wasserstein, experiment,
 check-assumptions.  All randomness is seeded from configs or flags; there
 is no wall-clock seeding.  Only sample, experiment and check-assumptions
 draw random numbers, so only they take --seed.  Exit codes: 0 success,
-1 configuration error, 2 numerical failure.  Only experiment runs worker
+1 configuration error (malformed points CSVs and counts below 1
+included), 2 numerical failure.  Only experiment runs worker
 threads: --threads, which STEINPI_THREADS overrides.  Only sample,
 weights, thin and experiment write files, into --out-dir; wasserstein
 reads no config and takes no flags.  Only sample and experiment build a
@@ -59,20 +60,44 @@ def _load_config(path):
 
 
 def _read_points(path):
-    """Points CSV with header x0..x{d-1} and an optional weight column."""
+    """Points CSV with header x0..x{d-1} and an optional weight column.
+
+    An empty file, a header without rows, a ragged row or a non-numeric
+    cell is a ConfigError naming the file.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line for line in fh.read().split("\n") if line]
     except FileNotFoundError:
         raise ConfigError(f"points file not found: {path}")
+    if len(lines) < 2:
+        raise ConfigError(f"{path}: no rows of points" if lines else f"{path}: empty points file")
     header = lines[0].split(",")
     cols = {name: i for i, name in enumerate(header)}
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    rows = [line.split(",") for line in lines[1:]]
+    for number, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: line {number} has {len(row)} fields, the header {len(header)}")
+    try:
+        data = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if "weight" in cols:
         widx = cols["weight"]
         keep = [i for i in range(len(header)) if i != widx]
         return data[:, keep], data[:, widx]
     return data, None
+
+
+def _count(text):
+    """An integer >= 1 (a thread, point or probe count); anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _target_and_mode(cfg):
@@ -221,7 +246,7 @@ def _build_parser():
 
     p = sub.add_parser("sample", help="draw samples from p, pi or a power tilt")
     common(p, seeded=True)
-    p.add_argument("--n", type=int, required=True, help="number of samples")
+    p.add_argument("--n", type=_count, required=True, help="number of samples")
     p.add_argument("--target", dest="target_dist", choices=["p", "pi", "power_tilt"], default=None)
     p.add_argument("--epsilon0", type=float, default=None, help="initial MALA step size")
     p.add_argument("--epochs", type=int, default=None, help="number of warm-up epochs")
@@ -237,7 +262,7 @@ def _build_parser():
     p = sub.add_parser("thin", help="greedy thinning indices for a chain CSV")
     common(p)
     p.add_argument("--points", required=True, help="points CSV")
-    p.add_argument("--m", type=int, required=True, help="number of points to retain")
+    p.add_argument("--m", type=_count, required=True, help="number of points to retain")
     p.set_defaults(func=_cmd_thin)
 
     p = sub.add_parser("ksd", help="kernel discrepancy of a (weighted) sample")
@@ -253,13 +278,13 @@ def _build_parser():
 
     p = sub.add_parser("experiment", help="run a declarative experiment config")
     common(p, seeded=True)
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument("--threads", type=_count, default=1, help="worker threads")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("check-assumptions", help="probe convergence assumptions numerically")
     common(p, writes_files=False, seeded=True)
     p.add_argument("--radius", type=float, default=10.0, help="probe shell radius")
-    p.add_argument("--probes", type=int, default=64, help="number of shell probes")
+    p.add_argument("--probes", type=_count, default=64, help="number of shell probes")
     p.add_argument("--b1", type=float, default=None, help="user curvature bound to locate")
     p.set_defaults(func=_cmd_check_assumptions)
 
@@ -272,7 +297,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
         env_threads = os.environ.get("STEINPI_THREADS")
         if env_threads is not None and hasattr(args, "threads"):
-            args.threads = int(env_threads)
+            try:
+                args.threads = _count(env_threads)
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"STEINPI_THREADS: {exc}") from None
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

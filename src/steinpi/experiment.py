@@ -116,10 +116,26 @@ def build_target(cfg, path="target"):
     raise ConfigError(f"{path}.name: unknown target {name!r}")
 
 
+def _kernel_params(cfg, path):
+    """(family, s, beta) of a kernel block; ConfigError naming the offending key."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: expected an object")
+    family = cfg.get("family", "langevin")
+    if family not in _FAMILIES:
+        raise ConfigError(f"{path}.family: unknown family {family!r}")
+    s = cfg.get("s", 3)
+    if isinstance(s, bool) or not isinstance(s, int) or s < 1:
+        raise ConfigError(f"{path}.s: must be an integer >= 1, got {s!r}")
+    beta = cfg.get("beta", 0.5)
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0.0 < beta < 1.0:
+        raise ConfigError(f"{path}.beta: must be a number in (0, 1), got {beta!r}")
+    return family, s, float(beta)
+
+
 def build_kernel(cfg, target, mode):
     """Construct the Stein kernel of a kernel block (family, s, beta)."""
-    family = cfg.get("family", "langevin")
-    return make_kernel(target, mode, family=family, s=int(cfg.get("s", 3)), beta=float(cfg.get("beta", 0.5)))
+    family, s, beta = _kernel_params(cfg, "config.kernel")
+    return make_kernel(target, mode, family=family, s=s, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -183,7 +199,9 @@ def parse_experiment_spec(cfg):
         # the summary's standard error needs two replicates per cell
         raise ConfigError("config.replicates: must be an integer >= 2")
     ns = _require(cfg, "ns", "config")
-    if not ns or any((not isinstance(n, int)) or n < 1 for n in ns):
+    if not isinstance(ns, (list, tuple)) or not ns or any(
+        isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in ns
+    ):
         raise ConfigError("config.ns: must be a nonempty list of positive integers")
     raw_methods = _require(cfg, "methods", "config")
     if not raw_methods:
@@ -196,10 +214,9 @@ def parse_experiment_spec(cfg):
         if name in seen:
             raise ConfigError(f"{path}.name: duplicate method name {name!r}")
         seen.add(name)
-        kernel = dict(m.get("kernel", {"family": "langevin"}))
-        family = kernel.get("family", "langevin")
-        if family not in _FAMILIES:
-            raise ConfigError(f"{path}.kernel.family: unknown family {family!r}")
+        kernel = m.get("kernel", {"family": "langevin"})
+        _kernel_params(kernel, f"{path}.kernel")
+        kernel = dict(kernel)
         sampler = dict(_require(m, "sampler", path))
         dist = sampler.get("distribution", "p")
         if dist not in _DISTRIBUTIONS:

@@ -7,17 +7,18 @@ polynomial diffusion scaling, extending control to moments up to order s.
 Both are parameterised by a mode location x* and a length-scale matrix
 Sigma with Sigma^{-1} the negative log-density Hessian at x*.
 
-All heavy evaluations (Gram matrices, diagonals over batches) are
-vectorised; pure functions throughout, safe for concurrent use.  The
-diagonal k_P(x) and its gradient come from one assembly, ``_diag_at``,
-over the target score and Hessian at x: the public diagonal methods
-evaluate the target once for it, and the over-dispersed target pi hands
-in the derivatives of its own base evaluation.
+Every entry of k_P reads the same per-point data: the target score and
+the offsets from x* whitened by Sigma^{-1} and Sigma^{-2}.  ``context``
+builds it once per point set, evaluating the target only when no score is
+handed in; ``cross`` assembles [k_P(x_i, y_j)] between two contexts under
+the one Gram size guard, and ``_diag_at`` reads k_P(x) and its gradient.
+All of it is vectorised and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import GramTooLarge
 from .targets import ModeInfo
 
 __all__ = [
+    "KernelContext",
     "SteinKernel",
     "LangevinKernel",
     "KGMKernel",
@@ -34,6 +36,31 @@ __all__ = [
 ]
 
 GRAM_GUARD = 20_000  # a Gram may hold at most GRAM_GUARD**2 entries
+
+
+@dataclass(frozen=True, eq=False)
+class KernelContext:
+    """Per-point data of a point set: delta = x - x*, a1 = delta Sigma^-1,
+    a2 = delta Sigma^-2, v = 1 + delta.a1, q = delta.a2, the target score
+    and, built on first use, u = delta.a1.  ``ctx[rows]`` selects rows."""
+
+    delta: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    v: np.ndarray
+    q: np.ndarray
+    score: np.ndarray
+
+    @cached_property
+    def u(self):  # only Gram entries read u; the diagonal needs only v
+        return np.einsum("nd,nd->n", self.delta, self.a1)
+
+    def __len__(self):
+        return self.v.shape[0]
+
+    def __getitem__(self, rows):
+        return KernelContext(*(getattr(self, f.name)[rows] for f in fields(self)))
+
 
 class SteinKernel:
     """Common assembly of a Stein kernel from family-specific base pieces.
@@ -69,11 +96,11 @@ class SteinKernel:
     # family-specific pieces
     # ------------------------------------------------------------------
 
-    def _kappa_cross(self, blocks):
+    def _kappa_cross(self, x, y, pair):
         raise NotImplementedError
 
-    def _diag_coeffs(self, delta, v, q, a1, a2, grads):
-        """Closed-form (c0, c1, c2) over a batch, and their gradients
+    def _diag_coeffs(self, ctx, grads):
+        """Closed-form (c0, c1, c2) over a context, and their gradients
         (gc0, gc1, gc2) when ``grads`` is true (else None)."""
         raise NotImplementedError
 
@@ -81,88 +108,66 @@ class SteinKernel:
     # shared assembly
     # ------------------------------------------------------------------
 
-    def _blocks(self, x, y):
-        si = self.sigma_inv
-        si2 = self.sigma_inv2
-        dx = x - self.x_star
-        dy = y - self.x_star
-        a1 = dx @ si
-        a2 = dx @ si2
-        b1 = dy @ si
-        b2 = dy @ si2
-        sx = self.target.grad_log_density(x)
-        sy = self.target.grad_log_density(y) if y is not x else sx
-        return {
-            "dx": dx,
-            "dy": dy,
-            "a1": a1,
-            "a2": a2,
-            "b1": b1,
-            "b2": b2,
-            "ux": np.einsum("nd,nd->n", dx, a1),
-            "uy": np.einsum("md,md->m", dy, b1),
-            "qx": np.einsum("nd,nd->n", dx, a2),
-            "qy": np.einsum("md,md->m", dy, b2),
-            "p11": a1 @ dy.T,
-            "p21": a2 @ dy.T,
-            "sx": sx,
-            "sy": sy,
-            "sxsy": sx @ sy.T,
-            "a1sy": a1 @ sy.T,
-            "b1sx": sx @ b1.T,
-            "a1sx": np.einsum("nd,nd->n", a1, sx),
-            "b1sy": np.einsum("md,md->m", b1, sy),
+    def context(self, x, score=None):
+        """The per-point context of a batch x; the target is evaluated
+        only when no score is handed in."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if score is None:
+            score = self.target.grad_log_density(x)
+        delta = x - self.x_star
+        a1 = np.einsum("ni,ij->nj", delta, self.sigma_inv)  # row-invariant, unlike matmul
+        a2 = np.einsum("ni,ij->nj", delta, self.sigma_inv2)
+        v = 1.0 + np.einsum("nd,nd->n", delta, a1)
+        return KernelContext(delta, a1, a2, v, np.einsum("nd,nd->n", delta, a2), score)
+
+    def cross(self, x, y):
+        """Matrix [k_P(x_i, y_j)] between two contexts.  Raises GramTooLarge,
+        before allocating it, when rows x columns exceeds GRAM_GUARD**2."""
+        if len(x) * len(y) > GRAM_GUARD**2:
+            raise GramTooLarge(f"a {len(x)} x {len(y)} Gram exceeds the guard of {GRAM_GUARD}**2 entries")
+        pair = {
+            "p11": x.a1 @ y.delta.T,
+            "p21": x.a2 @ y.delta.T,
+            "a1sy": x.a1 @ y.score.T,
+            "b1sx": x.score @ y.a1.T,
+            "a1sx": np.einsum("nd,nd->n", x.a1, x.score),
+            "b1sy": np.einsum("md,md->m", y.a1, y.score),
         }
+        s = self.order
+        kappa, dxk_sy, dyk_sx, dysi_dxk, dxsi_dyk, divk = self._kappa_cross(x, y, pair)
+        if s > 1:  # the diffusion scaling (v_x v_y)^((s-1)/2) and its derivatives
+            vx = x.v[:, None]
+            vy = y.v[None, :]
+            pref = vx ** ((s - 1) / 2.0) * vy ** ((s - 1) / 2.0)
+            dxk_sy = pref * ((s - 1) * kappa * pair["a1sy"] / vx + dxk_sy)
+            dyk_sx = pref * ((s - 1) * kappa * pair["b1sx"] / vy + dyk_sx)
+            divk = pref * (
+                (s - 1) ** 2 * kappa * pair["p21"] / (vx * vy)
+                + (s - 1) * dysi_dxk / vy
+                + (s - 1) * dxsi_dyk / vx
+                + divk
+            )
+            kappa = pref * kappa
+        # the pieces are consumed here; accumulate in place
+        out = kappa
+        out *= x.score @ y.score.T
+        out += divk
+        out += dxk_sy
+        out += dyk_sx
+        return out
 
     def gram(self, x, y=None):
-        """Cross Gram matrix [k_P(x_i, y_j)].
+        """Gram matrix [k_P(x_i, y_j)] of two batches, under the guard of ``cross``.
 
         With one argument the result is made bitwise symmetric by mirroring
-        the upper triangle (row-major canonical entries).  Raises
-        GramTooLarge, before anything is allocated, when rows x columns
-        exceeds GRAM_GUARD**2; a single column passes for any number of rows.
+        the upper triangle (row-major canonical entries).
         """
-        symmetric = y is None
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = x if symmetric else np.atleast_2d(np.asarray(y, dtype=np.float64))
-        if x.shape[0] * y.shape[0] > GRAM_GUARD**2:
-            raise GramTooLarge(f"a {x.shape[0]} x {y.shape[0]} Gram exceeds the guard of {GRAM_GUARD}**2 entries")
-        k = self._gram_cross(x, y)
-        if symmetric:
+        cx = self.context(x)
+        k = self.cross(cx, cx if y is None else self.context(y))
+        if y is None:
             lower = np.tril_indices(k.shape[0], -1)
             k[lower] = k.T[lower]
         return k
-
-    def _gram_cross(self, x, y):
-        blocks = self._blocks(x, y)
-        s = self.order
-        kappa, dxk_sy, dyk_sx, dysi_dxk, dxsi_dyk, divk = self._kappa_cross(blocks)
-        if s == 1:
-            # the six pieces are consumed here; accumulate in place
-            out = kappa
-            out *= blocks["sxsy"]
-            out += divk
-            out += dxk_sy
-            out += dyk_sx
-            return out
-        vx = (1.0 + blocks["ux"])[:, None]
-        vy = (1.0 + blocks["uy"])[None, :]
-        pref = vx ** ((s - 1) / 2.0) * vy ** ((s - 1) / 2.0)
-        c = pref * kappa
-        cx_sy = pref * ((s - 1) * kappa * blocks["a1sy"] / vx + dxk_sy)
-        cy_sx = pref * ((s - 1) * kappa * blocks["b1sx"] / vy + dyk_sx)
-        div_c = pref * (
-            (s - 1) ** 2 * kappa * blocks["p21"] / (vx * vy)
-            + (s - 1) * dysi_dxk / vy
-            + (s - 1) * dxsi_dyk / vx
-            + divk
-        )
-        out = c
-        out *= blocks["sxsy"]
-        out += div_c
-        out += cx_sy
-        out += cy_sx
-        return out
 
     def __call__(self, x, y):
         """Value k_P(x, y) for a single pair.
@@ -178,21 +183,13 @@ class SteinKernel:
             if a > b:
                 x, y = y, x
                 break
-        return float(self._gram_cross(x[None, :], y[None, :])[0, 0])
+        return float(self.cross(self.context(x[None, :]), self.context(y[None, :]))[0, 0])
 
-    def _diag_parts(self, x):
-        delta = x - self.x_star
-        a1 = np.einsum("ni,ij->nj", delta, self.sigma_inv)  # row-invariant, unlike matmul
-        a2 = np.einsum("ni,ij->nj", delta, self.sigma_inv2)
-        v = 1.0 + np.einsum("nd,nd->n", delta, a1)
-        q = np.einsum("nd,nd->n", delta, a2)
-        return delta, v, q, a1, a2
-
-    def _diag_at(self, x, score, hess=None):
-        """k_P over a batch x from the target score there, and its gradient
-        when the target Hessian is given (else None)."""
-        delta, v, q, a1, a2 = self._diag_parts(x)
-        (c0, c1, c2), gcoeffs = self._diag_coeffs(delta, v, q, a1, a2, hess is not None)
+    def _diag_at(self, ctx, hess=None):
+        """k_P over a context from its score, and its gradient when the
+        target Hessian is given (else None)."""
+        (c0, c1, c2), gcoeffs = self._diag_coeffs(ctx, hess is not None)
+        score = ctx.score
         snorm2 = np.einsum("nd,nd->n", score, score)
         values = c2 + 2.0 * np.einsum("nd,nd->n", c1, score) + c0 * snorm2
         if hess is None:
@@ -208,7 +205,7 @@ class SteinKernel:
         """k_P and, at order 1, its gradient over a batch; one target evaluation."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         _, score, hess = self.target._at(x, order + 1)
-        return self._diag_at(x, score, hess)
+        return self._diag_at(self.context(x, score), hess)
 
     def diag_values(self, x):
         """k_P(x) over a batch, via closed-form diagonal coefficients."""
@@ -229,31 +226,31 @@ class LangevinKernel(SteinKernel):
     family = "langevin"
     order = 1
 
-    def _imq_cross(self, blocks):
+    def _imq_cross(self, x, y, pair):
         # In-place arithmetic throughout: these matrices can reach 1e7
         # entries and fresh temporaries dominate the runtime otherwise.
         beta = self.beta
-        w = -2.0 * blocks["p11"]
-        w += blocks["ux"][:, None]
-        w += blocks["uy"][None, :]
+        w = -2.0 * pair["p11"]
+        w += x.u[:, None]
+        w += y.u[None, :]
         w += 1.0  # 1 + ||x - y||^2_Sigma
         wb1 = w ** (-beta - 1.0)  # one transcendental; the rest by ratio
         kappa = wb1 * w
-        dxk_sy = blocks["a1sy"] - blocks["b1sy"][None, :]
+        dxk_sy = pair["a1sy"] - pair["b1sy"][None, :]
         dxk_sy *= wb1
         dxk_sy *= -2.0 * beta
-        dyk_sx = blocks["a1sx"][:, None] - blocks["b1sx"]
+        dyk_sx = pair["a1sx"][:, None] - pair["b1sx"]
         dyk_sx *= wb1
         dyk_sx *= 2.0 * beta
-        dysi_dxk = blocks["p21"] - blocks["qy"][None, :]
+        dysi_dxk = pair["p21"] - y.q[None, :]
         dysi_dxk *= wb1
         dysi_dxk *= -2.0 * beta
-        dxsi_dyk = blocks["qx"][:, None] - blocks["p21"]
+        dxsi_dyk = x.q[:, None] - pair["p21"]
         dxsi_dyk *= wb1
         dxsi_dyk *= 2.0 * beta
-        divk = -2.0 * blocks["p21"]
-        divk += blocks["qx"][:, None]
-        divk += blocks["qy"][None, :]  # (x - y)^T Sigma^-2 (x - y)
+        divk = -2.0 * pair["p21"]
+        divk += x.q[:, None]
+        divk += y.q[None, :]  # (x - y)^T Sigma^-2 (x - y)
         divk *= wb1
         divk /= w
         divk *= -4.0 * beta * (beta + 1.0)
@@ -263,8 +260,8 @@ class LangevinKernel(SteinKernel):
 
     _kappa_cross = _imq_cross
 
-    def _diag_coeffs(self, delta, v, q, a1, a2, grads):
-        n, d = delta.shape
+    def _diag_coeffs(self, ctx, grads):
+        n, d = ctx.delta.shape
         coeffs = (np.ones(n), np.zeros((n, d)), np.full(n, 2.0 * self.beta * self.tr_sigma_inv))
         if not grads:
             return coeffs, None
@@ -287,28 +284,29 @@ class KGMKernel(LangevinKernel):
             raise ValueError("order s must be a positive integer")
         self.order = int(s)
 
-    def _kappa_cross(self, blocks):
-        kappa, dxk_sy, dyk_sx, dysi_dxk, dxsi_dyk, divk = self._imq_cross(blocks)
+    def _kappa_cross(self, x, y, pair):
+        kappa, dxk_sy, dyk_sx, dysi_dxk, dxsi_dyk, divk = self._imq_cross(x, y, pair)
         s = self.order
-        vx = (1.0 + blocks["ux"])[:, None]
-        vy = (1.0 + blocks["uy"])[None, :]
-        num = 1.0 + blocks["p11"]
+        vx = x.v[:, None]
+        vy = y.v[None, :]
+        num = 1.0 + pair["p11"]
         inv_denom = vx ** (-s / 2.0) * vy ** (-s / 2.0)
         scaled = num * inv_denom  # kappa_lin
         kappa += scaled
-        dxk_sy += (blocks["b1sy"][None, :] - s * num * blocks["a1sy"] / vx) * inv_denom
-        dyk_sx += (blocks["a1sx"][:, None] - s * num * blocks["b1sx"] / vy) * inv_denom
-        dysi_dxk += (blocks["qy"][None, :] - s * num * blocks["p21"] / vx) * inv_denom
-        dxsi_dyk += (blocks["qx"][:, None] - s * num * blocks["p21"] / vy) * inv_denom
+        dxk_sy += (pair["b1sy"][None, :] - s * num * pair["a1sy"] / vx) * inv_denom
+        dyk_sx += (pair["a1sx"][:, None] - s * num * pair["b1sx"] / vy) * inv_denom
+        dysi_dxk += (y.q[None, :] - s * num * pair["p21"] / vx) * inv_denom
+        dxsi_dyk += (x.q[:, None] - s * num * pair["p21"] / vy) * inv_denom
         divk += (
             self.tr_sigma_inv
-            - s * blocks["qx"][:, None] / vx
-            - s * blocks["qy"][None, :] / vy
-            + s**2 * num * blocks["p21"] / (vx * vy)
+            - s * x.q[:, None] / vx
+            - s * y.q[None, :] / vy
+            + s**2 * num * pair["p21"] / (vx * vy)
         ) * inv_denom
         return kappa, dxk_sy, dyk_sx, dysi_dxk, dxsi_dyk, divk
 
-    def _diag_coeffs(self, delta, v, q, a1, a2, grads):
+    def _diag_coeffs(self, ctx, grads):
+        v, q, a1, a2 = ctx.v, ctx.q, ctx.a1, ctx.a2
         s = self.order
         beta = self.beta
         tr = self.tr_sigma_inv

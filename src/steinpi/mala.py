@@ -96,13 +96,13 @@ class ChainOutput:
 class AdaptSchedule:
     """Epoch schedule for the adaptive warm-up.
 
-    Defaults: unit initial step, identity preconditioner, nine tuning
-    epochs of 1000 steps followed by a production epoch of 1e5, blending
-    rate 0.3 after every tuning epoch and acceptance target 0.57.
+    Defaults: unit initial step, nine tuning epochs of 1000 steps
+    followed by a production epoch of 1e5, blending rate 0.3 after every
+    tuning epoch and acceptance target 0.57.  Every chain starts from the
+    identity preconditioner.
     """
 
     epsilon0: float = 1.0
-    m0: np.ndarray | None = None
     epoch_lengths: tuple = (1000,) * 9 + (100_000,)
     learning_rates: tuple | None = None
     target_accept: float = 0.57
@@ -293,8 +293,7 @@ def adaptive_warmup(init, target, schedule=None, *, seed=0, stream=()):
         return a[0] if single else a
 
     eps = np.full(chains, float(schedule.epsilon0))
-    m0 = np.eye(dim) if schedule.m0 is None else _as_spd_matrix(schedule.m0, dim)
-    m = np.array(np.broadcast_to(m0, (chains, dim, dim)))
+    m = np.array(np.broadcast_to(np.eye(dim), (chains, dim, dim)))
     m_inv = np.linalg.inv(m)
     out = cfg = None
     for epoch, length in enumerate(schedule.epoch_lengths):

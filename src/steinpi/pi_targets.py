@@ -40,7 +40,7 @@ class PiTarget(TargetModel):
         if order > 1:
             raise NotImplementedError("the Hessian of log pi needs third derivatives of log p")
         logp, score, hess = self.base._evaluate(x, order + 1)
-        values, grads = self.kernel._diag_at(x, score, hess)
+        values, grads = self.kernel._diag_at(self.kernel.context(x, score), hess)
         logq = logp + 0.5 * np.log(values)
         if order < 1:
             return logq, None, None

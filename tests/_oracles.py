@@ -250,24 +250,27 @@ class ConstantKernel:
         self.value = float(value)
         self.dim = dim
 
+    def context(self, x, score=None):
+        return np.atleast_2d(np.asarray(x, dtype=np.float64))  # rows select like a context
+
+    def cross(self, x, y):
+        return np.full((len(x), len(y)), self.value)
+
     def gram(self, x, y=None):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = x if y is None else np.atleast_2d(np.asarray(y, dtype=np.float64))
-        return np.full((x.shape[0], y.shape[0]), self.value)
+        x = self.context(x)
+        return self.cross(x, x if y is None else self.context(y))
 
     def __call__(self, x, y):
         return self.value
 
     def diag_values(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.full(x.shape[0], self.value)
+        return self._diag_at(self.context(x))[0]
 
     def diag_grads(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.zeros_like(x)
+        return np.zeros_like(self.context(x))
 
-    def _diag_at(self, x, score, hess=None):
-        return self.diag_values(x), None if hess is None else self.diag_grads(x)
+    def _diag_at(self, ctx, hess=None):
+        return np.full(len(ctx), self.value), None if hess is None else np.zeros_like(ctx)
 
     def c1_squared(self, box_halfwidth=None, grid_points=33):
         return self.value

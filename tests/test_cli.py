@@ -200,6 +200,79 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
 
 
 @pytest.mark.parametrize(
+    "change, path",
+    [
+        ({"kernel": {"family": "langevin", "beta": 2}}, "config.methods[0].kernel.beta"),
+        ({"kernel": {"family": "kgm", "s": 0}}, "config.methods[0].kernel.s"),
+        ({"kernel": {"family": "kgm", "s": "x"}}, "config.methods[0].kernel.s"),
+        ({"ns": 3}, "config.ns"),
+    ],
+    ids=["beta-2", "s-0", "s-x", "ns-3"],
+)
+def test_bad_kernel_or_ns_fails_before_sampling(change, path, experiment_config, tmp_path, capsys):
+    with open(experiment_config, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if "ns" in change:
+        cfg.update(change)
+    else:
+        cfg["methods"][0].update(change)
+    config = _write_config(tmp_path / "bad.json", cfg)
+    out = tmp_path / "bad-out"
+    assert main(["experiment", "--config", config, "--out-dir", str(out)]) == 1
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["", "x0\n", "x0\n0.5\nabc\n", "x0,x1\n0.5,1.0\n2.0\n"],
+    ids=["empty", "header-only", "non-numeric", "ragged"],
+)
+def test_malformed_points_file_is_a_config_error(content, pipeline_config, tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_text(content)
+    assert main(["ksd", "--config", pipeline_config, "--points", str(points)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and str(points) in err
+
+
+@pytest.mark.parametrize(
+    "verb, args, env",
+    [
+        ("experiment", ["--threads", "-3"], None),
+        ("experiment", ["--threads", "0"], None),
+        ("experiment", [], "abc"),
+        ("experiment", [], "0"),
+        ("thin", ["--m", "0"], None),
+        ("thin", ["--m", "two"], None),
+        ("sample", ["--n", "-2"], None),
+        ("check-assumptions", ["--probes", "0"], None),
+    ],
+    ids=[
+        "threads-negative", "threads-zero", "env-not-integer", "env-zero",
+        "m-zero", "m-not-integer", "n-negative", "probes-zero",
+    ],
+)
+def test_counts_must_be_integers_of_at_least_one(
+    verb, args, env, experiment_config, pipeline_config, tmp_path, monkeypatch, capsys
+):
+    points = tmp_path / "points.csv"
+    points.write_text("x0\n0.0\n1.0\n")
+    out = tmp_path / "out"
+    base = {
+        "experiment": ["--config", experiment_config, "--out-dir", str(out)],
+        "thin": ["--config", pipeline_config, "--points", str(points), "--out-dir", str(out)],
+        "sample": ["--config", pipeline_config, "--out-dir", str(out)],
+        "check-assumptions": ["--config", pipeline_config],
+    }[verb]
+    if env is not None:
+        monkeypatch.setenv("STEINPI_THREADS", env)
+    assert main([verb] + base + args) == 1
+    assert "integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "verb, flag",
     [
         ("sample", "--threads"),

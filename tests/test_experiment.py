@@ -22,8 +22,9 @@ from steinpi.experiment import (
     write_csv,
     write_experiment_outputs,
 )
-from steinpi.kernels import LangevinKernel, SteinKernel
-from steinpi.targets import find_mode, make_gaussian
+from steinpi.kernels import LangevinKernel, SteinKernel, make_kernel
+from steinpi.quantise import ksd
+from steinpi.targets import TargetModel, find_mode, make_gaussian, make_skew_normal_2d
 
 
 def _base_config(**overrides):
@@ -97,6 +98,14 @@ def test_parse_rejects_unknown_target():
         parse_experiment_spec(_base_config(target={"name": "banana"}))
 
 
+@pytest.mark.parametrize("key, value", [("beta", 2), ("s", 0), ("s", "x")])
+def test_parse_rejects_bad_kernel_parameters(key, value):
+    cfg = _base_config()
+    cfg["methods"][0]["kernel"][key] = value
+    with pytest.raises(ConfigError, match=rf"config\.methods\[0\]\.kernel\.{key}"):
+        parse_experiment_spec(cfg)
+
+
 def test_parse_rejects_duplicate_method_names():
     cfg = _base_config()
     cfg["methods"][1]["name"] = "p-lang"
@@ -120,8 +129,9 @@ def test_parse_rejects_bad_thin_size(m):
 
 
 def test_parse_rejects_bad_ns():
-    with pytest.raises(ConfigError, match="config.ns"):
-        parse_experiment_spec(_base_config(ns=[10, 0]))
+    for ns in ([10, 0], 3):
+        with pytest.raises(ConfigError, match="config.ns"):
+            parse_experiment_spec(_base_config(ns=ns))
 
 
 @pytest.mark.parametrize("replicates", [1, 0, 2.0, "3"])
@@ -236,14 +246,14 @@ def test_power_tilt_and_thin_post_processor():
 
 def test_thin_cell_builds_no_square_gram_of_its_candidates(monkeypatch):
     shapes = []
-    gram = SteinKernel.gram
+    cross = SteinKernel.cross
 
-    def recording(self, x, y=None):
-        out = gram(self, x, y)
+    def recording(self, x, y):
+        out = cross(self, x, y)
         shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(SteinKernel, "gram", recording)
+    monkeypatch.setattr(SteinKernel, "cross", recording)
     cfg = _base_config(replicates=2, ns=[40])
     cfg["methods"] = [dict(cfg["methods"][1], post={"kind": "thin", "m": 0.25})]
     result = run_experiment(parse_experiment_spec(cfg))
@@ -251,6 +261,29 @@ def test_thin_cell_builds_no_square_gram_of_its_candidates(monkeypatch):
     assert (40, 40) not in shapes
     assert shapes.count((10, 10)) == 2  # the KSD of each cell's 10 picks
     assert set(shapes) == {(40, 1), (10, 10)}
+
+
+class _SizeCounting(TargetModel):
+    """Delegates to a base target and records the batch size of each evaluation."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.sizes = []
+
+    def _evaluate(self, x, order):
+        self.sizes.append(len(x))
+        return self.base._evaluate(x, order)
+
+
+def test_thin_cell_evaluates_its_target_once_per_point_set():
+    target = _SizeCounting(make_skew_normal_2d())
+    kernel = make_kernel(target, find_mode(target, np.zeros(2)), family="kgm", s=3)
+    points = np.random.default_rng(5).standard_normal((1000, 2))
+    target.sizes.clear()
+    sample, gram = post_process(points, kernel, {"kind": "thin", "m": 100})
+    ksd(sample, kernel, gram=gram)
+    assert target.sizes == [1000, 100]  # the candidates, then the picks for the KSD
 
 
 def test_only_square_grams_hit_the_size_guard():

@@ -73,16 +73,16 @@ class _Counting(TargetModel):
 def test_one_pi_evaluation_evaluates_base_and_diagonal_once(family, monkeypatch, rng):
     target = _Counting(make_regression_posterior())
     kernel = make_kernel(target, find_mode(target, np.zeros(2)), family=family, s=3)
-    diag_parts = []
-    original = kernel._diag_parts
-    monkeypatch.setattr(kernel, "_diag_parts", lambda x: diag_parts.append(len(x)) or original(x))
+    contexts = []
+    original = kernel.context
+    monkeypatch.setattr(kernel, "context", lambda x, score: contexts.append(len(x)) or original(x, score))
     pi = make_pi(target, kernel)
     for x in (rng.standard_normal((6, 2)), rng.standard_normal(2)):
         target.orders.clear()
-        diag_parts.clear()
+        contexts.clear()
         pi.log_density_with_grad(x)
         assert target.orders == [2]  # the gradient of k_P needs the base Hessian
-        assert diag_parts == [1 if x.ndim == 1 else 6]
+        assert contexts == [1 if x.ndim == 1 else 6]
     target.orders.clear()
     pi.log_density(rng.standard_normal((6, 2)))
     assert target.orders == [1]

@@ -38,11 +38,18 @@ class _ScaledKernel:
         self.kernel = kernel
         self.c = c
 
+    def context(self, x, score=None):
+        return self.kernel.context(x, score)
+
+    def cross(self, x, y):
+        return self.c * self.kernel.cross(x, y)
+
     def gram(self, x, y=None):
         return self.c * self.kernel.gram(x, y)
 
-    def diag_values(self, x):
-        return self.c * self.kernel.diag_values(x)
+    def _diag_at(self, ctx, hess=None):
+        values, grads = self.kernel._diag_at(ctx, hess)
+        return self.c * values, None if grads is None else self.c * grads
 
     def __call__(self, x, y):
         return self.c * self.kernel(x, y)
