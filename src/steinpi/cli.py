@@ -28,6 +28,8 @@ from .experiment import (
     MethodSpec,
     build_kernel,
     build_target,
+    check_sampler,
+    mode_init,
     parse_experiment_spec,
     post_process,
     run_experiment,
@@ -90,7 +92,7 @@ def _read_points(path):
 
 
 def _count(text):
-    """An integer >= 1 (a thread, point or probe count); anything else is a usage error."""
+    """An integer >= 1 (a thread, point, probe, epoch or step count); anything else is a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -102,8 +104,7 @@ def _count(text):
 
 def _target_and_mode(cfg):
     target = build_target(cfg.get("target", {}))
-    init = np.asarray(cfg.get("mode_init", np.zeros(target.dim)), dtype=np.float64)
-    return target, find_mode(target, init)
+    return target, find_mode(target, mode_init(cfg.get("mode_init"), target))
 
 
 def _kernel(cfg):
@@ -111,13 +112,15 @@ def _kernel(cfg):
     return build_kernel(cfg.get("kernel", {"family": "langevin"}), *_target_and_mode(cfg))
 
 
-def _single_runtime(cfg, seed_override=None):
-    """Kernel, sampling law and sampler of the sample command."""
+def _single_runtime(cfg, n, seed_override=None):
+    """Kernel, sampling law and sampler of the sample command, checked to draw n points."""
     target, mode = _target_and_mode(cfg)
+    sampler = dict(cfg.get("sampler", {"distribution": "p", "mechanism": "exact"}))
+    check_sampler(sampler, target.dim, n)
     method = MethodSpec(
         name="cli",
         kernel=dict(cfg.get("kernel", {"family": "langevin"})),
-        sampler=dict(cfg.get("sampler", {"distribution": "p", "mechanism": "exact"})),
+        sampler=sampler,
         post={"kind": "none"},
     )
     seed = seed_override if seed_override is not None else cfg.get("seed")
@@ -139,7 +142,7 @@ def _cmd_sample(args):
         warm["epoch_lengths"] = [epoch_length] * (epochs - 1) + [final_length]
     if args.target_dist is not None:
         sampler_cfg["distribution"] = args.target_dist
-    runtime, seed = _single_runtime(cfg, args.seed)
+    runtime, seed = _single_runtime(cfg, args.n, args.seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
     if runtime.mechanism == "exact":
         points = runtime.sampler.sample(args.n, rng)
@@ -249,9 +252,9 @@ def _build_parser():
     p.add_argument("--n", type=_count, required=True, help="number of samples")
     p.add_argument("--target", dest="target_dist", choices=["p", "pi", "power_tilt"], default=None)
     p.add_argument("--epsilon0", type=float, default=None, help="initial MALA step size")
-    p.add_argument("--epochs", type=int, default=None, help="number of warm-up epochs")
-    p.add_argument("--epoch-length", type=int, default=None, help="tuning epoch length")
-    p.add_argument("--final-length", type=int, default=None, help="production epoch length")
+    p.add_argument("--epochs", type=_count, default=None, help="number of warm-up epochs")
+    p.add_argument("--epoch-length", type=_count, default=None, help="tuning epoch length")
+    p.add_argument("--final-length", type=_count, default=None, help="production epoch length")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("weights", help="optimal simplex weights for a chain CSV")

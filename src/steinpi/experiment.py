@@ -13,6 +13,7 @@ determinism contract.
 
 from __future__ import annotations
 
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -116,6 +117,14 @@ def build_target(cfg, path="target"):
     raise ConfigError(f"{path}.name: unknown target {name!r}")
 
 
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_count(value, low=1):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 def _kernel_params(cfg, path):
     """(family, s, beta) of a kernel block; ConfigError naming the offending key."""
     if not isinstance(cfg, dict):
@@ -124,12 +133,38 @@ def _kernel_params(cfg, path):
     if family not in _FAMILIES:
         raise ConfigError(f"{path}.family: unknown family {family!r}")
     s = cfg.get("s", 3)
-    if isinstance(s, bool) or not isinstance(s, int) or s < 1:
+    if not _is_count(s):
         raise ConfigError(f"{path}.s: must be an integer >= 1, got {s!r}")
     beta = cfg.get("beta", 0.5)
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0.0 < beta < 1.0:
+    if not _is_number(beta) or not 0.0 < beta < 1.0:
         raise ConfigError(f"{path}.beta: must be a number in (0, 1), got {beta!r}")
     return family, s, float(beta)
+
+
+def _are_numbers(value, count):
+    return isinstance(value, (list, tuple)) and len(value) == count and all(map(_is_number, value))
+
+
+def mode_init(value, target):
+    """Start of the mode search: ``value``, a list of target.dim numbers, or the origin."""
+    if value is not None and not _are_numbers(value, target.dim):
+        raise ConfigError(f"config.mode_init: must be {target.dim} numbers, got {value!r}")
+    return np.zeros(target.dim) if value is None else np.asarray(value, dtype=np.float64)
+
+
+def _check_grid(grid, dim, path):
+    """ConfigError unless a grid block has an integer num >= 2 and, when it
+    gives bounds, dim pairs [lo, hi] of numbers with lo < hi."""
+    if not isinstance(grid, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if "num" in grid and not _is_count(grid["num"], 2):
+        raise ConfigError(f"{path}.num: must be an integer >= 2, got {grid['num']!r}")
+    bounds = grid.get("bounds")
+    if bounds and not (
+        isinstance(bounds, (list, tuple)) and len(bounds) == dim
+        and all(_are_numbers(b, 2) and b[0] < b[1] for b in bounds)
+    ):
+        raise ConfigError(f"{path}.bounds: must be {dim} pairs [lo, hi] with lo < hi, got {bounds!r}")
 
 
 def build_kernel(cfg, target, mode):
@@ -185,23 +220,43 @@ _POST_KINDS = ("none", "optimal", "thin")
 _FAMILIES = ("langevin", "kgm")
 
 
+def check_sampler(sampler, dim, n, path="config"):
+    """ConfigError naming the key under ``path``.sampler unless the sampler
+    block can draw n points of a dim-dimensional target."""
+    dist = sampler.get("distribution", "p")
+    if dist not in _DISTRIBUTIONS:
+        raise ConfigError(f"{path}.sampler.distribution: unknown distribution {dist!r}")
+    if dist == "power_tilt":
+        r = sampler.get("r", 1.0)
+        if not _is_number(r) or not r > 0:
+            raise ConfigError(f"{path}.sampler.r: must be a number > 0, got {r!r}")
+    mechanism = sampler.get("mechanism", "exact")
+    if mechanism not in _MECHANISMS:
+        raise ConfigError(f"{path}.sampler.mechanism: unknown mechanism {mechanism!r}")
+    if mechanism == "exact":
+        _check_grid(sampler.get("grid", {}), dim, f"{path}.sampler.grid")
+    elif (last := _schedule(sampler, path).epoch_lengths[-1]) < n:
+        raise ConfigError(
+            f"{path}.sampler.warmup.epoch_lengths: the production (last) epoch "
+            f"has {last} steps, fewer than the {n} points asked for"
+        )
+
+
 def parse_experiment_spec(cfg):
     """Validate a raw config dict; errors carry the offending key path."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
     target = _require(cfg, "target", "config")
-    build_target(target)  # fail fast with a precise path
+    model = build_target(target)  # fail fast with a precise path
     seed = _require(cfg, "seed", "config")
     if not isinstance(seed, int):
         raise ConfigError("config.seed: must be an integer (wall-clock seeding is not allowed)")
     replicates = _require(cfg, "replicates", "config")
-    if not isinstance(replicates, int) or replicates < 2:
+    if not _is_count(replicates, 2):
         # the summary's standard error needs two replicates per cell
         raise ConfigError("config.replicates: must be an integer >= 2")
     ns = _require(cfg, "ns", "config")
-    if not isinstance(ns, (list, tuple)) or not ns or any(
-        isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in ns
-    ):
+    if not isinstance(ns, (list, tuple)) or not ns or not all(map(_is_count, ns)):
         raise ConfigError("config.ns: must be a nonempty list of positive integers")
     raw_methods = _require(cfg, "methods", "config")
     if not raw_methods:
@@ -218,35 +273,25 @@ def parse_experiment_spec(cfg):
         _kernel_params(kernel, f"{path}.kernel")
         kernel = dict(kernel)
         sampler = dict(_require(m, "sampler", path))
-        dist = sampler.get("distribution", "p")
-        if dist not in _DISTRIBUTIONS:
-            raise ConfigError(f"{path}.sampler.distribution: unknown distribution {dist!r}")
-        mechanism = sampler.get("mechanism", "exact")
-        if mechanism not in _MECHANISMS:
-            raise ConfigError(f"{path}.sampler.mechanism: unknown mechanism {mechanism!r}")
+        check_sampler(sampler, model.dim, max(ns), path)
         post = dict(m.get("post", {"kind": "none"}))
         kind = post.get("kind", "none")
         if kind not in _POST_KINDS:
             raise ConfigError(f"{path}.post.kind: unknown post-processor {kind!r}")
         if kind == "thin":
             m_thin = _require(post, "m", f"{path}.post")
-            size = isinstance(m_thin, int) and not isinstance(m_thin, bool) and m_thin >= 1
-            if not (size or (isinstance(m_thin, float) and 0.0 < m_thin < 1.0)):
+            if not (_is_count(m_thin) or (isinstance(m_thin, float) and 0.0 < m_thin < 1.0)):
                 raise ConfigError(f"{path}.post.m: must be an integer >= 1 or a float in (0, 1)")
-        if mechanism == "mala" and _schedule(sampler, path).epoch_lengths[-1] < max(ns):
-            raise ConfigError(
-                f"{path}.sampler.warmup.epoch_lengths: the production (last) epoch "
-                f"needs at least max(ns) = {max(ns)} steps"
-            )
         methods.append(MethodSpec(name=name, kernel=kernel, sampler=sampler, post=post))
-    mode_init = cfg.get("mode_init")
+    init = cfg.get("mode_init")
+    mode_init(init, model)
     return ExperimentSpec(
         target=target,
         methods=tuple(methods),
         ns=tuple(ns),
         replicates=replicates,
         seed=seed,
-        mode_init=tuple(mode_init) if mode_init is not None else None,
+        mode_init=tuple(init) if init is not None else None,
         wasserstein=cfg.get("wasserstein"),
         out_dir=cfg.get("out_dir"),
     )
@@ -427,8 +472,7 @@ def run_experiment(spec, threads=1):
     returning, so the output is independent of scheduling.
     """
     target = build_target(spec.target)
-    init = np.asarray(spec.mode_init, dtype=np.float64) if spec.mode_init else np.zeros(target.dim)
-    mode = find_mode(target, init)
+    mode = find_mode(target, mode_init(spec.mode_init, target))
     runtimes = [MethodRuntime(m, target, mode) for m in spec.methods]
     reference = _reference_sample(spec, target, mode)
     replicates = list(range(spec.replicates))

@@ -71,10 +71,8 @@ class SteinKernel:
         k_P(x,y) = div_xy c + (grad_x c).s(y) + (grad_y c).s(x) + c s(x).s(y)
 
     Subclasses provide the base-kernel cross pieces and the closed-form
-    diagonal coefficients; the diagonal path never calls the cross path, so
-    the two can be used to validate one another.  On the diagonal,
-
-        k_P(x) = c2(x) + 2 c1(x).s(x) + c0(x) ||s(x)||^2.
+    diagonal k_P(x) = k_P(x, x) with its gradient; the diagonal path never
+    calls the cross path, so the two can be used to validate one another.
     """
 
     family = "stein"
@@ -99,9 +97,7 @@ class SteinKernel:
     def _kappa_cross(self, x, y, pair):
         raise NotImplementedError
 
-    def _diag_coeffs(self, ctx, grads):
-        """Closed-form (c0, c1, c2) over a context, and their gradients
-        (gc0, gc1, gc2) when ``grads`` is true (else None)."""
+    def _diag_at(self, ctx, hess=None):  # (k_P(x), its gradient or None without a Hessian)
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -185,22 +181,6 @@ class SteinKernel:
                 break
         return float(self.cross(self.context(x[None, :]), self.context(y[None, :]))[0, 0])
 
-    def _diag_at(self, ctx, hess=None):
-        """k_P over a context from its score, and its gradient when the
-        target Hessian is given (else None)."""
-        (c0, c1, c2), gcoeffs = self._diag_coeffs(ctx, hess is not None)
-        score = ctx.score
-        snorm2 = np.einsum("nd,nd->n", score, score)
-        values = c2 + 2.0 * np.einsum("nd,nd->n", c1, score) + c0 * snorm2
-        if hess is None:
-            return values, None
-        gc0, gc1, gc2 = gcoeffs
-        hs = np.einsum("nij,nj->ni", hess, score)
-        hc1 = np.einsum("nij,nj->ni", hess, c1)
-        gc1_s = np.einsum("nij,nj->ni", gc1, score)
-        grads = gc2 + 2.0 * gc1_s + 2.0 * hc1 + gc0 * snorm2[:, None] + 2.0 * c0[:, None] * hs
-        return values, grads
-
     def _diag(self, x, order):
         """k_P and, at order 1, its gradient over a batch; one target evaluation."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -260,12 +240,13 @@ class LangevinKernel(SteinKernel):
 
     _kappa_cross = _imq_cross
 
-    def _diag_coeffs(self, ctx, grads):
-        n, d = ctx.delta.shape
-        coeffs = (np.ones(n), np.zeros((n, d)), np.full(n, 2.0 * self.beta * self.tr_sigma_inv))
-        if not grads:
-            return coeffs, None
-        return coeffs, (np.zeros((n, d)), np.zeros((n, d, d)), np.zeros((n, d)))
+    def _diag_at(self, ctx, hess=None):
+        # k_P(x) = 2 beta tr(Sigma^-1) + ||s(x)||^2, so grad k_P(x) = 2 H(x) s(x)
+        score = ctx.score
+        values = 2.0 * self.beta * self.tr_sigma_inv + np.einsum("nd,nd->n", score, score)
+        if hess is None:
+            return values, None
+        return values, 2.0 * np.einsum("nij,nj->ni", hess, score)
 
     def c1_squared(self, box_halfwidth=None, grid_points=33):
         # k_P(x) = 2 beta tr(Sigma^-1) + ||score||^2, so the infimum is the
@@ -305,16 +286,20 @@ class KGMKernel(LangevinKernel):
         ) * inv_denom
         return kappa, dxk_sy, dyk_sx, dysi_dxk, dxsi_dyk, divk
 
-    def _diag_coeffs(self, ctx, grads):
-        v, q, a1, a2 = ctx.v, ctx.q, ctx.a1, ctx.a2
+    def _diag_at(self, ctx, hess=None):
+        """k_P(x) = c2(x) + 2 c1(x).s(x) + c0(x) ||s(x)||^2 with closed-form
+        coefficients, and its gradient when the target Hessian is given."""
+        v, q, a1, a2, score = ctx.v, ctx.q, ctx.a1, ctx.a2, ctx.score
         s = self.order
         beta = self.beta
         tr = self.tr_sigma_inv
         c0 = 1.0 + v ** (s - 1)
         c1 = (s - 1) * v[:, None] ** (s - 2) * a1
         c2 = ((s - 1) ** 2 * v ** (s - 1) - 1.0) * q / v**2 + tr * (1.0 + 2.0 * beta * v**s) / v
-        if not grads:
-            return (c0, c1, c2), None
+        snorm2 = np.einsum("nd,nd->n", score, score)
+        values = c2 + 2.0 * np.einsum("nd,nd->n", c1, score) + c0 * snorm2
+        if hess is None:
+            return values, None
         gc0 = 2.0 * (s - 1) * v[:, None] ** (s - 2) * a1
         gc1 = 2.0 * (s - 1) * (s - 2) * v[:, None, None] ** (s - 3) * np.einsum(
             "ni,nj->nij", a1, a1
@@ -326,7 +311,11 @@ class KGMKernel(LangevinKernel):
             - 2.0 * v[:, None] ** (-2) * (a2 + tr * a1)
             + 4.0 * (v ** (-3) * q)[:, None] * a1
         )
-        return (c0, c1, c2), (gc0, gc1, gc2)
+        hs = np.einsum("nij,nj->ni", hess, score)
+        hc1 = np.einsum("nij,nj->ni", hess, c1)
+        gc1_s = np.einsum("nij,nj->ni", gc1, score)
+        grads = gc2 + 2.0 * gc1_s + 2.0 * hc1 + gc0 * snorm2[:, None] + 2.0 * c0[:, None] * hs
+        return values, grads
 
     def c1_squared(self, box_halfwidth=None, grid_points=129):
         """Numeric lower bound on a compact box around x*; advisory only.

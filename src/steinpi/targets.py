@@ -3,12 +3,12 @@
 Every target exposes an unnormalised log-density together with its exact
 gradient and Hessian; no automatic differentiation is used anywhere.  A
 target implements one hook, ``_evaluate(x, order)``, which computes log p
-and its derivatives up to ``order`` over a batch in one pass; the public
-evaluators wrap it and accept either a single point of shape ``(d,)`` or a
-batch of shape ``(n, d)``, returning correspondingly shaped arrays.  Row r
-of a batch is bitwise the value at the single point r: products over the
-dimension use einsum, not BLAS matmul, whose rounding depends on the batch
-size.
+and its derivatives up to ``order`` over a batch in one pass, with no loop
+over rows (the GARCH posterior loops over time steps only); the public
+evaluators wrap it and take a single point ``(d,)`` or a batch ``(n, d)``.
+Row r of a batch is bitwise the value at the single point r: products and
+sums over the dimension use einsum or element-wise arithmetic, not BLAS
+matmul, whose rounding depends on the batch size.
 """
 
 from __future__ import annotations
@@ -405,12 +405,8 @@ def make_skew_normal_2d():
 
 
 def _sigmoid(t):
-    out = np.empty_like(t, dtype=np.float64)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))  # exp of a non-positive number never overflows
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class GarchPosterior(TargetModel):
@@ -429,7 +425,11 @@ class GarchPosterior(TargetModel):
     (a stick-breaking map for the stationarity triangle), with a flat prior
     on theta, so the log-Jacobian of the inverse map is added:
     log|J| = theta2 + log s'(theta3) + log(1 - s(theta3)) + log s'(theta4).
-    Initial conditions: s2_0 is the sample variance of y and a_0 = 0.
+    Step t adds log N(y_t | 0, s2_t), from s2_0 = var(y) and a_0 = 0.
+
+    A batch is evaluated in one pass over (n, T) arrays.  The recursion is
+    linear with rate phi4, and so are its phi-derivatives, each forced by
+    terms known a step earlier; one loop over t per order runs all rows.
     """
 
     dim = 4
@@ -441,104 +441,66 @@ class GarchPosterior(TargetModel):
         self.y = y
         self.sigma2_0 = float(np.var(y))
 
-    # phi(theta), its Jacobian d phi_i / d theta_j and per-component
-    # second-derivative matrices.
-    def _transform(self, theta):
-        t1, t2, t3, t4 = theta
-        s3 = float(_sigmoid(np.array([t3]))[0])
-        s4 = float(_sigmoid(np.array([t4]))[0])
-        ds3 = s3 * (1.0 - s3)
-        ds4 = s4 * (1.0 - s4)
-        phi = np.array([t1, np.exp(t2), s3, (1.0 - s3) * s4])
-        jac = np.zeros((4, 4))
-        jac[0, 0] = 1.0
-        jac[1, 1] = phi[1]
-        jac[2, 2] = ds3
-        jac[3, 2] = -ds3 * s4
-        jac[3, 3] = (1.0 - s3) * ds4
-        d2s3 = ds3 * (1.0 - 2.0 * s3)
-        d2s4 = ds4 * (1.0 - 2.0 * s4)
-        hess = np.zeros((4, 4, 4))
-        hess[1, 1, 1] = phi[1]
-        hess[2, 2, 2] = d2s3
-        hess[3, 2, 2] = -d2s3 * s4
-        hess[3, 2, 3] = hess[3, 3, 2] = -ds3 * ds4
-        hess[3, 3, 3] = (1.0 - s3) * d2s4
-        return phi, jac, hess, (s3, s4, ds3, ds4)
-
-    def _log_jac_terms(self, theta, sig):
-        s3, s4, ds3, ds4 = sig
-        value = theta[1] + np.log(ds3) + np.log(1.0 - s3) + np.log(ds4)
-        grad = np.array([0.0, 1.0, 1.0 - 3.0 * s3, 1.0 - 2.0 * s4])
-        hess = np.diag([0.0, 0.0, -3.0 * ds3, -2.0 * ds4])
-        return value, grad, hess
-
-    def _loglik_phi(self, phi, order=2):
-        """Log-likelihood in phi with gradient/Hessian via recursion."""
-        y = self.y
-        n = y.shape[0]
-        e3 = np.zeros(4)
-        e3[2] = 1.0
-        e4 = np.zeros(4)
-        e4[3] = 1.0
-        s2 = self.sigma2_0  # s2_{t-1}, constant w.r.t. phi at t = 1
-        g_s2 = np.zeros(4)
-        h_s2 = np.zeros((4, 4))
-        value = 0.0
-        grad = np.zeros(4)
-        hess = np.zeros((4, 4))
-        a_prev = 0.0  # a_0, constant
-        da_prev = np.zeros(4)  # gradient of a_{t-1}; a_t = y_t - phi1
-        for t in range(n):
-            # advance recursion: S_t = phi2 + phi3 a_{t-1}^2 + phi4 S_{t-1}
-            ga2 = 2.0 * a_prev * da_prev
-            s2_t = phi[1] + phi[2] * a_prev**2 + phi[3] * s2
-            g_t = np.zeros(4)
-            g_t[1] = 1.0
-            g_t += a_prev**2 * e3 + s2 * e4 + phi[2] * ga2 + phi[3] * g_s2
-            if order >= 2:
-                h_t = phi[3] * h_s2.copy()
-                h_t += np.outer(e3, ga2) + np.outer(ga2, e3)
-                h_t += np.outer(e4, g_s2) + np.outer(g_s2, e4)
-                # d^2(a^2)/dphi1^2 = 2 (da/dphi1)^2 since a is affine in phi1
-                h_t[0, 0] += phi[2] * 2.0 * da_prev[0] ** 2
-            yt2 = y[t] ** 2
-            fp = -0.5 / s2_t + yt2 / (2.0 * s2_t**2)
-            value += -0.5 * np.log(s2_t) - yt2 / (2.0 * s2_t)
-            grad += fp * g_t
-            if order >= 2:
-                fpp = 0.5 / s2_t**2 - yt2 / s2_t**3
-                hess += fpp * np.outer(g_t, g_t) + fp * h_t
-                h_s2 = h_t
-            s2, g_s2 = s2_t, g_t
-            a_prev = y[t] - phi[0]
-            da_prev = np.array([-1.0, 0.0, 0.0, 0.0])
-        return value, grad, hess
-
-    def _eval_one(self, theta, order):
-        phi, jac, jhess, sig = self._transform(theta)
-        lj, lj_grad, lj_hess = self._log_jac_terms(theta, sig)
-        value, g_phi, h_phi = self._loglik_phi(phi, order=order)
-        logp = value + lj
-        grad = jac.T @ g_phi + lj_grad
+    def _evaluate(self, x, order):
+        n, y2 = x.shape[0], self.y**2
+        s3, s4 = _sigmoid(x[:, 2]), _sigmoid(x[:, 3])
+        ds3, ds4 = s3 * (1.0 - s3), s4 * (1.0 - s4)
+        phi2, phi3, phi4 = np.exp(x[:, 1]), s3, (1.0 - s3) * s4
+        a_prev = np.zeros((n, self.y.shape[0]))  # a_{t-1}, with a_0 = 0
+        a_prev[:, 1:] = self.y[:-1] - x[:, :1]
+        a2_prev = a_prev**2
+        s2 = _linear_recursion(phi2[:, None] + phi3[:, None] * a2_prev, phi4, self.sigma2_0)
+        logp = (-0.5 * np.log(s2) - y2 / (2.0 * s2)).sum(axis=1) + self.log_jacobian(x)
+        if order < 1:
+            return logp, None, None
+        # d s2_t / d phi is forced by d(phi3 a_{t-1}^2) / d phi1, 1, a_{t-1}^2 and s2_{t-1}
+        s2_prev = np.concatenate([np.full((n, 1), self.sigma2_0), s2[:, :-1]], axis=1)
+        force = np.stack([phi3[:, None] * (-2.0 * a_prev), np.ones_like(s2), a2_prev, s2_prev], axis=2)
+        g_s2 = _linear_recursion(force, phi4[:, None], 0.0)
+        fp = -0.5 / s2 + y2 / (2.0 * s2**2)  # d loglik_t / d s2_t
+        g_phi = (fp[:, :, None] * g_s2).sum(axis=1)
+        jac = np.zeros((n, 4, 4))  # d phi_i / d theta_j: diagonal except phi4's row
+        jac[:, [0, 1, 2, 3, 3], [0, 1, 2, 2, 3]] = np.stack(
+            [np.ones(n), phi2, ds3, -ds3 * s4, (1.0 - s3) * ds4], axis=1
+        )
+        lj_grad = np.stack([np.zeros(n), np.ones(n), 1.0 - 3.0 * s3, 1.0 - 2.0 * s4], axis=1)
+        grad = np.einsum("nki,nk->ni", jac, g_phi) + lj_grad
         if order < 2:
             return logp, grad, None
-        hess = jac.T @ h_phi @ jac + np.einsum("k,kij->ij", g_phi, jhess) + lj_hess
+        # d2 s2_t / d phi2 is forced by a_{t-1} and d s2_{t-1} / d phi
+        force = np.zeros(g_s2.shape + (4,))
+        force[:, 1:, 0, 0] = 2.0 * phi3[:, None]
+        force[:, :, 0, 2] = force[:, :, 2, 0] = -2.0 * a_prev
+        force[:, 1:, 3, :] += g_s2[:, :-1]
+        force[:, 1:, :, 3] += g_s2[:, :-1]
+        h_s2 = _linear_recursion(force, phi4[:, None, None], 0.0)
+        fpp = 0.5 / s2**2 - y2 / s2**3
+        outer = g_s2[:, :, :, None] * g_s2[:, :, None, :]
+        h_phi = (fpp[:, :, None, None] * outer + fp[:, :, None, None] * h_s2).sum(axis=1)
+        d2s3, d2s4 = ds3 * (1.0 - 2.0 * s3), ds4 * (1.0 - 2.0 * s4)
+        jhess = np.zeros((n, 4, 4, 4))  # d2 phi_k / d theta_i d theta_j
+        jhess[:, [1, 2, 3, 3, 3, 3], [1, 2, 2, 2, 3, 3], [1, 2, 2, 3, 2, 3]] = np.stack(
+            [phi2, d2s3, -d2s3 * s4, -ds3 * ds4, -ds3 * ds4, (1.0 - s3) * d2s4], axis=1
+        )
+        hess = np.einsum("nki,nkl,nlj->nij", jac, h_phi, jac) + np.einsum("nk,nkij->nij", g_phi, jhess)
+        hess[:, 2, 2] -= 3.0 * ds3  # the log-Jacobian's Hessian
+        hess[:, 3, 3] -= 2.0 * ds4
         return logp, grad, hess
 
-    def _evaluate(self, x, order):
-        logps, grads, hesses = zip(*(self._eval_one(row, order) for row in x))
-        return (
-            np.array(logps),
-            np.stack(grads) if order >= 1 else None,
-            np.stack(hesses) if order >= 2 else None,
-        )
-
     def log_jacobian(self, theta):
-        """log |J| of the unconstraining transform's inverse at theta."""
-        theta = np.asarray(theta, dtype=np.float64)
-        _, _, _, sig = self._transform(theta)
-        return float(self._log_jac_terms(theta, sig)[0])
+        """log |J| of the unconstraining transform's inverse at theta (4,) or a batch (n, 4)."""
+        theta = np.asarray(theta, dtype=np.float64).T
+        s3, s4 = _sigmoid(theta[2]), _sigmoid(theta[3])
+        return theta[1] + np.log(s3 * (1.0 - s3)) + np.log(1.0 - s3) + np.log(s4 * (1.0 - s4))
+
+
+def _linear_recursion(forcing, rate, start):
+    """z_t = forcing_t + rate * z_{t-1} along axis 1 of ``forcing``, from z_{-1} = start."""
+    out = np.empty_like(forcing)
+    z = start
+    for t in range(forcing.shape[1]):
+        z = out[:, t] = forcing[:, t] + rate * z
+    return out
 
 
 def simulate_garch_series(phi, n, seed=0, burn=200):

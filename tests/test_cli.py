@@ -17,6 +17,9 @@ def _write_config(path, cfg):
     return str(path)
 
 
+GRID = {"bounds": [[-12, 12]], "num": 4001}
+
+
 @pytest.fixture
 def pipeline_config(tmp_path):
     return _write_config(
@@ -200,25 +203,45 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
 
 
 @pytest.mark.parametrize(
-    "change, path",
+    "verb, change, path",
     [
-        ({"kernel": {"family": "langevin", "beta": 2}}, "config.methods[0].kernel.beta"),
-        ({"kernel": {"family": "kgm", "s": 0}}, "config.methods[0].kernel.s"),
-        ({"kernel": {"family": "kgm", "s": "x"}}, "config.methods[0].kernel.s"),
-        ({"ns": 3}, "config.ns"),
+        ("experiment", {"kernel": {"family": "langevin", "beta": 2}}, "config.methods[0].kernel.beta"),
+        ("experiment", {"kernel": {"family": "kgm", "s": 0}}, "config.methods[0].kernel.s"),
+        ("experiment", {"kernel": {"family": "kgm", "s": "x"}}, "config.methods[0].kernel.s"),
+        ("experiment", {"ns": 3}, "config.ns"),
+        ("experiment", {"sampler": {"distribution": "power_tilt", "r": 0, "grid": GRID}}, "config.methods[0].sampler.r"),
+        ("experiment", {"sampler": {"grid": dict(GRID, num=1)}}, "config.methods[0].sampler.grid.num"),
+        ("experiment", {"sampler": {"grid": dict(GRID, num=100.5)}}, "config.methods[0].sampler.grid.num"),
+        ("experiment", {"sampler": {"grid": dict(GRID, bounds=[[12, -12]])}}, "config.methods[0].sampler.grid.bounds"),
+        ("experiment", {"sampler": {"grid": dict(GRID, bounds=[[-12, 12]] * 2)}}, "config.methods[0].sampler.grid.bounds"),
+        ("experiment", {"mode_init": [0.1, 0.2]}, "config.mode_init"),
+        # steinpi sample (--n 300) runs the same sampler checks on its one sampler block
+        ("sample", {"sampler": {"distribution": "power_tilt", "r": 0, "grid": GRID}}, "config.sampler.r"),
+        ("sample", {"sampler": {"grid": dict(GRID, num=1)}}, "config.sampler.grid.num"),
+        ("sample", {"mode_init": [0.1, 0.2]}, "config.mode_init"),
+        (
+            "sample",
+            {"sampler": {"mechanism": "mala", "warmup": {"epoch_lengths": [100, 100]}}},
+            "config.sampler.warmup.epoch_lengths",
+        ),
     ],
-    ids=["beta-2", "s-0", "s-x", "ns-3"],
+    ids=["beta-2", "s-0", "s-x", "ns-3", "r-0", "grid-num-1", "grid-num-float",
+         "grid-bounds-reversed", "grid-bounds-2d", "mode-init-2d",
+         "sample-r-0", "sample-grid-num-1", "sample-mode-init-2d", "sample-n-above-final-length"],
 )
-def test_bad_kernel_or_ns_fails_before_sampling(change, path, experiment_config, tmp_path, capsys):
-    with open(experiment_config, encoding="utf-8") as fh:
+def test_bad_kernel_or_ns_fails_before_sampling(
+    verb, change, path, experiment_config, pipeline_config, tmp_path, capsys
+):
+    config, args = {"experiment": (experiment_config, []), "sample": (pipeline_config, ["--n", "300"])}[verb]
+    with open(config, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    if "ns" in change:
+    if verb == "sample" or change.keys() & {"ns", "mode_init"}:
         cfg.update(change)
     else:
         cfg["methods"][0].update(change)
     config = _write_config(tmp_path / "bad.json", cfg)
     out = tmp_path / "bad-out"
-    assert main(["experiment", "--config", config, "--out-dir", str(out)]) == 1
+    assert main([verb, "--config", config, "--out-dir", str(out)] + args) == 1
     assert path in capsys.readouterr().err
     assert not out.exists()
 
@@ -246,11 +269,16 @@ def test_malformed_points_file_is_a_config_error(content, pipeline_config, tmp_p
         ("thin", ["--m", "0"], None),
         ("thin", ["--m", "two"], None),
         ("sample", ["--n", "-2"], None),
+        ("sample", ["--n", "10", "--epochs", "0"], None),
+        ("sample", ["--n", "10", "--epochs", "-2"], None),
+        ("sample", ["--n", "10", "--epoch-length", "0"], None),
+        ("sample", ["--n", "10", "--final-length", "1.5"], None),
         ("check-assumptions", ["--probes", "0"], None),
     ],
     ids=[
         "threads-negative", "threads-zero", "env-not-integer", "env-zero",
-        "m-zero", "m-not-integer", "n-negative", "probes-zero",
+        "m-zero", "m-not-integer", "n-negative", "epochs-zero", "epochs-negative",
+        "epoch-length-zero", "final-length-not-integer", "probes-zero",
     ],
 )
 def test_counts_must_be_integers_of_at_least_one(

@@ -278,23 +278,33 @@ def test_skew_normal_stable_in_far_tails():
 
 
 def test_garch_constant_series_matches_volatility_recursion():
-    y = np.zeros(10)
-    target = make_garch_posterior(y)
-    theta = np.array([0.3, -0.5, 0.2, -0.1])
-    phi1 = theta[0]
-    phi2 = np.exp(theta[1])
-    s3 = 1.0 / (1.0 + np.exp(-theta[2]))
-    s4 = 1.0 / (1.0 + np.exp(-theta[3]))
-    phi3, phi4 = s3, (1.0 - s3) * s4
-    s2 = np.var(y)
-    a = 0.0
-    loglik = 0.0
-    for yt in y:
-        s2 = phi2 + phi3 * a**2 + phi4 * s2
-        loglik += -0.5 * np.log(s2) - yt**2 / (2.0 * s2)
-        a = yt - phi1
-    assert target.log_density(theta) == pytest.approx(loglik + target.log_jacobian(theta), rel=1e-13)
-    assert np.isfinite(target.log_density(theta))
+    # a constant series at one theta, then a simulated series at a batch of
+    # 20 thetas, each row against the recursion run one time step at a time
+    cases = [
+        (np.zeros(10), np.array([[0.3, -0.5, 0.2, -0.1]])),
+        (
+            simulate_garch_series((0.2, 0.5, 0.3, 0.4), 50, seed=4),
+            0.6 * np.random.default_rng(3).standard_normal((20, 4)),
+        ),
+    ]
+    for y, thetas in cases:
+        target = make_garch_posterior(y)
+        logp = target.log_density(thetas)
+        assert np.all(np.isfinite(logp))
+        for theta, value in zip(thetas, logp):
+            phi1 = theta[0]
+            phi2 = np.exp(theta[1])
+            s3 = 1.0 / (1.0 + np.exp(-theta[2]))
+            s4 = 1.0 / (1.0 + np.exp(-theta[3]))
+            phi3, phi4 = s3, (1.0 - s3) * s4
+            s2 = np.var(y)
+            a = 0.0
+            loglik = 0.0
+            for yt in y:
+                s2 = phi2 + phi3 * a**2 + phi4 * s2
+                loglik += -0.5 * np.log(s2) - yt**2 / (2.0 * s2)
+                a = yt - phi1
+            assert value == pytest.approx(loglik + target.log_jacobian(theta), rel=1e-13)
 
 
 def test_garch_log_jacobian_closed_form_at_zero():
