@@ -5,12 +5,11 @@ check-assumptions.  All randomness is seeded from configs or flags; there
 is no wall-clock seeding.  Only sample, experiment and check-assumptions
 draw random numbers, so only they take --seed.  Exit codes: 0 success,
 1 configuration error (malformed points CSVs and counts below 1
-included), 2 numerical failure.  Only experiment runs worker
-threads: --threads, which STEINPI_THREADS overrides.  Only sample,
-weights, thin and experiment write files, into --out-dir; wasserstein
-reads no config and takes no flags.  Only sample and experiment build a
-sampler; weights, thin, ksd and check-assumptions build just the target,
-its mode and the kernel.
+included), 2 numerical failure.  Only experiment runs worker threads, as
+many as --threads.  Only sample, weights, thin and experiment write
+files, into --out-dir; wasserstein reads no config and takes no flags.
+Only sample and experiment build a sampler; weights, thin, ksd and
+check-assumptions build just the target, its mode and the kernel.
 """
 
 from __future__ import annotations
@@ -298,12 +297,6 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        env_threads = os.environ.get("STEINPI_THREADS")
-        if env_threads is not None and hasattr(args, "threads"):
-            try:
-                args.threads = _count(env_threads)
-            except argparse.ArgumentTypeError as exc:
-                raise ConfigError(f"STEINPI_THREADS: {exc}") from None
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

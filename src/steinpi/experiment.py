@@ -242,6 +242,18 @@ def check_sampler(sampler, dim, n, path="config"):
         )
 
 
+def _check_wasserstein(block, dim):
+    """ConfigError naming the key unless a wasserstein block is an object
+    with an integer reference_n >= 0 and, when it has one, a valid grid."""
+    path = "config.wasserstein"
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path}: expected an object")
+    n_ref = _require(block, "reference_n", path)
+    if not _is_count(n_ref, 0):
+        raise ConfigError(f"{path}.reference_n: must be an integer >= 0, got {n_ref!r}")
+    _check_grid(block.get("grid", {}), dim, f"{path}.grid")
+
+
 def parse_experiment_spec(cfg):
     """Validate a raw config dict; errors carry the offending key path."""
     if not isinstance(cfg, dict):
@@ -285,6 +297,9 @@ def parse_experiment_spec(cfg):
         methods.append(MethodSpec(name=name, kernel=kernel, sampler=sampler, post=post))
     init = cfg.get("mode_init")
     mode_init(init, model)
+    wasserstein = cfg.get("wasserstein")
+    if wasserstein is not None:
+        _check_wasserstein(wasserstein, model.dim)
     return ExperimentSpec(
         target=target,
         methods=tuple(methods),
@@ -292,7 +307,7 @@ def parse_experiment_spec(cfg):
         replicates=replicates,
         seed=seed,
         mode_init=tuple(init) if init is not None else None,
-        wasserstein=cfg.get("wasserstein"),
+        wasserstein=wasserstein,
         out_dir=cfg.get("out_dir"),
     )
 
@@ -389,13 +404,12 @@ def post_process(points, kernel, post):
 
 
 def _reference_sample(spec, target, mode):
-    cfg = spec.wasserstein or {}
-    n_ref = int(cfg.get("reference_n", 0))
-    if n_ref <= 0:
+    cfg = spec.wasserstein
+    if cfg is None or cfg["reference_n"] == 0:
         return None
     sampler = _grid_sampler(target, cfg.get("grid", {}), mode)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(2**31,)))
-    return uniform_sample(sampler.sample(n_ref, rng))
+    return uniform_sample(sampler.sample(cfg["reference_n"], rng))
 
 
 _CELL_ERRORS = (SteinpiError, np.linalg.LinAlgError)
@@ -597,18 +611,15 @@ def _log_ticks(lo, hi):
     return [10.0**k for k in range(start, stop + 1)]
 
 
-def emit_plot(summary, style=None):
-    """Standalone SVG of mean +/- se curves on log-log axes.
+def emit_plot(summary):
+    """Standalone 640 x 480 SVG of mean +/- se curves on log-log axes.
 
     One polyline per method, one error bar group per point; byte
     deterministic for a given summary.
     """
     if not summary:
         raise EmptySummary("no summary rows to plot")
-    style = style or {}
-    width = int(style.get("width", 640))
-    height = int(style.get("height", 480))
-    margin = 56
+    width, height, margin = 640, 480, 56
     methods = sorted({s.method for s in summary})
     xs = [float(s.n) for s in summary]
     lows = [max(s.mean - s.se, 1e-300) for s in summary]
@@ -655,11 +666,11 @@ def emit_plot(summary, style=None):
             )
     parts.append(
         f'<text x="{f(width / 2)}" y="{f(height - 12)}" font-size="12" '
-        f'text-anchor="middle">{style.get("x_label", "n")}</text>'
+        f'text-anchor="middle">n</text>'
     )
     parts.append(
         f'<text x="14" y="{f(height / 2)}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {f(height / 2)})">{style.get("y_label", "mean KSD")}</text>'
+        f'transform="rotate(-90 14 {f(height / 2)})">mean KSD</text>'
     )
     for mi, method in enumerate(methods):
         colour = _PALETTE[mi % len(_PALETTE)]

@@ -18,8 +18,8 @@ class GridSampler:
     """Discrete sampler over a regular grid for a 1D or 2D log-density.
 
     ``bounds`` is a sequence of (lo, hi) pairs, one per dimension, and
-    ``num`` the node count per axis (scalar or per-axis).  The target only
-    needs a batched ``log_density``.
+    ``num`` the node count of every axis.  The target only needs a batched
+    ``log_density``.
     """
 
     def __init__(self, target, bounds, num=2001):
@@ -27,13 +27,8 @@ class GridSampler:
         dim = len(bounds)
         if dim not in (1, 2):
             raise ValueError("grid sampling supports one or two dimensions")
-        nums = np.broadcast_to(np.asarray(num, dtype=np.int64), (dim,))
-        axes = [np.linspace(lo, hi, int(k)) for (lo, hi), k in zip(bounds, nums)]
-        if dim == 1:
-            nodes = axes[0][:, None]
-        else:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            nodes = np.stack([m.ravel() for m in mesh], axis=1)
+        mesh = np.meshgrid(*(np.linspace(lo, hi, num) for lo, hi in bounds), indexing="ij")
+        nodes = np.stack([m.ravel() for m in mesh], axis=1)
         logp = target.log_density(nodes)
         logp = logp - logp.max()
         probs = np.exp(logp)

@@ -195,7 +195,7 @@ class SteinKernel:
         """Gradient of k_P(x) over a batch; needs the target Hessian."""
         return self._diag(x, 1)[1]
 
-    def c1_squared(self, box_halfwidth=None, grid_points=33):
+    def c1_squared(self):
         """Lower bound for inf_x k_P(x); exact for Langevin, numeric for KGM."""
         raise NotImplementedError
 
@@ -248,7 +248,7 @@ class LangevinKernel(SteinKernel):
             return values, None
         return values, 2.0 * np.einsum("nij,nj->ni", hess, score)
 
-    def c1_squared(self, box_halfwidth=None, grid_points=33):
+    def c1_squared(self):
         # k_P(x) = 2 beta tr(Sigma^-1) + ||score||^2, so the infimum is the
         # constant term, attained wherever the score vanishes.
         return 2.0 * self.beta * self.tr_sigma_inv
@@ -317,35 +317,29 @@ class KGMKernel(LangevinKernel):
         grads = gc2 + 2.0 * gc1_s + 2.0 * hc1 + gc0 * snorm2[:, None] + 2.0 * c0[:, None] * hs
         return values, grads
 
-    def c1_squared(self, box_halfwidth=None, grid_points=129):
-        """Numeric lower bound on a compact box around x*; advisory only.
+    def c1_squared(self):
+        """Numeric lower bound on the box x* +/- 5; advisory only.
 
-        Minimum over a regular grid of the node value minus a first-order
-        margin (cell radius times the local diagonal-gradient norm).  Not
-        a proof: the bound is reported as checked numerically.
+        Minimum over a regular grid (129 nodes per axis, 41 in 3D) of the
+        node value minus a first-order margin (cell radius times the local
+        diagonal-gradient norm).  Not a proof: the bound is reported as
+        checked numerically.
         """
-        if box_halfwidth is None:
-            box_halfwidth = 5.0
         d = self.dim
         if d > 3:
             raise ValueError("grid minoration supported only for d <= 3")
-        if d == 3:
-            grid_points = min(grid_points, 41)
-        axes = [
-            np.linspace(self.x_star[i] - box_halfwidth, self.x_star[i] + box_halfwidth, grid_points)
-            for i in range(d)
-        ]
+        halfwidth, nodes = 5.0, 41 if d == 3 else 129
+        axes = [np.linspace(x - halfwidth, x + halfwidth, nodes) for x in self.x_star]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         vals, grads = self._diag(pts, 1)
-        cell = np.sqrt(d) * box_halfwidth / (grid_points - 1)
+        cell = np.sqrt(d) * halfwidth / (nodes - 1)
         lower = vals - cell * np.linalg.norm(grads, axis=1)
         return float(max(lower.min(), 0.0))
 
 
 def make_kernel(target, mode, family="langevin", s=3, beta=0.5):
     """Construct a Stein kernel by family name ('langevin' or 'kgm')."""
-    family = family.lower()
     if family == "langevin":
         return LangevinKernel(target, mode, beta=beta)
     if family == "kgm":
@@ -411,9 +405,7 @@ def _diag_hessian_fd(kernel, x, h=1e-5):
     return 0.5 * (hess + hess.T)
 
 
-def check_theorem_assumptions(
-    kernel, probe_radius, probe_count=64, *, b1=None, seed=0, box_halfwidth=None
-):
+def check_theorem_assumptions(kernel, probe_radius, probe_count=64, *, b1=None, seed=0):
     """Numerically probe the strong-consistency assumptions on a shell.
 
     Reports the minimum eigenvalue of -hess log p (a curvature lower bound
@@ -434,7 +426,7 @@ def check_theorem_assumptions(
     b2_candidate = float(
         max(np.linalg.eigvalsh(_diag_hessian_fd(kernel, p)).max() for p in pts)
     )
-    c1sq = kernel.c1_squared(box_halfwidth=box_halfwidth)
+    c1sq = kernel.c1_squared()
     bound = 2.0 * b1_candidate * c1sq
     holds = bool(b2_candidate < bound)
     text = f"predicate b2 < 2*b1*C1^2: {b2_candidate:.6g} < {bound:.6g}: {holds}"

@@ -41,10 +41,6 @@ __all__ = [
 
 def _as_spd_matrix(m, dim):
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim == 0:
-        m = m * np.eye(dim)
-    elif m.ndim == 1:
-        m = np.diag(m)
     if m.shape[-2:] != (dim, dim):
         raise ValueError(f"preconditioner must be {dim}x{dim}, got {m.shape}")
     return m

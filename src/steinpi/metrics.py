@@ -34,18 +34,12 @@ __all__ = [
 PAIR_GUARD = 1_000_000  # largest n_a * n_b (and L^2 of an assignment) of the exact solver
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """An optimal coupling between two weighted samples."""
 
     cost: float
-    plan: tuple  # ((i, j, mass), ...) sparse entries
-
-    def as_matrix(self, shape):
-        out = np.zeros(shape)
-        for i, j, mass in self.plan:
-            out[i, j] = mass
-        return out
+    plan: np.ndarray  # (n_a, n_b) masses
 
 
 def wasserstein1_1d(a, b):
@@ -133,14 +127,13 @@ def wasserstein1_exact(a, b):
     col_err = np.max(np.abs(gamma.sum(axis=0) - b.weights))
     if max(row_err, col_err) > 1e-8:
         raise RuntimeError(f"transport plan infeasible: marginal errors {row_err}, {col_err}")
-    entries = tuple(
-        (int(i), int(j), float(gamma[i, j]))
-        for i, j in zip(*np.nonzero(gamma > 0))
-    )
-    return TransportPlan(cost=value, plan=entries)
+    return TransportPlan(cost=value, plan=gamma)
 
 
-def dimension_effect(d, n_mc, beta=0.5, seed=0, chunk=200_000):
+_CHUNK = 200_000  # Monte Carlo draws per batch of dimension_effect
+
+
+def dimension_effect(d, n_mc, beta=0.5, seed=0):
     """Variance of the normalised kernel diagonal on N(0, I_d) vs theory.
 
     For the weak-convergence kernel on a standard Gaussian the diagonal is
@@ -158,7 +151,7 @@ def dimension_effect(d, n_mc, beta=0.5, seed=0, chunk=200_000):
     total_sq = 0.0
     remaining = n_mc
     while remaining > 0:
-        take = min(chunk, remaining)
+        take = min(_CHUNK, remaining)
         x = rng.standard_normal((take, d))
         values = (2.0 * beta * d + np.einsum("nd,nd->n", x, x)) / d - centre
         total += values.sum()

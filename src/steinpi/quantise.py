@@ -1,14 +1,14 @@
 """Post-processing of sampler output against a Stein kernel.
 
 Provides the kernel discrepancy of a weighted point set, the optimal
-simplex-constrained reweighting (an exact active-set solve of
-min w^T K w - 2 z^T w over the probability simplex by Wolfe's
-minimum-norm-point method, certified by its duality gap), greedy thinning
-to m uniformly weighted points, and the root-kernel importance weights
-used as a baseline.  Thinning reads the kernel diagonal and one column
-per pick from one kernel context of its candidates, so it evaluates the
-target once, its working memory is O(n) and it never builds the n x n
-Gram; the Gram size guard lives in ``SteinKernel.cross``.
+simplex-constrained reweighting (an exact active-set solve of min w^T K w
+over the probability simplex by Wolfe's minimum-norm-point method,
+certified by its duality gap), greedy thinning to m uniformly weighted
+points, and the root-kernel importance weights used as a baseline.
+Thinning reads the kernel diagonal and one column per pick from one
+kernel context of its candidates, so it evaluates the target once, its
+working memory is O(n) and it never builds the n x n Gram; the Gram size
+guard lives in ``SteinKernel.cross``.
 """
 
 from __future__ import annotations
@@ -113,13 +113,13 @@ class QPResult:
     duality_gap: float
 
 
-def _kkt_residual(gram, z, w, support_tol=1e-8):
+def _kkt_residual(gram, w, support_tol=1e-8):
     """Max violation of stationarity/complementarity at w.
 
-    On the support the quantity (Kw - z)_i must equal a common multiplier;
+    On the support the quantity (Kw)_i must equal a common multiplier;
     off the support it must not fall below it.
     """
-    g = gram @ w - z
+    g = gram @ w
     lam = float(g @ w)
     on = w > support_tol
     resid = 0.0
@@ -130,10 +130,10 @@ def _kkt_residual(gram, z, w, support_tol=1e-8):
     return resid
 
 
-def _affine_minimiser(gram, z, support):
-    """Minimiser of w^T K w - 2 z^T w on the affine hull of the support.
+def _affine_minimiser(gram, support):
+    """Minimiser of w^T K w on the affine hull of the support.
 
-    Solves the bordered KKT system [K_SS 1; 1^T 0][v; mu] = [z_S; 1].
+    Solves the bordered KKT system [K_SS 1; 1^T 0][v; mu] = [0; 1].
     Repeated states make K_SS singular; least squares then returns the
     minimum-norm solution of the (consistent) system.
     """
@@ -141,7 +141,8 @@ def _affine_minimiser(gram, z, support):
     system = np.ones((m + 1, m + 1))
     system[:m, :m] = gram[np.ix_(support, support)]
     system[m, m] = 0.0
-    rhs = np.append(z[support], 1.0)
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
     try:
         sol = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
@@ -149,16 +150,16 @@ def _affine_minimiser(gram, z, support):
     return sol[:m]
 
 
-def _objective(gram, z, w):
-    return float(w @ (gram @ w) - 2.0 * (z @ w))
+def _objective(gram, w):
+    return float(w @ (gram @ w))
 
 
 def _certified(gap, f, tol, floor):
     return gap <= tol * abs(f) + floor
 
 
-def optimal_weights(points, kernel, tol=1e-8, max_iter=None, z=None, gram=None):
-    """Minimise w^T K w - 2 z^T w over the probability simplex.
+def optimal_weights(points, kernel, tol=1e-8, max_iter=None, gram=None):
+    """Minimise w^T K w over the probability simplex.
 
     Wolfe's active-set (minimum-norm-point) method on the Gram: each major
     step adds the steepest-descent vertex to the support S, then minor
@@ -169,10 +170,10 @@ def optimal_weights(points, kernel, tol=1e-8, max_iter=None, z=None, gram=None):
     Frank-Wolfe duality gap satisfies gap <= tol * |f| + n * u.  Iteration
     goes on below that, until gap <= tol * |f| + u or rounding stalls the
     method (the entering vertex leaves at once), so the weights are as
-    accurate as the arithmetic allows.  For Stein kernels the linear term
-    vanishes (z = 0); a nonzero z is accepted for generic kernels.  If
-    ``max_iter`` major steps (default 10 n) run out, the better of the
-    iterate and the uniform weights is returned with ``converged=False``.
+    accurate as the arithmetic allows.  There is no linear term, because a
+    Stein kernel has zero mean under the target.  If ``max_iter`` major
+    steps (default 10 n) run out, the better of the iterate and the
+    uniform weights is returned with ``converged=False``.
     Without a ``gram``, ``kernel.gram`` builds one and raises GramTooLarge
     beyond its dense size guard.
     """
@@ -180,19 +181,18 @@ def optimal_weights(points, kernel, tol=1e-8, max_iter=None, z=None, gram=None):
     n = points.shape[0]
     if gram is None:
         gram = kernel.gram(points)
-    z = np.zeros(n) if z is None else np.asarray(z, dtype=np.float64)
     if max_iter is None:
         max_iter = 10 * n
     diag = np.diag(gram)
     unit = float(np.finfo(np.float64).eps * np.max(np.abs(diag)))
-    support = np.array([np.argmin(diag - 2.0 * z)])
+    support = np.array([np.argmin(diag)])
     w = np.zeros(n)
     w[support] = 1.0
     exhausted = True
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        grad = 2.0 * (gram[:, support] @ w[support] - z)
-        f = float(w[support] @ (0.5 * grad[support] - z[support]))
+        grad = 2.0 * (gram[:, support] @ w[support])
+        f = float(w[support] @ (0.5 * grad[support]))
         j = int(np.argmin(grad))
         gap = float(grad[support] @ w[support] - grad[j])
         if _certified(gap, f, tol, unit) or j in support:
@@ -201,7 +201,7 @@ def optimal_weights(points, kernel, tol=1e-8, max_iter=None, z=None, gram=None):
         previous = w.copy()
         support = np.append(support, j)
         while True:  # minor steps
-            v = _affine_minimiser(gram, z, support)
+            v = _affine_minimiser(gram, support)
             if np.all(v > 0):
                 w[support] = v
                 break
@@ -218,15 +218,15 @@ def optimal_weights(points, kernel, tol=1e-8, max_iter=None, z=None, gram=None):
     w /= w.sum()
     if exhausted:
         uniform = np.full(n, 1.0 / n)
-        if _objective(gram, z, uniform) < _objective(gram, z, w):
+        if _objective(gram, uniform) < _objective(gram, w):
             w = uniform
-    f = _objective(gram, z, w)
-    grad = 2.0 * (gram @ w - z)
+    f = _objective(gram, w)
+    grad = 2.0 * (gram @ w)
     gap = float(grad @ w - grad.min())
     return QPResult(
         weights=w,
         objective=f,
-        kkt_residual=_kkt_residual(gram, z, w),
+        kkt_residual=_kkt_residual(gram, w),
         iterations=iterations,
         converged=not exhausted and _certified(gap, f, tol, n * unit),
         duality_gap=gap,

@@ -425,7 +425,7 @@ class GarchPosterior(TargetModel):
     (a stick-breaking map for the stationarity triangle), with a flat prior
     on theta, so the log-Jacobian of the inverse map is added:
     log|J| = theta2 + log s'(theta3) + log(1 - s(theta3)) + log s'(theta4).
-    Step t adds log N(y_t | 0, s2_t), from s2_0 = var(y) and a_0 = 0.
+    Step t adds log N(y_t | phi1, s2_t), from s2_0 = var(y) and a_0 = 0.
 
     A batch is evaluated in one pass over (n, T) arrays.  The recursion is
     linear with rate phi4, and so are its phi-derivatives, each forced by
@@ -442,23 +442,27 @@ class GarchPosterior(TargetModel):
         self.sigma2_0 = float(np.var(y))
 
     def _evaluate(self, x, order):
-        n, y2 = x.shape[0], self.y**2
+        n = x.shape[0]
         s3, s4 = _sigmoid(x[:, 2]), _sigmoid(x[:, 3])
         ds3, ds4 = s3 * (1.0 - s3), s4 * (1.0 - s4)
         phi2, phi3, phi4 = np.exp(x[:, 1]), s3, (1.0 - s3) * s4
-        a_prev = np.zeros((n, self.y.shape[0]))  # a_{t-1}, with a_0 = 0
-        a_prev[:, 1:] = self.y[:-1] - x[:, :1]
+        a = self.y - x[:, :1]  # a_t = y_t - phi1
+        a2 = a**2
+        a_prev = np.zeros_like(a)  # a_{t-1}, with a_0 = 0
+        a_prev[:, 1:] = a[:, :-1]
         a2_prev = a_prev**2
         s2 = _linear_recursion(phi2[:, None] + phi3[:, None] * a2_prev, phi4, self.sigma2_0)
-        logp = (-0.5 * np.log(s2) - y2 / (2.0 * s2)).sum(axis=1) + self.log_jacobian(x)
+        logp = (-0.5 * np.log(s2) - a2 / (2.0 * s2)).sum(axis=1) + self.log_jacobian(x)
         if order < 1:
             return logp, None, None
         # d s2_t / d phi is forced by d(phi3 a_{t-1}^2) / d phi1, 1, a_{t-1}^2 and s2_{t-1}
         s2_prev = np.concatenate([np.full((n, 1), self.sigma2_0), s2[:, :-1]], axis=1)
         force = np.stack([phi3[:, None] * (-2.0 * a_prev), np.ones_like(s2), a2_prev, s2_prev], axis=2)
         g_s2 = _linear_recursion(force, phi4[:, None], 0.0)
-        fp = -0.5 / s2 + y2 / (2.0 * s2**2)  # d loglik_t / d s2_t
+        fp = -0.5 / s2 + a2 / (2.0 * s2**2)  # d loglik_t / d s2_t
+        a_s2 = a / s2  # d loglik_t / d phi1 at fixed s2_t
         g_phi = (fp[:, :, None] * g_s2).sum(axis=1)
+        g_phi[:, 0] += a_s2.sum(axis=1)
         jac = np.zeros((n, 4, 4))  # d phi_i / d theta_j: diagonal except phi4's row
         jac[:, [0, 1, 2, 3, 3], [0, 1, 2, 2, 3]] = np.stack(
             [np.ones(n), phi2, ds3, -ds3 * s4, (1.0 - s3) * ds4], axis=1
@@ -474,9 +478,14 @@ class GarchPosterior(TargetModel):
         force[:, 1:, 3, :] += g_s2[:, :-1]
         force[:, 1:, :, 3] += g_s2[:, :-1]
         h_s2 = _linear_recursion(force, phi4[:, None, None], 0.0)
-        fpp = 0.5 / s2**2 - y2 / s2**3
+        fpp = 0.5 / s2**2 - a2 / s2**3
         outer = g_s2[:, :, :, None] * g_s2[:, :, None, :]
         h_phi = (fpp[:, :, None, None] * outer + fp[:, :, None, None] * h_s2).sum(axis=1)
+        # phi1 also enters a_t: -(a_t / s2_t^2) d s2_t / d phi on row and column 0, and -1 / s2_t
+        cross = -((a_s2 / s2)[:, :, None] * g_s2).sum(axis=1)
+        h_phi[:, 0] += cross
+        h_phi[:, :, 0] += cross
+        h_phi[:, 0, 0] -= (1.0 / s2).sum(axis=1)
         d2s3, d2s4 = ds3 * (1.0 - 2.0 * s3), ds4 * (1.0 - 2.0 * s4)
         jhess = np.zeros((n, 4, 4, 4))  # d2 phi_k / d theta_i d theta_j
         jhess[:, [1, 2, 3, 3, 3, 3], [1, 2, 2, 2, 3, 3], [1, 2, 2, 3, 2, 3]] = np.stack(

@@ -52,10 +52,9 @@ def simplex_grid(n, resolution):
         yield np.asarray(parts, dtype=np.float64) / k
 
 
-def qp_grid_search(gram, resolution=1e-3, z=None):
-    """Brute-force minimum of w^T K w - 2 z^T w over a simplex grid."""
+def qp_grid_search(gram, resolution=1e-3):
+    """Brute-force minimum of w^T K w over a simplex grid."""
     n = gram.shape[0]
-    z = np.zeros(n) if z is None else z
     if n <= 3:
         # vectorised enumeration; the generator is too slow at this density
         k = int(round(1.0 / resolution))
@@ -63,17 +62,17 @@ def qp_grid_search(gram, resolution=1e-3, z=None):
         w2 = np.concatenate([np.arange(k + 1 - a) for a in range(k + 1)])
         grid = np.stack([w1, w2, k - w1 - w2], axis=1)[:, :n].astype(np.float64) / k
         grid = grid[np.abs(grid.sum(axis=1) - 1.0) < 1e-12]
-        vals = np.einsum("ni,ij,nj->n", grid, gram, grid) - 2.0 * grid @ z
+        vals = np.einsum("ni,ij,nj->n", grid, gram, grid)
         return float(vals.min())
     best = np.inf
     for w in simplex_grid(n, resolution):
-        val = w @ gram @ w - 2.0 * (z @ w)
+        val = w @ gram @ w
         if val < best:
             best = val
     return best
 
 
-def qp_support_enumeration(gram, z=None):
+def qp_support_enumeration(gram):
     """Exact global minimum of the simplex QP by support enumeration.
 
     For every candidate support the equality-constrained stationary point
@@ -82,14 +81,14 @@ def qp_support_enumeration(gram, z=None):
     is the global one.  Practical for n <= ~15.
     """
     n = gram.shape[0]
-    z = np.zeros(n) if z is None else z
     best_val = np.inf
     best_w = None
     for size in range(1, n + 1):
         for support in itertools.combinations(range(n), size):
             idx = np.asarray(support)
             ksub = gram[np.ix_(idx, idx)]
-            rhs = np.concatenate([2.0 * z[idx], [1.0]])
+            rhs = np.zeros(size + 1)
+            rhs[size] = 1.0
             system = np.zeros((size + 1, size + 1))
             system[:size, :size] = 2.0 * ksub
             system[:size, size] = 1.0
@@ -101,7 +100,7 @@ def qp_support_enumeration(gram, z=None):
             w = np.zeros(n)
             w[idx] = np.maximum(w_sub, 0.0)
             w /= w.sum()
-            val = w @ gram @ w - 2.0 * (z @ w)
+            val = w @ gram @ w
             if val < best_val:
                 best_val = val
                 best_w = w
@@ -272,7 +271,7 @@ class ConstantKernel:
     def _diag_at(self, ctx, hess=None):
         return np.full(len(ctx), self.value), None if hess is None else np.zeros_like(ctx)
 
-    def c1_squared(self, box_halfwidth=None, grid_points=33):
+    def c1_squared(self):
         return self.value
 
 

@@ -1,5 +1,5 @@
-"""Command-line interface: every verb end to end, exit-code contract, seed
-determinism of emitted files, and the thread-count environment override."""
+"""Command-line interface: every verb end to end, exit-code contract and
+seed determinism of emitted files."""
 
 import dataclasses
 import json
@@ -215,6 +215,9 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
         ("experiment", {"sampler": {"grid": dict(GRID, bounds=[[12, -12]])}}, "config.methods[0].sampler.grid.bounds"),
         ("experiment", {"sampler": {"grid": dict(GRID, bounds=[[-12, 12]] * 2)}}, "config.methods[0].sampler.grid.bounds"),
         ("experiment", {"mode_init": [0.1, 0.2]}, "config.mode_init"),
+        ("experiment", {"wasserstein": {"reference_n": "lots"}}, "config.wasserstein.reference_n"),
+        ("experiment", {"wasserstein": {"reference_n": 50, "grid": {"num": 1}}}, "config.wasserstein.grid.num"),
+        ("experiment", {"wasserstein": [1, 2]}, "config.wasserstein"),
         # steinpi sample (--n 300) runs the same sampler checks on its one sampler block
         ("sample", {"sampler": {"distribution": "power_tilt", "r": 0, "grid": GRID}}, "config.sampler.r"),
         ("sample", {"sampler": {"grid": dict(GRID, num=1)}}, "config.sampler.grid.num"),
@@ -227,6 +230,7 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
     ],
     ids=["beta-2", "s-0", "s-x", "ns-3", "r-0", "grid-num-1", "grid-num-float",
          "grid-bounds-reversed", "grid-bounds-2d", "mode-init-2d",
+         "wasserstein-n-not-integer", "wasserstein-grid-num-1", "wasserstein-not-object",
          "sample-r-0", "sample-grid-num-1", "sample-mode-init-2d", "sample-n-above-final-length"],
 )
 def test_bad_kernel_or_ns_fails_before_sampling(
@@ -235,7 +239,7 @@ def test_bad_kernel_or_ns_fails_before_sampling(
     config, args = {"experiment": (experiment_config, []), "sample": (pipeline_config, ["--n", "300"])}[verb]
     with open(config, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    if verb == "sample" or change.keys() & {"ns", "mode_init"}:
+    if verb == "sample" or change.keys() & {"ns", "mode_init", "wasserstein"}:
         cfg.update(change)
     else:
         cfg["methods"][0].update(change)
@@ -260,29 +264,27 @@ def test_malformed_points_file_is_a_config_error(content, pipeline_config, tmp_p
 
 
 @pytest.mark.parametrize(
-    "verb, args, env",
+    "verb, args",
     [
-        ("experiment", ["--threads", "-3"], None),
-        ("experiment", ["--threads", "0"], None),
-        ("experiment", [], "abc"),
-        ("experiment", [], "0"),
-        ("thin", ["--m", "0"], None),
-        ("thin", ["--m", "two"], None),
-        ("sample", ["--n", "-2"], None),
-        ("sample", ["--n", "10", "--epochs", "0"], None),
-        ("sample", ["--n", "10", "--epochs", "-2"], None),
-        ("sample", ["--n", "10", "--epoch-length", "0"], None),
-        ("sample", ["--n", "10", "--final-length", "1.5"], None),
-        ("check-assumptions", ["--probes", "0"], None),
+        ("experiment", ["--threads", "-3"]),
+        ("experiment", ["--threads", "0"]),
+        ("thin", ["--m", "0"]),
+        ("thin", ["--m", "two"]),
+        ("sample", ["--n", "-2"]),
+        ("sample", ["--n", "10", "--epochs", "0"]),
+        ("sample", ["--n", "10", "--epochs", "-2"]),
+        ("sample", ["--n", "10", "--epoch-length", "0"]),
+        ("sample", ["--n", "10", "--final-length", "1.5"]),
+        ("check-assumptions", ["--probes", "0"]),
     ],
     ids=[
-        "threads-negative", "threads-zero", "env-not-integer", "env-zero",
-        "m-zero", "m-not-integer", "n-negative", "epochs-zero", "epochs-negative",
-        "epoch-length-zero", "final-length-not-integer", "probes-zero",
+        "threads-negative", "threads-zero", "m-zero", "m-not-integer", "n-negative",
+        "epochs-zero", "epochs-negative", "epoch-length-zero", "final-length-not-integer",
+        "probes-zero",
     ],
 )
 def test_counts_must_be_integers_of_at_least_one(
-    verb, args, env, experiment_config, pipeline_config, tmp_path, monkeypatch, capsys
+    verb, args, experiment_config, pipeline_config, tmp_path, capsys
 ):
     points = tmp_path / "points.csv"
     points.write_text("x0\n0.0\n1.0\n")
@@ -293,8 +295,6 @@ def test_counts_must_be_integers_of_at_least_one(
         "sample": ["--config", pipeline_config, "--out-dir", str(out)],
         "check-assumptions": ["--config", pipeline_config],
     }[verb]
-    if env is not None:
-        monkeypatch.setenv("STEINPI_THREADS", env)
     assert main([verb] + base + args) == 1
     assert "integer >= 1" in capsys.readouterr().err
     assert not out.exists()
@@ -385,10 +385,3 @@ def test_weights_verb_refuses_uncertified_solve(pipeline_config, tmp_path, capsy
     assert code == 2
     assert "not certified" in capsys.readouterr().err
     assert not (out / "weights.csv").exists()
-
-
-def test_threads_env_override(experiment_config, tmp_path, monkeypatch):
-    out = str(tmp_path / "envout")
-    monkeypatch.setenv("STEINPI_THREADS", "2")
-    assert main(["experiment", "--config", experiment_config, "--out-dir", out]) == 0
-    assert os.path.exists(os.path.join(out, "results.csv"))

@@ -3,6 +3,8 @@ row-count accounting, summaries with the error-bar rule, and byte-stable
 CSV/SVG emission."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +167,15 @@ def test_parse_rejects_bad_warmup(warmup, key):
     method["sampler"]["warmup"] = warmup
     with pytest.raises(ConfigError, match=r"methods\[0\].sampler." + key):
         parse_experiment_spec(_base_config(methods=[method]))
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_bundled_configs_parse(path):
+    spec = parse_experiment_spec(json.loads(path.read_text(encoding="utf-8")))
+    assert spec.methods
 
 
 # ----------------------------------------------------------------------

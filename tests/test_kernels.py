@@ -296,3 +296,5 @@ def test_kernel_rejects_bad_beta():
         LangevinKernel(target, mode, beta=1.5)
     with pytest.raises(ValueError):
         KGMKernel(target, mode, s=0)
+    with pytest.raises(ValueError):
+        make_kernel(target, mode, family="KGM")  # family names are lower case

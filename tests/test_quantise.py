@@ -171,17 +171,17 @@ def test_qp_matches_support_enumeration(rng):
 
 
 def test_qp_with_linear_term(rng):
-    # generic kernel mean z retained for non-degenerate embeddings
+    # the Stein objective has no linear term (z = 0); the solver needs no
+    # Stein structure, only a PSD Gram, here a random one
     a = rng.standard_normal((5, 5))
     gram = a @ a.T + 5 * np.eye(5)
-    z = rng.standard_normal(5)
 
     class _FixedGram:
         def gram(self, x, y=None):
             return gram
 
-    res = optimal_weights(np.zeros((5, 1)), _FixedGram(), z=z)
-    exact, _ = qp_support_enumeration(gram, z=z)
+    res = optimal_weights(np.zeros((5, 1)), _FixedGram())
+    exact, _ = qp_support_enumeration(gram)
     assert abs(res.objective - exact) <= 1e-7 * max(1.0, abs(exact))
 
 
@@ -236,7 +236,7 @@ def test_qp_tripled_duplicates_singular_support(rng):
     # a support holding two copies of a state has a singular K_SS; the
     # bordered solve must still return the affine minimiser
     support = np.array([0, 1, 3, 6])
-    v = _affine_minimiser(gram, np.zeros(len(pts)), support)
+    v = _affine_minimiser(gram, support)
     kv = gram[np.ix_(support, support)] @ v
     assert np.all(np.isfinite(v)) and abs(v.sum() - 1.0) <= 1e-12
     assert np.max(np.abs(kv - kv.mean())) <= 1e-10

@@ -302,9 +302,20 @@ def test_garch_constant_series_matches_volatility_recursion():
             loglik = 0.0
             for yt in y:
                 s2 = phi2 + phi3 * a**2 + phi4 * s2
-                loglik += -0.5 * np.log(s2) - yt**2 / (2.0 * s2)
                 a = yt - phi1
+                loglik += -0.5 * np.log(s2) - a**2 / (2.0 * s2)
             assert value == pytest.approx(loglik + target.log_jacobian(theta), rel=1e-13)
+
+
+def test_garch_log_density_is_invariant_to_a_location_shift():
+    # y_t ~ N(phi1, s2_t): shifting the series and phi1 = theta1 by c leaves
+    # every residual a_t, s2_0 = var(y) and so log p unchanged
+    y = simulate_garch_series((0.2, 0.5, 0.3, 0.4), 50, seed=4)
+    thetas = 0.6 * np.random.default_rng(5).standard_normal((10, 4))
+    base = make_garch_posterior(y).log_density(thetas)
+    for c in (-3.0, 5.0):
+        shifted = make_garch_posterior(y + c).log_density(thetas + c * np.eye(4)[0])
+        np.testing.assert_allclose(shifted, base, rtol=1e-12)
 
 
 def test_garch_log_jacobian_closed_form_at_zero():
