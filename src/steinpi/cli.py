@@ -3,13 +3,16 @@
 Subcommands: sample, weights, thin, ksd, wasserstein, experiment,
 check-assumptions.  All randomness is seeded from configs or flags; there
 is no wall-clock seeding.  Only sample, experiment and check-assumptions
-draw random numbers, so only they take --seed.  Exit codes: 0 success,
-1 configuration error (malformed points CSVs and counts below 1
-included), 2 numerical failure.  Only experiment runs worker threads, as
-many as --threads.  Only sample, weights, thin and experiment write
-files, into --out-dir; wasserstein reads no config and takes no flags.
-Only sample and experiment build a sampler; weights, thin, ksd and
-check-assumptions build just the target, its mode and the kernel.
+draw random numbers, so only they take --seed, an integer >= 0 like a
+config's seed.  Exit codes: 0 success, 1 configuration error (malformed
+points CSVs and counts below 1 included), 2 numerical failure.  Only
+experiment runs worker threads, as many as --threads.  Only sample,
+weights, thin and experiment write files, into --out-dir; wasserstein
+reads no config and takes no flags.  Each verb builds only from values
+checked by steinpi.experiment's parse functions, one per config block:
+experiment parses it all; sample sets its flags in a copy of the raw
+config, then parses target, mode_init, kernel, sampler and seed; the
+other verbs parse only target, mode_init and kernel: no sampler.
 """
 
 from __future__ import annotations
@@ -25,17 +28,20 @@ from .errors import ConfigError, SteinpiError
 from .experiment import (
     MethodRuntime,
     MethodSpec,
-    build_kernel,
     build_target,
-    check_sampler,
-    mode_init,
+    config_object,
     parse_experiment_spec,
+    parse_kernel,
+    parse_mode_init,
+    parse_sampler,
+    parse_seed,
     post_process,
     run_experiment,
     write_csv,
     write_experiment_outputs,
 )
-from .kernels import check_theorem_assumptions
+from .kernels import check_theorem_assumptions, make_kernel
+from .mala import AdaptSchedule
 from .metrics import wasserstein1_1d, wasserstein1_exact
 from .quantise import WeightedSample, greedy_thin_indices, ksd, uniform_sample
 from .targets import find_mode
@@ -74,7 +80,6 @@ def _read_points(path):
     if len(lines) < 2:
         raise ConfigError(f"{path}: no rows of points" if lines else f"{path}: empty points file")
     header = lines[0].split(",")
-    cols = {name: i for i, name in enumerate(header)}
     rows = [line.split(",") for line in lines[1:]]
     for number, row in enumerate(rows, start=2):
         if len(row) != len(header):
@@ -83,118 +88,97 @@ def _read_points(path):
         data = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if "weight" in cols:
-        widx = cols["weight"]
-        keep = [i for i in range(len(header)) if i != widx]
-        return data[:, keep], data[:, widx]
+    if "weight" in header:
+        widx = header.index("weight")
+        return np.delete(data, widx, axis=1), data[:, widx]
     return data, None
 
 
-def _count(text):
-    """An integer >= 1 (a thread, point, probe, epoch or step count); anything else is a usage error."""
+def _count(text, low=1):
+    """An integer >= low (a count, or a seed at low = 0); anything else is a usage error."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return value
 
 
-def _target_and_mode(cfg):
-    target = build_target(cfg.get("target", {}))
-    return target, find_mode(target, mode_init(cfg.get("mode_init"), target))
+def _override(block, path, **flags):
+    """A copy of a raw config object with each flag that was given set in it."""
+    return {**config_object(block, path), **{k: v for k, v in flags.items() if v is not None}}
 
 
-def _kernel(cfg):
-    """The config's Stein kernel; no sampling law or sampler is built."""
-    return build_kernel(cfg.get("kernel", {"family": "langevin"}), *_target_and_mode(cfg))
+def _pipeline(cfg):
+    """Target, checked mode start and checked kernel block of a single-pipeline config."""
+    target = build_target(config_object(cfg, "config").get("target", {}))
+    init = parse_mode_init(cfg, target.dim)
+    return target, init, parse_kernel(cfg.get("kernel", {}), "config.kernel")
 
 
-def _single_runtime(cfg, n, seed_override=None):
-    """Kernel, sampling law and sampler of the sample command, checked to draw n points."""
-    target, mode = _target_and_mode(cfg)
-    sampler = dict(cfg.get("sampler", {"distribution": "p", "mechanism": "exact"}))
-    check_sampler(sampler, target.dim, n)
-    method = MethodSpec(
-        name="cli",
-        kernel=dict(cfg.get("kernel", {"family": "langevin"})),
-        sampler=sampler,
-        post={"kind": "none"},
-    )
-    seed = seed_override if seed_override is not None else cfg.get("seed")
-    if seed is None:
-        raise ConfigError("config.seed: a seed is required (or pass --seed)")
-    return MethodRuntime(method, target, mode), int(seed)
+def _kernel(config_path):
+    """The config's Stein kernel; no sampler is parsed or built."""
+    target, init, kernel = _pipeline(_load_config(config_path))
+    return make_kernel(target, find_mode(target, init), **kernel)
+
+
+def _write(out_dir, name, header, rows):
+    """Write one CSV into out_dir (the working directory by default) and print its path."""
+    os.makedirs(out_dir or ".", exist_ok=True)
+    path = os.path.join(out_dir or ".", name)
+    write_csv(path, header, rows)
+    print(path)
+    return 0
 
 
 def _cmd_sample(args):
-    cfg = _load_config(args.config)
-    sampler_cfg = cfg.setdefault("sampler", {})
-    if args.epsilon0 is not None:
-        sampler_cfg.setdefault("warmup", {})["epsilon0"] = args.epsilon0
-    if args.epochs is not None or args.epoch_length is not None or args.final_length is not None:
-        warm = sampler_cfg.setdefault("warmup", {})
-        epochs = args.epochs if args.epochs is not None else 10
-        epoch_length = args.epoch_length if args.epoch_length is not None else 1000
-        final_length = args.final_length if args.final_length is not None else 100_000
-        warm["epoch_lengths"] = [epoch_length] * (epochs - 1) + [final_length]
-    if args.target_dist is not None:
-        sampler_cfg["distribution"] = args.target_dist
-    runtime, seed = _single_runtime(cfg, args.n, args.seed)
+    cfg = _override(_load_config(args.config), "config", seed=args.seed)
+    sampler = _override(cfg.get("sampler", {}), "config.sampler", distribution=args.target_dist)
+    lengths = None
+    if args.epochs or args.epoch_length or args.final_length:  # counts, so None when not given
+        default = AdaptSchedule().epoch_lengths
+        tuning = [args.epoch_length or default[0]] * ((args.epochs or len(default)) - 1)
+        lengths = tuning + [args.final_length or default[-1]]
+    if args.epsilon0 is not None or lengths:
+        sampler["warmup"] = _override(
+            sampler.get("warmup", {}), "config.sampler.warmup", epsilon0=args.epsilon0, epoch_lengths=lengths
+        )
+    target, init, kernel = _pipeline(cfg)
+    method = MethodSpec("sample", kernel, parse_sampler(sampler, target.dim, args.n, "config.sampler"), None)
+    seed = parse_seed(cfg)
+    runtime = MethodRuntime(method, target, find_mode(target, init))
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
     if runtime.mechanism == "exact":
         points = runtime.sampler.sample(args.n, rng)
     else:
         points = runtime.chains(seed, 0, [0])[0][: args.n]
-    out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "sample.csv")
     header = [f"x{i}" for i in range(points.shape[1])]
-    write_csv(path, header, [tuple(row) for row in points])
-    print(path)
-    return 0
+    return _write(args.out_dir, "sample.csv", header, [tuple(row) for row in points])
 
 
 def _cmd_weights(args):
-    cfg = _load_config(args.config)
-    kernel = _kernel(cfg)
+    kernel = _kernel(args.config)
     points, _ = _read_points(args.points)
     sample, _ = post_process(points, kernel, {"kind": "optimal"})  # raises if uncertified
-    out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "weights.csv")
-    write_csv(path, ["index", "weight"], list(enumerate(sample.weights)))
-    print(path)
-    return 0
+    return _write(args.out_dir, "weights.csv", ["index", "weight"], list(enumerate(sample.weights)))
 
 
 def _cmd_thin(args):
-    cfg = _load_config(args.config)
-    kernel = _kernel(cfg)
+    kernel = _kernel(args.config)
     points, _ = _read_points(args.points)
     idx = greedy_thin_indices(points, kernel, args.m)
-    out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "indices.csv")
-    write_csv(path, ["index"], [(int(i),) for i in idx])
-    print(path)
-    return 0
+    return _write(args.out_dir, "indices.csv", ["index"], [(int(i),) for i in idx])
 
 
 def _cmd_ksd(args):
-    cfg = _load_config(args.config)
-    kernel = _kernel(cfg)
+    kernel = _kernel(args.config)
     points, weights = _read_points(args.points)
     if args.weights:
-        _, wcol = _read_points(args.weights)
-        weights = wcol
+        weights = _read_points(args.weights)[1]
         if weights is None:
             raise ConfigError(f"{args.weights}: no 'weight' column found")
-    if weights is None:
-        sample = uniform_sample(points)
-    else:
-        sample = WeightedSample(points=points, weights=weights)
+    sample = uniform_sample(points) if weights is None else WeightedSample(points=points, weights=weights)
     print(repr(ksd(sample, kernel)))
     return 0
 
@@ -212,10 +196,7 @@ def _cmd_wasserstein(args):
 
 
 def _cmd_experiment(args):
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    spec = parse_experiment_spec(cfg)
+    spec = parse_experiment_spec(_override(_load_config(args.config), "config", seed=args.seed))
     out_dir = args.out_dir or spec.out_dir or "experiment-out"
     result = run_experiment(spec, threads=args.threads)
     summary = write_experiment_outputs(result, out_dir)
@@ -227,11 +208,8 @@ def _cmd_experiment(args):
 
 
 def _cmd_check_assumptions(args):
-    cfg = _load_config(args.config)
-    report = check_theorem_assumptions(
-        _kernel(cfg), args.radius, args.probes, b1=args.b1, seed=args.seed or 0
-    )
-    print(report)
+    kernel = _kernel(args.config)
+    print(check_theorem_assumptions(kernel, args.radius, args.probes, b1=args.b1, seed=args.seed or 0))
     return 0
 
 
@@ -242,7 +220,7 @@ def _build_parser():
     def common(p, writes_files=True, seeded=False):
         p.add_argument("--config", required=True, help="JSON config path")
         if seeded:
-            p.add_argument("--seed", type=int, default=None, help="seed override")
+            p.add_argument("--seed", type=lambda text: _count(text, 0), default=None, help="seed override")
         if writes_files:
             p.add_argument("--out-dir", default=None, help="output directory")
 

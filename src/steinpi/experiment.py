@@ -14,8 +14,10 @@ determinism contract.
 from __future__ import annotations
 
 import numbers
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,7 @@ from .errors import (
     ConfigError,
     EmptySummary,
     InsufficientReplicates,
+    InvalidSimplex,
     NonConvergence,
     SteinpiError,
 )
@@ -58,7 +61,6 @@ __all__ = [
     "ExperimentResult",
     "parse_experiment_spec",
     "build_target",
-    "build_kernel",
     "post_process",
     "run_experiment",
     "summarise",
@@ -71,7 +73,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# configuration parsing
+# configuration parsing: per block, one checked value with its defaults
 # ----------------------------------------------------------------------
 
 
@@ -81,234 +83,254 @@ def _require(cfg, key, path):
     return cfg[key]
 
 
-def build_target(cfg, path="target"):
-    """Construct a built-in target from a name plus parameter block."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(cfg).__name__}")
-    name = _require(cfg, "name", path)
-    if name == "gaussian":
-        if "mean" in cfg:
-            mean = np.asarray(cfg["mean"], dtype=np.float64)
-        elif "dim" in cfg:
-            mean = np.zeros(int(cfg["dim"]))
-        else:
-            raise ConfigError(f"{path}: gaussian needs 'mean' or 'dim'")
-        cov = np.asarray(cfg["cov"], dtype=np.float64) if "cov" in cfg else None
-        return make_gaussian(mean, cov)
-    if name == "mixture":
-        if not any(k in cfg for k in ("weights", "means", "scales")):
-            return default_mixture()
-        return make_gaussian_mixture(
-            _require(cfg, "weights", path), _require(cfg, "means", path), _require(cfg, "scales", path)
-        )
-    if name == "regression":
-        if "t" in cfg or "y" in cfg:
-            return make_regression_posterior(_require(cfg, "t", path), _require(cfg, "y", path))
-        return make_regression_posterior()
-    if name == "skew_normal":
-        return make_skew_normal_2d()
-    if name == "garch":
-        if "y" in cfg:
-            return make_garch_posterior(np.asarray(cfg["y"], dtype=np.float64))
-        phi = cfg.get("phi", (0.2, 0.5, 0.3, 0.4))
-        length = int(cfg.get("length", 50))
-        sim_seed = int(cfg.get("sim_seed", 0))
-        return make_garch_posterior(simulate_garch_series(phi, length, seed=sim_seed))
-    raise ConfigError(f"{path}.name: unknown target {name!r}")
+def config_object(value, path):
+    """value, or a ConfigError at path unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
+    return value
 
 
 def _is_number(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite real number; a bool is not."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
 
 
 def _is_count(value, low=1):
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
-def _kernel_params(cfg, path):
-    """(family, s, beta) of a kernel block; ConfigError naming the offending key."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: expected an object")
-    family = cfg.get("family", "langevin")
-    if family not in _FAMILIES:
-        raise ConfigError(f"{path}.family: unknown family {family!r}")
-    s = cfg.get("s", 3)
-    if not _is_count(s):
-        raise ConfigError(f"{path}.s: must be an integer >= 1, got {s!r}")
+def _count(value, path, low=1):
+    """value, or a ConfigError at path unless it is an integer >= low (a bool is not)."""
+    if not _is_count(value, low):
+        raise ConfigError(f"{path}: must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _numbers(cfg, key, path, ndims=(1,)):
+    """cfg[key] as a float array, nonempty and finite, with one of ``ndims`` axes."""
+    value = np.asarray(_require(cfg, key, path), dtype=object)
+    if value.ndim in ndims and value.size and all(map(_is_number, value.flat)):
+        return value.astype(np.float64)
+    axes = "/".join(map(str, ndims))
+    raise ConfigError(f"{path}.{key}: must be a nonempty {axes}-D array of finite numbers, got {cfg[key]!r}")
+
+
+def _choice(cfg, key, choices, path):
+    """cfg[key], one of choices; the first is the default."""
+    value = cfg.get(key, choices[0])
+    if value not in choices:
+        raise ConfigError(f"{path}.{key}: must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+@contextmanager
+def _blame(path, errors=(ValueError, np.linalg.LinAlgError)):
+    """Report a constructor's own check of a parameter as a ConfigError at path."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def build_target(cfg, path="config.target"):
+    """Construct a built-in target from a name plus parameter block; a bad
+    parameter, checked here or by its constructor, is a ConfigError at its key."""
+    name = _require(config_object(cfg, path), "name", path)
+    if name == "gaussian":
+        if "mean" in cfg:
+            mean = _numbers(cfg, "mean", path)
+        else:
+            mean = np.zeros(_count(_require(cfg, "dim", path), f"{path}.dim"))
+        cov = _numbers(cfg, "cov", path, (2,)) if "cov" in cfg else None
+        if cov is not None and (cov.shape != (len(mean),) * 2 or (cov != cov.T).any()):
+            raise ConfigError(f"{path}.cov: must be a symmetric {len(mean)} x {len(mean)} matrix")
+        with _blame(f"{path}.cov"):  # Cholesky: positive definite
+            return make_gaussian(mean, cov)
+    if name == "mixture":
+        if not any(k in cfg for k in ("weights", "means", "scales")):
+            return default_mixture()
+        weights, scales = _numbers(cfg, "weights", path), _numbers(cfg, "scales", path)
+        means = _numbers(cfg, "means", path, (1, 2))
+        # equal lengths and the simplex, then positive scales
+        with _blame(f"{path}.weights", InvalidSimplex), _blame(f"{path}.scales"):
+            return make_gaussian_mixture(weights, means, scales)
+    if name == "regression":
+        if "t" not in cfg and "y" not in cfg:
+            return make_regression_posterior()
+        with _blame(f"{path}.y"):  # as long as t
+            return make_regression_posterior(_numbers(cfg, "t", path), _numbers(cfg, "y", path))
+    if name == "skew_normal":
+        return make_skew_normal_2d()
+    if name == "garch":
+        if "y" in cfg:
+            y = _numbers(cfg, "y", path)
+        else:
+            length = _count(cfg.get("length", 50), f"{path}.length", 2)
+            seed = _count(cfg.get("sim_seed", 0), f"{path}.sim_seed", 0)
+            phi = _numbers(cfg, "phi", path) if "phi" in cfg else (0.2, 0.5, 0.3, 0.4)
+            if len(phi) != 4:
+                raise ConfigError(f"{path}.phi: must be 4 numbers, got {cfg['phi']!r}")
+            with _blame(f"{path}.phi"):  # the stationarity region
+                y = simulate_garch_series(phi, length, seed=seed)
+        with _blame(f"{path}.y"):  # at least two observations
+            return make_garch_posterior(y)
+    raise ConfigError(f"{path}.name: unknown target {name!r}")
+
+
+def parse_kernel(cfg, path):
+    """Checked kernel block: the family, s and beta keywords of make_kernel."""
+    family = _choice(config_object(cfg, path), "family", ("langevin", "kgm"), path)
     beta = cfg.get("beta", 0.5)
     if not _is_number(beta) or not 0.0 < beta < 1.0:
         raise ConfigError(f"{path}.beta: must be a number in (0, 1), got {beta!r}")
-    return family, s, float(beta)
+    return {"family": family, "s": _count(cfg.get("s", 3), f"{path}.s"), "beta": float(beta)}
 
 
-def _are_numbers(value, count):
-    return isinstance(value, (list, tuple)) and len(value) == count and all(map(_is_number, value))
+def parse_mode_init(cfg, dim):
+    """Start of the mode search: dim floats, the origin when absent."""
+    init = tuple(_numbers(cfg, "mode_init", "config")) if "mode_init" in cfg else (0.0,) * dim
+    if len(init) != dim:
+        raise ConfigError(f"config.mode_init: must be {dim} numbers, got {cfg['mode_init']!r}")
+    return init
 
 
-def mode_init(value, target):
-    """Start of the mode search: ``value``, a list of target.dim numbers, or the origin."""
-    if value is not None and not _are_numbers(value, target.dim):
-        raise ConfigError(f"config.mode_init: must be {target.dim} numbers, got {value!r}")
-    return np.zeros(target.dim) if value is None else np.asarray(value, dtype=np.float64)
+def parse_seed(cfg):
+    """The config's seed, an integer >= 0; wall-clock seeding is not allowed."""
+    return _count(_require(cfg, "seed", "config"), "config.seed", 0)
 
 
-def _check_grid(grid, dim, path):
-    """ConfigError unless a grid block has an integer num >= 2 and, when it
-    gives bounds, dim pairs [lo, hi] of numbers with lo < hi."""
-    if not isinstance(grid, dict):
-        raise ConfigError(f"{path}: expected an object")
-    if "num" in grid and not _is_count(grid["num"], 2):
-        raise ConfigError(f"{path}.num: must be an integer >= 2, got {grid['num']!r}")
-    bounds = grid.get("bounds")
-    if bounds and not (
-        isinstance(bounds, (list, tuple)) and len(bounds) == dim
-        and all(_are_numbers(b, 2) and b[0] < b[1] for b in bounds)
-    ):
-        raise ConfigError(f"{path}.bounds: must be {dim} pairs [lo, hi] with lo < hi, got {bounds!r}")
+def _parse_grid(grid, dim, path, owner):
+    """Checked grid block: bounds, dim pairs [lo, hi] with lo < hi (None:
+    12 sd around the mode), and num, the node count per axis.  A target
+    of more than two dimensions has no grid: a ConfigError at owner."""
+    if dim > 2:
+        raise ConfigError(f"{owner}: grid sampling supports one or two dimensions, the target has {dim}")
+    num = _count(config_object(grid, path).get("num", 2001 if dim > 1 else 20001), f"{path}.num", 2)
+    bounds = _numbers(grid, "bounds", path, (2,)) if grid.get("bounds") else None
+    if bounds is not None and (bounds.shape != (dim, 2) or (bounds[:, 0] >= bounds[:, 1]).any()):
+        raise ConfigError(f"{path}.bounds: must be {dim} pairs [lo, hi] with lo < hi, got {grid['bounds']!r}")
+    return {"bounds": bounds, "num": num}
 
 
-def build_kernel(cfg, target, mode):
-    """Construct the Stein kernel of a kernel block (family, s, beta)."""
-    family, s, beta = _kernel_params(cfg, "config.kernel")
-    return make_kernel(target, mode, family=family, s=s, beta=beta)
+_WARMUP_KEYS = {"epsilon0": float, "epoch_lengths": tuple, "learning_rates": tuple, "target_accept": float}
+
+
+def _schedule(warm, path):
+    """The MALA warm-up schedule of a warmup block."""
+    for key, value in config_object(warm, path).items():
+        if key not in _WARMUP_KEYS:
+            raise ConfigError(f"{path}.{key}: unknown key")
+        if not all(map(_is_number, value if isinstance(value, (list, tuple)) else [value])):
+            raise ConfigError(f"{path}.{key}: must be made of finite numbers, got {value!r}")
+    try:
+        return AdaptSchedule(**{key: _WARMUP_KEYS[key](value) for key, value in warm.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def parse_sampler(cfg, dim, n, path):
+    """Checked sampler block that draws n points of a dim-dimensional target: distribution,
+    r (a power tilt's, else None), mechanism, and the exact grid or the MALA warmup schedule."""
+    dist = _choice(config_object(cfg, path), "distribution", ("p", "pi", "power_tilt"), path)
+    r = None
+    if dist == "power_tilt":
+        r = cfg.get("r", 1.0)
+        if not _is_number(r) or not r > 0:
+            raise ConfigError(f"{path}.r: must be a number > 0, got {r!r}")
+        r = float(r)
+    mechanism = _choice(cfg, "mechanism", ("exact", "mala"), path)
+    grid = warmup = None
+    if mechanism == "exact":
+        grid = _parse_grid(cfg.get("grid", {}), dim, f"{path}.grid", f"{path}.mechanism")
+    elif (warmup := _schedule(cfg.get("warmup", {}), f"{path}.warmup")).epoch_lengths[-1] < n:
+        raise ConfigError(
+            f"{path}.warmup.epoch_lengths: the production (last) epoch has "
+            f"{warmup.epoch_lengths[-1]} steps, fewer than the {n} points asked for"
+        )
+    return {"distribution": dist, "r": r, "mechanism": mechanism, "grid": grid, "warmup": warmup}
+
+
+def parse_post(cfg, path):
+    """Checked post-processor block: kind, and m, a thinning's size (else None)."""
+    kind = _choice(config_object(cfg, path), "kind", ("none", "optimal", "thin"), path)
+    m = _require(cfg, "m", path) if kind == "thin" else None
+    if m is not None and not (_is_count(m) or (isinstance(m, float) and 0.0 < m < 1.0)):
+        raise ConfigError(f"{path}.m: must be an integer >= 1 or a float in (0, 1), got {m!r}")
+    return {"kind": kind, "m": m}
+
+
+def _parse_wasserstein(cfg, dim, path="config.wasserstein"):
+    """Checked wasserstein block: reference_n and its sample's grid; None when W1 is off."""
+    if cfg is None:
+        return None
+    n_ref = _count(_require(config_object(cfg, path), "reference_n", path), f"{path}.reference_n", 0)
+    grid = _parse_grid(cfg.get("grid", {}), dim, f"{path}.grid", path)
+    return {"reference_n": n_ref, "grid": grid} if n_ref else None
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One pipeline: kernel, sampling distribution/mechanism, post-processor."""
+    """One pipeline: checked kernel, sampler and post blocks (post None: it only draws)."""
 
     name: str
     kernel: dict
     sampler: dict
-    post: dict
+    post: dict | None
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Parsed, validated experiment description."""
+    """Checked experiment description; ``target`` stays the raw block that build_target reads."""
 
     target: dict
     methods: tuple
     ns: tuple
     replicates: int
     seed: int
-    mode_init: tuple | None = None
-    wasserstein: dict | None = None
-    out_dir: str | None = None
-
-
-_WARMUP_KEYS = {"epsilon0": float, "epoch_lengths": tuple, "learning_rates": tuple, "target_accept": float}
-
-
-def _schedule(sampler, path):
-    """The MALA warm-up schedule of a sampler block; ConfigError when invalid."""
-    warm = sampler.get("warmup", {})
-    if not isinstance(warm, dict):
-        raise ConfigError(f"{path}.sampler.warmup: expected an object")
-    for key in warm:
-        if key not in _WARMUP_KEYS:
-            raise ConfigError(f"{path}.sampler.warmup.{key}: unknown key")
-    try:
-        return AdaptSchedule(**{key: _WARMUP_KEYS[key](value) for key, value in warm.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.sampler.warmup: {exc}") from None
-
-
-_DISTRIBUTIONS = ("p", "pi", "power_tilt")
-_MECHANISMS = ("exact", "mala")
-_POST_KINDS = ("none", "optimal", "thin")
-_FAMILIES = ("langevin", "kgm")
-
-
-def check_sampler(sampler, dim, n, path="config"):
-    """ConfigError naming the key under ``path``.sampler unless the sampler
-    block can draw n points of a dim-dimensional target."""
-    dist = sampler.get("distribution", "p")
-    if dist not in _DISTRIBUTIONS:
-        raise ConfigError(f"{path}.sampler.distribution: unknown distribution {dist!r}")
-    if dist == "power_tilt":
-        r = sampler.get("r", 1.0)
-        if not _is_number(r) or not r > 0:
-            raise ConfigError(f"{path}.sampler.r: must be a number > 0, got {r!r}")
-    mechanism = sampler.get("mechanism", "exact")
-    if mechanism not in _MECHANISMS:
-        raise ConfigError(f"{path}.sampler.mechanism: unknown mechanism {mechanism!r}")
-    if mechanism == "exact":
-        _check_grid(sampler.get("grid", {}), dim, f"{path}.sampler.grid")
-    elif (last := _schedule(sampler, path).epoch_lengths[-1]) < n:
-        raise ConfigError(
-            f"{path}.sampler.warmup.epoch_lengths: the production (last) epoch "
-            f"has {last} steps, fewer than the {n} points asked for"
-        )
-
-
-def _check_wasserstein(block, dim):
-    """ConfigError naming the key unless a wasserstein block is an object
-    with an integer reference_n >= 0 and, when it has one, a valid grid."""
-    path = "config.wasserstein"
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path}: expected an object")
-    n_ref = _require(block, "reference_n", path)
-    if not _is_count(n_ref, 0):
-        raise ConfigError(f"{path}.reference_n: must be an integer >= 0, got {n_ref!r}")
-    _check_grid(block.get("grid", {}), dim, f"{path}.grid")
+    mode_init: tuple
+    wasserstein: dict | None
+    out_dir: str | None
 
 
 def parse_experiment_spec(cfg):
     """Validate a raw config dict; errors carry the offending key path."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config: expected a JSON object")
-    target = _require(cfg, "target", "config")
-    model = build_target(target)  # fail fast with a precise path
-    seed = _require(cfg, "seed", "config")
-    if not isinstance(seed, int):
-        raise ConfigError("config.seed: must be an integer (wall-clock seeding is not allowed)")
-    replicates = _require(cfg, "replicates", "config")
-    if not _is_count(replicates, 2):
-        # the summary's standard error needs two replicates per cell
-        raise ConfigError("config.replicates: must be an integer >= 2")
+    target = _require(config_object(cfg, "config"), "target", "config")
+    dim = build_target(target).dim  # fail fast with a precise path
+    seed = parse_seed(cfg)
+    # the summary's standard error needs two replicates per cell
+    replicates = _count(_require(cfg, "replicates", "config"), "config.replicates", 2)
     ns = _require(cfg, "ns", "config")
-    if not isinstance(ns, (list, tuple)) or not ns or not all(map(_is_count, ns)):
-        raise ConfigError("config.ns: must be a nonempty list of positive integers")
+    # a repeated n would pool its replicates twice into one summary cell
+    if not isinstance(ns, (list, tuple)) or not ns or not all(map(_is_count, ns)) or len(set(ns)) < len(ns):
+        raise ConfigError(f"config.ns: must be a nonempty list of distinct positive integers, got {ns!r}")
     raw_methods = _require(cfg, "methods", "config")
-    if not raw_methods:
+    if not isinstance(raw_methods, (list, tuple)) or not raw_methods:
         raise ConfigError("config.methods: must be a nonempty list")
     methods = []
-    seen = set()
     for i, m in enumerate(raw_methods):
         path = f"config.methods[{i}]"
-        name = _require(m, "name", path)
-        if name in seen:
-            raise ConfigError(f"{path}.name: duplicate method name {name!r}")
-        seen.add(name)
-        kernel = m.get("kernel", {"family": "langevin"})
-        _kernel_params(kernel, f"{path}.kernel")
-        kernel = dict(kernel)
-        sampler = dict(_require(m, "sampler", path))
-        check_sampler(sampler, model.dim, max(ns), path)
-        post = dict(m.get("post", {"kind": "none"}))
-        kind = post.get("kind", "none")
-        if kind not in _POST_KINDS:
-            raise ConfigError(f"{path}.post.kind: unknown post-processor {kind!r}")
-        if kind == "thin":
-            m_thin = _require(post, "m", f"{path}.post")
-            if not (_is_count(m_thin) or (isinstance(m_thin, float) and 0.0 < m_thin < 1.0)):
-                raise ConfigError(f"{path}.post.m: must be an integer >= 1 or a float in (0, 1)")
-        methods.append(MethodSpec(name=name, kernel=kernel, sampler=sampler, post=post))
-    init = cfg.get("mode_init")
-    mode_init(init, model)
-    wasserstein = cfg.get("wasserstein")
-    if wasserstein is not None:
-        _check_wasserstein(wasserstein, model.dim)
+        name = _require(config_object(m, path), "name", path)
+        if not isinstance(name, str) or name in (x.name for x in methods):
+            raise ConfigError(f"{path}.name: must be a string naming no other method, got {name!r}")
+        methods.append(MethodSpec(
+            name=name,
+            kernel=parse_kernel(m.get("kernel", {}), f"{path}.kernel"),
+            sampler=parse_sampler(_require(m, "sampler", path), dim, max(ns), f"{path}.sampler"),
+            post=parse_post(m.get("post", {}), f"{path}.post"),
+        ))
+    out_dir = cfg.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"config.out_dir: must be a string, got {out_dir!r}")
     return ExperimentSpec(
         target=target,
         methods=tuple(methods),
         ns=tuple(ns),
         replicates=replicates,
         seed=seed,
-        mode_init=tuple(init) if init is not None else None,
-        wasserstein=wasserstein,
-        out_dir=cfg.get("out_dir"),
+        mode_init=parse_mode_init(cfg, dim),
+        wasserstein=_parse_wasserstein(cfg.get("wasserstein"), dim),
+        out_dir=out_dir,
     )
 
 
@@ -341,35 +363,33 @@ class ExperimentResult:
     failures: list = field(default_factory=list)
 
 
-def _grid_sampler(law, grid_cfg, mode):
-    """Exact grid sampler of a law; bounds default to 12 sd around the mode."""
-    bounds = grid_cfg.get("bounds")
-    if not bounds:
+def _grid_sampler(law, grid, mode):
+    """Exact grid sampler of a law on a checked grid; no bounds: 12 sd around the mode."""
+    bounds = grid["bounds"]
+    if bounds is None:
         sig = np.sqrt(np.diag(mode.sigma))
         bounds = [(float(x - 12.0 * s), float(x + 12.0 * s)) for x, s in zip(mode.x_star, sig)]
-    num = grid_cfg.get("num", 2001 if len(bounds) > 1 else 20001)
-    return GridSampler(law, bounds, num=num)
+    return GridSampler(law, bounds, num=grid["num"])
 
 
 class MethodRuntime:
-    """Shared per-method state: kernel, sampling law, exact sampler."""
+    """Shared per-method state of a checked MethodSpec: kernel, sampling law, exact sampler."""
 
     def __init__(self, method, target, mode):
         self.method = method
-        self.kernel = build_kernel(method.kernel, target, mode)
-        dist = method.sampler.get("distribution", "p")
-        if dist == "p":
+        self.kernel = make_kernel(target, mode, **method.kernel)
+        if method.sampler["distribution"] == "p":
             self.law = target
-        elif dist == "pi":
+        elif method.sampler["distribution"] == "pi":
             self.law = make_pi(target, self.kernel)
         else:
-            self.law = make_power_tilt(target, float(method.sampler.get("r", 1.0)))
-        self.mechanism = method.sampler.get("mechanism", "exact")
+            self.law = make_power_tilt(target, method.sampler["r"])
+        self.mechanism = method.sampler["mechanism"]
         self.mode = mode
         if self.mechanism == "exact":
-            self.sampler = _grid_sampler(self.law, method.sampler.get("grid", {}), mode)
+            self.sampler = _grid_sampler(self.law, method.sampler["grid"], mode)
         else:
-            self.schedule = _schedule(method.sampler, "config")
+            self.schedule = method.sampler["warmup"]
 
     def chains(self, seed, method_index, replicates):
         """Production states (R, n, d) of one MALA chain per replicate, run as one ensemble."""
@@ -386,7 +406,7 @@ def post_process(points, kernel, post):
     place: its KSD needs only the Gram of the picks.  Raises
     NonConvergence when the optimal weights are not certified.
     """
-    kind = post.get("kind", "none")
+    kind = post["kind"]
     if kind == "thin":
         m = post["m"]
         m = max(1, int(round(m * len(points)))) if isinstance(m, float) else m
@@ -405,9 +425,9 @@ def post_process(points, kernel, post):
 
 def _reference_sample(spec, target, mode):
     cfg = spec.wasserstein
-    if cfg is None or cfg["reference_n"] == 0:
+    if cfg is None:
         return None
-    sampler = _grid_sampler(target, cfg.get("grid", {}), mode)
+    sampler = _grid_sampler(target, cfg["grid"], mode)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(2**31,)))
     return uniform_sample(sampler.sample(cfg["reference_n"], rng))
 
@@ -486,7 +506,7 @@ def run_experiment(spec, threads=1):
     returning, so the output is independent of scheduling.
     """
     target = build_target(spec.target)
-    mode = find_mode(target, mode_init(spec.mode_init, target))
+    mode = find_mode(target, spec.mode_init)
     runtimes = [MethodRuntime(m, target, mode) for m in spec.methods]
     reference = _reference_sample(spec, target, mode)
     replicates = list(range(spec.replicates))

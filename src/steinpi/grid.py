@@ -22,7 +22,7 @@ class GridSampler:
     ``log_density``.
     """
 
-    def __init__(self, target, bounds, num=2001):
+    def __init__(self, target, bounds, num):
         bounds = [tuple(map(float, b)) for b in bounds]
         dim = len(bounds)
         if dim not in (1, 2):

@@ -338,7 +338,7 @@ class KGMKernel(LangevinKernel):
         return float(max(lower.min(), 0.0))
 
 
-def make_kernel(target, mode, family="langevin", s=3, beta=0.5):
+def make_kernel(target, mode, family, s=3, beta=0.5):
     """Construct a Stein kernel by family name ('langevin' or 'kgm')."""
     if family == "langevin":
         return LangevinKernel(target, mode, beta=beta)

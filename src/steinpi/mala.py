@@ -114,6 +114,8 @@ class AdaptSchedule:
             raise ValueError("epoch lengths must be positive integers")
         if self.epsilon0 <= 0:
             raise ValueError("epsilon0 must be positive")
+        if not 0.0 < self.target_accept < 1.0:
+            raise ValueError("target_accept must lie in (0, 1)")
 
 
 def _rowdot(u, v):

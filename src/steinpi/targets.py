@@ -236,8 +236,8 @@ class GaussianMixture(TargetModel):
         scales = np.asarray(scales, dtype=np.float64)
         if not (weights.shape[0] == means.shape[0] == scales.shape[0]):
             raise InvalidSimplex("weights, means and scales must have equal length")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise InvalidSimplex("mixture weights must be nonnegative and sum to 1")
+        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
+            raise InvalidSimplex("mixture weights must be positive and sum to 1")
         if np.any(scales <= 0):
             raise ValueError("scales must be positive")
         order = np.lexsort(
@@ -306,7 +306,7 @@ class RegressionPosterior(TargetModel):
         t = np.asarray(t, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if t.shape != y.shape or t.ndim != 1:
-            raise DimensionError(1, (t.shape, y.shape))
+            raise ValueError(f"t and y must be 1-D arrays of equal length, got {t.shape} and {y.shape}")
         self.t = t
         self.y = y
 

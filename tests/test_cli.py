@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from steinpi.cli import main
-from steinpi.experiment import read_csv
+from steinpi.experiment import parse_experiment_spec, read_csv
+from steinpi.mala import AdaptSchedule
 
 
 def _write_config(path, cfg):
@@ -18,6 +19,8 @@ def _write_config(path, cfg):
 
 
 GRID = {"bounds": [[-12, 12]], "num": 4001}
+MIXTURE = {"name": "mixture", "weights": [0.5, 0.5], "means": [0, 1], "scales": [1, 1]}
+MALA_METHOD = {"name": "mala", "sampler": {"mechanism": "mala"}}
 
 
 @pytest.fixture
@@ -227,25 +230,86 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
             {"sampler": {"mechanism": "mala", "warmup": {"epoch_lengths": [100, 100]}}},
             "config.sampler.warmup.epoch_lengths",
         ),
+        # target parameters, checked by build_target
+        ("experiment", {"target": {"name": "gaussian", "dim": "two"}}, "config.target.dim"),
+        ("experiment", {"target": {"name": "gaussian", "mean": [0, 0], "cov": [[1, 2], [2, 1]]}}, "config.target.cov"),
+        ("experiment", {"target": {"name": "gaussian", "mean": [0, 0], "cov": [[1, 0], [0.5, 1]]}}, "config.target.cov"),
+        ("experiment", {"target": {"name": "gaussian", "mean": [0, 0], "cov": [[1]]}}, "config.target.cov"),
+        ("experiment", {"target": {"name": "gaussian", "mean": ["a", 0]}}, "config.target.mean"),
+        ("experiment", {"target": {"name": "gaussian", "mean": [10**400]}}, "config.target.mean"),
+        ("experiment", {"target": dict(MIXTURE, weights=[0.5, 0.6])}, "config.target.weights"),
+        ("experiment", {"target": dict(MIXTURE, weights=[1.0, 0.0])}, "config.target.weights"),
+        ("experiment", {"target": dict(MIXTURE, means=[0, 1, 2])}, "config.target.weights"),
+        ("experiment", {"target": dict(MIXTURE, scales=[1, 0])}, "config.target.scales"),
+        ("experiment", {"target": {"name": "regression", "t": [1, 2], "y": [1]}}, "config.target.y"),
+        ("experiment", {"target": {"name": "regression", "t": [[1], [2]], "y": [1, 2]}}, "config.target.t"),
+        ("experiment", {"target": {"name": "garch", "length": 1}}, "config.target.length"),
+        ("experiment", {"target": {"name": "garch", "sim_seed": -1}}, "config.target.sim_seed"),
+        ("experiment", {"target": {"name": "garch", "phi": [0.2, 0.5, 0.6, 0.6]}}, "config.target.phi"),
+        ("experiment", {"target": {"name": "garch", "phi": [0.2, 0.5, 0.3]}}, "config.target.phi"),
+        ("experiment", {"target": {"name": "garch", "y": [1.0]}}, "config.target.y"),
+        ("experiment", {"target": {"name": "garch", "y": ["x", 1.0]}}, "config.target.y"),
+        # exact grids need a target of one or two dimensions
+        ("experiment", {"target": {"name": "garch"}}, "config.methods[0].sampler.mechanism"),
+        (
+            "experiment",
+            {"target": {"name": "garch"}, "mode_init": [0.0] * 4, "methods": [MALA_METHOD],
+             "wasserstein": {"reference_n": 10}},
+            "config.wasserstein",
+        ),
+        # one seed rule, an integer >= 0, for configs and --seed
+        ("experiment", {"seed": True}, "config.seed"),
+        ("experiment", {"seed": -1}, "config.seed"),
+        ("sample", {"seed": 7.9}, "config.seed"),
+        ("sample", {"seed": "x"}, "config.seed"),
+        ("experiment --seed -1", {}, "--seed"),
+        ("check-assumptions --seed -1", {}, "--seed"),
+        # malformed structure
+        ("experiment", {"methods": [5]}, "config.methods[0]"),
+        ("experiment", {"sampler": [1]}, "config.methods[0].sampler"),
+        ("experiment", {"post": "optimal"}, "config.methods[0].post"),
+        ("experiment", {"out_dir": 5}, "config.out_dir"),
+        ("experiment", {"ns": [10, 10]}, "config.ns"),
+        ("sample", {"sampler": [1]}, "config.sampler"),
+        # every number is finite, and warm-up values are numbers
+        ("experiment", {"sampler": {"distribution": "power_tilt", "r": float("inf"), "grid": GRID}},
+         "config.methods[0].sampler.r"),
+        ("sample", {"sampler": {"mechanism": "mala", "warmup": {"epsilon0": "0.5"}}}, "config.sampler.warmup.epsilon0"),
+        ("sample", {"sampler": {"mechanism": "mala", "warmup": {"target_accept": 1.5}}}, "config.sampler.warmup"),
     ],
     ids=["beta-2", "s-0", "s-x", "ns-3", "r-0", "grid-num-1", "grid-num-float",
          "grid-bounds-reversed", "grid-bounds-2d", "mode-init-2d",
          "wasserstein-n-not-integer", "wasserstein-grid-num-1", "wasserstein-not-object",
-         "sample-r-0", "sample-grid-num-1", "sample-mode-init-2d", "sample-n-above-final-length"],
+         "sample-r-0", "sample-grid-num-1", "sample-mode-init-2d", "sample-n-above-final-length",
+         "gaussian-dim-not-integer", "gaussian-cov-not-spd", "gaussian-cov-not-symmetric",
+         "gaussian-cov-shape", "gaussian-mean-not-numeric", "gaussian-mean-overflows", "mixture-weights-sum",
+         "mixture-weight-zero", "mixture-lengths", "mixture-scale-zero", "regression-lengths",
+         "regression-t-2d", "garch-length-1", "garch-sim-seed-negative", "garch-phi-not-stationary",
+         "garch-phi-3", "garch-y-short", "garch-y-not-numeric", "garch-exact-grid",
+         "garch-wasserstein", "seed-bool", "seed-negative", "sample-seed-float", "sample-seed-string",
+         "seed-flag-negative", "check-assumptions-seed-flag-negative", "method-not-object",
+         "sampler-not-object", "post-not-object", "out-dir-not-string", "ns-repeated",
+         "sample-sampler-not-object", "r-infinite", "sample-epsilon0-string",
+         "sample-target-accept-above-1"],
 )
 def test_bad_kernel_or_ns_fails_before_sampling(
     verb, change, path, experiment_config, pipeline_config, tmp_path, capsys
 ):
-    config, args = {"experiment": (experiment_config, []), "sample": (pipeline_config, ["--n", "300"])}[verb]
+    verb, *flags = verb.split()
+    out = tmp_path / "bad-out"
+    config, args = {
+        "experiment": (experiment_config, ["--out-dir", str(out)]),
+        "sample": (pipeline_config, ["--n", "300", "--out-dir", str(out)]),
+        "check-assumptions": (pipeline_config, ["--probes", "4"]),
+    }[verb]
     with open(config, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    if verb == "sample" or change.keys() & {"ns", "mode_init", "wasserstein"}:
-        cfg.update(change)
-    else:
+    if verb == "experiment" and change.keys() <= {"kernel", "sampler", "post"}:
         cfg["methods"][0].update(change)
+    else:
+        cfg.update(change)
     config = _write_config(tmp_path / "bad.json", cfg)
-    out = tmp_path / "bad-out"
-    assert main([verb, "--config", config, "--out-dir", str(out)] + args) == 1
+    assert main([verb, "--config", config] + args + flags) == 1
     assert path in capsys.readouterr().err
     assert not out.exists()
 
@@ -385,3 +449,28 @@ def test_weights_verb_refuses_uncertified_solve(pipeline_config, tmp_path, capsy
     assert code == 2
     assert "not certified" in capsys.readouterr().err
     assert not (out / "weights.csv").exists()
+
+
+def test_sample_and_experiment_parse_a_sampler_block_alike(experiment_config, tmp_path, monkeypatch):
+    # steinpi sample sets its flags in a copy of the raw config, then runs
+    # the parser an experiment method's sampler block goes through
+    import steinpi.cli as cli
+
+    samplers = []
+    runtime = cli.MethodRuntime
+
+    def recording(method, target, mode):
+        samplers.append(method.sampler)
+        return runtime(method, target, mode)
+
+    monkeypatch.setattr(cli, "MethodRuntime", recording)
+    pipeline = {"target": {"name": "mixture"}, "mode_init": [0.1], "sampler": {"mechanism": "mala"}, "seed": 5}
+    flags = ["--target", "pi", "--epsilon0", "0.5", "--epochs", "3", "--epoch-length", "50", "--final-length", "60"]
+    path = _write_config(tmp_path / "pipeline.json", pipeline)
+    assert main(["sample", "--config", path, "--n", "20", "--out-dir", str(tmp_path / "out")] + flags) == 0
+    with open(experiment_config, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    warmup = {"epsilon0": 0.5, "epoch_lengths": [50, 50, 60]}
+    cfg["methods"][0]["sampler"] = {"distribution": "pi", "mechanism": "mala", "warmup": warmup}
+    assert samplers == [parse_experiment_spec(cfg).methods[0].sampler]
+    assert samplers[0]["warmup"] == AdaptSchedule(epsilon0=0.5, epoch_lengths=(50, 50, 60))

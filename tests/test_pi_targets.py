@@ -236,4 +236,4 @@ def test_grid_sampler_deterministic():
 def test_grid_sampler_rejects_high_dimensions():
     target = make_gaussian(np.zeros(3))
     with pytest.raises(ValueError):
-        GridSampler(target, [(-1, 1)] * 3)
+        GridSampler(target, [(-1, 1)] * 3, num=11)
