@@ -210,7 +210,7 @@ def _parse_grid(grid, dim, path, owner):
     bounds = _numbers(grid, "bounds", path, (2,)) if grid.get("bounds") else None
     if bounds is not None and (bounds.shape != (dim, 2) or (bounds[:, 0] >= bounds[:, 1]).any()):
         raise ConfigError(f"{path}.bounds: must be {dim} pairs [lo, hi] with lo < hi, got {grid['bounds']!r}")
-    return {"bounds": bounds, "num": num}
+    return {"bounds": None if bounds is None else bounds.tolist(), "num": num}
 
 
 _WARMUP_KEYS = {"epsilon0": float, "epoch_lengths": tuple, "learning_rates": tuple, "target_accept": float}
