@@ -11,8 +11,10 @@ weights, thin and experiment write files, into --out-dir; wasserstein
 reads no config and takes no flags.  Each verb builds only from values
 checked by steinpi.experiment's parse functions, one per config block:
 experiment parses it all; sample sets its flags in a copy of the raw
-config, then parses target, mode_init, kernel, sampler and seed; the
-other verbs parse only target, mode_init and kernel: no sampler.
+config, parses target, mode_init, kernel, sampler and seed, and draws
+through MethodRuntime.draw, the experiment runner's one draw path; the
+other verbs parse only target, mode_init and kernel, and
+check-assumptions its seed (--seed, else the config's, else 0).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .experiment import (
 )
 from .kernels import check_theorem_assumptions, make_kernel
 from .mala import AdaptSchedule
-from .metrics import wasserstein1_1d, wasserstein1_exact
+from .metrics import wasserstein1
 from .quantise import WeightedSample, greedy_thin_indices, ksd, uniform_sample
 from .targets import find_mode
 
@@ -94,6 +96,12 @@ def _read_points(path):
     return data, None
 
 
+def _read_sample(path):
+    """The sample of a points CSV: its weight column, else uniform weights."""
+    points, weights = _read_points(path)
+    return uniform_sample(points) if weights is None else WeightedSample(points=points, weights=weights)
+
+
 def _count(text, low=1):
     """An integer >= low (a count, or a seed at low = 0); anything else is a usage error."""
     try:
@@ -117,9 +125,9 @@ def _pipeline(cfg):
     return target, init, parse_kernel(cfg.get("kernel", {}), "config.kernel")
 
 
-def _kernel(config_path):
+def _kernel(cfg):
     """The config's Stein kernel; no sampler is parsed or built."""
-    target, init, kernel = _pipeline(_load_config(config_path))
+    target, init, kernel = _pipeline(cfg)
     return make_kernel(target, find_mode(target, init), **kernel)
 
 
@@ -148,50 +156,39 @@ def _cmd_sample(args):
     method = MethodSpec("sample", kernel, parse_sampler(sampler, target.dim, args.n, "config.sampler"), None)
     seed = parse_seed(cfg)
     runtime = MethodRuntime(method, target, find_mode(target, init))
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
-    if runtime.mechanism == "exact":
-        points = runtime.sampler.sample(args.n, rng)
-    else:
-        points = runtime.chains(seed, 0, [0])[0][: args.n]
+    points = runtime.draw(seed, 0, [0], args.n)[0][: args.n]
     header = [f"x{i}" for i in range(points.shape[1])]
     return _write(args.out_dir, "sample.csv", header, [tuple(row) for row in points])
 
 
 def _cmd_weights(args):
-    kernel = _kernel(args.config)
+    kernel = _kernel(_load_config(args.config))
     points, _ = _read_points(args.points)
     sample, _ = post_process(points, kernel, {"kind": "optimal"})  # raises if uncertified
     return _write(args.out_dir, "weights.csv", ["index", "weight"], list(enumerate(sample.weights)))
 
 
 def _cmd_thin(args):
-    kernel = _kernel(args.config)
+    kernel = _kernel(_load_config(args.config))
     points, _ = _read_points(args.points)
     idx = greedy_thin_indices(points, kernel, args.m)
     return _write(args.out_dir, "indices.csv", ["index"], [(int(i),) for i in idx])
 
 
 def _cmd_ksd(args):
-    kernel = _kernel(args.config)
-    points, weights = _read_points(args.points)
+    kernel = _kernel(_load_config(args.config))
+    sample = _read_sample(args.points)
     if args.weights:
         weights = _read_points(args.weights)[1]
         if weights is None:
             raise ConfigError(f"{args.weights}: no 'weight' column found")
-    sample = uniform_sample(points) if weights is None else WeightedSample(points=points, weights=weights)
+        sample = WeightedSample(points=sample.points, weights=weights)
     print(repr(ksd(sample, kernel)))
     return 0
 
 
 def _cmd_wasserstein(args):
-    pa, wa = _read_points(args.sample_a)
-    pb, wb = _read_points(args.sample_b)
-    a = uniform_sample(pa) if wa is None else WeightedSample(points=pa, weights=wa)
-    b = uniform_sample(pb) if wb is None else WeightedSample(points=pb, weights=wb)
-    if a.dim == 1 and b.dim == 1:
-        print(repr(wasserstein1_1d(a, b)))
-    else:
-        print(repr(wasserstein1_exact(a, b).cost))
+    print(repr(wasserstein1(_read_sample(args.sample_a), _read_sample(args.sample_b))))
     return 0
 
 
@@ -208,8 +205,9 @@ def _cmd_experiment(args):
 
 
 def _cmd_check_assumptions(args):
-    kernel = _kernel(args.config)
-    print(check_theorem_assumptions(kernel, args.radius, args.probes, b1=args.b1, seed=args.seed or 0))
+    cfg = _override(_load_config(args.config), "config", seed=args.seed)
+    seed = parse_seed(cfg) if "seed" in cfg else 0
+    print(check_theorem_assumptions(_kernel(cfg), args.radius, args.probes, b1=args.b1, seed=seed))
     return 0
 
 

@@ -4,10 +4,10 @@ An experiment is described by a JSON-friendly dict: one target, a list of
 methods (kernel + sampling distribution + mechanism + post-processor), a
 grid of sample sizes, a replicate count and a seed.  Execution is
 deterministic given the seed; replicates run on independent RNG streams so
-the emitted tables are byte-identical regardless of thread count.  The
-MALA chains of a method's replicates run as one lockstep ensemble, and a
-chain does not depend on the ensemble it runs in.  Wall
-times are recorded but written to a separate file, outside the
+the emitted tables are byte-identical regardless of thread count.  Every
+replicate is drawn before its cells, through one path (MethodRuntime.draw);
+a method's MALA chains run as one ensemble, which no chain depends on.
+Wall times are recorded but written to a separate file, outside the
 determinism contract.
 """
 
@@ -33,7 +33,7 @@ from .errors import (
 from .grid import GridSampler
 from .kernels import make_kernel
 from .mala import AdaptSchedule, adaptive_warmup, random_window
-from .metrics import wasserstein1_1d, wasserstein1_exact
+from .metrics import wasserstein1
 from .pi_targets import make_pi, make_power_tilt
 from .quantise import (
     WeightedSample,
@@ -83,10 +83,14 @@ def _require(cfg, key, path):
     return cfg[key]
 
 
-def config_object(value, path):
-    """value, or a ConfigError at path unless it is a JSON object."""
+def config_object(value, path, keys=None):
+    """value, or a ConfigError at path unless it is a JSON object; with
+    keys, at its first key that is not one of them."""
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
+    unknown = [key for key in value if keys is not None and key not in keys]
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown key")
     return value
 
 
@@ -138,6 +142,7 @@ def build_target(cfg, path="config.target"):
     parameter, checked here or by its constructor, is a ConfigError at its key."""
     name = _require(config_object(cfg, path), "name", path)
     if name == "gaussian":
+        config_object(cfg, path, ("name", "mean", "dim", "cov"))
         if "mean" in cfg:
             mean = _numbers(cfg, "mean", path)
         else:
@@ -148,6 +153,7 @@ def build_target(cfg, path="config.target"):
         with _blame(f"{path}.cov"):  # Cholesky: positive definite
             return make_gaussian(mean, cov)
     if name == "mixture":
+        config_object(cfg, path, ("name", "weights", "means", "scales"))
         if not any(k in cfg for k in ("weights", "means", "scales")):
             return default_mixture()
         weights, scales = _numbers(cfg, "weights", path), _numbers(cfg, "scales", path)
@@ -156,13 +162,16 @@ def build_target(cfg, path="config.target"):
         with _blame(f"{path}.weights", InvalidSimplex), _blame(f"{path}.scales"):
             return make_gaussian_mixture(weights, means, scales)
     if name == "regression":
+        config_object(cfg, path, ("name", "t", "y"))
         if "t" not in cfg and "y" not in cfg:
             return make_regression_posterior()
         with _blame(f"{path}.y"):  # as long as t
             return make_regression_posterior(_numbers(cfg, "t", path), _numbers(cfg, "y", path))
     if name == "skew_normal":
+        config_object(cfg, path, ("name",))
         return make_skew_normal_2d()
     if name == "garch":
+        config_object(cfg, path, ("name", "y", "length", "sim_seed", "phi"))
         if "y" in cfg:
             y = _numbers(cfg, "y", path)
         else:
@@ -180,7 +189,7 @@ def build_target(cfg, path="config.target"):
 
 def parse_kernel(cfg, path):
     """Checked kernel block: the family, s and beta keywords of make_kernel."""
-    family = _choice(config_object(cfg, path), "family", ("langevin", "kgm"), path)
+    family = _choice(config_object(cfg, path, ("family", "s", "beta")), "family", ("langevin", "kgm"), path)
     beta = cfg.get("beta", 0.5)
     if not _is_number(beta) or not 0.0 < beta < 1.0:
         raise ConfigError(f"{path}.beta: must be a number in (0, 1), got {beta!r}")
@@ -206,7 +215,8 @@ def _parse_grid(grid, dim, path, owner):
     of more than two dimensions has no grid: a ConfigError at owner."""
     if dim > 2:
         raise ConfigError(f"{owner}: grid sampling supports one or two dimensions, the target has {dim}")
-    num = _count(config_object(grid, path).get("num", 2001 if dim > 1 else 20001), f"{path}.num", 2)
+    config_object(grid, path, ("bounds", "num"))
+    num = _count(grid.get("num", 2001 if dim > 1 else 20001), f"{path}.num", 2)
     bounds = _numbers(grid, "bounds", path, (2,)) if grid.get("bounds") else None
     if bounds is not None and (bounds.shape != (dim, 2) or (bounds[:, 0] >= bounds[:, 1]).any()):
         raise ConfigError(f"{path}.bounds: must be {dim} pairs [lo, hi] with lo < hi, got {grid['bounds']!r}")
@@ -218,9 +228,7 @@ _WARMUP_KEYS = {"epsilon0": float, "epoch_lengths": tuple, "learning_rates": tup
 
 def _schedule(warm, path):
     """The MALA warm-up schedule of a warmup block."""
-    for key, value in config_object(warm, path).items():
-        if key not in _WARMUP_KEYS:
-            raise ConfigError(f"{path}.{key}: unknown key")
+    for key, value in config_object(warm, path, _WARMUP_KEYS).items():
         if not all(map(_is_number, value if isinstance(value, (list, tuple)) else [value])):
             raise ConfigError(f"{path}.{key}: must be made of finite numbers, got {value!r}")
     try:
@@ -232,7 +240,8 @@ def _schedule(warm, path):
 def parse_sampler(cfg, dim, n, path):
     """Checked sampler block that draws n points of a dim-dimensional target: distribution,
     r (a power tilt's, else None), mechanism, and the exact grid or the MALA warmup schedule."""
-    dist = _choice(config_object(cfg, path), "distribution", ("p", "pi", "power_tilt"), path)
+    config_object(cfg, path, ("distribution", "r", "mechanism", "grid", "warmup"))
+    dist = _choice(cfg, "distribution", ("p", "pi", "power_tilt"), path)
     r = None
     if dist == "power_tilt":
         r = cfg.get("r", 1.0)
@@ -253,7 +262,7 @@ def parse_sampler(cfg, dim, n, path):
 
 def parse_post(cfg, path):
     """Checked post-processor block: kind, and m, a thinning's size (else None)."""
-    kind = _choice(config_object(cfg, path), "kind", ("none", "optimal", "thin"), path)
+    kind = _choice(config_object(cfg, path, ("kind", "m")), "kind", ("none", "optimal", "thin"), path)
     m = _require(cfg, "m", path) if kind == "thin" else None
     if m is not None and not (_is_count(m) or (isinstance(m, float) and 0.0 < m < 1.0)):
         raise ConfigError(f"{path}.m: must be an integer >= 1 or a float in (0, 1), got {m!r}")
@@ -264,7 +273,8 @@ def _parse_wasserstein(cfg, dim, path="config.wasserstein"):
     """Checked wasserstein block: reference_n and its sample's grid; None when W1 is off."""
     if cfg is None:
         return None
-    n_ref = _count(_require(config_object(cfg, path), "reference_n", path), f"{path}.reference_n", 0)
+    config_object(cfg, path, ("reference_n", "grid"))
+    n_ref = _count(_require(cfg, "reference_n", path), f"{path}.reference_n", 0)
     grid = _parse_grid(cfg.get("grid", {}), dim, f"{path}.grid", path)
     return {"reference_n": n_ref, "grid": grid} if n_ref else None
 
@@ -295,7 +305,8 @@ class ExperimentSpec:
 
 def parse_experiment_spec(cfg):
     """Validate a raw config dict; errors carry the offending key path."""
-    target = _require(config_object(cfg, "config"), "target", "config")
+    keys = ("target", "methods", "ns", "replicates", "seed", "mode_init", "wasserstein", "out_dir")
+    target = _require(config_object(cfg, "config", keys), "target", "config")
     dim = build_target(target).dim  # fail fast with a precise path
     seed = parse_seed(cfg)
     # the summary's standard error needs two replicates per cell
@@ -310,7 +321,7 @@ def parse_experiment_spec(cfg):
     methods = []
     for i, m in enumerate(raw_methods):
         path = f"config.methods[{i}]"
-        name = _require(config_object(m, path), "name", path)
+        name = _require(config_object(m, path, ("name", "kernel", "sampler", "post")), "name", path)
         if not isinstance(name, str) or name in (x.name for x in methods):
             raise ConfigError(f"{path}.name: must be a string naming no other method, got {name!r}")
         methods.append(MethodSpec(
@@ -363,6 +374,11 @@ class ExperimentResult:
     failures: list = field(default_factory=list)
 
 
+def _rng(seed, *key):
+    """Generator of the stream of seed spawned at key."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def _grid_sampler(law, grid, mode):
     """Exact grid sampler of a law on a checked grid; no bounds: 12 sd around the mode."""
     bounds = grid["bounds"]
@@ -384,18 +400,18 @@ class MethodRuntime:
             self.law = make_pi(target, self.kernel)
         else:
             self.law = make_power_tilt(target, method.sampler["r"])
-        self.mechanism = method.sampler["mechanism"]
         self.mode = mode
-        if self.mechanism == "exact":
-            self.sampler = _grid_sampler(self.law, method.sampler["grid"], mode)
-        else:
-            self.schedule = method.sampler["warmup"]
+        exact = method.sampler["mechanism"] == "exact"
+        self.sampler = _grid_sampler(self.law, method.sampler["grid"], mode) if exact else None
 
-    def chains(self, seed, method_index, replicates):
-        """Production states (R, n, d) of one MALA chain per replicate, run as one ensemble."""
+    def draw(self, seed, method_index, replicates, n):
+        """Each replicate's states: n exact draws from its own stream, or the
+        production epoch of its MALA chain, the replicates run as one ensemble."""
+        if self.sampler is not None:
+            return [self.sampler.sample(n, _rng(seed, method_index, r)) for r in replicates]
         init = np.tile(self.mode.x_star, (len(replicates), 1))
         stream = [(method_index, r) for r in replicates]
-        _, out = adaptive_warmup(init, self.law, self.schedule, seed=seed, stream=stream)
+        _, out = adaptive_warmup(init, self.law, self.method.sampler["warmup"], seed=seed, stream=stream)
         return out.states.reshape(init.shape[0], -1, init.shape[1])
 
 
@@ -428,60 +444,48 @@ def _reference_sample(spec, target, mode):
     if cfg is None:
         return None
     sampler = _grid_sampler(target, cfg["grid"], mode)
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(2**31,)))
-    return uniform_sample(sampler.sample(cfg["reference_n"], rng))
+    return uniform_sample(sampler.sample(cfg["reference_n"], _rng(spec.seed, 2**31)))
 
 
 _CELL_ERRORS = (SteinpiError, np.linalg.LinAlgError)
 
 
-def _mala_sources(spec, runtime, method_index, replicates):
-    """Each replicate's MALA production states, or the error that stopped its chain.
+def _sources(spec, runtime, method_index, replicates):
+    """Each replicate's states, or the error that stopped its draw.
 
-    The replicates' chains run as one ensemble.  A chain does not depend
-    on the ensemble it runs in, so when the ensemble fails each replicate
-    is rerun alone: the others come out bitwise the same, and only the
-    failing ones are lost.
+    A replicate's states do not depend on the others drawn with it, so
+    when the draw fails each replicate is redrawn alone: the others come
+    out bitwise the same, and only the failing ones are lost.
     """
     try:
-        return dict(zip(replicates, runtime.chains(spec.seed, method_index, replicates)))
+        return dict(zip(replicates, runtime.draw(spec.seed, method_index, replicates, max(spec.ns))))
     except _CELL_ERRORS as exc:
         if len(replicates) == 1:
             return {replicates[0]: exc}
-    return {r: _mala_sources(spec, runtime, method_index, [r])[r] for r in replicates}
+    return {r: _sources(spec, runtime, method_index, [r])[r] for r in replicates}
 
 
-def _run_cell(spec, runtime, method_index, replicate, reference, source=None):
+def _run_cell(spec, runtime, method_index, replicate, reference, source):
     """All sample sizes for one (method, replicate); returns (rows, failures).
 
-    ``source`` is the replicate's MALA states, or the error that stopped
-    its chain; exact-grid methods (``source=None``) draw here.
+    ``source`` is the replicate's states, or the error that stopped its
+    draw.  Exact draws are read by prefix, a MALA chain by random window.
     """
-    rows = []
-    failures = []
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(method_index, replicate)))
     method = runtime.method
-    if source is None:
-        source = runtime.sampler.sample(max(spec.ns), rng)
-    elif isinstance(source, Exception):
-        for n in spec.ns:
-            failures.append(FailureRecord(method.name, replicate, n, f"sampling failed: {source}"))
-        return rows, failures
+    if isinstance(source, Exception):
+        return [], [FailureRecord(method.name, replicate, n, f"sampling failed: {source}") for n in spec.ns]
+    rows, failures = [], []
+    rng = _rng(spec.seed, method_index, replicate)
     for n in spec.ns:
         start = time.perf_counter()
         try:
-            if runtime.mechanism == "exact":
+            if method.sampler["mechanism"] == "exact":
                 points = source[:n]
             else:
                 points = random_window(source, n, rng)
             sample, gram = post_process(points, runtime.kernel, method.post)
             value = ksd(sample, runtime.kernel, gram=gram)
-            wass = None
-            if reference is not None:
-                if sample.dim == 1:
-                    wass = wasserstein1_1d(sample, reference)
-                else:
-                    wass = wasserstein1_exact(sample, reference).cost
+            wass = None if reference is None else wasserstein1(sample, reference)
             rows.append(
                 ResultRow(
                     replicate=replicate,
@@ -500,10 +504,11 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source=None):
 def run_experiment(spec, threads=1):
     """Execute every (method, replicate, n) cell; deterministic given seed.
 
-    Per-cell failures are recorded and the run continues.  Each MALA
-    method first runs all its replicates' chains as one ensemble; the
-    cells then run in a thread pool, and rows are sorted by key before
-    returning, so the output is independent of scheduling.
+    Per-cell failures are recorded and the run continues.  Every
+    method's replicates are drawn first, through one path (a MALA
+    method's chains as one ensemble); the cells then run in a thread
+    pool, and rows are sorted by key before returning, so the output is
+    independent of scheduling.
     """
     target = build_target(spec.target)
     mode = find_mode(target, spec.mode_init)
@@ -513,21 +518,19 @@ def run_experiment(spec, threads=1):
     sources = {
         (mi, r): source
         for mi, runtime in enumerate(runtimes)
-        if runtime.mechanism == "mala"
-        for r, source in _mala_sources(spec, runtime, mi, replicates).items()
+        for r, source in _sources(spec, runtime, mi, replicates).items()
     }
-    tasks = [(mi, replicate) for mi in range(len(runtimes)) for replicate in replicates]
 
     def cell(task):
         mi, replicate = task
-        return _run_cell(spec, runtimes[mi], mi, replicate, reference, sources.get(task))
+        return _run_cell(spec, runtimes[mi], mi, replicate, reference, sources[task])
 
     result = ExperimentResult()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(cell, tasks))
+            outcomes = list(pool.map(cell, sources))
     else:
-        outcomes = [cell(task) for task in tasks]
+        outcomes = [cell(task) for task in sources]
     for rows, failures in outcomes:
         result.rows.extend(rows)
         result.failures.extend(failures)

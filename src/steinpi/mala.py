@@ -83,7 +83,6 @@ class ChainOutput:
     states: np.ndarray
     accept_flags: np.ndarray
     accept_rate: float
-    final_config: ChainConfig
     nonfinite_proposals: int
     chain_accept_rates: np.ndarray
 
@@ -251,7 +250,6 @@ def run_chain(init, target, config, start_step=0):
         states=states.reshape(-1, dim),
         accept_flags=accept.ravel(),
         accept_rate=float(accept.mean()),
-        final_config=config,
         nonfinite_proposals=int(nonfinite.sum()),
         chain_accept_rates=accept.mean(axis=1),
     )

@@ -26,6 +26,7 @@ from .errors import DimensionMismatch, SizeGuard
 
 __all__ = [
     "TransportPlan",
+    "wasserstein1",
     "wasserstein1_1d",
     "wasserstein1_exact",
     "dimension_effect",
@@ -128,6 +129,13 @@ def wasserstein1_exact(a, b):
     if max(row_err, col_err) > 1e-8:
         raise RuntimeError(f"transport plan infeasible: marginal errors {row_err}, {col_err}")
     return TransportPlan(cost=value, plan=gamma)
+
+
+def wasserstein1(a, b):
+    """Exact 1-Wasserstein distance: by quantiles when both samples are 1-D, else by transport."""
+    if a.dim == 1 and b.dim == 1:
+        return wasserstein1_1d(a, b)
+    return wasserstein1_exact(a, b).cost
 
 
 _CHUNK = 200_000  # Monte Carlo draws per batch of dimension_effect

@@ -113,13 +113,12 @@ class QPResult:
     duality_gap: float
 
 
-def _kkt_residual(gram, w, support_tol=1e-8):
-    """Max violation of stationarity/complementarity at w.
+def _kkt_residual(g, w, support_tol=1e-8):
+    """Max violation of stationarity/complementarity at w, given g = K w.
 
     On the support the quantity (Kw)_i must equal a common multiplier;
     off the support it must not fall below it.
     """
-    g = gram @ w
     lam = float(g @ w)
     on = w > support_tol
     resid = 0.0
@@ -150,15 +149,14 @@ def _affine_minimiser(gram, support):
     return sol[:m]
 
 
-def _objective(gram, w):
-    return float(w @ (gram @ w))
+GAP_TOL = 1e-8  # relative duality gap of a certified solve
 
 
-def _certified(gap, f, tol, floor):
-    return gap <= tol * abs(f) + floor
+def _certified(gap, f, floor):
+    return gap <= GAP_TOL * abs(f) + floor
 
 
-def optimal_weights(points, kernel, tol=1e-8, max_iter=None, gram=None):
+def optimal_weights(points, kernel, max_iter=None, gram=None):
     """Minimise w^T K w over the probability simplex.
 
     Wolfe's active-set (minimum-norm-point) method on the Gram: each major
@@ -167,13 +165,13 @@ def optimal_weights(points, kernel, tol=1e-8, max_iter=None, gram=None):
     first coordinate to reach zero, until that minimiser lies strictly
     inside the simplex.  With u = eps * max|diag K|, the rounding unit of
     the gradient, the result is certified optimal (``converged``) when the
-    Frank-Wolfe duality gap satisfies gap <= tol * |f| + n * u.  Iteration
-    goes on below that, until gap <= tol * |f| + u or rounding stalls the
-    method (the entering vertex leaves at once), so the weights are as
-    accurate as the arithmetic allows.  There is no linear term, because a
-    Stein kernel has zero mean under the target.  If ``max_iter`` major
-    steps (default 10 n) run out, the better of the iterate and the
-    uniform weights is returned with ``converged=False``.
+    Frank-Wolfe duality gap satisfies gap <= GAP_TOL * |f| + n * u.
+    Iteration goes on below that, until gap <= GAP_TOL * |f| + u or
+    rounding stalls the method (the entering vertex leaves at once), so
+    the weights are as accurate as the arithmetic allows.  There is no
+    linear term, because a Stein kernel has zero mean under the target.
+    If ``max_iter`` major steps (default 10 n) run out, the better of the
+    iterate and the uniform weights is returned with ``converged=False``.
     Without a ``gram``, ``kernel.gram`` builds one and raises GramTooLarge
     beyond its dense size guard.
     """
@@ -195,7 +193,7 @@ def optimal_weights(points, kernel, tol=1e-8, max_iter=None, gram=None):
         f = float(w[support] @ (0.5 * grad[support]))
         j = int(np.argmin(grad))
         gap = float(grad[support] @ w[support] - grad[j])
-        if _certified(gap, f, tol, unit) or j in support:
+        if _certified(gap, f, unit) or j in support:
             exhausted = False
             break
         previous = w.copy()
@@ -216,19 +214,21 @@ def optimal_weights(points, kernel, tol=1e-8, max_iter=None, gram=None):
             exhausted = False
             break
     w /= w.sum()
+    kw = gram @ w
     if exhausted:
         uniform = np.full(n, 1.0 / n)
-        if _objective(gram, uniform) < _objective(gram, w):
-            w = uniform
-    f = _objective(gram, w)
-    grad = 2.0 * (gram @ w)
+        ku = gram @ uniform
+        if float(uniform @ ku) < float(w @ kw):
+            w, kw = uniform, ku
+    f = float(w @ kw)
+    grad = 2.0 * kw
     gap = float(grad @ w - grad.min())
     return QPResult(
         weights=w,
         objective=f,
-        kkt_residual=_kkt_residual(gram, w),
+        kkt_residual=_kkt_residual(kw, w),
         iterations=iterations,
-        converged=not exhausted and _certified(gap, f, tol, n * unit),
+        converged=not exhausted and _certified(gap, f, n * unit),
         duality_gap=gap,
     )
 

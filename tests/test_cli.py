@@ -9,8 +9,17 @@ import numpy as np
 import pytest
 
 from steinpi.cli import main
-from steinpi.experiment import parse_experiment_spec, read_csv
+from steinpi.experiment import (
+    MethodRuntime,
+    MethodSpec,
+    build_target,
+    parse_experiment_spec,
+    parse_kernel,
+    parse_sampler,
+    read_csv,
+)
 from steinpi.mala import AdaptSchedule
+from steinpi.targets import find_mode
 
 
 def _write_config(path, cfg):
@@ -276,6 +285,22 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
          "config.methods[0].sampler.r"),
         ("sample", {"sampler": {"mechanism": "mala", "warmup": {"epsilon0": "0.5"}}}, "config.sampler.warmup.epsilon0"),
         ("sample", {"sampler": {"mechanism": "mala", "warmup": {"target_accept": 1.5}}}, "config.sampler.warmup"),
+        # every block rejects a key it does not know
+        ("experiment", {"replicate": 3}, "config.replicate: unknown key"),
+        ("experiment", {"methods": [dict(MALA_METHOD, kernal={})]}, "config.methods[0].kernal: unknown key"),
+        ("experiment", {"kernel": {"familly": "kgm"}}, "config.methods[0].kernel.familly: unknown key"),
+        ("experiment", {"sampler": {"mechansim": "mala", "grid": GRID}}, "config.methods[0].sampler.mechansim: unknown key"),
+        ("experiment", {"sampler": {"grid": dict(GRID, nums=11)}}, "config.methods[0].sampler.grid.nums: unknown key"),
+        ("experiment", {"post": {"kind": "thin", "m": 4, "n": 4}}, "config.methods[0].post.n: unknown key"),
+        ("experiment", {"wasserstein": {"reference_n": 50, "n": 5}}, "config.wasserstein.n: unknown key"),
+        ("experiment", {"wasserstein": {"reference_n": 50, "grid": dict(GRID, bound=[[0, 1]])}},
+         "config.wasserstein.grid.bound: unknown key"),
+        ("experiment", {"target": {"name": "gaussian", "dim": 1, "sd": 2}}, "config.target.sd: unknown key"),
+        ("experiment", {"target": dict(MIXTURE, dim=1)}, "config.target.dim: unknown key"),
+        ("sample", {"sampler": {"distribution": "pi", "grid": GRID, "warmpu": {}}}, "config.sampler.warmpu: unknown key"),
+        ("sample", {"kernel": {"family": "kgm", "S": 3}}, "config.kernel.S: unknown key"),
+        ("check-assumptions", {"kernel": {"familly": "kgm"}}, "config.kernel.familly: unknown key"),
+        ("check-assumptions", {"target": {"name": "skew_normal", "alpha": 4}}, "config.target.alpha: unknown key"),
     ],
     ids=["beta-2", "s-0", "s-x", "ns-3", "r-0", "grid-num-1", "grid-num-float",
          "grid-bounds-reversed", "grid-bounds-2d", "mode-init-2d",
@@ -290,7 +315,11 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
          "seed-flag-negative", "check-assumptions-seed-flag-negative", "method-not-object",
          "sampler-not-object", "post-not-object", "out-dir-not-string", "ns-repeated",
          "sample-sampler-not-object", "r-infinite", "sample-epsilon0-string",
-         "sample-target-accept-above-1"],
+         "sample-target-accept-above-1", "top-level-unknown-key", "method-unknown-key",
+         "kernel-unknown-key", "sampler-unknown-key", "grid-unknown-key", "post-unknown-key",
+         "wasserstein-unknown-key", "wasserstein-grid-unknown-key", "gaussian-unknown-key",
+         "mixture-unknown-key", "sample-sampler-unknown-key", "sample-kernel-unknown-key",
+         "check-assumptions-kernel-unknown-key", "check-assumptions-target-unknown-key"],
 )
 def test_bad_kernel_or_ns_fails_before_sampling(
     verb, change, path, experiment_config, pipeline_config, tmp_path, capsys
@@ -474,3 +503,37 @@ def test_sample_and_experiment_parse_a_sampler_block_alike(experiment_config, tm
     cfg["methods"][0]["sampler"] = {"distribution": "pi", "mechanism": "mala", "warmup": warmup}
     assert samplers == [parse_experiment_spec(cfg).methods[0].sampler]
     assert samplers[0]["warmup"] == AdaptSchedule(epsilon0=0.5, epoch_lengths=(50, 50, 60))
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        {"distribution": "pi", "mechanism": "exact", "grid": GRID},
+        {"distribution": "pi", "mechanism": "mala", "warmup": {"epsilon0": 0.5, "epoch_lengths": [50, 50, 60]}},
+    ],
+    ids=["exact", "mala"],
+)
+def test_sample_writes_the_runtime_draw(sampler, tmp_path):
+    # steinpi sample draws through the one path the experiment runner uses
+    cfg = {"target": {"name": "mixture"}, "mode_init": [0.1], "sampler": sampler, "seed": 5}
+    path = _write_config(tmp_path / "pipeline.json", cfg)
+    assert main(["sample", "--config", path, "--n", "40", "--out-dir", str(tmp_path / "out")]) == 0
+    header, rows = read_csv(tmp_path / "out" / "sample.csv")
+    target = build_target(cfg["target"])
+    method = MethodSpec("sample", parse_kernel({}, "kernel"), parse_sampler(sampler, 1, 40, "sampler"), None)
+    runtime = MethodRuntime(method, target, find_mode(target, (0.1,)))
+    assert header == ["x0"]
+    np.testing.assert_array_equal(np.array(rows, dtype=float), runtime.draw(5, 0, [0], 40)[0][:40])
+
+
+def test_check_assumptions_reads_the_config_seed(tmp_path, capsys):
+    # on a 2-D target the report depends on the probes, so on the seed:
+    # --seed if given, else the config's seed, else 0
+    def report(*flags, **seed):
+        path = _write_config(tmp_path / "regression.json", {"target": {"name": "regression"}, **seed})
+        assert main(["check-assumptions", "--config", path, "--probes", "8", *flags]) == 0
+        return capsys.readouterr().out
+
+    assert report(seed=7) != report(seed=0)
+    assert report("--seed", "7", seed=0) == report(seed=7)
+    assert report() == report(seed=0)

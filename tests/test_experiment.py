@@ -235,6 +235,27 @@ def test_failed_chain_loses_only_its_replicate(monkeypatch):
     ]
 
 
+def test_failed_exact_draw_loses_only_its_replicate(monkeypatch):
+    # the runner's rerun-alone isolation covers exact draws too: each
+    # replicate's grid draw has its own stream, so a redraw alone is bitwise
+    spec = parse_experiment_spec(_base_config(replicates=3, ns=[15]))
+    clean = run_experiment(spec)
+    draw = experiment.MethodRuntime.draw
+
+    def fails_for_replicate_1(self, seed, method_index, replicates, n):
+        if 1 in replicates:
+            raise np.linalg.LinAlgError("grid draw failed")
+        return draw(self, seed, method_index, replicates, n)
+
+    monkeypatch.setattr(experiment.MethodRuntime, "draw", fails_for_replicate_1)
+    result = run_experiment(spec)
+    assert [(f.method, f.replicate) for f in result.failures] == [("p-lang", 1), ("pi-lang", 1)]
+    assert all(f.message == "sampling failed: grid draw failed" for f in result.failures)
+    assert [(r.method, r.replicate, r.ksd) for r in result.rows] == [
+        (r.method, r.replicate, r.ksd) for r in clean.rows if r.replicate != 1
+    ]
+
+
 def test_power_tilt_and_thin_post_processor():
     cfg = _base_config(replicates=2, ns=[12])
     cfg["methods"] = [
