@@ -30,7 +30,7 @@ from .errors import (
     NonConvergence,
     SteinpiError,
 )
-from .grid import GridSampler
+from .grid import NODE_GUARD, GridSampler
 from .kernels import make_kernel
 from .mala import AdaptSchedule, adaptive_warmup, random_window
 from .metrics import wasserstein1
@@ -211,12 +211,15 @@ def parse_seed(cfg):
 
 def _parse_grid(grid, dim, path, owner):
     """Checked grid block: bounds, dim pairs [lo, hi] with lo < hi (None:
-    12 sd around the mode), and num, the node count per axis.  A target
-    of more than two dimensions has no grid: a ConfigError at owner."""
+    12 sd around the mode), and num, the node count per axis.  A target of
+    more than two dimensions has no grid (a ConfigError at owner), and a
+    grid of more than NODE_GUARD nodes is a ConfigError at num."""
     if dim > 2:
         raise ConfigError(f"{owner}: grid sampling supports one or two dimensions, the target has {dim}")
     config_object(grid, path, ("bounds", "num"))
     num = _count(grid.get("num", 2001 if dim > 1 else 20001), f"{path}.num", 2)
+    if num**dim > NODE_GUARD:
+        raise ConfigError(f"{path}.num: {num}**{dim} grid nodes exceed the guard of {NODE_GUARD}")
     bounds = _numbers(grid, "bounds", path, (2,)) if grid.get("bounds") else None
     if bounds is not None and (bounds.shape != (dim, 2) or (bounds[:, 0] >= bounds[:, 1]).any()):
         raise ConfigError(f"{path}.bounds: must be {dim} pairs [lo, hi] with lo < hi, got {grid['bounds']!r}")

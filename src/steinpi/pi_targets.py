@@ -4,8 +4,8 @@ The recommended sampling density multiplies the target by the square root
 of the kernel diagonal, log pi(x) = log p(x) + log(k_P(x)) / 2 up to a
 constant; its gradient uses the analytic kernel-diagonal gradient.  The
 power tilt p(x)^{d/(d+r)} is the generic over-dispersion alternative.
-Both are targets: they implement the ``TargetModel`` hook on top of the
-base target's, so one evaluation of either evaluates the base once.
+Both are targets derived from the base: each maps one evaluation of the
+base to its own, so evaluating either evaluates the base once.
 Neither density needs a normalising constant anywhere in the package;
 ``estimate_c2`` exists purely as a diagnostic.
 """
@@ -21,7 +21,22 @@ from .targets import TargetModel
 __all__ = ["PiTarget", "PowerTilt", "make_pi", "make_power_tilt", "estimate_c2", "C2Estimate"]
 
 
-class PiTarget(TargetModel):
+class DerivedTarget(TargetModel):
+    """A target whose evaluation at order o is ``_from_base(x, o, logp, grad,
+    hess)`` of its base's evaluation at order o + ``lift``.  The split lets
+    an exact grid evaluate a base once for every law derived from it."""
+
+    lift = 0
+
+    def __init__(self, target):
+        self.base = target
+        self.dim = target.dim
+
+    def _evaluate(self, x, order):
+        return self._from_base(x, order, *self.base._evaluate(x, order + self.lift))
+
+
+class PiTarget(DerivedTarget):
     """Density proportional to p(x) sqrt(k_P(x)), for a Stein kernel of p.
 
     An evaluation at order o evaluates the base once, at order o + 1: the
@@ -31,15 +46,15 @@ class PiTarget(TargetModel):
     require third derivatives of log p.
     """
 
-    def __init__(self, target, kernel):
-        self.base = target
-        self.kernel = kernel
-        self.dim = target.dim
+    lift = 1
 
-    def _evaluate(self, x, order):
+    def __init__(self, target, kernel):
+        super().__init__(target)
+        self.kernel = kernel
+
+    def _from_base(self, x, order, logp, score, hess):
         if order > 1:
             raise NotImplementedError("the Hessian of log pi needs third derivatives of log p")
-        logp, score, hess = self.base._evaluate(x, order + 1)
         values, grads = self.kernel._diag_at(self.kernel.context(x, score), hess)
         logq = logp + 0.5 * np.log(values)
         if order < 1:
@@ -52,19 +67,18 @@ class PiTarget(TargetModel):
         return 1.0 / np.sqrt(self.kernel.diag_values(x))
 
 
-class PowerTilt(TargetModel):
+class PowerTilt(DerivedTarget):
     """Density proportional to p(x)^{d/(d+r)}."""
 
     def __init__(self, target, r):
         if r <= 0:
             raise ValueError("r must be positive")
-        self.base = target
+        super().__init__(target)
         self.r = float(r)
-        self.dim = target.dim
         self.exponent = target.dim / (target.dim + self.r)
 
-    def _evaluate(self, x, order):
-        return tuple(None if a is None else self.exponent * a for a in self.base._evaluate(x, order))
+    def _from_base(self, x, order, *values):
+        return tuple(None if a is None or k > order else self.exponent * a for k, a in enumerate(values))
 
 
 def make_pi(target, kernel):

@@ -62,6 +62,8 @@ class TargetModel:
     ``order`` (0, 1 or 2) left as None.  The public evaluators are thin
     wrappers on the hook that also take a single point (d,).  Evaluation
     is pure and re-entrant; instances are safe to share across threads.
+    A target may hold exact-grid tables of itself (``grid._table``): two
+    threads that race compute a table twice, never a wrong one.
     """
 
     dim: int

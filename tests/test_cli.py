@@ -226,6 +226,13 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
         ("experiment", {"sampler": {"grid": dict(GRID, num=100.5)}}, "config.methods[0].sampler.grid.num"),
         ("experiment", {"sampler": {"grid": dict(GRID, bounds=[[12, -12]])}}, "config.methods[0].sampler.grid.bounds"),
         ("experiment", {"sampler": {"grid": dict(GRID, bounds=[[-12, 12]] * 2)}}, "config.methods[0].sampler.grid.bounds"),
+        # a 2-D grid at the 1-D default num would hold 4.0e8 nodes
+        (
+            "experiment",
+            {"target": {"name": "skew_normal"}, "mode_init": [0, 0],
+             "methods": [{"name": "p", "sampler": {"grid": {"num": 20001}}}]},
+            "config.methods[0].sampler.grid.num",
+        ),
         ("experiment", {"mode_init": [0.1, 0.2]}, "config.mode_init"),
         ("experiment", {"wasserstein": {"reference_n": "lots"}}, "config.wasserstein.reference_n"),
         ("experiment", {"wasserstein": {"reference_n": 50, "grid": {"num": 1}}}, "config.wasserstein.grid.num"),
@@ -303,7 +310,7 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
         ("check-assumptions", {"target": {"name": "skew_normal", "alpha": 4}}, "config.target.alpha: unknown key"),
     ],
     ids=["beta-2", "s-0", "s-x", "ns-3", "r-0", "grid-num-1", "grid-num-float",
-         "grid-bounds-reversed", "grid-bounds-2d", "mode-init-2d",
+         "grid-bounds-reversed", "grid-bounds-2d", "grid-nodes-above-guard", "mode-init-2d",
          "wasserstein-n-not-integer", "wasserstein-grid-num-1", "wasserstein-not-object",
          "sample-r-0", "sample-grid-num-1", "sample-mode-init-2d", "sample-n-above-final-length",
          "gaussian-dim-not-integer", "gaussian-cov-not-spd", "gaussian-cov-not-symmetric",

@@ -12,10 +12,15 @@ import pytest
 import steinpi.experiment as experiment
 from steinpi.errors import ConfigError, EmptySummary, GramTooLarge, InsufficientReplicates
 from steinpi.experiment import (
+    MethodRuntime,
+    MethodSpec,
     ResultRow,
     SummaryRow,
+    build_target,
     emit_plot,
     parse_experiment_spec,
+    parse_kernel,
+    parse_sampler,
     post_process,
     read_csv,
     run_experiment,
@@ -98,6 +103,11 @@ def test_parse_rejects_unknown_kernel_family():
 def test_parse_rejects_unknown_target():
     with pytest.raises(ConfigError, match="target.name"):
         parse_experiment_spec(_base_config(target={"name": "banana"}))
+
+
+def test_grid_guard_admits_the_default_2d_grid():
+    cfg = _base_config(target={"name": "skew_normal"}, mode_init=[0, 0], methods=[{"name": "p", "sampler": {}}])
+    assert parse_experiment_spec(cfg).methods[0].sampler["grid"]["num"] == 2001
 
 
 @pytest.mark.parametrize("key, value", [("beta", 2), ("s", 0), ("s", "x")])
@@ -316,6 +326,75 @@ def test_thin_cell_evaluates_its_target_once_per_point_set():
     sample, gram = post_process(points, kernel, {"kind": "thin", "m": 100})
     ksd(sample, kernel, gram=gram)
     assert target.sizes == [1000, 100]  # the candidates, then the picks for the KSD
+
+
+def _one_grid_spec(*distributions):
+    """KGM-3 methods sampling each distribution on one small 2-D grid, with a W1 reference on it."""
+    grid = {"bounds": [[-6, 6], [-6, 6]], "num": 41}
+    methods = [
+        {"name": d, "kernel": {"family": "kgm", "s": 3}, "sampler": {"distribution": d, "grid": grid}}
+        for d in distributions
+    ]
+    return parse_experiment_spec({
+        "target": {"name": "skew_normal"}, "mode_init": [0, 0], "seed": 3, "replicates": 2, "ns": [10],
+        "methods": methods, "wasserstein": {"reference_n": 20, "grid": grid},
+    })
+
+
+@pytest.mark.parametrize(
+    "distributions, orders",
+    [(("p", "power_tilt", "pi"), [0, 1]), (("pi", "p", "power_tilt"), [1])],
+    ids=["p-first", "pi-first"],
+)
+def test_one_grid_evaluates_its_base_once_per_order(distributions, orders, monkeypatch):
+    seen, build = [], experiment.build_target
+
+    def spied_target(cfg):
+        target = build(cfg)
+        evaluate = target._evaluate
+
+        def spy(x, order):
+            if len(x) == 41**2:
+                seen.append(order)
+            return evaluate(x, order)
+
+        target._evaluate = spy  # an instance attribute, which PiTarget reads as self.base._evaluate
+        return target
+
+    monkeypatch.setattr(experiment, "build_target", spied_target)
+    spec = _one_grid_spec(*distributions)
+    run_experiment(spec)
+    assert seen == orders  # every law and the W1 reference read one table
+    run_experiment(spec)
+    assert seen == orders * 2  # a fresh target tabulates again: no table outlives its target
+
+
+@pytest.mark.parametrize(
+    "target_cfg, grid",
+    [
+        ({"name": "mixture"}, {"bounds": [[-15, 15]], "num": 3001}),
+        ({"name": "skew_normal"}, {"bounds": [[-6, 6], [-6, 6]], "num": 101}),
+        ({"name": "regression"}, {"num": 101}),  # no bounds: 12 sd around the mode
+    ],
+    ids=["mixture", "skew-normal", "regression"],
+)
+def test_shared_grid_tables_draw_what_fresh_targets_draw(target_cfg, grid):
+    dim = build_target(target_cfg).dim
+    kernel = parse_kernel({"family": "kgm", "s": 3}, "kernel")
+    methods = [
+        MethodSpec(d, kernel, parse_sampler({"distribution": d, "grid": grid}, dim, 50, "sampler"), None)
+        for d in ("p", "power_tilt", "pi")
+    ]
+
+    def runtime(method, target=None):
+        target = target or build_target(target_cfg)
+        return MethodRuntime(method, target, find_mode(target, np.full(dim, 0.1)))
+
+    shared = build_target(target_cfg)
+    for i, method in enumerate(methods):
+        fresh = runtime(method).draw(5, i, [0, 1], 50)
+        for a, b in zip(runtime(method, shared).draw(5, i, [0, 1], 50), fresh):
+            assert np.array_equal(a, b)
 
 
 def test_only_square_grams_hit_the_size_guard():

@@ -2,11 +2,15 @@
 root-diagonal normalising-constant estimate, and the importance-ratio
 identities."""
 
+import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from steinpi.errors import NoExactSampler
+from steinpi.errors import NoExactSampler, SteinpiError
 from steinpi.grid import GridSampler
 from steinpi.kernels import LangevinKernel, make_kernel
 from steinpi.pi_targets import estimate_c2, make_pi, make_power_tilt
@@ -17,6 +21,7 @@ from steinpi.targets import (
     find_mode,
     make_gaussian,
     make_regression_posterior,
+    make_skew_normal_2d,
 )
 
 from _oracles import ConstantKernel, fd_gradient, kernel_diagonal, rel_err
@@ -237,3 +242,61 @@ def test_grid_sampler_rejects_high_dimensions():
     target = make_gaussian(np.zeros(3))
     with pytest.raises(ValueError):
         GridSampler(target, [(-1, 1)] * 3, num=11)
+
+
+def test_grid_sampler_rejects_bounds_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension 1"):
+        GridSampler(make_gaussian([0.0]), [(-1, 1)] * 2, num=11)
+
+
+class _Tabulated(TargetModel):
+    """A 1D target whose log density is a given function of x."""
+
+    dim = 1
+
+    def __init__(self, logp):
+        self.logp = logp
+
+    def _evaluate(self, x, order):
+        return self.logp(x[:, 0]), None, None
+
+
+@pytest.mark.parametrize(
+    "target, bounds",
+    [
+        (default_mixture(), [(1e160, 1e161)]),  # NaN: every component's log density is -inf
+        (_Tabulated(lambda x: np.where(x == 0.0, np.inf, 0.0)), [(-1.0, 1.0)]),
+        (_Tabulated(lambda x: np.full_like(x, -np.inf)), [(-1.0, 1.0)]),
+    ],
+    ids=["nan", "plus-inf", "all-minus-inf"],
+)
+def test_grid_sampler_rejects_a_grid_with_no_usable_mass(target, bounds):
+    with pytest.raises(SteinpiError, match=re.escape(f"grid {[list(b) for b in bounds]} with num 11")):
+        GridSampler(target, bounds, num=11)
+
+
+def test_grid_nodes_at_minus_infinity_carry_no_mass():
+    sampler = GridSampler(_Tabulated(lambda x: np.where(x < 0.0, -np.inf, 0.0)), [(-1.0, 1.0)], num=11)
+    assert (sampler.sample(1000, np.random.default_rng(0)) >= 0.0).all()
+
+
+def _laws(target):
+    """p, its power tilt and pi under a KGM-3 kernel."""
+    kernel = make_kernel(target, find_mode(target, np.zeros(2)), family="kgm", s=3)
+    return [target, make_power_tilt(target, 1.0), make_pi(target, kernel)]
+
+
+def test_threads_racing_for_one_grid_table_build_the_samplers_of_fresh_targets():
+    bounds = [(-6.0, 6.0)] * 2
+    expected = [GridSampler(law, bounds, 41)._cdf for law in _laws(make_skew_normal_2d())]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(5):
+                laws = _laws(make_skew_normal_2d()) * 4  # more workers than cores, one target
+                futures = [pool.submit(GridSampler, law, bounds, 41) for law in laws]
+                cdfs = [future.result(timeout=60)._cdf for future in futures]
+                assert all(np.array_equal(cdf, expected[i % 3]) for i, cdf in enumerate(cdfs))
+    finally:
+        sys.setswitchinterval(interval)
