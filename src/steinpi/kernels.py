@@ -9,15 +9,16 @@ Sigma with Sigma^{-1} the negative log-density Hessian at x*.
 
 Every entry of k_P reads the same per-point data: the target score and
 the offsets from x* whitened by Sigma^{-1} and Sigma^{-2}.  ``context``
-builds it once per point set, evaluating the target only when no score is
-handed in; ``cross`` assembles [k_P(x_i, y_j)] between two contexts under
-the one Gram size guard, and ``_diag_at`` reads k_P(x) and its gradient.
+holds it per point set, each piece built on first read, and evaluates
+the target only when no score is handed in; ``cross`` assembles
+[k_P(x_i, y_j)] between two contexts under the one Gram size guard, and
+``_diag_at`` reads k_P(x) and its gradient.
 All of it is vectorised and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -40,26 +41,46 @@ GRAM_GUARD = 20_000  # a Gram may hold at most GRAM_GUARD**2 entries
 
 @dataclass(frozen=True, eq=False)
 class KernelContext:
-    """Per-point data of a point set: delta = x - x*, a1 = delta Sigma^-1,
-    a2 = delta Sigma^-2, v = 1 + delta.a1, q = delta.a2, the target score
-    and, built on first use, u = delta.a1.  ``ctx[rows]`` selects rows."""
+    """Per-point data of a point set: delta = x - x*, the target score and
+    the kernel's Sigma^-1 and Sigma^-2.  The whitened pieces a1 = delta
+    Sigma^-1, a2 = delta Sigma^-2, u = delta.a1, v = 1 + u and q = delta.a2
+    are built on first read, so a caller pays only for those it reads.
+    ``ctx[rows]`` selects the rows of delta, score and every piece built."""
 
     delta: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
     score: np.ndarray
+    sigma_inv: np.ndarray
+    sigma_inv2: np.ndarray
 
     @cached_property
-    def u(self):  # only Gram entries read u; the diagonal needs only v
+    def a1(self):
+        return np.einsum("ni,ij->nj", self.delta, self.sigma_inv)  # row-invariant, unlike matmul
+
+    @cached_property
+    def a2(self):
+        return np.einsum("ni,ij->nj", self.delta, self.sigma_inv2)
+
+    @cached_property
+    def u(self):
         return np.einsum("nd,nd->n", self.delta, self.a1)
 
+    @cached_property
+    def v(self):
+        return 1.0 + self.u
+
+    @cached_property
+    def q(self):
+        return np.einsum("nd,nd->n", self.delta, self.a2)
+
     def __len__(self):
-        return self.v.shape[0]
+        return self.delta.shape[0]
 
     def __getitem__(self, rows):
-        return KernelContext(*(getattr(self, f.name)[rows] for f in fields(self)))
+        sub = KernelContext(self.delta[rows], self.score[rows], self.sigma_inv, self.sigma_inv2)
+        for name in ("a1", "a2", "u", "v", "q"):
+            if name in self.__dict__:
+                sub.__dict__[name] = self.__dict__[name][rows]
+        return sub
 
 
 class SteinKernel:
@@ -110,11 +131,7 @@ class SteinKernel:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if score is None:
             score = self.target.grad_log_density(x)
-        delta = x - self.x_star
-        a1 = np.einsum("ni,ij->nj", delta, self.sigma_inv)  # row-invariant, unlike matmul
-        a2 = np.einsum("ni,ij->nj", delta, self.sigma_inv2)
-        v = 1.0 + np.einsum("nd,nd->n", delta, a1)
-        return KernelContext(delta, a1, a2, v, np.einsum("nd,nd->n", delta, a2), score)
+        return KernelContext(x - self.x_star, score, self.sigma_inv, self.sigma_inv2)
 
     def cross(self, x, y):
         """Matrix [k_P(x_i, y_j)] between two contexts.  Raises GramTooLarge,

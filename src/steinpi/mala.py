@@ -168,44 +168,52 @@ def _stream_randoms(seed, stream, n, dim, start_step=0):
     return ndtri(u[:, :dim]), np.log(u[:, dim])
 
 
+def _step_size(eps):
+    """(eps as a column, sqrt(2 eps) likewise, 4 eps) of step sizes of shape () or (R,)."""
+    col = np.asarray(eps)[..., None]
+    return col, np.sqrt(2.0 * col), 4.0 * eps
+
+
 class _Transition(NamedTuple):
     x: np.ndarray
     logp: np.ndarray
-    grad: np.ndarray
+    h: np.ndarray
     accepted: np.ndarray
     nonfinite: np.ndarray
     proposal: np.ndarray
     log_ratio: np.ndarray
 
 
-def _step(x, logp_x, grad_x, target, eps, pre, z, log_u):
-    """One MALA transition from states with cached densities and gradients.
+def _step(x, logp_x, h_x, target, size, pre, z, half_zz, log_u):
+    """One MALA transition from states with cached densities and whitened
+    gradients h = L^{-1} grad.
 
     Takes one chain (a (d,) state with scalar density, step size and
     log-uniform) or an ensemble ((R, d) states with (R,) of the others),
-    and a standard normal z shaped like the states.  In whitened terms,
-    with h = L^{-1} grad, the move is prop - x = B (eps h_x + sqrt(2 eps) z)
-    and the reverse move's residual is x - nu_prop = -B w with
-    w = eps (h_x + h_prop) + sqrt(2 eps) z, so its squared M-norm is
-    ||w||^2.  A proposal with a nonfinite density or gradient is rejected.
+    the step-size constants ``_step_size(eps)``, a standard normal z
+    shaped like the states and half_zz = ||z||^2 / 2.  The move is
+    prop - x = B (eps h_x + sqrt(2 eps) z) and the reverse move's residual
+    is x - nu_prop = -B w with w = eps (h_x + h_prop) + sqrt(2 eps) z, so
+    its squared M-norm is ||w||^2.  The proposal's gradient is whitened
+    once and returned as the next state's h.  A proposal with a nonfinite
+    density or gradient is rejected.
     """
-    col = np.asarray(eps)[..., None]
-    root = np.sqrt(2.0 * col)
-    h_x = pre.whiten(grad_x)
+    col, root, four_eps = size
     prop = x + pre.sqrt_inv_apply(col * h_x + root * z)
     logp_p, grad_p = target.log_density_with_grad(prop)
     finite = np.isfinite(logp_p) & np.isfinite(grad_p).all(axis=-1)
     if not finite.all():  # a -inf density rejects; a zero gradient keeps the ratio quiet
         logp_p = np.where(finite, logp_p, -np.inf)
         grad_p = np.where(finite[..., None], grad_p, 0.0)
-    w = col * (h_x + pre.whiten(grad_p)) + root * z
-    log_ratio = logp_p - logp_x - _rowdot(w, w) / (4.0 * eps) + 0.5 * _rowdot(z, z)
+    h_p = pre.whiten(grad_p)
+    w = col * (h_x + h_p) + root * z
+    log_ratio = logp_p - logp_x - _rowdot(w, w) / four_eps + half_zz
     accepted = log_u < log_ratio
     keep = accepted[..., None]
     return _Transition(
         np.where(keep, prop, x),
         np.where(accepted, logp_p, logp_x),
-        np.where(keep, grad_p, grad_x),
+        np.where(keep, h_p, h_x),
         accepted,
         ~finite,
         prop,
@@ -234,16 +242,18 @@ def run_chain(init, target, config, start_step=0):
     chains, dim = x.shape
     if len(streams) != chains:
         raise ValueError(f"{chains} chains need {chains} stream keys, got {len(streams)}")
-    eps = np.broadcast_to(np.asarray(config.epsilon, dtype=np.float64), (chains,))
+    size = _step_size(np.broadcast_to(np.asarray(config.epsilon, dtype=np.float64), (chains,)))
     pre = _Precond(_as_spd_matrix(config.m, dim))
     draws = [_stream_randoms(config.seed, s, config.n, dim, start_step) for s in streams]
     normals, log_us = (np.stack(a, axis=1) for a in zip(*draws))
+    half_zz = 0.5 * _rowdot(normals, normals)
     states = np.empty((chains, config.n, dim))
     accept = np.empty((chains, config.n), dtype=bool)
     nonfinite = np.zeros(chains, dtype=np.int64)
     logp, grad = target.log_density_with_grad(x)
+    h = pre.whiten(grad)
     for i in range(config.n):
-        x, logp, grad, accept[:, i], bad = _step(x, logp, grad, target, eps, pre, normals[i], log_us[i])[:5]
+        x, logp, h, accept[:, i], bad = _step(x, logp, h, target, size, pre, normals[i], half_zz[i], log_us[i])[:5]
         states[:, i] = x
         nonfinite += bad
     return ChainOutput(

@@ -74,11 +74,15 @@ def _marginal_constraints(na, nb):
 
 
 def _plan_by_lp(cost, wa, wb):
-    """Optimal (cost, plan) of the transport LP, solved by HiGHS simplex."""
+    """Optimal (cost, plan) of the transport LP, solved by HiGHS simplex.
+
+    The feasibility tolerances sit below the 1e-8 marginal check: at the
+    HiGHS default of 1e-7 a weight below about 1e-7 could be dropped."""
     na, nb = cost.shape
     a_eq = _marginal_constraints(na, nb)
     b_eq = np.concatenate([wa, wb[:-1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    tols = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=tols)
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return float(res.fun), res.x.reshape(na, nb)

@@ -262,12 +262,14 @@ class GaussianMixture(TargetModel):
     def _evaluate(self, x, order):
         lp_comp = self._component_logpdfs(x)
         m = lp_comp.max(axis=1, keepdims=True)
+        dead = m == -np.inf  # no component has mass: log p is -inf, its derivatives NaN
+        m[dead] = 0.0
         e = np.exp(lp_comp - m)
         s = e.sum(axis=1, keepdims=True)
-        logp = (m + np.log(s))[:, 0]
+        logp = (m + np.log(s, out=np.full_like(s, -np.inf), where=~dead))[:, 0]
         if order < 1:
             return logp, None, None
-        r = e / s  # component responsibilities
+        r = np.divide(e, s, out=np.full_like(e, np.nan), where=~dead)  # component responsibilities
         comp_grads = (self.means[None, :, :] - x[:, None, :]) / self._var[None, :, None]
         g = np.einsum("nk,nkd->nd", r, comp_grads)
         if order < 2:
@@ -318,13 +320,14 @@ class RegressionPosterior(TargetModel):
         basis = 1.0 + self.t[None, :] * x2  # d f_i / d x1
         f = x1 * basis
         resid = self.y[None, :] - f
-        dfdx2 = self.t[None, :] * x1
         logp = -0.5 * np.einsum("nd,nd->n", x, x) - 0.5 * np.einsum("ni,ni->n", resid, resid)
         if order < 1:
             return logp, None, None
-        g1 = np.einsum("ni,ni->n", resid, basis)
-        g2 = np.einsum("ni,ni->n", resid, dfdx2)
-        grad = -x + np.stack([g1, g2], axis=1)
+        dfdx2 = self.t[None, :] * x1
+        grad = np.empty((x.shape[0], 2))
+        grad[:, 0] = np.einsum("ni,ni->n", resid, basis)
+        grad[:, 1] = np.einsum("ni,ni->n", resid, dfdx2)
+        grad -= x
         if order < 2:
             return logp, grad, None
         h11 = -np.einsum("ni,ni->n", basis, basis)

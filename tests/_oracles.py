@@ -7,6 +7,7 @@ code with the paths it verifies.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,6 +236,50 @@ def mala_log_ratio_reference(x, prop, eps, m, target):
     log_q_fwd = multivariate_normal.logpdf(prop, mean=mean(x), cov=cov)
     log_q_bwd = multivariate_normal.logpdf(x, mean=mean(prop), cov=cov)
     return target.log_density(prop) - target.log_density(x) + log_q_bwd - log_q_fwd
+
+
+def mala_chain_reference(init, target, eps, m, normals, log_us):
+    """States and accept flags of one preconditioned MALA chain, textbook style.
+
+    With M = L L^T, each step whitens both gradients afresh, h = L^{-1}
+    grad, proposes x' = x + L^{-T} (eps h(x) + sqrt(2 eps) z) and accepts
+    when log u < log p(x') - log p(x) - ||w||^2 / (4 eps) + ||z||^2 / 2,
+    w = eps (h(x) + h(x')) + sqrt(2 eps) z.  A proposal with a nonfinite
+    density or gradient is rejected.  Plain Python floats, one point at a
+    time, and every sum over the dimension taken left to right, the order
+    the sampler documents, so a chain can be compared bitwise.
+    """
+    whitener = np.linalg.inv(np.linalg.cholesky(np.asarray(m, dtype=np.float64)))
+    d = whitener.shape[0]
+    root = math.sqrt(2.0 * eps)
+
+    def dot(u, v):
+        total = u[0] * v[0]
+        for j in range(1, d):
+            total = total + u[j] * v[j]
+        return total
+
+    def apply(a, v):
+        return [dot(a[i], v) for i in range(d)]
+
+    x = [float(c) for c in init]
+    logp, grad = target.log_density_with_grad(np.array(x))
+    states, flags = [], []
+    for z, log_u in zip(normals.tolist(), log_us.tolist()):
+        h_x = apply(whitener, grad.tolist())
+        move = apply(whitener.T, [eps * h_x[j] + root * z[j] for j in range(d)])
+        prop = [x[j] + move[j] for j in range(d)]
+        logp_p, grad_p = target.log_density_with_grad(np.array(prop))
+        accept = False
+        if np.isfinite(logp_p) and np.isfinite(grad_p).all():
+            h_p = apply(whitener, grad_p.tolist())
+            w = [eps * (h_x[j] + h_p[j]) + root * z[j] for j in range(d)]
+            accept = log_u < logp_p - logp - dot(w, w) / (4.0 * eps) + 0.5 * dot(z, z)
+        if accept:
+            x, logp, grad = prop, logp_p, grad_p
+        states.append(x)
+        flags.append(accept)
+    return np.array(states), np.array(flags)
 
 
 class ConstantKernel:

@@ -289,7 +289,7 @@ def test_criterion_08_weight_dominance_chain():
 
 
 def test_criterion_09_detailed_balance_and_preconditioning():
-    from steinpi.mala import _Precond, _step
+    from steinpi.mala import _Precond, _step, _step_size
 
     rng = np.random.default_rng(909)
     for _ in range(100):
@@ -301,7 +301,8 @@ def test_criterion_09_detailed_balance_and_preconditioning():
         pre = _Precond(m)
         x = rng.standard_normal(d)
         logp, grad = target.log_density_with_grad(x)
-        res = _step(x, logp, grad, target, eps, pre, rng.standard_normal(d), np.log(rng.random()))
+        z = rng.standard_normal(d)
+        res = _step(x, logp, pre.whiten(grad), target, _step_size(eps), pre, z, 0.5 * z @ z, np.log(rng.random()))
         oracle = mala_log_ratio_reference(x, res.proposal, eps, m, target)
         assert abs(res.log_ratio - oracle) <= 1e-12
 

@@ -10,6 +10,7 @@ from steinpi.kernels import (
     check_theorem_assumptions,
     make_kernel,
 )
+from steinpi.pi_targets import make_pi
 from steinpi.targets import default_mixture, find_mode, make_gaussian
 
 from _oracles import ConstantKernel, base_kappa, kernel_diagonal, rel_err
@@ -192,6 +193,60 @@ def test_kgm_growth_rate(s):
     ratios = [kernel.diag_values((t * x)[None])[0] / t ** (2 * s) for t in (1e2, 1e3, 1e4)]
     assert abs(ratios[0] / ratios[2] - 1.0) < 0.05
     assert abs(ratios[1] / ratios[2] - 1.0) < 0.05
+
+
+# ----------------------------------------------------------------------
+# per-point contexts
+# ----------------------------------------------------------------------
+
+PIECES = ("a1", "a2", "u", "v", "q")
+
+
+def _eager_pieces(kernel, x):
+    # the formulas a context used to build up front, for every point set
+    delta = x - kernel.x_star
+    a1 = np.einsum("ni,ij->nj", delta, kernel.sigma_inv)
+    a2 = np.einsum("ni,ij->nj", delta, kernel.sigma_inv2)
+    v = 1.0 + np.einsum("nd,nd->n", delta, a1)
+    u = np.einsum("nd,nd->n", delta, a1)
+    return {"a1": a1, "a2": a2, "u": u, "v": v, "q": np.einsum("nd,nd->n", delta, a2)}
+
+
+def _built(ctx):
+    return [name for name in PIECES if name in vars(ctx)]
+
+
+def test_context_pieces_are_lazy_and_equal_the_eager_formulas(rng):
+    target, mode = _gaussian_setup()
+    kernel = KGMKernel(target, mode, s=3)
+    pts = 3.0 * rng.standard_normal((50, 2))
+    eager = _eager_pieces(kernel, pts)
+    ctx = kernel.context(pts)
+    assert _built(ctx) == []
+    for name in PIECES:
+        assert getattr(ctx, name).tobytes() == eager[name].tobytes(), name
+    for rows in (np.array([7, 0, 7, 31]), slice(12, 13)):
+        picked = ctx[rows]  # a thinning pick: every built piece selected, none rebuilt
+        assert _built(picked) == list(PIECES)
+        lazy = kernel.context(pts)[rows]  # nothing built yet: each piece built on the rows
+        assert _built(lazy) == []
+        for name in PIECES:
+            assert getattr(picked, name).tobytes() == eager[name][rows].tobytes(), name
+            assert getattr(lazy, name).tobytes() == eager[name][rows].tobytes(), name
+        np.testing.assert_array_equal(lazy.score, ctx.score[rows])
+
+
+def test_langevin_pi_evaluation_builds_no_whitened_pieces(rng):
+    target, mode = _gaussian_setup()
+    pts = rng.standard_normal((20, 2))
+    cases = ((LangevinKernel(target, mode), []), (KGMKernel(target, mode, s=3), list(PIECES)))
+    for kernel, built in cases:
+        seen = []
+        diag_at = kernel._diag_at
+        kernel._diag_at = lambda ctx, hess=None: (seen.append(ctx), diag_at(ctx, hess))[1]
+        make_pi(target, kernel).log_density_with_grad(pts)
+        assert len(seen) == 1
+        assert sorted(_built(seen[0])) == sorted(built), kernel.family
 
 
 # ----------------------------------------------------------------------

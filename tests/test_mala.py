@@ -11,6 +11,7 @@ from steinpi.mala import (
     ChainConfig,
     _Precond,
     _step,
+    _step_size,
     _stream_randoms,
     adaptive_warmup,
     random_window,
@@ -26,7 +27,7 @@ from steinpi.targets import (
     make_regression_posterior,
 )
 
-from _oracles import mala_log_ratio_reference
+from _oracles import mala_chain_reference, mala_log_ratio_reference
 
 
 def _cfg(eps, m, n, seed=0, stream=()):
@@ -45,7 +46,8 @@ def test_step_small_epsilon_stays_and_accepts(rng):
     for _ in range(100):
         x = rng.standard_normal(2)
         logp, grad = target.log_density_with_grad(x)
-        res = _step(x, logp, grad, target, eps, pre, rng.standard_normal(2), np.log(rng.random()))
+        z = rng.standard_normal(2)
+        res = _step(x, logp, pre.whiten(grad), target, _step_size(eps), pre, z, 0.5 * z @ z, np.log(rng.random()))
         assert np.linalg.norm(res.proposal - x) < 1e-5
         assert abs(res.log_ratio) < 1e-8
         assert res.accepted
@@ -58,7 +60,8 @@ def test_step_log_ratio_matches_proposal_density_oracle(rng):
     for _ in range(100):
         x = rng.standard_normal(1)
         logp, grad = target.log_density_with_grad(x)
-        res = _step(x, logp, grad, target, eps, pre, rng.standard_normal(1), np.log(rng.random()))
+        z = rng.standard_normal(1)
+        res = _step(x, logp, pre.whiten(grad), target, _step_size(eps), pre, z, 0.5 * z @ z, np.log(rng.random()))
         oracle = mala_log_ratio_reference(x, res.proposal, eps, np.eye(1), target)
         assert abs(res.log_ratio - oracle) < 1e-12
 
@@ -73,7 +76,8 @@ def test_step_log_ratio_oracle_random_configurations(rng):
         pre = _Precond(m)
         x = rng.standard_normal(d)
         logp, grad = target.log_density_with_grad(x)
-        res = _step(x, logp, grad, target, eps, pre, rng.standard_normal(d), np.log(rng.random()))
+        z = rng.standard_normal(d)
+        res = _step(x, logp, pre.whiten(grad), target, _step_size(eps), pre, z, 0.5 * z @ z, np.log(rng.random()))
         oracle = mala_log_ratio_reference(x, res.proposal, eps, m, target)
         assert abs(res.log_ratio - oracle) < 1e-12
 
@@ -194,6 +198,31 @@ def test_chain_does_not_depend_on_its_ensemble(name, law):
             assert cfg.epsilon[r] == cfg_1.epsilon
             np.testing.assert_array_equal(cfg.m[r], cfg_1.m)
     assert 0.0 < runs[64][1].accept_rate < 1.0  # the chains moved
+
+
+@pytest.mark.parametrize("family", [None, "langevin", "kgm"])
+def test_chain_matches_textbook_mala_bitwise(family):
+    # run_chain carries whitened gradients and precomputed step constants;
+    # a lone chain and each chain of an ensemble match, bitwise, a loop that
+    # whitens both gradients afresh on every step
+    target = make_regression_posterior()
+    if family:  # pi for this kernel; p otherwise
+        target = make_pi(target, make_kernel(target, find_mode(target, np.zeros(2)), family=family))
+    eps = np.array([0.02, 0.05, 0.1])
+    ms = np.stack([np.eye(2), np.diag([3.0, 0.5]), np.array([[2.0, 0.7], [0.7, 1.0]])])
+    streams = ((2, 0), (2, 1), (2, 2))
+    inits = np.array([[0.1, 0.0], [-0.2, 0.1], [0.3, -0.1]])
+    n, seed = 150, 11
+    ensemble = run_chain(inits, target, ChainConfig(epsilon=eps, m=ms, n=n, seed=seed, stream=streams))
+    states, flags = ensemble.states.reshape(3, n, 2), ensemble.accept_flags.reshape(3, n)
+    for r in range(3):
+        lone = run_chain(inits[r], target, _cfg(eps[r], ms[r], n, seed=seed, stream=streams[r]))
+        normals, log_us = _stream_randoms(seed, streams[r], n, 2)
+        ref_states, ref_flags = mala_chain_reference(inits[r], target, eps[r], ms[r], normals, log_us)
+        for got_states, got_flags in ((lone.states, lone.accept_flags), (states[r], flags[r])):
+            assert got_states.tobytes() == ref_states.tobytes()
+            np.testing.assert_array_equal(got_flags, ref_flags)
+        assert 0.0 < ref_flags.mean() < 1.0  # both branches taken
 
 
 def test_row_looped_garch_target_runs_in_an_ensemble():

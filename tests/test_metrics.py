@@ -84,6 +84,17 @@ def test_exact_transport_agrees_with_1d_path(rng):
         assert wasserstein1_exact(a, b).cost == pytest.approx(wasserstein1_1d(a, b), abs=1e-9)
 
 
+def test_exact_transport_keeps_a_weight_below_the_solver_default_tolerance(rng):
+    # a weight of 8e-8 sits below the HiGHS default feasibility tolerance of
+    # 1e-7; the LP must still carry it, so its plan passes the marginal check
+    for _ in range(30):
+        wa = rng.random(8)
+        wa[0] = 8e-8 * wa[1:].sum() / (1.0 - 8e-8)
+        a = _weighted(rng.standard_normal((8, 1)), wa / wa.sum())
+        b = uniform_sample(rng.standard_normal((9, 1)))
+        assert abs(wasserstein1_exact(a, b).cost - wasserstein1_1d(a, b)) <= 1e-12
+
+
 def test_exact_transport_degenerate_tie():
     # two sources and two sinks at the corners of a unit square: every
     # vertex plan moving unit mass across unit edges costs exactly 1

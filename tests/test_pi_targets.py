@@ -264,7 +264,7 @@ class _Tabulated(TargetModel):
 @pytest.mark.parametrize(
     "target, bounds",
     [
-        (default_mixture(), [(1e160, 1e161)]),  # NaN: every component's log density is -inf
+        (_Tabulated(lambda x: np.where(x == 0.0, np.nan, 0.0)), [(-1.0, 1.0)]),
         (_Tabulated(lambda x: np.where(x == 0.0, np.inf, 0.0)), [(-1.0, 1.0)]),
         (_Tabulated(lambda x: np.full_like(x, -np.inf)), [(-1.0, 1.0)]),
     ],

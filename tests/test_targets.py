@@ -1,6 +1,8 @@
 """Targets: analytic derivatives against finite differences, mode finding,
 and the documented closed-form spot values."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,24 @@ def test_mixture_component_permutation_bitwise(perm, x):
     p = np.array([x])
     assert base.log_density(p) == shuffled.log_density(p)
     assert np.array_equal(base.grad_log_density(p), shuffled.grad_log_density(p))
+
+
+def test_mixture_is_minus_infinity_where_no_component_has_mass():
+    # beyond |x| ~ 1e154 every component's squared distance overflows; log p
+    # is -inf there, its derivatives NaN, and no warning is raised
+    target = default_mixture()
+    finite = np.array([[-7.5], [0.0], [2.9], [1e150]])
+    pts = np.vstack([finite, [[1e160], [-3e160]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logp, grad, hess = target._at(pts, 2)
+    np.testing.assert_array_equal(logp[4:], [-np.inf, -np.inf])
+    assert np.isnan(grad[4:]).all() and np.isnan(hess[4:]).all()
+    lp_comp = target._component_logpdfs(finite)  # the max-shifted sum on finite rows
+    m = lp_comp.max(axis=1, keepdims=True)
+    assert logp[:4].tobytes() == (m + np.log(np.exp(lp_comp - m).sum(axis=1, keepdims=True)))[:, 0].tobytes()
+    for got, alone in zip((logp, grad, hess), target._at(finite, 2)):
+        assert got[:4].tobytes() == alone.tobytes()
 
 
 def test_mixture_rejects_bad_weights():
