@@ -12,9 +12,10 @@ reads no config and takes no flags.  Each verb builds only from values
 checked by steinpi.experiment's parse functions, one per config block:
 experiment parses it all; sample sets its flags in a copy of the raw
 config, parses target, mode_init, kernel, sampler and seed, and draws
-through MethodRuntime.draw, the experiment runner's one draw path; the
-other verbs parse only target, mode_init and kernel, and
-check-assumptions its seed (--seed, else the config's, else 0).
+through MethodRuntime.draw, the experiment runner's one draw path taken
+by a group of one method; the other verbs parse only target, mode_init
+and kernel, and check-assumptions its seed (--seed, else the config's,
+else 0).
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ methods (kernel + sampling distribution + mechanism + post-processor), a
 grid of sample sizes, a replicate count and a seed.  Execution is
 deterministic given the seed; replicates run on independent RNG streams so
 the emitted tables are byte-identical regardless of thread count.  Every
-replicate is drawn before its cells, through one path (MethodRuntime.draw);
-a method's MALA chains run as one ensemble, which no chain depends on.
+replicate is drawn before its cells, through one path (_draw_group): the
+MALA methods that share a warm-up schedule run all their chains as one
+ensemble over their stacked laws, which no chain depends on.
 Wall times are recorded but written to a separate file, outside the
 determinism contract.
 """
@@ -34,7 +35,7 @@ from .grid import NODE_GUARD, GridSampler
 from .kernels import make_kernel
 from .mala import AdaptSchedule, adaptive_warmup, random_window
 from .metrics import wasserstein1
-from .pi_targets import make_pi, make_power_tilt
+from .pi_targets import StackedLaws, make_pi, make_power_tilt
 from .quantise import (
     WeightedSample,
     greedy_thin,
@@ -408,14 +409,28 @@ class MethodRuntime:
         self.sampler = _grid_sampler(self.law, method.sampler["grid"], mode) if exact else None
 
     def draw(self, seed, method_index, replicates, n):
-        """Each replicate's states: n exact draws from its own stream, or the
-        production epoch of its MALA chain, the replicates run as one ensemble."""
-        if self.sampler is not None:
-            return [self.sampler.sample(n, _rng(seed, method_index, r)) for r in replicates]
-        init = np.tile(self.mode.x_star, (len(replicates), 1))
-        stream = [(method_index, r) for r in replicates]
-        _, out = adaptive_warmup(init, self.law, self.method.sampler["warmup"], seed=seed, stream=stream)
-        return out.states.reshape(init.shape[0], -1, init.shape[1])
+        """Each replicate's states, drawn as a group of one."""
+        states = _draw_group(seed, [(method_index, self)], replicates, n)
+        return [states[method_index, r] for r in replicates]
+
+
+def _draw_group(seed, members, replicates, n):
+    """States of each (method index, replicate) of (method index, runtime)
+    members: n exact draws from the replicate's own stream (an exact method
+    is a group of one), or the production epoch of its MALA chain.  A MALA
+    group shares one warm-up schedule and runs as one ensemble on stream
+    keys (method index, replicate), over its laws stacked if it has several.
+    """
+    first = members[0][1]
+    if first.sampler is not None:
+        ((mi, runtime),) = members
+        return {(mi, r): runtime.sampler.sample(n, _rng(seed, mi, r)) for r in replicates}
+    laws = [runtime.law for _, runtime in members]
+    law = laws[0] if len(laws) == 1 else StackedLaws(laws, len(replicates))
+    init = np.concatenate([np.tile(runtime.mode.x_star, (len(replicates), 1)) for _, runtime in members])
+    stream = [(mi, r) for mi, _ in members for r in replicates]
+    _, out = adaptive_warmup(init, law, first.method.sampler["warmup"], seed=seed, stream=stream)
+    return dict(zip(stream, out.states.reshape(len(stream), -1, init.shape[1])))
 
 
 def post_process(points, kernel, post):
@@ -453,19 +468,24 @@ def _reference_sample(spec, target, mode):
 _CELL_ERRORS = (SteinpiError, np.linalg.LinAlgError)
 
 
-def _sources(spec, runtime, method_index, replicates):
-    """Each replicate's states, or the error that stopped its draw.
+def _sources(spec, members, replicates):
+    """Each (method index, replicate)'s states, or the error that stopped its draw.
 
-    A replicate's states do not depend on the others drawn with it, so
-    when the draw fails each replicate is redrawn alone: the others come
-    out bitwise the same, and only the failing ones are lost.
+    A chain's states do not depend on the others drawn with it, so when a
+    group's draw fails each method is redrawn alone, and then each
+    replicate: the others come out bitwise the same, and only the failing
+    ones are lost.
     """
     try:
-        return dict(zip(replicates, runtime.draw(spec.seed, method_index, replicates, max(spec.ns))))
+        return _draw_group(spec.seed, members, replicates, max(spec.ns))
     except _CELL_ERRORS as exc:
-        if len(replicates) == 1:
-            return {replicates[0]: exc}
-    return {r: _sources(spec, runtime, method_index, [r])[r] for r in replicates}
+        if len(members) == len(replicates) == 1:
+            return {(members[0][0], replicates[0]): exc}
+    if len(members) > 1:
+        retries = [([member], replicates) for member in members]
+    else:
+        retries = [(members, [r]) for r in replicates]
+    return {key: value for retry in retries for key, value in _sources(spec, *retry).items()}
 
 
 def _run_cell(spec, runtime, method_index, replicate, reference, source):
@@ -508,21 +528,22 @@ def run_experiment(spec, threads=1):
     """Execute every (method, replicate, n) cell; deterministic given seed.
 
     Per-cell failures are recorded and the run continues.  Every
-    method's replicates are drawn first, through one path (a MALA
-    method's chains as one ensemble); the cells then run in a thread
-    pool, and rows are sorted by key before returning, so the output is
-    independent of scheduling.
+    method's replicates are drawn first, through one path: each exact
+    method alone, and the MALA methods of one warm-up schedule as one
+    ensemble.  The cells then run in a thread pool, and rows are sorted by
+    key before returning, so the output is independent of scheduling.
     """
     target = build_target(spec.target)
     mode = find_mode(target, spec.mode_init)
     runtimes = [MethodRuntime(m, target, mode) for m in spec.methods]
     reference = _reference_sample(spec, target, mode)
-    replicates = list(range(spec.replicates))
-    sources = {
-        (mi, r): source
-        for mi, runtime in enumerate(runtimes)
-        for r, source in _sources(spec, runtime, mi, replicates).items()
-    }
+    groups = {}
+    for mi, runtime in enumerate(runtimes):
+        key = mi if runtime.sampler is not None else runtime.method.sampler["warmup"]
+        groups.setdefault(key, []).append((mi, runtime))
+    sources = {}
+    for members in groups.values():
+        sources.update(_sources(spec, members, list(range(spec.replicates))))
 
     def cell(task):
         mi, replicate = task

@@ -51,9 +51,9 @@ class GridSampler:
         bounds = tuple(tuple(map(float, b)) for b in bounds)
         if len(bounds) not in (1, 2):
             raise ValueError("grid sampling supports one or two dimensions")
-        derived = isinstance(law, DerivedTarget)
-        nodes, values = _table(law.base if derived else law, bounds, num, law.lift if derived else 0)
-        logp = law._from_base(nodes, 0, *values)[0] if derived else values[0]
+        law = law if isinstance(law, DerivedTarget) else DerivedTarget(law)  # p: its base's own law
+        nodes, values = _table(law.base, bounds, num, law.lift)
+        logp = law._from_base(nodes, 0, *values)[0]
         top = logp.max()
         if not -np.inf < top < np.inf:
             grid = f"grid {[list(b) for b in bounds]} with num {num}"

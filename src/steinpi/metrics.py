@@ -7,10 +7,13 @@ of two ways.  When every weight within each sample is the same
 (compared exactly), the larger size L is a multiple of the smaller and
 L^2 <= PAIR_GUARD, transport is an assignment problem: each point is
 repeated L / n times and the L x L assignment is solved.  Every other
-input is solved as the transport linear program.  Both paths return an
-(n_a, n_b) plan whose marginals are checked on every solve.  Also the
-dimension diagnostic comparing the variance of the normalised kernel
-diagonal on a standard Gaussian against its 2 c^2 / d closed form.
+input is solved as the transport linear program over the distinct points
+of each sample, with their weights summed, so a thinned sample's repeated
+picks cost the LP nothing; each merged row and column of the plan is
+split back over its points in proportion to their weights.  Both paths
+return an (n_a, n_b) plan whose marginals are checked on every solve.
+Also the dimension diagnostic comparing the variance of the normalised
+kernel diagonal on a standard Gaussian against its 2 c^2 / d closed form.
 """
 
 from __future__ import annotations
@@ -88,6 +91,31 @@ def _plan_by_lp(cost, wa, wb):
     return float(res.fun), res.x.reshape(na, nb)
 
 
+def _merged(sample):
+    """A sample's distinct points, their summed weights, the index of each
+    point among them, and each point's share of its summed weight (0 where
+    that sum is 0)."""
+    points, index = np.unique(sample.points, axis=0, return_inverse=True)
+    index = index.ravel()
+    mass = np.bincount(index, weights=sample.weights, minlength=len(points))
+    share = np.divide(sample.weights, mass[index], out=np.zeros(sample.n), where=mass[index] > 0)
+    return points, mass, index, share
+
+
+def _plan_by_merged_lp(a, b):
+    """The transport LP solved on the distinct points of each sample, its
+    plan split back to every point in proportion to its weight."""
+    (pa, wa, ia, sa), (pb, wb, ib, sb) = _merged(a), _merged(b)
+    value, plan = _plan_by_lp(_distances(pa, pb), wa, wb)
+    return value, plan[np.ix_(ia, ib)] * sa[:, None] * sb
+
+
+def _distances(x, y):
+    """Euclidean distances between the rows of x and of y, (n_x, n_y)."""
+    diff = x[:, None, :] - y[None, :, :]
+    return np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
+
+
 def _plan_by_assignment(cost):
     """Optimal (cost, plan) between equal-weight samples whose sizes divide.
 
@@ -111,23 +139,22 @@ def wasserstein1_exact(a, b):
     same (compared exactly), the larger size L is a multiple of the
     smaller and L^2 <= PAIR_GUARD; its cost is the correctly rounded sum
     of the matched distances, divided by L.  Otherwise the transport
-    linear program is solved with the HiGHS simplex solver.  Either way
-    the optimal plan is returned, and its feasibility (marginal sums
-    within 1e-8) is verified on every solve.
+    linear program between the samples' distinct points is solved with
+    the HiGHS simplex solver.  Either way the optimal plan is returned,
+    and its feasibility (marginal sums within 1e-8) is verified on every
+    solve.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"samples have dimensions {a.dim} and {b.dim}")
     na, nb = a.n, b.n
     if na * nb > PAIR_GUARD:
         raise SizeGuard(f"{na} x {nb} pairs exceed the exact-transport guard {PAIR_GUARD}")
-    diff = a.points[:, None, :] - b.points[None, :, :]
-    cost = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
     size = max(na, nb)
     equal_weights = np.all(a.weights == a.weights[0]) and np.all(b.weights == b.weights[0])
     if size % min(na, nb) == 0 and size * size <= PAIR_GUARD and equal_weights:
-        value, gamma = _plan_by_assignment(cost)
+        value, gamma = _plan_by_assignment(_distances(a.points, b.points))
     else:
-        value, gamma = _plan_by_lp(cost, a.weights, b.weights)
+        value, gamma = _plan_by_merged_lp(a, b)
     row_err = np.max(np.abs(gamma.sum(axis=1) - a.weights))
     col_err = np.max(np.abs(gamma.sum(axis=0) - b.weights))
     if max(row_err, col_err) > 1e-8:

@@ -5,7 +5,9 @@ of the kernel diagonal, log pi(x) = log p(x) + log(k_P(x)) / 2 up to a
 constant; its gradient uses the analytic kernel-diagonal gradient.  The
 power tilt p(x)^{d/(d+r)} is the generic over-dispersion alternative.
 Both are targets derived from the base: each maps one evaluation of the
-base to its own, so evaluating either evaluates the base once.
+base to its own, so evaluating either evaluates the base once.  A stack of
+laws over one base is a derived target too, so lockstep chains of p, pi
+and tilts share one base evaluation per step.
 Neither density needs a normalising constant anywhere in the package;
 ``estimate_c2`` exists purely as a diagnostic.
 """
@@ -18,13 +20,14 @@ import numpy as np
 
 from .targets import TargetModel
 
-__all__ = ["PiTarget", "PowerTilt", "make_pi", "make_power_tilt", "estimate_c2", "C2Estimate"]
+__all__ = ["PiTarget", "PowerTilt", "StackedLaws", "make_pi", "make_power_tilt", "estimate_c2", "C2Estimate"]
 
 
 class DerivedTarget(TargetModel):
     """A target whose evaluation at order o is ``_from_base(x, o, logp, grad,
     hess)`` of its base's evaluation at order o + ``lift``.  The split lets
-    an exact grid evaluate a base once for every law derived from it."""
+    an exact grid evaluate a base once for every law derived from it.  By
+    itself it is the base's own law: ``_from_base`` passes values through."""
 
     lift = 0
 
@@ -34,6 +37,39 @@ class DerivedTarget(TargetModel):
 
     def _evaluate(self, x, order):
         return self._from_base(x, order, *self.base._evaluate(x, order + self.lift))
+
+    def _from_base(self, x, order, *values):
+        return values
+
+
+class StackedLaws(DerivedTarget):
+    """Laws over one base as one target, law k owning rows k R to k R + R - 1
+    of a batch, for R = ``rows``; the base itself stands for p.
+
+    An evaluation at order o evaluates the base once, at o plus the largest
+    lift, and hands each law its block of the values up to its own order
+    o + lift.  A law therefore reads what it would read alone, provided the
+    base's derivatives up to an order do not depend on the order its hook
+    ran at, and its rows not on the batch (row invariance).
+    """
+
+    def __init__(self, laws, rows):
+        laws = [law if isinstance(law, DerivedTarget) else DerivedTarget(law) for law in laws]
+        super().__init__(laws[0].base)
+        if any(law.base is not self.base for law in laws):
+            raise ValueError("stacked laws must derive from one base")
+        self.laws, self.rows = laws, rows
+        self.lift = max(law.lift for law in laws)
+
+    def _from_base(self, x, order, *values):
+        if len(x) != self.rows * len(self.laws):
+            raise ValueError(f"{len(self.laws)} laws of {self.rows} rows each, got {len(x)} rows")
+        blocks = []
+        for k, law in enumerate(self.laws):
+            rows = slice(k * self.rows, (k + 1) * self.rows)
+            own = [None if a is None or i > order + law.lift else a[rows] for i, a in enumerate(values)]
+            blocks.append(law._from_base(x[rows], order, *own))
+        return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
 
 
 class PiTarget(DerivedTarget):

@@ -55,3 +55,15 @@ def test_batch_rows_equal_single_point_calls(target_and_mode, size):
             # the diagonal methods take batches only; a single point is a batch of one
             _assert_rows_match_single_calls(lambda x, f=method: f(x) if x.ndim == 2 else f(x[None])[0], batch)
         _assert_rows_match_single_calls(make_pi(target, kernel).log_density_with_grad, batch)
+
+
+def test_lower_orders_do_not_depend_on_the_order_the_hook_ran_at(target_and_mode):
+    # a stack of laws evaluates p at the order pi needs, one above its own,
+    # so p's log density and gradient must not move with the hook's order
+    target, mode = target_and_mode
+    rng = np.random.default_rng(5)
+    batch = mode.x_star + 1.5 * np.sqrt(np.diag(mode.sigma)) * rng.standard_normal((16, target.dim))
+    at0, at1, at2 = (target._evaluate(batch, order) for order in range(3))
+    np.testing.assert_array_equal(at2[0], at1[0])
+    np.testing.assert_array_equal(at2[1], at1[1])
+    np.testing.assert_array_equal(at2[0], at0[0])

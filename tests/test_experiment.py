@@ -30,6 +30,7 @@ from steinpi.experiment import (
     write_experiment_outputs,
 )
 from steinpi.kernels import LangevinKernel, SteinKernel, make_kernel
+from steinpi.mala import adaptive_warmup
 from steinpi.quantise import ksd
 from steinpi.targets import TargetModel, find_mode, make_gaussian, make_skew_normal_2d
 
@@ -250,20 +251,122 @@ def test_failed_exact_draw_loses_only_its_replicate(monkeypatch):
     # replicate's grid draw has its own stream, so a redraw alone is bitwise
     spec = parse_experiment_spec(_base_config(replicates=3, ns=[15]))
     clean = run_experiment(spec)
-    draw = experiment.MethodRuntime.draw
+    draw = experiment._draw_group
 
-    def fails_for_replicate_1(self, seed, method_index, replicates, n):
+    def fails_for_replicate_1(seed, members, replicates, n):
         if 1 in replicates:
             raise np.linalg.LinAlgError("grid draw failed")
-        return draw(self, seed, method_index, replicates, n)
+        return draw(seed, members, replicates, n)
 
-    monkeypatch.setattr(experiment.MethodRuntime, "draw", fails_for_replicate_1)
+    monkeypatch.setattr(experiment, "_draw_group", fails_for_replicate_1)
     result = run_experiment(spec)
     assert [(f.method, f.replicate) for f in result.failures] == [("p-lang", 1), ("pi-lang", 1)]
     assert all(f.message == "sampling failed: grid draw failed" for f in result.failures)
     assert [(r.method, r.replicate, r.ksd) for r in result.rows] == [
         (r.method, r.replicate, r.ksd) for r in clean.rows if r.replicate != 1
     ]
+
+
+def test_failed_chain_in_a_group_loses_only_its_method_and_replicate(monkeypatch):
+    # the group fails as a whole, then each method alone, then each of the
+    # failing method's replicates alone; everything else is the clean run's
+    p_mala = dict(_mala_method(), name="p-mala")
+    p_mala["sampler"] = dict(p_mala["sampler"], distribution="p")
+    spec = parse_experiment_spec(_base_config(replicates=3, ns=[15], methods=[_mala_method(), p_mala]))
+    clean = run_experiment(spec)
+    warmup = experiment.adaptive_warmup
+    streams = []
+
+    def fails_for_method_1_replicate_1(init, target, schedule, *, seed, stream):
+        streams.append(list(stream))
+        if (1, 1) in stream:
+            raise np.linalg.LinAlgError("singular preconditioner")
+        return warmup(init, target, schedule, seed=seed, stream=stream)
+
+    monkeypatch.setattr(experiment, "adaptive_warmup", fails_for_method_1_replicate_1)
+    result = run_experiment(spec)
+    both = [(mi, r) for mi in (0, 1) for r in range(3)]
+    assert streams == [both, both[:3], both[3:], [(1, 0)], [(1, 1)], [(1, 2)]]
+    assert [(f.method, f.replicate, f.n) for f in result.failures] == [("p-mala", 1, 15)]
+    assert "sampling failed: singular preconditioner" in result.failures[0].message
+    assert [(r.method, r.replicate, r.ksd) for r in result.rows] == [
+        (r.method, r.replicate, r.ksd) for r in clean.rows if (r.method, r.replicate) != ("p-mala", 1)
+    ]
+
+
+_STACK_METHODS = [
+    ("p", "p", {"family": "langevin"}),
+    ("pi-langevin", "pi", {"family": "langevin"}),
+    ("pi-kgm3", "pi", {"family": "kgm", "s": 3}),
+    ("tilt", "power_tilt", {"family": "langevin"}),
+]
+
+
+@pytest.mark.parametrize("target_cfg", [{"name": "regression"}, {"name": "garch"}], ids=["regression", "garch"])
+def test_stacked_draw_equals_each_method_drawn_alone(target_cfg, monkeypatch):
+    # p, pi under both kernels and a power tilt as one ensemble over one
+    # base: every chain is bitwise its method's own ensemble's and its lone
+    # chain's, and the base is evaluated once per step for all of them
+    target = build_target(target_cfg)
+    mode = find_mode(target, np.zeros(target.dim), max_iter=400)
+    warmup = {"epsilon0": 0.5, "epoch_lengths": [20, 20, 30]}
+    members = [
+        (mi, MethodRuntime(MethodSpec(name, parse_kernel(kernel, "kernel"), parse_sampler(
+            {"distribution": dist, "mechanism": "mala", "warmup": warmup}, target.dim, 30, "sampler"), None), target, mode))
+        for mi, (name, dist, kernel) in enumerate(_STACK_METHODS)
+    ]
+    replicates = [0, 2]
+    evaluate, batches = target._evaluate, []
+    monkeypatch.setattr(target, "_evaluate", lambda x, order: batches.append(len(x)) or evaluate(x, order))
+    stacked = experiment._draw_group(5, members, replicates, 30)
+    assert batches == [len(members) * len(replicates)] * (20 + 20 + 30 + 3)  # one per step and per epoch start
+    schedule = members[0][1].method.sampler["warmup"]
+    for mi, runtime in members:
+        init = np.tile(mode.x_star, (len(replicates), 1))
+        _, own = adaptive_warmup(init, runtime.law, schedule, seed=5, stream=[(mi, r) for r in replicates])
+        for r, states in zip(replicates, own.states.reshape(len(replicates), -1, target.dim)):
+            _, lone = adaptive_warmup(mode.x_star, runtime.law, schedule, seed=5, stream=(mi, r))
+            assert np.array_equal(stacked[mi, r], states)
+            assert np.array_equal(lone.states, states)
+
+
+def test_grouped_mala_writes_the_bytes_of_per_method_draws(tmp_path, monkeypatch):
+    # a regression-shaped experiment: p and pi MALA drawn as one group, and
+    # pi KGM-3 on another schedule alone, write the results.csv and
+    # summary.csv of drawing each method by itself
+    warmups = [{"epoch_lengths": [100, 100, 200], "epsilon0": 0.5}] * 2 + [{"epoch_lengths": [100, 200]}]
+    methods = [
+        {"name": name, "kernel": kernel, "post": {"kind": "optimal"},
+         "sampler": {"distribution": dist, "mechanism": "mala", "warmup": warmup}}
+        for (name, dist, kernel), warmup in zip(_STACK_METHODS, warmups)
+    ]
+    methods.append({"name": "tilt", "kernel": {"family": "langevin"}, "post": {"kind": "optimal"},
+                    "sampler": {"distribution": "power_tilt", "mechanism": "exact", "grid": {"num": 101}}})
+    cfg = _base_config(target={"name": "regression"}, mode_init=[0.0, 0.0], replicates=3, ns=[20, 50], methods=methods)
+    spec = parse_experiment_spec(cfg)
+    warmup_calls = []
+    monkeypatch.setattr(experiment, "adaptive_warmup",
+                        lambda init, *args, **kw: warmup_calls.append(len(init)) or adaptive_warmup(init, *args, **kw))
+    write_experiment_outputs(run_experiment(spec), tmp_path / "grouped")
+    assert warmup_calls == [2 * 3, 3]
+    draw_group = experiment._draw_group
+
+    def per_method(seed, members, replicates, n):
+        states = {}
+        for mi, runtime in members:
+            if runtime.sampler is not None:
+                states.update(draw_group(seed, [(mi, runtime)], replicates, n))
+                continue
+            init = np.tile(runtime.mode.x_star, (len(replicates), 1))
+            stream = [(mi, r) for r in replicates]
+            _, out = adaptive_warmup(init, runtime.law, runtime.method.sampler["warmup"], seed=seed, stream=stream)
+            states.update(zip(stream, out.states.reshape(len(stream), -1, init.shape[1])))
+        return states
+
+    monkeypatch.setattr(experiment, "_draw_group", per_method)
+    write_experiment_outputs(run_experiment(spec), tmp_path / "per-method")
+    for name in ("results.csv", "summary.csv"):
+        assert (tmp_path / "grouped" / name).read_bytes() == (tmp_path / "per-method" / name).read_bytes()
 
 
 def test_power_tilt_and_thin_post_processor():

@@ -195,6 +195,23 @@ def test_inputs_without_the_assignment_property_take_the_lp(a, b, solver_calls):
     assert solver_calls == {"assignment": 0, "lp": 1}
 
 
+def test_lp_on_merged_points_equals_the_lp_on_every_point(rng, solver_calls):
+    # repeated points, one of them twice with zero weight, in both samples:
+    # the LP runs on the distinct points and its plan is split back exactly
+    pa, pb = rng.standard_normal((4, 2)), rng.standard_normal((5, 2))
+    a = _weighted(pa[[0, 1, 1, 2, 3, 3, 0]], [0.1, 0.2, 0.1, 0.3, 0.0, 0.0, 0.3])
+    b = _weighted(pb[[0, 0, 1, 2, 3, 4, 4, 4]], [0.05, 0.15, 0.2, 0.1, 0.1, 0.2, 0.1, 0.1])
+    cost = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=-1)
+    reference, _ = _plan_by_lp(cost, a.weights, b.weights)
+    plan = wasserstein1_exact(a, b)
+    assert plan.cost == pytest.approx(reference, rel=1e-12)
+    assert np.sum(plan.plan * cost) == pytest.approx(reference, rel=1e-12)
+    np.testing.assert_allclose(plan.plan.sum(axis=1), a.weights, atol=1e-10)
+    np.testing.assert_allclose(plan.plan.sum(axis=0), b.weights, atol=1e-10)
+    assert np.all(plan.plan[a.weights == 0] == 0)
+    assert solver_calls == {"assignment": 0, "lp": 2}
+
+
 @pytest.mark.parametrize("na, nb", [(1, 1), (1, 4), (4, 1), (3, 5), (40, 17)])
 def test_marginal_constraints_match_loop_reference(na, nb):
     # the loop build the vectorised one replaced: same COO entries in the same order
