@@ -6,16 +6,15 @@ is no wall-clock seeding.  Only sample, experiment and check-assumptions
 draw random numbers, so only they take --seed, an integer >= 0 like a
 config's seed.  Exit codes: 0 success, 1 configuration error (malformed
 points CSVs and counts below 1 included), 2 numerical failure.  Only
-experiment runs worker threads, as many as --threads.  Only sample,
-weights, thin and experiment write files, into --out-dir; wasserstein
-reads no config and takes no flags.  Each verb builds only from values
-checked by steinpi.experiment's parse functions, one per config block:
-experiment parses it all; sample sets its flags in a copy of the raw
-config, parses target, mode_init, kernel, sampler and seed, and draws
-through MethodRuntime.draw, the experiment runner's one draw path taken
-by a group of one method; the other verbs parse only target, mode_init
-and kernel, and check-assumptions its seed (--seed, else the config's,
-else 0).
+sample, weights, thin and experiment write files, into --out-dir;
+wasserstein reads no config and takes no flags.  Each verb builds only
+from values checked by steinpi.experiment's parse functions, one per
+config block: experiment parses it all; sample sets its flags in a copy
+of the raw config, parses target, mode_init, kernel, sampler and seed,
+and draws through MethodRuntime.draw, the experiment runner's one draw
+path taken by a group of one method; the other verbs parse only target,
+mode_init and kernel, and check-assumptions its seed (--seed, else the
+config's, else 0).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, SteinpiError
+from .errors import ConfigError, InvalidSimplex, SteinpiError
 from .experiment import (
     MethodRuntime,
     MethodSpec,
@@ -69,11 +68,12 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
-def _read_points(path):
+def _read_points(path, dim=None):
     """Points CSV with header x0..x{d-1} and an optional weight column.
 
-    An empty file, a header without rows, a ragged row or a non-numeric
-    cell is a ConfigError naming the file.
+    An empty file, a header without rows, a ragged row, a non-numeric
+    cell, or (given dim) other than dim point columns is a ConfigError
+    naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -91,16 +91,31 @@ def _read_points(path):
         data = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    weights = None
     if "weight" in header:
         widx = header.index("weight")
-        return np.delete(data, widx, axis=1), data[:, widx]
-    return data, None
+        data, weights = np.delete(data, widx, axis=1), data[:, widx]
+    if dim is not None and data.shape[1] != dim:
+        raise ConfigError(f"{path}: {data.shape[1]} point column(s), the target has dimension {dim}")
+    return data, weights
 
 
-def _read_sample(path):
+def _weighted(path, points, weights):
+    """The sample of points with weights read from path (None: uniform); finite weights
+    that are not a simplex of one weight per point are a ConfigError naming path."""
+    if weights is None:
+        return uniform_sample(points)
+    try:
+        return WeightedSample(points=points, weights=weights)
+    except InvalidSimplex as exc:
+        if np.isfinite(points).all() and np.isfinite(weights).all():
+            raise ConfigError(f"{path}: {exc}") from None
+        raise
+
+
+def _read_sample(path, dim=None):
     """The sample of a points CSV: its weight column, else uniform weights."""
-    points, weights = _read_points(path)
-    return uniform_sample(points) if weights is None else WeightedSample(points=points, weights=weights)
+    return _weighted(path, *_read_points(path, dim))
 
 
 def _count(text, low=1):
@@ -164,26 +179,26 @@ def _cmd_sample(args):
 
 def _cmd_weights(args):
     kernel = _kernel(_load_config(args.config))
-    points, _ = _read_points(args.points)
+    points, _ = _read_points(args.points, kernel.dim)
     sample, _ = post_process(points, kernel, {"kind": "optimal"})  # raises if uncertified
     return _write(args.out_dir, "weights.csv", ["index", "weight"], list(enumerate(sample.weights)))
 
 
 def _cmd_thin(args):
     kernel = _kernel(_load_config(args.config))
-    points, _ = _read_points(args.points)
+    points, _ = _read_points(args.points, kernel.dim)
     idx = greedy_thin_indices(points, kernel, args.m)
     return _write(args.out_dir, "indices.csv", ["index"], [(int(i),) for i in idx])
 
 
 def _cmd_ksd(args):
     kernel = _kernel(_load_config(args.config))
-    sample = _read_sample(args.points)
+    sample = _read_sample(args.points, kernel.dim)
     if args.weights:
         weights = _read_points(args.weights)[1]
         if weights is None:
             raise ConfigError(f"{args.weights}: no 'weight' column found")
-        sample = WeightedSample(points=sample.points, weights=weights)
+        sample = _weighted(args.weights, sample.points, weights)
     print(repr(ksd(sample, kernel)))
     return 0
 
@@ -196,7 +211,7 @@ def _cmd_wasserstein(args):
 def _cmd_experiment(args):
     spec = parse_experiment_spec(_override(_load_config(args.config), "config", seed=args.seed))
     out_dir = args.out_dir or spec.out_dir or "experiment-out"
-    result = run_experiment(spec, threads=args.threads)
+    result = run_experiment(spec)
     summary = write_experiment_outputs(result, out_dir)
     for row in summary:
         print(f"{row.method} n={row.n} mean={row.mean:.6g} se={row.se:.6g}")
@@ -257,7 +272,6 @@ def _build_parser():
 
     p = sub.add_parser("experiment", help="run a declarative experiment config")
     common(p, seeded=True)
-    p.add_argument("--threads", type=_count, default=1, help="worker threads")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("check-assumptions", help="probe convergence assumptions numerically")

@@ -3,8 +3,8 @@
 An experiment is described by a JSON-friendly dict: one target, a list of
 methods (kernel + sampling distribution + mechanism + post-processor), a
 grid of sample sizes, a replicate count and a seed.  Execution is
-deterministic given the seed; replicates run on independent RNG streams so
-the emitted tables are byte-identical regardless of thread count.  Every
+deterministic given the seed: replicates run on independent RNG streams,
+and cells run one after another in key order.  Every
 replicate is drawn before its cells, through one path (_draw_group): the
 MALA methods that share a warm-up schedule run all their chains as one
 ensemble over their stacked laws, which no chain depends on.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import numbers
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -530,9 +529,11 @@ def run_experiment(spec, threads=1):
     Per-cell failures are recorded and the run continues.  Every
     method's replicates are drawn first, through one path: each exact
     method alone, and the MALA methods of one warm-up schedule as one
-    ensemble.  The cells then run in a thread pool, and rows are sorted by
-    key before returning, so the output is independent of scheduling.
+    ensemble.  The cells then run one after another, in (method index,
+    replicate) order.  ``threads`` must be 1; the benchmark harness passes it.
     """
+    if threads != 1:
+        raise ValueError(f"cells run on one thread; threads must be 1, got {threads!r}")
     target = build_target(spec.target)
     mode = find_mode(target, spec.mode_init)
     runtimes = [MethodRuntime(m, target, mode) for m in spec.methods]
@@ -544,18 +545,9 @@ def run_experiment(spec, threads=1):
     sources = {}
     for members in groups.values():
         sources.update(_sources(spec, members, list(range(spec.replicates))))
-
-    def cell(task):
-        mi, replicate = task
-        return _run_cell(spec, runtimes[mi], mi, replicate, reference, sources[task])
-
     result = ExperimentResult()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(cell, sources))
-    else:
-        outcomes = [cell(task) for task in sources]
-    for rows, failures in outcomes:
+    for mi, replicate in sorted(sources):
+        rows, failures = _run_cell(spec, runtimes[mi], mi, replicate, reference, sources[mi, replicate])
         result.rows.extend(rows)
         result.failures.extend(failures)
     result.rows.sort(key=lambda r: (r.method, r.n, r.replicate))
@@ -747,10 +739,12 @@ def emit_plot(summary):
 
 
 def write_experiment_outputs(result, out_dir):
-    """Write results.csv, summary.csv, plot.svg, timings.csv, failures.csv.
+    """Write results.csv, timings.csv, failures.csv, summary.csv, plot.svg.
 
     Everything except timings.csv (and failure messages) is byte
-    deterministic for a fixed config and seed.
+    deterministic for a fixed config and seed.  failures.csv is written
+    before the summary, so it is kept when no summary can be made
+    (InsufficientReplicates, EmptySummary); plot.svg is then not written.
     """
     import os
 
@@ -767,18 +761,19 @@ def write_experiment_outputs(result, out_dir):
         ["replicate", "n", "method", "wall_time"],
         [(r.replicate, r.n, r.method, r.wall_time) for r in result.rows],
     )
-    summary = summarise(result.rows)
-    write_csv(
-        os.path.join(out_dir, "summary.csv"),
-        ["method", "n", "mean_ksd", "se_ksd", "replicates"],
-        [(s.method, s.n, s.mean, s.se, s.replicates) for s in summary],
-    )
-    with open(os.path.join(out_dir, "plot.svg"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(emit_plot(summary))
     if result.failures:
         write_csv(
             os.path.join(out_dir, "failures.csv"),
             ["method", "replicate", "n", "message"],
             [(x.method, x.replicate, x.n, x.message.replace(",", ";")) for x in result.failures],
         )
+    summary = summarise(result.rows)
+    write_csv(
+        os.path.join(out_dir, "summary.csv"),
+        ["method", "n", "mean_ksd", "se_ksd", "replicates"],
+        [(s.method, s.n, s.mean, s.se, s.replicates) for s in summary],
+    )
+    svg = emit_plot(summary)
+    with open(os.path.join(out_dir, "plot.svg"), "w", encoding="utf-8", newline="") as fh:
+        fh.write(svg)
     return summary

@@ -18,14 +18,15 @@ from .pi_targets import DerivedTarget
 
 __all__ = ["GridSampler", "NODE_GUARD"]
 
-# A pi KGM-3 tabulation peaks at 160 (skew normal) to 408 (regression
-# posterior) bytes per node, so a grid of this many nodes stays near 2 GB.
+# A pi KGM-3 tabulation peaks at 168 (skew normal) to 384 (regression
+# posterior) bytes per node and retains 48, so a grid of this many nodes
+# peaks near 1.9 GB.
 NODE_GUARD = 5_000_000
 
 
 def _table(target, bounds, num, order):
     """The grid's nodes and target._at there up to at least order, evaluated
-    again only for a higher order; threads that race both evaluate it whole."""
+    again only for a higher order."""
     tables = vars(target).setdefault("_grid_tables", {})
     nodes, values = tables.get((bounds, num), (None, (None,) * 3))
     if values[order] is None:

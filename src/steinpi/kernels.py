@@ -13,7 +13,7 @@ holds it per point set, each piece built on first read, and evaluates
 the target only when no score is handed in; ``cross`` assembles
 [k_P(x_i, y_j)] between two contexts under the one Gram size guard, and
 ``_diag_at`` reads k_P(x) and its gradient.
-All of it is vectorised and safe for concurrent use.
+All of it is vectorised.
 """
 
 from __future__ import annotations
@@ -181,22 +181,6 @@ class SteinKernel:
             lower = np.tril_indices(k.shape[0], -1)
             k[lower] = k.T[lower]
         return k
-
-    def __call__(self, x, y):
-        """Value k_P(x, y) for a single pair.
-
-        The pair is put in lexicographic order first, so k(x, y) and
-        k(y, x) run the identical float operations and agree bitwise.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        for a, b in zip(x, y):
-            if a < b:
-                break
-            if a > b:
-                x, y = y, x
-                break
-        return float(self.cross(self.context(x[None, :]), self.context(y[None, :]))[0, 0])
 
     def _diag(self, x, order):
         """k_P and, at order 1, its gradient over a batch; one target evaluation."""

@@ -11,7 +11,7 @@ Metropolis--Hastings log-ratio, with squared norms ||z||^2 = z^T M z.
 
 Randomness is counter-based (Philox) with a fixed raw budget per step, so
 a chain can be restarted bitwise from any intermediate state and replicate
-streams are independent of thread scheduling.
+streams are independent of the order chains are run in.
 
 Chains run as an ensemble: R chains, each with its own step size,
 preconditioner and stream, step in lockstep as one (R, d) state, so the

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.sparse import coo_matrix
 
-from .errors import DimensionMismatch, SizeGuard
+from .errors import DimensionMismatch, NonConvergence, SizeGuard
 
 __all__ = [
     "TransportPlan",
@@ -87,7 +87,7 @@ def _plan_by_lp(cost, wa, wb):
     tols = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=tols)
     if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+        raise NonConvergence(f"transport LP failed: {res.message}")
     return float(res.fun), res.x.reshape(na, nb)
 
 
@@ -158,7 +158,7 @@ def wasserstein1_exact(a, b):
     row_err = np.max(np.abs(gamma.sum(axis=1) - a.weights))
     col_err = np.max(np.abs(gamma.sum(axis=0) - b.weights))
     if max(row_err, col_err) > 1e-8:
-        raise RuntimeError(f"transport plan infeasible: marginal errors {row_err}, {col_err}")
+        raise NonConvergence(f"transport plan infeasible: marginal errors {row_err}, {col_err}")
     return TransportPlan(cost=value, plan=gamma)
 
 

@@ -97,11 +97,6 @@ class PiTarget(DerivedTarget):
             return logq, None, None
         return logq, score + 0.5 * grads / values[:, None], None
 
-    def density_ratio_to_base(self, x):
-        """Unnormalised dP/dPi, proportional to 1 / sqrt(k_P(x))."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return 1.0 / np.sqrt(self.kernel.diag_values(x))
-
 
 class PowerTilt(DerivedTarget):
     """Density proportional to p(x)^{d/(d+r)}."""

@@ -60,7 +60,7 @@ class WeightedSample:
         if np.any(w < 0):
             raise InvalidSimplex("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-10:
-            raise InvalidSimplex(f"weights sum to {w.sum()!r}, not 1")
+            raise InvalidSimplex(f"weights sum to {float(w.sum())!r}, not 1")
 
     @property
     def n(self):

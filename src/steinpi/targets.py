@@ -61,9 +61,8 @@ class TargetModel:
     (n, d) and (n, d, d), computed in one pass, with every entry above
     ``order`` (0, 1 or 2) left as None.  The public evaluators are thin
     wrappers on the hook that also take a single point (d,).  Evaluation
-    is pure and re-entrant; instances are safe to share across threads.
-    A target may hold exact-grid tables of itself (``grid._table``): two
-    threads that race compute a table twice, never a wrong one.
+    is pure.  A target may hold exact-grid tables of itself
+    (``grid._table``).
     """
 
     dim: int

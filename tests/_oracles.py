@@ -3,7 +3,8 @@ check the library.
 
 Everything here is deliberately naive: finite differences, exhaustive
 enumeration, dense grids, an off-the-shelf NNLS solve.  None of it shares
-code with the paths it verifies.
+code with the paths it verifies, except kernel_value, which reads one
+pair from a 1 x 1 Gram.
 """
 
 import itertools
@@ -179,6 +180,23 @@ def base_kappa(kernel, x, y):
     return value, grad_x, grad_y, div
 
 
+def kernel_value(kernel, x, y):
+    """Value k_P(x, y) for a single pair, from a 1 x 1 ``kernel.gram``.
+
+    The pair is put in lexicographic order first, so k(x, y) and
+    k(y, x) run the identical float operations and agree bitwise.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    for a, b in zip(x, y):
+        if a < b:
+            break
+        if a > b:
+            x, y = y, x
+            break
+    return float(kernel.gram(x[None, :], y[None, :])[0, 0])
+
+
 def greedy_reference(points, kernel, m):
     """Greedy thinning re-evaluated from scratch each step, no caching."""
     n = points.shape[0]
@@ -189,7 +207,7 @@ def greedy_reference(points, kernel, m):
         for i in range(n):
             val = 0.5 * kernel.diag_values(points[i : i + 1])[0]
             for j in chosen:
-                val += kernel(points[i], points[j])
+                val += kernel_value(kernel, points[i], points[j])
             if val < best_val:  # strict: ties keep the lowest index
                 best_val = val
                 best_idx = i
@@ -303,9 +321,6 @@ class ConstantKernel:
     def gram(self, x, y=None):
         x = self.context(x)
         return self.cross(x, x if y is None else self.context(y))
-
-    def __call__(self, x, y):
-        return self.value
 
     def diag_values(self, x):
         return self._diag_at(self.context(x))[0]

@@ -5,11 +5,13 @@ conftest hook prints one PASS/FAIL line per criterion after the run.
 Criteria with runtime targets assert their own elapsed time.
 """
 
+import json
 import time
 
 import numpy as np
 
 import steinpi as sp
+from steinpi.cli import main
 from steinpi.experiment import (
     parse_experiment_spec,
     run_experiment,
@@ -413,7 +415,7 @@ def test_criterion_12_skew_target_ordering():
 
 # ----------------------------------------------------------------------
 # 13. rerunning an experiment with the same seed reproduces every emitted
-#     deterministic artifact byte for byte
+#     deterministic artifact byte for byte, through the API and the CLI
 # ----------------------------------------------------------------------
 
 
@@ -443,10 +445,11 @@ def test_criterion_13_experiment_determinism(tmp_path):
             },
         ],
     }
-    spec = parse_experiment_spec(cfg)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    write_experiment_outputs(run_experiment(spec), out_a)
-    write_experiment_outputs(run_experiment(spec, threads=2), out_b)
+    write_experiment_outputs(run_experiment(parse_experiment_spec(cfg)), out_a)
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(config), "--out-dir", str(out_b)]) == 0
     for name in ("results.csv", "summary.csv", "plot.svg"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name

@@ -4,6 +4,7 @@ seed determinism of emitted files."""
 import dataclasses
 import json
 import os
+import types
 
 import numpy as np
 import pytest
@@ -351,23 +352,49 @@ def test_bad_kernel_or_ns_fails_before_sampling(
 
 
 @pytest.mark.parametrize(
-    "content",
-    ["", "x0\n", "x0\n0.5\nabc\n", "x0,x1\n0.5,1.0\n2.0\n"],
-    ids=["empty", "header-only", "non-numeric", "ragged"],
+    "verb, content, weights",
+    [
+        ("ksd", "", None),
+        ("ksd", "x0\n", None),
+        ("ksd", "x0\n0.5\nabc\n", None),
+        ("ksd", "x0,x1\n0.5,1.0\n2.0\n", None),
+        ("ksd", "x0,x1\n0.5,1.0\n2.0,3.0\n", None),
+        ("thin", "x0,x1\n0.5,1.0\n2.0,3.0\n", None),
+        ("weights", "x0,x1\n0.5,1.0\n2.0,3.0\n", None),
+        ("ksd", "x0,weight\n0.5,0.6\n2.0,0.5\n", None),
+        ("wasserstein", "x0,weight\n0.5,0.6\n2.0,0.5\n", None),
+        ("ksd", "x0\n0.5\n1.0\n2.0\n", "index,weight\n0,0.5\n1,0.5\n"),
+    ],
+    ids=[
+        "empty", "header-only", "non-numeric", "ragged", "wrong-dimension", "thin-wrong-dimension",
+        "weights-wrong-dimension", "weight-column-not-simplex", "wasserstein-weight-column-not-simplex",
+        "weights-file-too-short",
+    ],
 )
-def test_malformed_points_file_is_a_config_error(content, pipeline_config, tmp_path, capsys):
+def test_malformed_points_file_is_a_config_error(verb, content, weights, pipeline_config, tmp_path, capsys):
     points = tmp_path / "points.csv"
     points.write_text(content)
-    assert main(["ksd", "--config", pipeline_config, "--points", str(points)]) == 1
+    out = tmp_path / "out"
+    args = {
+        "ksd": ["--config", pipeline_config, "--points", str(points)],
+        "thin": ["--config", pipeline_config, "--points", str(points), "--m", "1", "--out-dir", str(out)],
+        "weights": ["--config", pipeline_config, "--points", str(points), "--out-dir", str(out)],
+        "wasserstein": [str(points), str(points)],
+    }[verb]
+    bad = points
+    if weights is not None:
+        bad = tmp_path / "weights.csv"
+        bad.write_text(weights)
+        args += ["--weights", str(bad)]
+    assert main([verb] + args) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and str(points) in err
+    assert "config error" in err and str(bad) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "verb, args",
     [
-        ("experiment", ["--threads", "-3"]),
-        ("experiment", ["--threads", "0"]),
         ("thin", ["--m", "0"]),
         ("thin", ["--m", "two"]),
         ("sample", ["--n", "-2"]),
@@ -378,19 +405,16 @@ def test_malformed_points_file_is_a_config_error(content, pipeline_config, tmp_p
         ("check-assumptions", ["--probes", "0"]),
     ],
     ids=[
-        "threads-negative", "threads-zero", "m-zero", "m-not-integer", "n-negative",
+        "m-zero", "m-not-integer", "n-negative",
         "epochs-zero", "epochs-negative", "epoch-length-zero", "final-length-not-integer",
         "probes-zero",
     ],
 )
-def test_counts_must_be_integers_of_at_least_one(
-    verb, args, experiment_config, pipeline_config, tmp_path, capsys
-):
+def test_counts_must_be_integers_of_at_least_one(verb, args, pipeline_config, tmp_path, capsys):
     points = tmp_path / "points.csv"
     points.write_text("x0\n0.0\n1.0\n")
     out = tmp_path / "out"
     base = {
-        "experiment": ["--config", experiment_config, "--out-dir", str(out)],
         "thin": ["--config", pipeline_config, "--points", str(points), "--out-dir", str(out)],
         "sample": ["--config", pipeline_config, "--out-dir", str(out)],
         "check-assumptions": ["--config", pipeline_config],
@@ -416,6 +440,7 @@ def test_counts_must_be_integers_of_at_least_one(
         ("wasserstein", "--seed"),
         ("wasserstein", "--out-dir"),
         ("wasserstein", "--threads"),
+        ("experiment", "--threads"),
     ],
 )
 def test_flags_a_verb_does_not_read_are_usage_errors(verb, flag, tmp_path, capsys):
@@ -429,6 +454,7 @@ def test_flags_a_verb_does_not_read_are_usage_errors(verb, flag, tmp_path, capsy
         "ksd": ["--config", cfg, "--points", str(points)],
         "check-assumptions": ["--config", cfg, "--probes", "4"],
         "wasserstein": [str(points), str(points)],
+        "experiment": ["--config", cfg, "--out-dir", str(tmp_path / "out")],
     }[verb]
     value = str(tmp_path / "out") if flag == "--out-dir" else "2"
     assert main([verb] + args + [flag, value]) == 1
@@ -469,6 +495,56 @@ def test_numerical_failure_exit_code(pipeline_config, tmp_path, capsys):
     )
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_failures_are_written_when_no_cell_can_be_summarised(tmp_path, capsys):
+    cfg = {
+        "target": {"name": "mixture"},
+        "mode_init": [0.1],
+        "seed": 3,
+        "replicates": 2,
+        "ns": [20001],  # every cell's Gram exceeds the guard
+        "methods": [{"name": "p", "sampler": {"grid": GRID}, "post": {"kind": "none"}}],
+    }
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", _write_config(tmp_path / "big.json", cfg), "--out-dir", str(out)]) == 2
+    assert "no summary rows to plot" in capsys.readouterr().err
+    header, rows = read_csv(str(out / "failures.csv"))
+    assert header == ["method", "replicate", "n", "message"]
+    assert [row[:3] for row in rows] == [["p", "0", "20001"], ["p", "1", "20001"]]
+    assert all("exceeds the guard" in row[3] for row in rows)
+    assert not (out / "plot.svg").exists()
+
+
+def test_a_failed_transport_lp_is_a_cell_failure(tmp_path, capsys, monkeypatch):
+    import steinpi.metrics as metrics
+
+    monkeypatch.setattr(metrics, "linprog", lambda *a, **k: types.SimpleNamespace(success=False, message="forced"))
+    grid = {"bounds": [[-4, 4], [-4, 4]], "num": 41}
+    cfg = {
+        "target": {"name": "skew_normal"},
+        "seed": 3,
+        "replicates": 2,
+        "ns": [10],
+        "wasserstein": {"reference_n": 20, "grid": grid},
+        "methods": [  # equal weights on 10 of 20 points: an assignment; optimal weights: the LP
+            {"name": "none", "sampler": {"grid": grid}, "post": {"kind": "none"}},
+            {"name": "optimal", "sampler": {"grid": grid}, "post": {"kind": "optimal"}},
+        ],
+    }
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", _write_config(tmp_path / "w1.json", cfg), "--out-dir", str(out)]) == 0
+    assert [row[2] for row in read_csv(str(out / "results.csv"))[1]] == ["none", "none"]
+    _, rows = read_csv(str(out / "failures.csv"))
+    assert [row[:3] for row in rows] == [["optimal", "0", "10"], ["optimal", "1", "10"]]
+    assert all("transport LP failed: forced" in row[3] for row in rows)
+
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x0,x1\n0,0\n1,0\n2,1\n")
+    b.write_text("x0,x1\n0,1\n1,1\n")
+    capsys.readouterr()
+    assert main(["wasserstein", str(a), str(b)]) == 2
+    assert "transport LP failed" in capsys.readouterr().err
 
 
 def test_weights_verb_refuses_uncertified_solve(pipeline_config, tmp_path, capsys, monkeypatch):

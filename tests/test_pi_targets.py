@@ -3,8 +3,6 @@ root-diagonal normalising-constant estimate, and the importance-ratio
 identities."""
 
 import re
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +19,6 @@ from steinpi.targets import (
     find_mode,
     make_gaussian,
     make_regression_posterior,
-    make_skew_normal_2d,
 )
 
 from _oracles import ConstantKernel, fd_gradient, kernel_diagonal, rel_err
@@ -118,7 +115,7 @@ def test_pi_density_ratio_matches_snis_weights(rng):
     kernel = LangevinKernel(target, mode)
     pi = make_pi(target, kernel)
     pts = rng.standard_normal((50, 1)) * 2.0
-    ratios = pi.density_ratio_to_base(pts)
+    ratios = np.exp(target.log_density(pts) - pi.log_density(pts))  # dP/dPi up to a constant
     expected = ratios / ratios.sum()
     got = snis_weights(pts, kernel).weights
     assert np.max(np.abs(got - expected) / expected) < 1e-12
@@ -278,25 +275,3 @@ def test_grid_sampler_rejects_a_grid_with_no_usable_mass(target, bounds):
 def test_grid_nodes_at_minus_infinity_carry_no_mass():
     sampler = GridSampler(_Tabulated(lambda x: np.where(x < 0.0, -np.inf, 0.0)), [(-1.0, 1.0)], num=11)
     assert (sampler.sample(1000, np.random.default_rng(0)) >= 0.0).all()
-
-
-def _laws(target):
-    """p, its power tilt and pi under a KGM-3 kernel."""
-    kernel = make_kernel(target, find_mode(target, np.zeros(2)), family="kgm", s=3)
-    return [target, make_power_tilt(target, 1.0), make_pi(target, kernel)]
-
-
-def test_threads_racing_for_one_grid_table_build_the_samplers_of_fresh_targets():
-    bounds = [(-6.0, 6.0)] * 2
-    expected = [GridSampler(law, bounds, 41)._cdf for law in _laws(make_skew_normal_2d())]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for _ in range(5):
-                laws = _laws(make_skew_normal_2d()) * 4  # more workers than cores, one target
-                futures = [pool.submit(GridSampler, law, bounds, 41) for law in laws]
-                cdfs = [future.result(timeout=60)._cdf for future in futures]
-                assert all(np.array_equal(cdf, expected[i % 3]) for i, cdf in enumerate(cdfs))
-    finally:
-        sys.setswitchinterval(interval)

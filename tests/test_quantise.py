@@ -51,9 +51,6 @@ class _ScaledKernel:
         values, grads = self.kernel._diag_at(ctx, hess)
         return self.c * values, None if grads is None else self.c * grads
 
-    def __call__(self, x, y):
-        return self.c * self.kernel(x, y)
-
 
 # ----------------------------------------------------------------------
 # weighted samples
