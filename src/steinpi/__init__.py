@@ -36,7 +36,6 @@ from .quantise import (
     QPResult,
     WeightedSample,
     greedy_thin,
-    greedy_thin_indices,
     ksd,
     optimal_weights,
     snis_weights,

@@ -5,7 +5,8 @@ check-assumptions.  All randomness is seeded from configs or flags; there
 is no wall-clock seeding.  Only sample, experiment and check-assumptions
 draw random numbers, so only they take --seed, an integer >= 0 like a
 config's seed.  Exit codes: 0 success, 1 configuration error (malformed
-points CSVs and counts below 1 included), 2 numerical failure.  Only
+points CSVs, counts below 1 and a --radius or --b1 out of range
+included), 2 numerical failure (non-finite points included).  Only
 sample, weights, thin and experiment write files, into --out-dir;
 wasserstein reads no config and takes no flags.  Each verb builds only
 from values checked by steinpi.experiment's parse functions, one per
@@ -45,7 +46,7 @@ from .experiment import (
 from .kernels import check_theorem_assumptions, make_kernel
 from .mala import AdaptSchedule
 from .metrics import wasserstein1
-from .quantise import WeightedSample, greedy_thin_indices, ksd, uniform_sample
+from .quantise import WeightedSample, greedy_thin, ksd, uniform_sample
 from .targets import find_mode
 
 __all__ = ["main"]
@@ -72,8 +73,8 @@ def _read_points(path, dim=None):
     """Points CSV with header x0..x{d-1} and an optional weight column.
 
     An empty file, a header without rows, a ragged row, a non-numeric
-    cell, or (given dim) other than dim point columns is a ConfigError
-    naming the file.
+    cell, or (given dim: the target's, or the first sample's) other than
+    dim point columns is a ConfigError naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -96,7 +97,7 @@ def _read_points(path, dim=None):
         widx = header.index("weight")
         data, weights = np.delete(data, widx, axis=1), data[:, widx]
     if dim is not None and data.shape[1] != dim:
-        raise ConfigError(f"{path}: {data.shape[1]} point column(s), the target has dimension {dim}")
+        raise ConfigError(f"{path}: {data.shape[1]} point column(s), expected {dim}")
     return data, weights
 
 
@@ -116,6 +117,17 @@ def _weighted(path, points, weights):
 def _read_sample(path, dim=None):
     """The sample of a points CSV: its weight column, else uniform weights."""
     return _weighted(path, *_read_points(path, dim))
+
+
+def _finite(text, positive=False):
+    """A finite number (> 0 if positive); anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value) or (positive and value <= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number{' > 0' * positive}, got {text!r}")
+    return value
 
 
 def _count(text, low=1):
@@ -187,7 +199,7 @@ def _cmd_weights(args):
 def _cmd_thin(args):
     kernel = _kernel(_load_config(args.config))
     points, _ = _read_points(args.points, kernel.dim)
-    idx = greedy_thin_indices(points, kernel, args.m)
+    idx = greedy_thin(points, kernel, args.m)
     return _write(args.out_dir, "indices.csv", ["index"], [(int(i),) for i in idx])
 
 
@@ -204,7 +216,8 @@ def _cmd_ksd(args):
 
 
 def _cmd_wasserstein(args):
-    print(repr(wasserstein1(_read_sample(args.sample_a), _read_sample(args.sample_b))))
+    a = _read_sample(args.sample_a)
+    print(repr(wasserstein1(a, _read_sample(args.sample_b, a.dim))))
     return 0
 
 
@@ -276,9 +289,9 @@ def _build_parser():
 
     p = sub.add_parser("check-assumptions", help="probe convergence assumptions numerically")
     common(p, writes_files=False, seeded=True)
-    p.add_argument("--radius", type=float, default=10.0, help="probe shell radius")
+    p.add_argument("--radius", type=lambda text: _finite(text, True), default=10.0, help="probe shell radius")
     p.add_argument("--probes", type=_count, default=64, help="number of shell probes")
-    p.add_argument("--b1", type=float, default=None, help="user curvature bound to locate")
+    p.add_argument("--b1", type=_finite, default=None, help="user curvature bound to locate")
     p.set_defaults(func=_cmd_check_assumptions)
 
     return parser

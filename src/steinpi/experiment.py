@@ -443,11 +443,11 @@ def post_process(points, kernel, post):
     if kind == "thin":
         m = post["m"]
         m = max(1, int(round(m * len(points)))) if isinstance(m, float) else m
-        return greedy_thin(points, kernel, m), None
+        return uniform_sample(points[greedy_thin(points, kernel, m)]), None
     gram = kernel.gram(points)
     if kind == "none":
         return uniform_sample(points), gram
-    qp = optimal_weights(points, kernel, gram=gram)
+    qp = optimal_weights(gram)
     if not qp.converged:
         raise NonConvergence(
             f"optimal weights not certified after {qp.iterations} iterations: "

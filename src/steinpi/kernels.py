@@ -11,9 +11,9 @@ Every entry of k_P reads the same per-point data: the target score and
 the offsets from x* whitened by Sigma^{-1} and Sigma^{-2}.  ``context``
 holds it per point set, each piece built on first read, and evaluates
 the target only when no score is handed in; ``cross`` assembles
-[k_P(x_i, y_j)] between two contexts under the one Gram size guard, and
-``_diag_at`` reads k_P(x) and its gradient.
-All of it is vectorised.
+[k_P(x_i, y_j)] between two contexts under the one Gram size guard,
+``gram`` is its square, bitwise-symmetric case on one batch, and
+``_diag_at`` reads k_P(x) and its gradient.  All of it is vectorised.
 """
 
 from __future__ import annotations
@@ -169,17 +169,16 @@ class SteinKernel:
         out += dyk_sx
         return out
 
-    def gram(self, x, y=None):
-        """Gram matrix [k_P(x_i, y_j)] of two batches, under the guard of ``cross``.
-
-        With one argument the result is made bitwise symmetric by mirroring
-        the upper triangle (row-major canonical entries).
+    def gram(self, x):
+        """Square Gram matrix [k_P(x_i, x_j)] of a batch, under the guard of
+        ``cross``, made bitwise symmetric by mirroring the upper triangle
+        (row-major canonical entries).  A rectangular matrix between two
+        batches is ``cross(context(x), context(y))``.
         """
         cx = self.context(x)
-        k = self.cross(cx, cx if y is None else self.context(y))
-        if y is None:
-            lower = np.tril_indices(k.shape[0], -1)
-            k[lower] = k.T[lower]
+        k = self.cross(cx, cx)
+        lower = np.tril_indices(k.shape[0], -1)
+        k[lower] = k.T[lower]
         return k
 
     def _diag(self, x, order):

@@ -17,7 +17,9 @@ Chains run as an ensemble: R chains, each with its own step size,
 preconditioner and stream, step in lockstep as one (R, d) state, so the
 target is evaluated once per step for all of them.  Every operation acts
 on each chain's row alone, so a chain's states do not depend on the batch
-it runs in; a single chain is the R = 1 case.
+it runs in.  There is no other call form: a single chain is the R = 1
+ensemble, a (1, d) state with one step size, one (1, d, d) preconditioner
+and one stream key.
 """
 
 from __future__ import annotations
@@ -39,27 +41,33 @@ __all__ = [
 ]
 
 
-def _as_spd_matrix(m, dim):
+def _as_states(init):
+    x = np.asarray(init, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"init must be (R, d), one state per chain; got shape {x.shape}")
+    return x
+
+
+def _as_spd_matrix(m, chains, dim):
     m = np.asarray(m, dtype=np.float64)
-    if m.shape[-2:] != (dim, dim):
-        raise ValueError(f"preconditioner must be {dim}x{dim}, got {m.shape}")
+    if m.shape != (chains, dim, dim):
+        raise ValueError(f"preconditioners must be (R, d, d) = {(chains, dim, dim)}, got {m.shape}")
     return m
 
 
 @dataclass(frozen=True, eq=False)
 class ChainConfig:
-    """Step size, preconditioner, length and RNG stream of a chain or an ensemble.
+    """Step sizes, preconditioners, length and RNG streams of an ensemble.
 
-    For an ensemble of R chains, ``epsilon`` holds R step sizes, ``m`` is
-    (R, d, d) or one (d, d) matrix shared by all, and ``stream`` holds R
-    stream keys, one per chain.
+    For R chains, ``epsilon`` holds R step sizes (R,), ``m`` one
+    preconditioner per chain (R, d, d) and ``stream`` R stream keys.
     """
 
-    epsilon: float
+    epsilon: np.ndarray
     m: np.ndarray
     n: int
     seed: int
-    stream: tuple = ()
+    stream: tuple
 
     def __post_init__(self):
         if np.any(np.asarray(self.epsilon) <= 0):
@@ -71,11 +79,11 @@ class ChainConfig:
 
 @dataclass(frozen=True, eq=False)
 class ChainOutput:
-    """States and acceptance statistics of a completed chain or ensemble.
+    """States and acceptance statistics of a completed ensemble.
 
     Axis 0 counts chain steps: R chains of n steps give ``states``
     (R * n, d) and ``accept_flags`` (R * n,), with chain r in rows r * n
-    to r * n + n - 1, i.e. ``states.reshape(R, n, d)[r]``; one chain gives
+    to r * n + n - 1, i.e. ``states.reshape(R, n, d)[r]``; R = 1 gives
     (n, d) and (n,).  ``accept_rate`` and ``nonfinite_proposals`` pool the
     chains; ``chain_accept_rates`` holds one rate per chain, shape (R,).
     """
@@ -221,30 +229,24 @@ def _step(x, logp_x, h_x, target, size, pre, z, half_zz, log_u):
     )
 
 
-def _ensemble(init, stream):
-    """States (R, d), R stream keys, and whether init was a single chain's state."""
-    single = np.ndim(init) == 1
-    x = np.array(init, dtype=np.float64, ndmin=2)
-    return x, [tuple(stream)] if single else [tuple(key) for key in stream], single
-
-
 def run_chain(init, target, config, start_step=0):
-    """Run config.n steps of one chain (d,), or of an ensemble (R, d) in lockstep.
+    """Run config.n steps of an ensemble of R chains (R, d) in lockstep.
 
-    An ensemble's config holds R step sizes, preconditioners and stream
-    keys.  Deterministic given (seed, stream), and chain r's states are
-    bitwise the same alone or in any ensemble.  A chain's first state is
+    The config holds R step sizes, preconditioners and stream keys.
+    Deterministic given (seed, stream), and chain r's states are bitwise
+    the same alone (R = 1) or in any ensemble.  A chain's first state is
     its first post-init state.  Restarting every chain from its state k
     with ``start_step = k + 1`` reproduces the states after k bitwise,
     because each step owns a fixed slice of each chain's Philox stream.
     """
-    x, streams, _ = _ensemble(init, config.stream)
+    x = _as_states(init)
     chains, dim = x.shape
-    if len(streams) != chains:
-        raise ValueError(f"{chains} chains need {chains} stream keys, got {len(streams)}")
-    size = _step_size(np.broadcast_to(np.asarray(config.epsilon, dtype=np.float64), (chains,)))
-    pre = _Precond(_as_spd_matrix(config.m, dim))
-    draws = [_stream_randoms(config.seed, s, config.n, dim, start_step) for s in streams]
+    eps = np.asarray(config.epsilon, dtype=np.float64)
+    if eps.shape != (chains,) or len(config.stream) != chains:
+        raise ValueError(f"{chains} chains need (R,) = ({chains},) step sizes and {chains} stream keys")
+    size = _step_size(eps)
+    pre = _Precond(_as_spd_matrix(config.m, chains, dim))
+    draws = [_stream_randoms(config.seed, s, config.n, dim, start_step) for s in config.stream]
     normals, log_us = (np.stack(a, axis=1) for a in zip(*draws))
     half_zz = 0.5 * _rowdot(normals, normals)
     states = np.empty((chains, config.n, dim))
@@ -278,26 +280,21 @@ def _regularised(cov):
         return cov + jitter * np.eye(d)
 
 
-def adaptive_warmup(init, target, schedule=None, *, seed=0, stream=()):
+def adaptive_warmup(init, target, schedule=None, *, seed=0, stream):
     """Epoch-based tuning of each chain's step size and preconditioner.
 
-    ``init`` is one state (d,), or R states (R, d) run as one ensemble
-    with ``stream`` holding one stream key per chain; epoch k of a chain
-    draws from its key extended by k.  After each tuning epoch, each
-    chain's step size is scaled by exp(rate - target_accept) with its own
-    acceptance rate, and its proposal covariance M^{-1} is blended with
-    its own epoch sample covariance using the epoch's learning rate (the
-    preconditioner itself is the inverse of the blend, consistent with the
-    proposal using M^{-1}).  Returns the production epoch's ChainConfig
-    and output.
+    ``init`` holds R states (R, d), run as one ensemble, and ``stream``
+    one stream key per chain; epoch k of a chain draws from its key
+    extended by k.  After each tuning epoch, each chain's step size is
+    scaled by exp(rate - target_accept) with its own acceptance rate, and
+    its proposal covariance M^{-1} is blended with its own epoch sample
+    covariance using the epoch's learning rate (the preconditioner itself
+    is the inverse of the blend, consistent with the proposal using
+    M^{-1}).  Returns the production epoch's ChainConfig and output.
     """
     schedule = schedule or AdaptSchedule()
-    x, keys, single = _ensemble(init, stream)
+    x = _as_states(init)
     chains, dim = x.shape
-
-    def pick(a):  # the single-chain form of a per-chain sequence
-        return a[0] if single else a
-
     eps = np.full(chains, float(schedule.epsilon0))
     m = np.array(np.broadcast_to(np.eye(dim), (chains, dim, dim)))
     m_inv = np.linalg.inv(m)
@@ -313,14 +310,9 @@ def adaptive_warmup(init, target, schedule=None, *, seed=0, stream=()):
                 m_r = np.linalg.inv(m_inv[r])
                 m[r] = 0.5 * (m_r + m_r.T)
             x = states[:, -1]
-        cfg = ChainConfig(
-            epsilon=pick(eps.copy()),
-            m=pick(m.copy()),
-            n=length,
-            seed=seed,
-            stream=pick(tuple(key + (epoch,) for key in keys)),
-        )
-        out = run_chain(pick(x), target, cfg)
+        stream_k = tuple(tuple(key) + (epoch,) for key in stream)
+        cfg = ChainConfig(epsilon=eps.copy(), m=m.copy(), n=length, seed=seed, stream=stream_k)
+        out = run_chain(x, target, cfg)
     return cfg, out
 
 

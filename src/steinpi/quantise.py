@@ -2,9 +2,9 @@
 
 Provides the kernel discrepancy of a weighted point set, the optimal
 simplex-constrained reweighting (an exact active-set solve of min w^T K w
-over the probability simplex by Wolfe's minimum-norm-point method,
-certified by its duality gap), greedy thinning to m uniformly weighted
-points, and the root-kernel importance weights used as a baseline.
+over the probability simplex by Wolfe's minimum-norm-point method on a
+given Gram, certified by its duality gap), the indices of greedy thinning
+to m points, and the root-kernel importance weights used as a baseline.
 Thinning reads the kernel diagonal and one column per pick from one
 kernel context of its candidates, so it evaluates the target once, its
 working memory is O(n) and it never builds the n x n Gram; the Gram size
@@ -28,7 +28,6 @@ __all__ = [
     "quadratic_form",
     "optimal_weights",
     "greedy_thin",
-    "greedy_thin_indices",
     "snis_weights",
 ]
 
@@ -156,8 +155,8 @@ def _certified(gap, f, floor):
     return gap <= GAP_TOL * abs(f) + floor
 
 
-def optimal_weights(points, kernel, max_iter=None, gram=None):
-    """Minimise w^T K w over the probability simplex.
+def optimal_weights(gram, max_iter=None):
+    """Minimise w^T K w over the probability simplex, for an n x n Gram K.
 
     Wolfe's active-set (minimum-norm-point) method on the Gram: each major
     step adds the steepest-descent vertex to the support S, then minor
@@ -172,13 +171,8 @@ def optimal_weights(points, kernel, max_iter=None, gram=None):
     linear term, because a Stein kernel has zero mean under the target.
     If ``max_iter`` major steps (default 10 n) run out, the better of the
     iterate and the uniform weights is returned with ``converged=False``.
-    Without a ``gram``, ``kernel.gram`` builds one and raises GramTooLarge
-    beyond its dense size guard.
     """
-    points = _as_points(points)
-    n = points.shape[0]
-    if gram is None:
-        gram = kernel.gram(points)
+    n = gram.shape[0]
     if max_iter is None:
         max_iter = 10 * n
     diag = np.diag(gram)
@@ -233,8 +227,8 @@ def optimal_weights(points, kernel, max_iter=None, gram=None):
     )
 
 
-def greedy_thin_indices(points, kernel, m):
-    """Indices selected by m steps of greedy discrepancy minimisation.
+def greedy_thin(points, kernel, m):
+    """Indices (m,) selected by m steps of greedy discrepancy minimisation.
 
     Step j picks argmin over candidates y of
     k_P(y)/2 + sum_{i<j} k_P(y, y_i); candidates stay available, so an
@@ -242,7 +236,9 @@ def greedy_thin_indices(points, kernel, m):
     One kernel context of the candidates (one target evaluation) gives
     the diagonal and one n x 1 column per pick, added to a running sum:
     O(nm) kernel evaluations and O(n) memory, with no n x n Gram.  At
-    n = 1000 this beats slicing a full Gram for every m <= n.
+    n = 1000 this beats slicing a full Gram for every m <= n.  The thinned
+    sample is ``uniform_sample(points[idx])``.  Raises ValueError on an
+    empty or non-finite candidate set.
     """
     points = _as_points(points)
     n = points.shape[0]
@@ -250,6 +246,8 @@ def greedy_thin_indices(points, kernel, m):
         raise ValueError("m must be >= 1")
     if n == 0:
         raise ValueError("candidate set must be nonempty")
+    if not np.isfinite(points).all():
+        raise ValueError("candidate points must be finite")
     context = kernel.context(points)
     half_diag = 0.5 * kernel._diag_at(context)[0]
     running = np.zeros(n)
@@ -260,13 +258,6 @@ def greedy_thin_indices(points, kernel, m):
         if j + 1 < m:
             running += kernel.cross(context, context[pick : pick + 1])[:, 0]
     return chosen
-
-
-def greedy_thin(points, kernel, m):
-    """Greedy thinning to m points with uniform weights 1/m."""
-    points = _as_points(points)
-    idx = greedy_thin_indices(points, kernel, m)
-    return WeightedSample(points=points[idx], weights=np.full(m, 1.0 / m))
 
 
 def snis_weights(points, kernel):

@@ -4,7 +4,7 @@ check the library.
 Everything here is deliberately naive: finite differences, exhaustive
 enumeration, dense grids, an off-the-shelf NNLS solve.  None of it shares
 code with the paths it verifies, except kernel_value, which reads one
-pair from a 1 x 1 Gram.
+pair from a 1 x 1 ``kernel.cross``.
 """
 
 import itertools
@@ -181,7 +181,7 @@ def base_kappa(kernel, x, y):
 
 
 def kernel_value(kernel, x, y):
-    """Value k_P(x, y) for a single pair, from a 1 x 1 ``kernel.gram``.
+    """Value k_P(x, y) for a single pair, from a 1 x 1 ``kernel.cross``.
 
     The pair is put in lexicographic order first, so k(x, y) and
     k(y, x) run the identical float operations and agree bitwise.
@@ -194,7 +194,7 @@ def kernel_value(kernel, x, y):
         if a > b:
             x, y = y, x
             break
-    return float(kernel.gram(x[None, :], y[None, :])[0, 0])
+    return float(kernel.cross(kernel.context(x[None, :]), kernel.context(y[None, :]))[0, 0])
 
 
 def greedy_reference(points, kernel, m):
@@ -318,9 +318,9 @@ class ConstantKernel:
     def cross(self, x, y):
         return np.full((len(x), len(y)), self.value)
 
-    def gram(self, x, y=None):
+    def gram(self, x):
         x = self.context(x)
-        return self.cross(x, x if y is None else self.context(y))
+        return self.cross(x, x)
 
     def diag_values(self, x):
         return self._diag_at(self.context(x))[0]

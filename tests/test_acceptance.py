@@ -33,7 +33,7 @@ GRID_1D = {"bounds": [[-15, 15]], "num": 30001}
 
 def _optimal_ksd(points, kernel):
     gram = kernel.gram(points)
-    qp = sp.optimal_weights(points, kernel, gram=gram)
+    qp = sp.optimal_weights(gram)
     return sp.ksd(sp.WeightedSample(points=points, weights=qp.weights), kernel, gram=gram)
 
 
@@ -98,7 +98,7 @@ def test_criterion_02_regression_mala_ordering():
     means = {}
     ses = {}
     for mi, (name, law) in enumerate((("p", target), ("pi", pi))):
-        _, out = sp.adaptive_warmup(mode.x_star, law, schedule, seed=seed, stream=(mi,))
+        _, out = sp.adaptive_warmup(mode.x_star[None], law, schedule, seed=seed, stream=[(mi,)])
         values = []
         for rep in range(10):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(mi, rep)))
@@ -142,8 +142,9 @@ def test_criterion_04_zero_mean_embedding_at_scale():
         draws = target.sample(1_000_000, np.random.default_rng(99))
         for family, s in (("langevin", 1), ("kgm", 3)):
             kernel = sp.make_kernel(target, mode, family=family, s=s)
+            ctx = kernel.context(draws)
             for y in fixed_y:
-                vals = kernel.gram(draws, np.array([[y]]))[:, 0]
+                vals = kernel.cross(ctx, kernel.context(np.array([[y]])))[:, 0]
                 se = vals.std(ddof=1) / 1000.0
                 assert abs(vals.mean()) <= 4.0 * se, (name, family, y)
 
@@ -224,7 +225,7 @@ def test_criterion_06_qp_objective_and_kkt():
         kernel = kernels[case % 2]
         pts = 2.0 * rng.standard_normal((n, 1))
         gram = kernel.gram(pts)
-        res = sp.optimal_weights(pts, kernel, gram=gram)
+        res = sp.optimal_weights(gram)
         exact, _ = qp_support_enumeration(gram)
         assert abs(res.objective - exact) < 1e-4, (case, n)
         assert res.kkt_residual <= 1e-6, (case, n, res.kkt_residual)
@@ -253,7 +254,7 @@ def test_criterion_07_greedy_matches_bruteforce():
         m = int(rng.integers(1, 11))
         kernel = kernels[case % 2]
         pts = 2.0 * rng.standard_normal((n, 1))
-        fast = sp.greedy_thin_indices(pts, kernel, m)
+        fast = sp.greedy_thin(pts, kernel, m)
         slow = greedy_reference(pts, kernel, m)
         np.testing.assert_array_equal(fast, slow, err_msg=f"case {case} n={n} m={m}")
 
@@ -274,11 +275,11 @@ def test_criterion_08_weight_dominance_chain():
     for seed in range(20):
         pts = sampler.sample(50, np.random.default_rng(seed))
         gram = kernel.gram(pts)
-        qp = sp.optimal_weights(pts, kernel, gram=gram)
+        qp = sp.optimal_weights(gram)
         best = sp.ksd(sp.WeightedSample(points=pts, weights=qp.weights), kernel, gram=gram)
         snis = sp.ksd(sp.snis_weights(pts, kernel), kernel, gram=gram)
         uniform = sp.ksd(sp.uniform_sample(pts), kernel, gram=gram)
-        greedy = sp.ksd(sp.greedy_thin(pts, kernel, 50), kernel)
+        greedy = sp.ksd(sp.uniform_sample(pts[sp.greedy_thin(pts, kernel, 50)]), kernel)
         assert best <= snis + 1e-8
         assert best <= uniform + 1e-8
         assert best <= greedy + 1e-8
@@ -323,10 +324,11 @@ def test_criterion_09_detailed_balance_and_preconditioning():
             return lp, g @ inv.T, None
 
     x0 = np.array([0.7, -0.2])
-    out_m = sp.run_chain(x0, target, sp.ChainConfig(epsilon=0.4, m=m, n=400, seed=9, stream=(0,)))
-    out_i = sp.run_chain(
-        chol.T @ x0, _Whitened(), sp.ChainConfig(epsilon=0.4, m=np.eye(2), n=400, seed=9, stream=(0,))
-    )
+    def one_chain(m):
+        return sp.ChainConfig(epsilon=np.array([0.4]), m=m[None], n=400, seed=9, stream=((0,),))
+
+    out_m = sp.run_chain(x0[None], target, one_chain(m))
+    out_i = sp.run_chain((chol.T @ x0)[None], _Whitened(), one_chain(np.eye(2)))
     mapped = out_m.states @ chol
     err = np.max(np.abs(mapped - out_i.states)) / max(1.0, np.max(np.abs(out_i.states)))
     assert err < 1e-8
@@ -343,7 +345,7 @@ def test_criterion_10_adaptive_acceptance_window():
     schedule = sp.AdaptSchedule(epoch_lengths=(1000,) * 9 + (2000,))
     hits = 0
     for seed in range(10):
-        _, out = sp.adaptive_warmup(np.zeros(5), target, schedule, seed=seed)
+        _, out = sp.adaptive_warmup(np.zeros((1, 5)), target, schedule, seed=seed, stream=[()])
         hits += 0.42 <= out.accept_rate <= 0.72
     assert hits >= 9
 
@@ -371,15 +373,15 @@ def test_criterion_11_thinning_near_optimal():
     mode = sp.find_mode(target, np.array([0.1]))
     kernel = sp.make_kernel(target, mode, family="langevin")
     pi = sp.make_pi(target, kernel)
-    _, out = sp.adaptive_warmup(mode.x_star, pi, sp.AdaptSchedule(), seed=1100, stream=(0,))
+    _, out = sp.adaptive_warmup(mode.x_star[None], pi, sp.AdaptSchedule(), seed=1100, stream=[(0,)])
     ratios = []
     for rep in range(10):
         rng = np.random.default_rng(np.random.SeedSequence(1100, spawn_key=(rep,)))
         pts = sp.random_window(out.states, 1000, rng)
         gram = kernel.gram(pts)
-        qp = sp.optimal_weights(pts, kernel, gram=gram)
+        qp = sp.optimal_weights(gram)
         k_opt = sp.ksd(sp.WeightedSample(points=pts, weights=qp.weights), kernel, gram=gram)
-        k_thin = sp.ksd(sp.greedy_thin(pts, kernel, 500), kernel)
+        k_thin = sp.ksd(sp.uniform_sample(pts[sp.greedy_thin(pts, kernel, 500)]), kernel)
         ratios.append(k_thin / k_opt)
     assert np.median(ratios) <= 1.2, f"median ratio {np.median(ratios):.3f}; ratios {np.round(ratios, 2)}"
 

@@ -364,11 +364,12 @@ def test_bad_kernel_or_ns_fails_before_sampling(
         ("ksd", "x0,weight\n0.5,0.6\n2.0,0.5\n", None),
         ("wasserstein", "x0,weight\n0.5,0.6\n2.0,0.5\n", None),
         ("ksd", "x0\n0.5\n1.0\n2.0\n", "index,weight\n0,0.5\n1,0.5\n"),
+        ("wasserstein", "x0\n0.5\n1.0\n", "x0,x1\n0.5,1.0\n2.0,3.0\n"),
     ],
     ids=[
         "empty", "header-only", "non-numeric", "ragged", "wrong-dimension", "thin-wrong-dimension",
         "weights-wrong-dimension", "weight-column-not-simplex", "wasserstein-weight-column-not-simplex",
-        "weights-file-too-short",
+        "weights-file-too-short", "wasserstein-second-sample-wrong-dimension",
     ],
 )
 def test_malformed_points_file_is_a_config_error(verb, content, weights, pipeline_config, tmp_path, capsys):
@@ -382,10 +383,10 @@ def test_malformed_points_file_is_a_config_error(verb, content, weights, pipelin
         "wasserstein": [str(points), str(points)],
     }[verb]
     bad = points
-    if weights is not None:
+    if weights is not None:  # a --weights file, or wasserstein's second sample
         bad = tmp_path / "weights.csv"
         bad.write_text(weights)
-        args += ["--weights", str(bad)]
+        args = [str(points), str(bad)] if verb == "wasserstein" else args + ["--weights", str(bad)]
     assert main([verb] + args) == 1
     err = capsys.readouterr().err
     assert "config error" in err and str(bad) in err
@@ -422,6 +423,24 @@ def test_counts_must_be_integers_of_at_least_one(verb, args, pipeline_config, tm
     assert main([verb] + base + args) == 1
     assert "integer >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--radius", "0"),
+        ("--radius", "-1"),
+        ("--radius", "nan"),
+        ("--radius", "inf"),
+        ("--radius", "wide"),
+        ("--b1", "nan"),
+        ("--b1", "inf"),
+        ("--b1", "half"),
+    ],
+)
+def test_check_assumptions_numbers_must_be_finite(flag, value, pipeline_config, capsys):
+    assert main(["check-assumptions", "--config", pipeline_config, "--probes", "4", flag, value]) == 1
+    assert "expected a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -495,6 +514,17 @@ def test_numerical_failure_exit_code(pipeline_config, tmp_path, capsys):
     )
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_thin_refuses_non_finite_points(cell, pipeline_config, tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_text(f"x0\n{cell}\n1.0\n")
+    out = tmp_path / "out"
+    args = ["thin", "--config", pipeline_config, "--points", str(points), "--m", "1", "--out-dir", str(out)]
+    assert main(args) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failures_are_written_when_no_cell_can_be_summarised(tmp_path, capsys):

@@ -319,7 +319,7 @@ def test_stacked_draw_equals_each_method_drawn_alone(target_cfg, monkeypatch):
         init = np.tile(mode.x_star, (len(replicates), 1))
         _, own = adaptive_warmup(init, runtime.law, schedule, seed=5, stream=[(mi, r) for r in replicates])
         for r, states in zip(replicates, own.states.reshape(len(replicates), -1, target.dim)):
-            _, lone = adaptive_warmup(mode.x_star, runtime.law, schedule, seed=5, stream=(mi, r))
+            _, lone = adaptive_warmup(mode.x_star[None], runtime.law, schedule, seed=5, stream=[(mi, r)])
             assert np.array_equal(stacked[mi, r], states)
             assert np.array_equal(lone.states, states)
 
@@ -518,9 +518,9 @@ def test_failures_are_recorded_not_raised():
 def test_uncertified_optimal_weights_are_recorded_as_failures(monkeypatch):
     solve = experiment.optimal_weights
 
-    def uncertified_at_20(points, kernel, **kwargs):
-        res = solve(points, kernel, **kwargs)
-        return dataclasses.replace(res, converged=False) if len(points) == 20 else res
+    def uncertified_at_20(gram, **kwargs):
+        res = solve(gram, **kwargs)
+        return dataclasses.replace(res, converged=False) if len(gram) == 20 else res
 
     monkeypatch.setattr(experiment, "optimal_weights", uncertified_at_20)
     result = run_experiment(parse_experiment_spec(_base_config(replicates=2)))

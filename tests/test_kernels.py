@@ -95,7 +95,8 @@ def test_kernel_eval_symmetry_bitwise(kernel, rng):
         # the two orders run different float operations: equal to rounding,
         # measured against the Cauchy-Schwarz bound sqrt(k(x, x) k(y, y))
         scale = np.sqrt(gram[0, 0] * gram[1, 1])
-        assert abs(kernel.gram(x, y)[0, 0] - kernel.gram(y, x).T[0, 0]) <= 1e-12 * scale
+        cx, cy = kernel.context(x), kernel.context(y)
+        assert abs(kernel.cross(cx, cy)[0, 0] - kernel.cross(cy, cx).T[0, 0]) <= 1e-12 * scale
 
 
 def test_kernel_value_standard_normal_origin():
@@ -112,9 +113,9 @@ def test_zero_mean_embedding_monte_carlo(family, s, rng):
     target = default_mixture()
     mode = find_mode(target, np.array([0.1]))
     kernel = make_kernel(target, mode, family=family, s=s)
-    x = target.sample(200_000, rng)
+    x = kernel.context(target.sample(200_000, rng))
     for y in (-4.0, -1.0, 0.5, 2.0):
-        vals = kernel.gram(x, np.array([[y]]))[:, 0]
+        vals = kernel.cross(x, kernel.context(np.array([[y]])))[:, 0]
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean()) <= 4.0 * se
 
@@ -274,6 +275,8 @@ def test_gram_bitwise_symmetric(rng):
     pts = rng.standard_normal((40, 2))
     gram = kernel.gram(pts)
     assert np.array_equal(gram, gram.T)
+    with pytest.raises(TypeError):  # one batch only; two batches go through cross
+        kernel.gram(pts, pts)
 
 
 def test_gram_cross_matches_pairwise(rng):
@@ -281,7 +284,7 @@ def test_gram_cross_matches_pairwise(rng):
     kernel = KGMKernel(target, mode, s=2)
     xs = rng.standard_normal((6, 2))
     ys = rng.standard_normal((4, 2))
-    gram = kernel.gram(xs, ys)
+    gram = kernel.cross(kernel.context(xs), kernel.context(ys))
     for i in range(6):
         for j in range(4):
             assert gram[i, j] == pytest.approx(kernel_value(kernel, xs[i], ys[j]), rel=1e-12)

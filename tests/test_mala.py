@@ -31,7 +31,8 @@ from _oracles import mala_chain_reference, mala_log_ratio_reference
 
 
 def _cfg(eps, m, n, seed=0, stream=()):
-    return ChainConfig(epsilon=eps, m=np.atleast_2d(m), n=n, seed=seed, stream=stream)
+    """The config of one chain: an ensemble of R = 1 on stream key ``stream``."""
+    return ChainConfig(epsilon=np.array([eps]), m=np.atleast_2d(m)[None], n=n, seed=seed, stream=(stream,))
 
 
 # ----------------------------------------------------------------------
@@ -108,8 +109,8 @@ def test_ensemble_call_form_shapes_and_pooled_statistics():
     assert out.accept_rate == out.accept_flags.mean()
     assert out.nonfinite_proposals == 0
     for r in range(3):  # chain r alone is rows r * 40 .. r * 40 + 39
-        alone = ChainConfig(epsilon=cfg.epsilon[r], m=cfg.m[r], n=40, seed=3, stream=(r,))
-        np.testing.assert_array_equal(run_chain(np.zeros(2), target, alone).states, out.states[40 * r : 40 * r + 40])
+        alone = ChainConfig(epsilon=cfg.epsilon[r : r + 1], m=cfg.m[r : r + 1], n=40, seed=3, stream=((r,),))
+        np.testing.assert_array_equal(run_chain(np.zeros((1, 2)), target, alone).states, out.states[40 * r : 40 * r + 40])
     with pytest.raises(ValueError):
         run_chain(np.zeros((2, 2)), target, cfg)  # three stream keys for two chains
 
@@ -126,7 +127,7 @@ class _BoundedTarget(TargetModel):
 
 
 def test_nonfinite_proposals_counted_not_raised():
-    out = run_chain(np.zeros(1), _BoundedTarget(), _cfg(2.0, np.eye(1), 500, seed=11))
+    out = run_chain(np.zeros((1, 1)), _BoundedTarget(), _cfg(2.0, np.eye(1), 500, seed=11))
     assert out.nonfinite_proposals > 0
     assert np.all(np.abs(out.states) <= 1.5)
     assert np.all(np.isfinite(out.states))
@@ -140,18 +141,18 @@ def test_nonfinite_proposals_counted_not_raised():
 def test_chain_is_deterministic_given_seed():
     target = make_gaussian(np.zeros(2))
     cfg = _cfg(0.6, np.eye(2), 200, seed=42, stream=(3,))
-    a = run_chain(np.zeros(2), target, cfg)
-    b = run_chain(np.zeros(2), target, cfg)
+    a = run_chain(np.zeros((1, 2)), target, cfg)
+    b = run_chain(np.zeros((1, 2)), target, cfg)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.accept_flags, b.accept_flags)
 
 
 def test_chain_restart_reproduces_tail_bitwise():
     target = make_gaussian(np.zeros(2))
-    full = run_chain(np.zeros(2), target, _cfg(0.6, np.eye(2), 120, seed=7, stream=(1,)))
+    full = run_chain(np.zeros((1, 2)), target, _cfg(0.6, np.eye(2), 120, seed=7, stream=(1,)))
     k = 50
     tail = run_chain(
-        full.states[k], target, _cfg(0.6, np.eye(2), 120 - k - 1, seed=7, stream=(1,)), start_step=k + 1
+        full.states[k : k + 1], target, _cfg(0.6, np.eye(2), 120 - k - 1, seed=7, stream=(1,)), start_step=k + 1
     )
     np.testing.assert_array_equal(full.states[k + 1 :], tail.states)
 
@@ -191,12 +192,12 @@ def test_chain_does_not_depend_on_its_ensemble(name, law):
         for size in (7, 64)
     }
     for r in (0, 3, 6):
-        cfg_1, out_1 = adaptive_warmup(inits[r], target, schedule, seed=3, stream=streams[r])
+        cfg_1, out_1 = adaptive_warmup(inits[r : r + 1], target, schedule, seed=3, stream=streams[r : r + 1])
         for size, (cfg, out) in runs.items():
             np.testing.assert_array_equal(out.states.reshape(size, -1, target.dim)[r], out_1.states)
             np.testing.assert_array_equal(out.accept_flags.reshape(size, -1)[r], out_1.accept_flags)
-            assert cfg.epsilon[r] == cfg_1.epsilon
-            np.testing.assert_array_equal(cfg.m[r], cfg_1.m)
+            assert cfg.epsilon[r] == cfg_1.epsilon[0]
+            np.testing.assert_array_equal(cfg.m[r], cfg_1.m[0])
     assert 0.0 < runs[64][1].accept_rate < 1.0  # the chains moved
 
 
@@ -216,7 +217,7 @@ def test_chain_matches_textbook_mala_bitwise(family):
     ensemble = run_chain(inits, target, ChainConfig(epsilon=eps, m=ms, n=n, seed=seed, stream=streams))
     states, flags = ensemble.states.reshape(3, n, 2), ensemble.accept_flags.reshape(3, n)
     for r in range(3):
-        lone = run_chain(inits[r], target, _cfg(eps[r], ms[r], n, seed=seed, stream=streams[r]))
+        lone = run_chain(inits[r : r + 1], target, _cfg(eps[r], ms[r], n, seed=seed, stream=streams[r]))
         normals, log_us = _stream_randoms(seed, streams[r], n, 2)
         ref_states, ref_flags = mala_chain_reference(inits[r], target, eps[r], ms[r], normals, log_us)
         for got_states, got_flags in ((lone.states, lone.accept_flags), (states[r], flags[r])):
@@ -234,13 +235,13 @@ def test_row_looped_garch_target_runs_in_an_ensemble():
     inits = np.tile(mode.x_star, (3, 1))
     _, ens = adaptive_warmup(inits, target, schedule, seed=2, stream=[(r,) for r in range(3)])
     for r in range(3):
-        _, alone = adaptive_warmup(inits[r], target, schedule, seed=2, stream=(r,))
+        _, alone = adaptive_warmup(inits[r : r + 1], target, schedule, seed=2, stream=[(r,)])
         np.testing.assert_array_equal(ens.states.reshape(3, -1, 4)[r], alone.states)
 
 
 def test_duplicate_states_iff_rejections():
     target = make_gaussian(np.zeros(1))
-    out = run_chain(np.array([2.0]), target, _cfg(1.5, np.eye(1), 400, seed=5))
+    out = run_chain(np.array([[2.0]]), target, _cfg(1.5, np.eye(1), 400, seed=5))
     dup = np.all(out.states[1:] == out.states[:-1], axis=1)
     np.testing.assert_array_equal(dup, ~out.accept_flags[1:])
     assert out.accept_rate == pytest.approx(out.accept_flags.mean())
@@ -248,7 +249,7 @@ def test_duplicate_states_iff_rejections():
 
 def test_chain_mean_within_clt_bounds():
     target = make_gaussian([0.0])
-    out = run_chain(np.zeros(1), target, _cfg(0.8, np.eye(1), 100_000, seed=21))
+    out = run_chain(np.zeros((1, 1)), target, _cfg(0.8, np.eye(1), 100_000, seed=21))
     x = out.states[:, 0]
     # autocorrelation-adjusted standard error of the chain mean
     centred = x - x.mean()
@@ -268,8 +269,8 @@ def test_overdispersed_chain_has_larger_second_moment():
     pi = make_pi(target, LangevinKernel(target, mode))
     wins = 0
     for rep in range(10):
-        out_p = run_chain(np.zeros(1), target, _cfg(0.8, np.eye(1), 4000, seed=100, stream=(rep, 0)))
-        out_pi = run_chain(np.zeros(1), pi, _cfg(0.8, np.eye(1), 4000, seed=100, stream=(rep, 1)))
+        out_p = run_chain(np.zeros((1, 1)), target, _cfg(0.8, np.eye(1), 4000, seed=100, stream=(rep, 0)))
+        out_pi = run_chain(np.zeros((1, 1)), pi, _cfg(0.8, np.eye(1), 4000, seed=100, stream=(rep, 1)))
         wins += (out_pi.states**2).mean() > (out_p.states**2).mean()
     assert wins >= 9
 
@@ -299,8 +300,8 @@ def test_preconditioned_chain_equals_whitened_identity_chain():
     cfg_m = _cfg(0.4, m, 300, seed=9, stream=(0,))
     cfg_i = _cfg(0.4, np.eye(2), 300, seed=9, stream=(0,))
     x0 = np.array([0.7, -0.2])
-    out_m = run_chain(x0, target, cfg_m)
-    out_i = run_chain(chol.T @ x0, pushed, cfg_i)
+    out_m = run_chain(x0[None], target, cfg_m)
+    out_i = run_chain((chol.T @ x0)[None], pushed, cfg_i)
     mapped = out_m.states @ chol
     err = np.max(np.abs(mapped - out_i.states)) / max(1.0, np.max(np.abs(out_i.states)))
     assert err < 1e-8
@@ -315,23 +316,25 @@ def test_preconditioned_chain_equals_whitened_identity_chain():
 def test_warmup_step_size_fixed_when_rate_hits_target():
     target = make_gaussian(np.zeros(2))
     probe = adaptive_warmup(
-        np.zeros(2),
+        np.zeros((1, 2)),
         target,
         AdaptSchedule(epsilon0=0.7, epoch_lengths=(500, 10), learning_rates=(1.0,)),
         seed=13,
+        stream=[()],
     )
     realised = run_chain(
-        np.zeros(2), target, _cfg(0.7, np.eye(2), 500, seed=13, stream=(0,))
+        np.zeros((1, 2)), target, _cfg(0.7, np.eye(2), 500, seed=13, stream=(0,))
     ).accept_rate
     cfg, _ = adaptive_warmup(
-        np.zeros(2),
+        np.zeros((1, 2)),
         target,
         AdaptSchedule(
             epsilon0=0.7, epoch_lengths=(500, 10), learning_rates=(1.0,), target_accept=realised
         ),
         seed=13,
+        stream=[()],
     )
-    assert cfg.epsilon == 0.7
+    assert cfg.epsilon[0] == 0.7
     assert probe  # first run only establishes the stream layout
 
 
@@ -340,13 +343,13 @@ def test_warmup_learns_anisotropic_scale():
     conds = []
     for rep in range(10):
         cfg, _ = adaptive_warmup(
-            np.zeros(2),
+            np.zeros((1, 2)),
             target,
             AdaptSchedule(epoch_lengths=(1000,) * 9 + (1000,)),
             seed=17,
-            stream=(rep,),
+            stream=[(rep,)],
         )
-        conds.append(np.linalg.cond(cfg.m))
+        conds.append(np.linalg.cond(cfg.m[0]))
     median = float(np.median(conds))
     assert 25.0 <= median <= 400.0
 
@@ -354,23 +357,25 @@ def test_warmup_learns_anisotropic_scale():
 def test_warmup_survives_zero_acceptance_epoch():
     target = make_gaussian(np.zeros(2))
     cfg, out = adaptive_warmup(
-        np.zeros(2),
+        np.zeros((1, 2)),
         target,
         AdaptSchedule(epsilon0=1e6, epoch_lengths=(200, 200, 200), learning_rates=(0.3, 0.3)),
         seed=23,
+        stream=[()],
     )
     assert np.all(np.isfinite(cfg.m))
-    assert cfg.epsilon < 1e6  # shrank after silent epochs
+    assert cfg.epsilon[0] < 1e6  # shrank after silent epochs
     assert np.all(np.isfinite(out.states))
 
 
 def test_warmup_acceptance_lands_near_target():
     target = make_gaussian(np.zeros(5))
     cfg, out = adaptive_warmup(
-        np.zeros(5),
+        np.zeros((1, 5)),
         target,
         AdaptSchedule(epoch_lengths=(1000,) * 9 + (2000,)),
         seed=29,
+        stream=[()],
     )
     assert 0.42 <= out.accept_rate <= 0.72
 
@@ -391,8 +396,8 @@ def test_garch_posterior_overdispersed_sampling():
     mode = find_mode(target, np.zeros(4), max_iter=400)
     pi = make_pi(target, KGMKernel(target, mode, s=2))
     schedule = AdaptSchedule(epoch_lengths=(300,) * 4 + (1500,), learning_rates=(0.3,) * 4)
-    _, out_pi = adaptive_warmup(mode.x_star, pi, schedule, seed=3)
-    _, out_p = adaptive_warmup(mode.x_star, target, schedule, seed=3, stream=(1,))
+    _, out_pi = adaptive_warmup(mode.x_star[None], pi, schedule, seed=3, stream=[()])
+    _, out_p = adaptive_warmup(mode.x_star[None], target, schedule, seed=3, stream=[(1,)])
     assert out_pi.nonfinite_proposals == 0
     assert np.all(np.isfinite(out_pi.states))
     assert 0.3 <= out_pi.accept_rate <= 0.8
@@ -412,11 +417,24 @@ def test_random_window_bounds(rng):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ChainConfig(epsilon=-1.0, m=np.eye(1), n=10, seed=0)
+        _cfg(-1.0, np.eye(1), 10)
     with pytest.raises(np.linalg.LinAlgError):
-        ChainConfig(epsilon=0.1, m=np.array([[0.0]]), n=10, seed=0)
+        _cfg(0.1, np.array([[0.0]]), 10)
     with pytest.raises(ValueError):
         AdaptSchedule(epoch_lengths=(10, 10), learning_rates=())
+
+
+def test_single_chain_call_forms_are_rejected():
+    # a single chain is the R = 1 ensemble; a (d,) state or a shared (d, d)
+    # preconditioner is refused with the form that is expected
+    target = make_gaussian(np.zeros(2))
+    with pytest.raises(ValueError, match=r"\(R, d\)"):
+        run_chain(np.zeros(2), target, _cfg(0.5, np.eye(2), 10))
+    with pytest.raises(ValueError, match=r"\(R, d\)"):
+        adaptive_warmup(np.zeros(2), target, AdaptSchedule(epoch_lengths=(10, 10)), stream=[()])
+    shared = ChainConfig(epsilon=np.array([0.5, 0.5]), m=np.eye(2), n=10, seed=0, stream=((0,), (1,)))
+    with pytest.raises(ValueError, match=r"\(R, d, d\)"):
+        run_chain(np.zeros((2, 2)), target, shared)
 
 
 def test_stream_randoms_are_reproducible_slices():

@@ -13,7 +13,6 @@ from steinpi.quantise import (
     WeightedSample,
     _affine_minimiser,
     greedy_thin,
-    greedy_thin_indices,
     ksd,
     optimal_weights,
     quadratic_form,
@@ -44,8 +43,8 @@ class _ScaledKernel:
     def cross(self, x, y):
         return self.c * self.kernel.cross(x, y)
 
-    def gram(self, x, y=None):
-        return self.c * self.kernel.gram(x, y)
+    def gram(self, x):
+        return self.c * self.kernel.gram(x)
 
     def _diag_at(self, ctx, hess=None):
         values, grads = self.kernel._diag_at(ctx, hess)
@@ -101,9 +100,10 @@ def test_ksd_uniform_weights_decrease_with_sample_size():
         total = 0.0
         for li, lo in enumerate(range(0, len(big), block)):
             rows = big[lo : lo + block]
-            total += kernel.gram(rows, rows).sum()
+            ctx = kernel.context(rows)
+            total += kernel.cross(ctx, ctx).sum()
             if lo + block < len(big):
-                total += 2.0 * kernel.gram(rows, big[lo + block :]).sum()
+                total += 2.0 * kernel.cross(ctx, kernel.context(big[lo + block :])).sum()
         ksd_big = np.sqrt(max(total, 0.0)) / len(big)
         ksd_small = ksd(uniform_sample(small), kernel)
         wins += ksd_big < ksd_small
@@ -112,7 +112,7 @@ def test_ksd_uniform_weights_decrease_with_sample_size():
 
 def test_negative_quadratic_form_detected():
     class _BrokenKernel:
-        def gram(self, x, y=None):
+        def gram(self, x):
             return np.array([[1.0, -2.0], [-2.0, 1.0]])  # indefinite
 
     pts = np.zeros((2, 1))
@@ -132,14 +132,14 @@ def test_quadratic_form_clamps_rounding_negatives():
 
 def test_qp_single_point():
     _, kernel = _std_normal_kernel()
-    res = optimal_weights(np.array([[0.7]]), kernel)
+    res = optimal_weights(kernel.gram(np.array([[0.7]])))
     np.testing.assert_array_equal(res.weights, [1.0])
     assert res.objective == pytest.approx(kernel.diag_values(np.array([[0.7]]))[0], rel=1e-14)
 
 
 def test_qp_symmetric_pair_splits_evenly():
     _, kernel = _std_normal_kernel()
-    res = optimal_weights(np.array([[-1.3], [1.3]]), kernel)
+    res = optimal_weights(kernel.gram(np.array([[-1.3], [1.3]])))
     np.testing.assert_allclose(res.weights, [0.5, 0.5], atol=1e-9)
     assert res.converged
 
@@ -149,7 +149,7 @@ def test_qp_three_points_match_simplex_grid_search(rng):
     for _ in range(5):
         pts = rng.standard_normal((3, 1)) * 1.5
         gram = kernel.gram(pts)
-        res = optimal_weights(pts, kernel, gram=gram)
+        res = optimal_weights(gram)
         grid_best = qp_grid_search(gram, resolution=1e-3)
         assert res.objective <= grid_best + 1e-4
         assert abs(res.objective - grid_best) < 1e-4
@@ -161,7 +161,7 @@ def test_qp_matches_support_enumeration(rng):
         n = int(rng.integers(2, 9))
         pts = rng.standard_normal((n, 1)) * 2.0
         gram = kernel.gram(pts)
-        res = optimal_weights(pts, kernel, gram=gram)
+        res = optimal_weights(gram)
         exact, _ = qp_support_enumeration(gram)
         assert res.objective <= exact + 1e-8
         assert abs(res.objective - exact) <= 1e-8 * max(1.0, exact) + 1e-10
@@ -173,11 +173,7 @@ def test_qp_with_linear_term(rng):
     a = rng.standard_normal((5, 5))
     gram = a @ a.T + 5 * np.eye(5)
 
-    class _FixedGram:
-        def gram(self, x, y=None):
-            return gram
-
-    res = optimal_weights(np.zeros((5, 1)), _FixedGram())
+    res = optimal_weights(gram)
     exact, _ = qp_support_enumeration(gram)
     assert abs(res.objective - exact) <= 1e-7 * max(1.0, abs(exact))
 
@@ -187,7 +183,7 @@ def test_qp_kkt_conditions_at_solution(rng):
     for seed in range(10):
         pts = np.random.default_rng(seed).standard_normal((8, 1)) * 2.0
         gram = kernel.gram(pts)
-        res = optimal_weights(pts, kernel, gram=gram)
+        res = optimal_weights(gram)
         assert res.objective >= 0.0
         assert res.duality_gap <= 1e-8 * max(1.0, res.objective)
         kw = gram @ res.weights
@@ -203,7 +199,7 @@ def test_qp_kkt_conditions_at_solution(rng):
 def test_qp_iteration_budget_returns_flagged_best(rng):
     _, kernel = _std_normal_kernel()
     pts = rng.standard_normal((40, 1))
-    res = optimal_weights(pts, kernel, max_iter=3)
+    res = optimal_weights(kernel.gram(pts), max_iter=3)
     assert not res.converged
     assert res.iterations == 3
     assert res.objective <= quadratic_form(kernel.gram(pts), np.full(40, 1 / 40)) + 1e-12
@@ -214,11 +210,11 @@ def test_qp_matches_nnls_oracle_on_mala_window_with_repeats():
     mode = find_mode(target, np.array([0.1]))
     kernel = LangevinKernel(target, mode)
     schedule = AdaptSchedule(epoch_lengths=(500,) * 5 + (8000,), learning_rates=(0.3,) * 5)
-    _, out = adaptive_warmup(mode.x_star, make_pi(target, kernel), schedule, seed=5, stream=(0,))
+    _, out = adaptive_warmup(mode.x_star[None], make_pi(target, kernel), schedule, seed=5, stream=[(0,)])
     pts = random_window(out.states, 1000, np.random.default_rng(0))
     assert len(np.unique(pts[:, 0])) < 700  # rejected proposals repeat states
     gram = kernel.gram(pts)
-    res = optimal_weights(pts, kernel, gram=gram)
+    res = optimal_weights(gram)
     oracle, _ = qp_nnls(gram)
     assert res.converged
     assert res.objective <= oracle * (1.0 + 1e-8)
@@ -238,7 +234,7 @@ def test_qp_tripled_duplicates_singular_support(rng):
     assert np.all(np.isfinite(v)) and abs(v.sum() - 1.0) <= 1e-12
     assert np.max(np.abs(kv - kv.mean())) <= 1e-10
     # copies tie in the gradient, so the full solve matches the deduplicated problem
-    res = optimal_weights(pts, kernel, gram=gram)
+    res = optimal_weights(gram)
     exact, _ = qp_support_enumeration(kernel.gram(base))
     assert res.converged
     assert abs(res.objective - exact) <= 1e-8 * exact + 1e-12
@@ -249,7 +245,7 @@ def test_qp_tripled_duplicates_singular_support(rng):
 def test_qp_size_guard():
     _, kernel = _std_normal_kernel()
     with pytest.raises(GramTooLarge):
-        optimal_weights(np.zeros((20_001, 1)), kernel)
+        optimal_weights(kernel.gram(np.zeros((20_001, 1))))
 
 
 def test_qp_objective_never_above_uniform(rng):
@@ -258,7 +254,7 @@ def test_qp_objective_never_above_uniform(rng):
     for seed in range(5):
         pts = target.sample(60, np.random.default_rng(seed))
         gram = kernel.gram(pts)
-        res = optimal_weights(pts, kernel, gram=gram)
+        res = optimal_weights(gram)
         assert res.objective <= quadratic_form(gram, np.full(60, 1 / 60)) + 1e-12
 
 
@@ -266,12 +262,12 @@ def test_scaling_kernel_leaves_weights_and_selection_unchanged(rng):
     _, kernel = _std_normal_kernel()
     scaled = _ScaledKernel(kernel, 4.0)
     pts = rng.standard_normal((12, 1))
-    res_base = optimal_weights(pts, kernel)
-    res_scaled = optimal_weights(pts, scaled)
+    res_base = optimal_weights(kernel.gram(pts))
+    res_scaled = optimal_weights(scaled.gram(pts))
     np.testing.assert_allclose(res_base.weights, res_scaled.weights, atol=1e-9)
     assert res_scaled.objective == pytest.approx(4.0 * res_base.objective, rel=1e-9)
-    idx_base = greedy_thin_indices(pts, kernel, 6)
-    idx_scaled = greedy_thin_indices(pts, scaled, 6)
+    idx_base = greedy_thin(pts, kernel, 6)
+    idx_scaled = greedy_thin(pts, scaled, 6)
     np.testing.assert_array_equal(idx_base, idx_scaled)
 
 
@@ -283,14 +279,14 @@ def test_scaling_kernel_leaves_weights_and_selection_unchanged(rng):
 def test_greedy_first_pick_minimises_diagonal():
     _, kernel = _std_normal_kernel()
     pts = np.array([[2.0], [0.1], [-1.0], [0.5]])
-    idx = greedy_thin_indices(pts, kernel, 1)
+    idx = greedy_thin(pts, kernel, 1)
     assert idx[0] == 1  # closest to the mode, smallest k_P
 
 
 def test_greedy_matches_uncached_reference(rng):
     _, kernel = _std_normal_kernel()
     pts = rng.standard_normal((30, 1)) * 2.0
-    fast = greedy_thin_indices(pts, kernel, 5)
+    fast = greedy_thin(pts, kernel, 5)
     slow = greedy_reference(pts, kernel, 5)
     np.testing.assert_array_equal(fast, slow)
 
@@ -298,7 +294,7 @@ def test_greedy_matches_uncached_reference(rng):
 def test_greedy_allows_repeated_selection():
     _, kernel = _std_normal_kernel()
     pts = np.array([[0.0], [10.0], [11.0]])
-    idx = greedy_thin_indices(pts, kernel, 3)
+    idx = greedy_thin(pts, kernel, 3)
     assert (idx == 0).sum() >= 2
 
 
@@ -306,16 +302,24 @@ def test_greedy_full_support_never_beats_optimal(rng):
     target, kernel = _std_normal_kernel()
     pts = target.sample(40, rng)
     gram = kernel.gram(pts)
-    thinned = greedy_thin(pts, kernel, 40)
-    optimal = optimal_weights(pts, kernel, gram=gram)
+    thinned = uniform_sample(pts[greedy_thin(pts, kernel, 40)])
+    optimal = optimal_weights(gram)
     best = WeightedSample(points=pts, weights=optimal.weights)
     assert ksd(best, kernel, gram=gram) <= ksd(thinned, kernel) + 1e-8
 
 
 def test_greedy_uniform_weights():
     _, kernel = _std_normal_kernel()
-    out = greedy_thin(np.linspace(-2, 2, 9)[:, None], kernel, 4)
+    pts = np.linspace(-2, 2, 9)[:, None]
+    out = uniform_sample(pts[greedy_thin(pts, kernel, 4)])
     np.testing.assert_array_equal(out.weights, np.full(4, 0.25))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_greedy_refuses_non_finite_candidates(bad):
+    _, kernel = _std_normal_kernel()
+    with pytest.raises(ValueError, match="finite"):
+        greedy_thin(np.array([[bad], [1.0]]), kernel, 1)
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +346,7 @@ def test_optimal_dominates_snis_on_overdispersed_samples():
     for seed in range(20):
         pts = sampler.sample(40, np.random.default_rng(seed))
         gram = kernel.gram(pts)
-        res = optimal_weights(pts, kernel, gram=gram)
+        res = optimal_weights(gram)
         best = WeightedSample(points=pts, weights=res.weights)
         assert ksd(best, kernel, gram=gram) <= ksd(snis_weights(pts, kernel), kernel, gram=gram) + 1e-8
         assert ksd(best, kernel, gram=gram) <= ksd(uniform_sample(pts), kernel, gram=gram) + 1e-8
