@@ -436,9 +436,11 @@ def post_process(points, kernel, post):
     """Post-processed sample, and the n x n Gram its KSD reuses.
 
     Thinning returns before any n x n Gram is built, with None in its
-    place: its KSD needs only the Gram of the picks.  Raises
-    NonConvergence when the optimal weights are not certified.
+    place: its KSD needs only the Gram of the picks.  Raises InvalidSimplex
+    on non-finite points, before any kernel work, and NonConvergence when
+    the optimal weights are not certified.
     """
+    sample = uniform_sample(points)  # refuses non-finite points
     kind = post["kind"]
     if kind == "thin":
         m = post["m"]
@@ -446,7 +448,7 @@ def post_process(points, kernel, post):
         return uniform_sample(points[greedy_thin(points, kernel, m)]), None
     gram = kernel.gram(points)
     if kind == "none":
-        return uniform_sample(points), gram
+        return sample, gram
     qp = optimal_weights(gram)
     if not qp.converged:
         raise NonConvergence(

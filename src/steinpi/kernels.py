@@ -14,6 +14,9 @@ the target only when no score is handed in; ``cross`` assembles
 [k_P(x_i, y_j)] between two contexts under the one Gram size guard,
 ``gram`` is its square, bitwise-symmetric case on one batch, and
 ``_diag_at`` reads k_P(x) and its gradient.  All of it is vectorised.
+Off the diagonal, the diffusion scaling v^(c/2) enters as a tilt
+c Sigma^-1 (x - x*) / v of the score (see ``SteinKernel``), so no product
+rule is expanded by hand.
 """
 
 from __future__ import annotations
@@ -86,14 +89,17 @@ class KernelContext:
 class SteinKernel:
     """Common assembly of a Stein kernel from family-specific base pieces.
 
-    The off-diagonal value combines the scaled base kernel c(x, y) with the
-    target score s(.) = grad log p(.):
+    The off-diagonal value combines the base kernel c(x, y) with the target
+    score s(.) = grad log p(.):
 
         k_P(x,y) = div_xy c + (grad_x c).s(y) + (grad_y c).s(x) + c s(x).s(y)
 
-    Subclasses provide the base-kernel cross pieces and the closed-form
-    diagonal k_P(x) = k_P(x, x) with its gradient; the diagonal path never
-    calls the cross path, so the two can be used to validate one another.
+    A base part f(x) f(y) kappa(x, y) contributes f(x) f(y) times this
+    expression for kappa at the tilted score t = s + grad log f, since the
+    gradients of f fold into the score.  Subclasses provide ``_cross``, a
+    sum of such parts, and the closed-form diagonal k_P(x) = k_P(x, x) with
+    its gradient; the diagonal path never calls the cross path, so the two
+    can be used to validate one another.
     """
 
     family = "stein"
@@ -115,7 +121,7 @@ class SteinKernel:
     # family-specific pieces
     # ------------------------------------------------------------------
 
-    def _kappa_cross(self, x, y, pair):
+    def _cross(self, x, y):
         raise NotImplementedError
 
     def _diag_at(self, ctx, hess=None):  # (k_P(x), its gradient or None without a Hessian)
@@ -138,36 +144,7 @@ class SteinKernel:
         before allocating it, when rows x columns exceeds GRAM_GUARD**2."""
         if len(x) * len(y) > GRAM_GUARD**2:
             raise GramTooLarge(f"a {len(x)} x {len(y)} Gram exceeds the guard of {GRAM_GUARD}**2 entries")
-        pair = {
-            "p11": x.a1 @ y.delta.T,
-            "p21": x.a2 @ y.delta.T,
-            "a1sy": x.a1 @ y.score.T,
-            "b1sx": x.score @ y.a1.T,
-            "a1sx": np.einsum("nd,nd->n", x.a1, x.score),
-            "b1sy": np.einsum("md,md->m", y.a1, y.score),
-        }
-        s = self.order
-        kappa, dxk_sy, dyk_sx, dysi_dxk, dxsi_dyk, divk = self._kappa_cross(x, y, pair)
-        if s > 1:  # the diffusion scaling (v_x v_y)^((s-1)/2) and its derivatives
-            vx = x.v[:, None]
-            vy = y.v[None, :]
-            pref = vx ** ((s - 1) / 2.0) * vy ** ((s - 1) / 2.0)
-            dxk_sy = pref * ((s - 1) * kappa * pair["a1sy"] / vx + dxk_sy)
-            dyk_sx = pref * ((s - 1) * kappa * pair["b1sx"] / vy + dyk_sx)
-            divk = pref * (
-                (s - 1) ** 2 * kappa * pair["p21"] / (vx * vy)
-                + (s - 1) * dysi_dxk / vy
-                + (s - 1) * dxsi_dyk / vx
-                + divk
-            )
-            kappa = pref * kappa
-        # the pieces are consumed here; accumulate in place
-        out = kappa
-        out *= x.score @ y.score.T
-        out += divk
-        out += dxk_sy
-        out += dyk_sx
-        return out
+        return self._cross(x, y)
 
     def gram(self, x):
         """Square Gram matrix [k_P(x_i, x_j)] of a batch, under the guard of
@@ -206,39 +183,43 @@ class LangevinKernel(SteinKernel):
     family = "langevin"
     order = 1
 
-    def _imq_cross(self, x, y, pair):
-        # In-place arithmetic throughout: these matrices can reach 1e7
-        # entries and fresh temporaries dominate the runtime otherwise.
+    def _imq(self, x, y, sx, sy):
+        """Stein kernel of the inverse multi-quadric base at scores sx, sy:
+        kappa sx.sy + div_xy kappa + (grad_x kappa).sy + (grad_y kappa).sx."""
+        # In-place arithmetic throughout, at most four matrices alive: these
+        # can reach 1e7 entries and fresh temporaries dominate the runtime.
         beta = self.beta
-        w = -2.0 * pair["p11"]
+        w = x.a1 @ y.delta.T
+        w *= -2.0
         w += x.u[:, None]
         w += y.u[None, :]
         w += 1.0  # 1 + ||x - y||^2_Sigma
         wb1 = w ** (-beta - 1.0)  # one transcendental; the rest by ratio
-        kappa = wb1 * w
-        dxk_sy = pair["a1sy"] - pair["b1sy"][None, :]
+        out = wb1 * w  # kappa
+        out *= sx @ sy.T
+        div = x.a2 @ y.delta.T
+        div *= -2.0
+        div += x.q[:, None]
+        div += y.q[None, :]  # (x - y)^T Sigma^-2 (x - y)
+        div *= wb1
+        div /= w
+        div *= -4.0 * beta * (beta + 1.0)
+        div += np.multiply(wb1, 2.0 * beta * self.tr_sigma_inv, out=w)  # w retired: the trace term
+        out += div
+        dxk_sy = np.matmul(x.a1, sy.T, out=div)
+        dxk_sy -= np.einsum("md,md->m", y.a1, sy)[None, :]
         dxk_sy *= wb1
         dxk_sy *= -2.0 * beta
-        dyk_sx = pair["a1sx"][:, None] - pair["b1sx"]
+        out += dxk_sy
+        dyk_sx = np.matmul(sx, y.a1.T, out=w)
+        np.subtract(np.einsum("nd,nd->n", x.a1, sx)[:, None], dyk_sx, out=dyk_sx)
         dyk_sx *= wb1
         dyk_sx *= 2.0 * beta
-        dysi_dxk = pair["p21"] - y.q[None, :]
-        dysi_dxk *= wb1
-        dysi_dxk *= -2.0 * beta
-        dxsi_dyk = x.q[:, None] - pair["p21"]
-        dxsi_dyk *= wb1
-        dxsi_dyk *= 2.0 * beta
-        divk = -2.0 * pair["p21"]
-        divk += x.q[:, None]
-        divk += y.q[None, :]  # (x - y)^T Sigma^-2 (x - y)
-        divk *= wb1
-        divk /= w
-        divk *= -4.0 * beta * (beta + 1.0)
-        wb1 *= 2.0 * beta * self.tr_sigma_inv  # wb1 retired; reuse as the trace term
-        divk += wb1
-        return kappa, dxk_sy, dyk_sx, dysi_dxk, dxsi_dyk, divk
+        out += dyk_sx
+        return out
 
-    _kappa_cross = _imq_cross
+    def _cross(self, x, y):
+        return self._imq(x, y, x.score, y.score)
 
     def _diag_at(self, ctx, hess=None):
         # k_P(x) = 2 beta tr(Sigma^-1) + ||s(x)||^2, so grad k_P(x) = 2 H(x) s(x)
@@ -255,7 +236,10 @@ class LangevinKernel(SteinKernel):
 
 
 class KGMKernel(LangevinKernel):
-    """KGM Stein kernel of order s (moment convergence control)."""
+    """KGM Stein kernel of order s (moment convergence control).  Its base
+    (v_x v_y)^(c/2) imq + (1 + a1_x.delta_y) / sqrt(v_x v_y), c = s - 1, is
+    two parts: the IMQ Stein kernel at the score tilted by c a1 / v, and the
+    linear one at the score t tilted by -a1 / v, each times its f(x) f(y)."""
 
     family = "kgm"
 
@@ -265,26 +249,22 @@ class KGMKernel(LangevinKernel):
             raise ValueError("order s must be a positive integer")
         self.order = int(s)
 
-    def _kappa_cross(self, x, y, pair):
-        kappa, dxk_sy, dyk_sx, dysi_dxk, dxsi_dyk, divk = self._imq_cross(x, y, pair)
-        s = self.order
-        vx = x.v[:, None]
-        vy = y.v[None, :]
-        num = 1.0 + pair["p11"]
-        inv_denom = vx ** (-s / 2.0) * vy ** (-s / 2.0)
-        scaled = num * inv_denom  # kappa_lin
-        kappa += scaled
-        dxk_sy += (pair["b1sy"][None, :] - s * num * pair["a1sy"] / vx) * inv_denom
-        dyk_sx += (pair["a1sx"][:, None] - s * num * pair["b1sx"] / vy) * inv_denom
-        dysi_dxk += (y.q[None, :] - s * num * pair["p21"] / vx) * inv_denom
-        dxsi_dyk += (x.q[:, None] - s * num * pair["p21"] / vy) * inv_denom
-        divk += (
-            self.tr_sigma_inv
-            - s * x.q[:, None] / vx
-            - s * y.q[None, :] / vy
-            + s**2 * num * pair["p21"] / (vx * vy)
-        ) * inv_denom
-        return kappa, dxk_sy, dyk_sx, dysi_dxk, dxsi_dyk, divk
+    def _cross(self, x, y):
+        c = self.order - 1
+        tx, ty = (z.score + c * z.a1 / z.v[:, None] for z in (x, y))
+        out = self._imq(x, y, tx, ty)
+        out *= x.v[:, None] ** (c / 2.0)
+        out *= y.v[None, :] ** (c / 2.0)
+        tx, ty = (z.score - z.a1 / z.v[:, None] for z in (x, y))
+        lin = x.a1 @ y.delta.T
+        lin += 1.0
+        lin *= tx @ ty.T
+        lin += (self.tr_sigma_inv + np.einsum("nd,nd->n", x.a1, tx))[:, None]
+        lin += np.einsum("md,md->m", y.a1, ty)[None, :]
+        lin /= np.sqrt(x.v)[:, None]
+        lin /= np.sqrt(y.v)[None, :]
+        out += lin
+        return out
 
     def _diag_at(self, ctx, hess=None):
         """k_P(x) = c2(x) + 2 c1(x).s(x) + c0(x) ||s(x)||^2 with closed-form

@@ -236,7 +236,7 @@ def greedy_thin(points, kernel, m):
     One kernel context of the candidates (one target evaluation) gives
     the diagonal and one n x 1 column per pick, added to a running sum:
     O(nm) kernel evaluations and O(n) memory, with no n x n Gram.  At
-    n = 1000 this beats slicing a full Gram for every m <= n.  The thinned
+    n = 1000 this beats slicing a full Gram up to about m = n/2.  The thinned
     sample is ``uniform_sample(points[idx])``.  Raises ValueError on an
     empty or non-finite candidate set.
     """

@@ -180,6 +180,37 @@ def base_kappa(kernel, x, y):
     return value, grad_x, grad_y, div
 
 
+def stein_kernel_value(kernel, x, y):
+    """Value k_P(x, y) for a single pair, assembled pointwise from
+    ``base_kappa``, independent of the kernels' cross path.
+
+    The scaled base is c(x, y) = P(x) P(y) kappa(x, y) with
+    P = v^((s-1)/2) (P = 1 for Langevin); its gradients follow by the
+    product rule, grad P = (s-1) v^((s-3)/2) Sigma^-1 (z - x*), and
+
+        k_P(x,y) = div_xy c + (grad_x c).s(y) + (grad_y c).s(x) + c s(x).s(y).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    kappa, grad_x, grad_y, div = base_kappa(kernel, x, y)
+    s = kernel.order
+
+    def scale(z):  # (P(z), grad P(z))
+        sid = kernel.sigma_inv @ (z - kernel.x_star)
+        v = 1.0 + (z - kernel.x_star) @ sid
+        return v ** ((s - 1) / 2.0), (s - 1) * v ** ((s - 3) / 2.0) * sid
+
+    px, gpx = scale(x)
+    py, gpy = scale(y)
+    c = px * py * kappa
+    grad_x_c = py * (gpx * kappa + px * grad_x)
+    grad_y_c = px * (gpy * kappa + py * grad_y)
+    div_c = gpx @ gpy * kappa + py * (gpx @ grad_y) + px * (gpy @ grad_x) + px * py * div
+    sx = kernel.target.grad_log_density(x[None, :])[0]
+    sy = kernel.target.grad_log_density(y[None, :])[0]
+    return float(div_c + grad_x_c @ sy + grad_y_c @ sx + c * (sx @ sy))
+
+
 def kernel_value(kernel, x, y):
     """Value k_P(x, y) for a single pair, from a 1 x 1 ``kernel.cross``.
 

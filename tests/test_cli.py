@@ -527,6 +527,18 @@ def test_thin_refuses_non_finite_points(cell, pipeline_config, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_weights_refuses_non_finite_points(cell, pipeline_config, tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_text(f"x0\n{cell}\n1.0\n")
+    out = tmp_path / "out"
+    args = ["weights", "--config", pipeline_config, "--points", str(points), "--out-dir", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "certified" not in err
+    assert not out.exists()
+
+
 def test_failures_are_written_when_no_cell_can_be_summarised(tmp_path, capsys):
     cfg = {
         "target": {"name": "mixture"},

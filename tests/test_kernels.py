@@ -1,6 +1,8 @@
 """Kernels: closed forms against finite differences, documented spot
 values, positive semi-definiteness, and the zero-mean embedding property."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,16 @@ from steinpi.kernels import (
     make_kernel,
 )
 from steinpi.pi_targets import make_pi
-from steinpi.targets import default_mixture, find_mode, make_gaussian
+from steinpi.targets import default_mixture, find_mode, make_gaussian, make_skew_normal_2d
 
-from _oracles import ConstantKernel, base_kappa, kernel_diagonal, kernel_value, rel_err
+from _oracles import (
+    ConstantKernel,
+    base_kappa,
+    kernel_diagonal,
+    kernel_value,
+    rel_err,
+    stein_kernel_value,
+)
 
 
 def _gaussian_setup(d=2):
@@ -23,8 +32,13 @@ def _gaussian_setup(d=2):
     return target, mode
 
 
-def all_kernels():
-    target, mode = _gaussian_setup()
+def _skew_normal_setup():
+    target = make_skew_normal_2d()
+    return target, find_mode(target, np.zeros(2))
+
+
+def all_kernels(setup=_gaussian_setup):
+    target, mode = setup()
     return [
         LangevinKernel(target, mode),
         KGMKernel(target, mode, s=1),
@@ -97,6 +111,20 @@ def test_kernel_eval_symmetry_bitwise(kernel, rng):
         scale = np.sqrt(gram[0, 0] * gram[1, 1])
         cx, cy = kernel.context(x), kernel.context(y)
         assert abs(kernel.cross(cx, cy)[0, 0] - kernel.cross(cy, cx).T[0, 0]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    all_kernels() + all_kernels(_skew_normal_setup),
+    ids=lambda k: f"{type(k.target).__name__}-{k.family}{k.order}",
+)
+def test_cross_matches_pointwise_stein_kernel_oracle(kernel, rng):
+    for _ in range(50):
+        x = kernel.x_star + rng.standard_normal(2)
+        y = kernel.x_star + 2.0 * rng.standard_normal(2)
+        value = kernel.cross(kernel.context(x[None]), kernel.context(y[None]))[0, 0]
+        scale = np.sqrt(np.prod(kernel.diag_values(np.stack([x, y]))))
+        assert abs(value - stein_kernel_value(kernel, x, y)) <= 1e-12 * scale
 
 
 def test_kernel_value_standard_normal_origin():
@@ -277,6 +305,20 @@ def test_gram_bitwise_symmetric(rng):
     assert np.array_equal(gram, gram.T)
     with pytest.raises(TypeError):  # one batch only; two batches go through cross
         kernel.gram(pts, pts)
+
+
+@pytest.mark.parametrize("family,s", [("langevin", 1), ("kgm", 3)])
+def test_gram_peak_memory_is_a_few_results(family, s, rng):
+    target, mode = _skew_normal_setup()
+    kernel = make_kernel(target, mode, family=family, s=s)
+    pts = mode.x_star + rng.standard_normal((500, 2))
+    tracemalloc.start()
+    try:
+        gram = kernel.gram(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * gram.nbytes
 
 
 def test_gram_cross_matches_pairwise(rng):
