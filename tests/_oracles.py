@@ -4,7 +4,8 @@ check the library.
 Everything here is deliberately naive: finite differences, exhaustive
 enumeration, dense grids, an off-the-shelf NNLS solve.  None of it shares
 code with the paths it verifies, except kernel_value, which reads one
-pair from a 1 x 1 ``kernel.cross``.
+pair from a 1 x 1 ``kernel.cross``, and whole_grid, which calls a law's
+evaluation hooks over every grid node in one batch.
 """
 
 import itertools
@@ -378,3 +379,17 @@ def kernel_diagonal(kernel, x):
     """KernelDiagonal of a kernel at a single point x of shape (d,)."""
     x = np.asarray(x, dtype=np.float64)[None, :]
     return KernelDiagonal(value=float(kernel.diag_values(x)[0]), grad=kernel.diag_grads(x)[0])
+
+
+def whole_grid(law, bounds, num):
+    """(nodes, base table, CDF) of an exact grid sampler of a law, the
+    table evaluated at the law's lift and each from one whole-batch call."""
+    mesh = np.meshgrid(*(np.linspace(lo, hi, num) for lo, hi in bounds), indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=1)
+    base = getattr(law, "base", law)
+    table = base._at(nodes, getattr(law, "lift", 0))
+    logp = law._from_base(nodes, 0, *table)[0] if base is not law else table[0]
+    probs = np.exp(logp - logp.max())
+    cdf = np.cumsum(probs / probs.sum())
+    cdf[-1] = 1.0
+    return nodes, table, cdf

@@ -3,13 +3,14 @@ root-diagonal normalising-constant estimate, and the importance-ratio
 identities."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from steinpi.errors import NoExactSampler, SteinpiError
-from steinpi.grid import GridSampler
+from steinpi.grid import CHUNK, GridSampler
 from steinpi.kernels import LangevinKernel, make_kernel
 from steinpi.pi_targets import estimate_c2, make_pi, make_power_tilt
 from steinpi.quantise import snis_weights
@@ -19,9 +20,10 @@ from steinpi.targets import (
     find_mode,
     make_gaussian,
     make_regression_posterior,
+    make_skew_normal_2d,
 )
 
-from _oracles import ConstantKernel, fd_gradient, kernel_diagonal, rel_err
+from _oracles import ConstantKernel, fd_gradient, kernel_diagonal, rel_err, whole_grid
 
 
 def _standard_normal_pi():
@@ -275,3 +277,73 @@ def test_grid_sampler_rejects_a_grid_with_no_usable_mass(target, bounds):
 def test_grid_nodes_at_minus_infinity_carry_no_mass():
     sampler = GridSampler(_Tabulated(lambda x: np.where(x < 0.0, -np.inf, 0.0)), [(-1.0, 1.0)], num=11)
     assert (sampler.sample(1000, np.random.default_rng(0)) >= 0.0).all()
+
+
+_GRID_TARGETS = {
+    "mixture": (default_mixture, [(-15.0, 15.0)], 2 * CHUNK + 1),  # a one-row last chunk
+    "skew-normal": (make_skew_normal_2d, [(-6.0, 6.0)] * 2, 157),  # 157**2 = 3 CHUNK + 73
+    "regression": (make_regression_posterior, None, 157),
+}
+
+
+def _grid_laws(name):
+    """(target, laws by name, bounds, num) of a grid case; no bounds: 12 sd around the mode."""
+    make, bounds, num = _GRID_TARGETS[name]
+    target = make()
+    mode = find_mode(target, np.full(target.dim, 0.1))
+    if bounds is None:
+        sd = np.sqrt(np.diag(mode.sigma))
+        bounds = [(x - 12.0 * s, x + 12.0 * s) for x, s in zip(mode.x_star, sd)]
+    laws = {
+        "p": target,
+        "power-tilt": make_power_tilt(target, 1.0),
+        "pi-langevin": make_pi(target, make_kernel(target, mode, family="langevin")),
+        "pi-kgm3": make_pi(target, make_kernel(target, mode, family="kgm", s=3)),
+    }
+    return target, laws, bounds, num
+
+
+def _assert_bitwise(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("law", ["p", "power-tilt", "pi-langevin", "pi-kgm3"])
+@pytest.mark.parametrize("name", list(_GRID_TARGETS))
+def test_chunked_grid_tabulation_equals_a_whole_batch_evaluation(name, law):
+    target, laws, bounds, num = _grid_laws(name)
+    sampler = GridSampler(laws[law], bounds, num)
+    nodes, table, cdf = whole_grid(laws[law], bounds, num)
+    ((kept_nodes, kept_table),) = target._grid_tables.values()
+    assert sampler.nodes is kept_nodes
+    _assert_bitwise(kept_nodes, nodes)
+    for kept, whole in zip(kept_table, table):
+        _assert_bitwise(kept, whole)
+    _assert_bitwise(sampler._cdf, cdf)
+
+
+@pytest.mark.parametrize(
+    "laws", [("p", "power-tilt", "pi-kgm3"), ("pi-kgm3", "p", "power-tilt")], ids=["p-first", "pi-first"]
+)
+def test_grid_samplers_leave_the_shared_table_as_evaluated(laws):
+    target, by_name, bounds, num = _grid_laws("skew-normal")
+    for law in laws:
+        GridSampler(by_name[law], bounds, num)
+    for nodes, table in target._grid_tables.values():
+        order = max(k for k, a in enumerate(table) if a is not None)
+        for kept, fresh in zip(table, target._at(nodes, order)):
+            _assert_bitwise(kept, fresh)
+
+
+@pytest.mark.parametrize("name", ["skew-normal", "regression"])
+def test_grid_sampler_peak_memory_is_bounded_per_node(name):
+    _, laws, bounds, _ = _grid_laws(name)
+    num = 401
+    tracemalloc.start()
+    try:
+        GridSampler(laws["pi-kgm3"], bounds, num)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * num**2
