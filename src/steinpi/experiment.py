@@ -459,11 +459,13 @@ def post_process(points, kernel, post):
 
 
 def _reference_sample(spec, target, mode):
+    """The W1 reference, drawn once per experiment and kept in lexicographic
+    order, so each 1-D W1's stable sort meets it as one presorted run."""
     cfg = spec.wasserstein
     if cfg is None:
         return None
-    sampler = _grid_sampler(target, cfg["grid"], mode)
-    return uniform_sample(sampler.sample(cfg["reference_n"], _rng(spec.seed, 2**31)))
+    points = _grid_sampler(target, cfg["grid"], mode).sample(cfg["reference_n"], _rng(spec.seed, 2**31))
+    return uniform_sample(points[np.lexsort(points.T[::-1])])
 
 
 _CELL_ERRORS = (SteinpiError, np.linalg.LinAlgError)

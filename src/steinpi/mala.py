@@ -70,8 +70,8 @@ class ChainConfig:
     stream: tuple
 
     def __post_init__(self):
-        if np.any(np.asarray(self.epsilon) <= 0):
-            raise ValueError("epsilon must be positive")
+        if not np.all((np.asarray(self.epsilon) > 0) & np.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be positive and finite")
         if self.n < 1:
             raise ValueError("chain length must be >= 1")
         np.linalg.cholesky(np.asarray(self.m, dtype=np.float64))  # SPD check
@@ -119,8 +119,8 @@ class AdaptSchedule:
             raise ValueError("learning rates must lie in [0, 1]")
         if any(not isinstance(n, (int, np.integer)) or n < 1 for n in self.epoch_lengths):
             raise ValueError("epoch lengths must be positive integers")
-        if self.epsilon0 <= 0:
-            raise ValueError("epsilon0 must be positive")
+        if not 0 < self.epsilon0 < math.inf:
+            raise ValueError("epsilon0 must be positive and finite")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
 

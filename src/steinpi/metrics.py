@@ -1,7 +1,10 @@
 """Divergence evaluation against reference samples.
 
 Exact 1-Wasserstein between weighted samples: in one dimension via
-quantile-function integration, and for small multivariate instances by
+quantile-function integration, whose cost is one stable sort of both
+samples together (a timsort, in which a presorted reference is a single
+run that the other sample's points are merged into), and for small
+multivariate instances by
 exact discrete optimal transport with Euclidean ground cost, solved one
 of two ways.  When every weight within each sample is the same
 (compared exactly), the larger size L is a multiple of the smaller and

@@ -535,6 +535,34 @@ def test_wasserstein_column_optional():
     assert all(r.wasserstein is not None and r.wasserstein >= 0 for r in result.rows)
 
 
+@pytest.mark.parametrize(
+    "target_cfg, grid",
+    [
+        ({"name": "mixture"}, {"bounds": [[-15, 15]], "num": 301}),
+        ({"name": "skew_normal"}, {"bounds": [[-6, 6], [-6, 6]], "num": 41}),
+    ],
+    ids=["1d", "2d"],
+)
+def test_reference_sample_is_the_raw_draw_in_lexicographic_order(target_cfg, grid):
+    dim = len(grid["bounds"])
+    methods = [{"name": "p", "sampler": {"grid": grid}}]
+    cfg = _base_config(target=target_cfg, mode_init=[0.1] * dim, methods=methods)
+    spec = parse_experiment_spec(dict(cfg, wasserstein={"reference_n": 2000, "grid": grid}))
+    target = build_target(target_cfg)
+    mode = find_mode(target, np.full(dim, 0.1))
+    sampler = experiment._grid_sampler(target, spec.wasserstein["grid"], mode)
+    raw = sampler.sample(2000, experiment._rng(spec.seed, 2**31))
+    reference = experiment._reference_sample(spec, target, mode)
+    assert len(np.unique(raw, axis=0)) < 2000  # ties on the coarse grid
+    assert np.array_equal(reference.points, raw[np.lexsort(raw.T[::-1])])
+    step = np.diff(reference.points, axis=0)
+    rises = step[:, 0] > 0
+    for j in range(1, dim):  # each row is lexicographically >= the previous
+        rises |= (step[:, :j] == 0).all(axis=1) & (step[:, j] > 0)
+    assert np.all(rises | (step == 0).all(axis=1))
+    np.testing.assert_array_equal(reference.weights, np.full(2000, 1 / 2000))
+
+
 def test_mean_ksd_of_optimal_weights_non_increasing_in_n():
     # consistency trend over the sample-size grid, for sampling from the
     # target and from the over-dispersed law

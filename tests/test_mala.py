@@ -424,6 +424,18 @@ def test_config_validation():
         AdaptSchedule(epoch_lengths=(10, 10), learning_rates=())
 
 
+@pytest.mark.parametrize("epsilon", [0.0, np.nan, np.inf])
+def test_chain_config_rejects_a_step_size_that_is_not_positive_and_finite(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        ChainConfig(epsilon=np.array([0.5, epsilon]), m=np.stack([np.eye(1)] * 2), n=10, seed=0, stream=((0,), (1,)))
+
+
+@pytest.mark.parametrize("epsilon0", [0.0, np.nan, np.inf])
+def test_adapt_schedule_rejects_an_initial_step_that_is_not_positive_and_finite(epsilon0):
+    with pytest.raises(ValueError, match="epsilon0 must be positive and finite"):
+        AdaptSchedule(epsilon0=epsilon0, epoch_lengths=(10, 10))
+
+
 def test_single_chain_call_forms_are_rejected():
     # a single chain is the R = 1 ensemble; a (d,) state or a shared (d, d)
     # preconditioner is refused with the form that is expected

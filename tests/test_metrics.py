@@ -58,6 +58,25 @@ def test_w1_weighted_samples_match_monotone_oracle(rng):
         assert wasserstein1_1d(a, b) == pytest.approx(oracle, abs=1e-10)
 
 
+def _lexsorted(sample):
+    """The sample reordered by the stable lexicographic sort that orders the W1 reference."""
+    order = np.lexsort(sample.points.T[::-1])
+    return _weighted(sample.points[order], sample.weights[order])
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "weighted"])
+def test_w1_1d_is_bitwise_unchanged_by_a_lexsorted_reference(uniform, rng):
+    # grid-rounded values tie within the reference and with the sample; the
+    # stable sort keeps tied reference points in order, after the sample's
+    for n in (1, 17, 100):
+        a = uniform_sample(np.round(rng.standard_normal((n, 1)) * 8) / 8)
+        w = np.full(2000, 1 / 2000) if uniform else rng.random(2000)
+        ref = _weighted(np.round(rng.standard_normal((2000, 1)) * 8) / 8, w / w.sum())
+        assert len(np.unique(ref.points)) < 100
+        assert wasserstein1_1d(a, _lexsorted(ref)) == wasserstein1_1d(a, ref)
+        assert wasserstein1_1d(_lexsorted(ref), a) == wasserstein1_1d(ref, a)
+
+
 def test_w1_1d_rejects_multivariate(rng):
     a = uniform_sample(rng.standard_normal((4, 2)))
     with pytest.raises(DimensionMismatch):
@@ -210,6 +229,17 @@ def test_lp_on_merged_points_equals_the_lp_on_every_point(rng, solver_calls):
     np.testing.assert_allclose(plan.plan.sum(axis=0), b.weights, atol=1e-10)
     assert np.all(plan.plan[a.weights == 0] == 0)
     assert solver_calls == {"assignment": 0, "lp": 2}
+
+
+@pytest.mark.parametrize("na, path", [(30, "lp"), (100, "assignment")])
+def test_exact_transport_is_bitwise_unchanged_by_a_lexsorted_reference(na, path, rng, solver_calls):
+    # the LP sees the same distinct points; the assignment's matched
+    # distances are summed exactly, so their order does not matter
+    ref = uniform_sample(np.round(rng.standard_normal((500, 2)) * 4) / 4)
+    assert len(np.unique(ref.points, axis=0)) < 500
+    a = _thinned(rng, na, 2, na // 2)
+    assert wasserstein1_exact(a, _lexsorted(ref)).cost == wasserstein1_exact(a, ref).cost
+    assert solver_calls == {"assignment": 0, "lp": 0, path: 2}
 
 
 @pytest.mark.parametrize("na, nb", [(1, 1), (1, 4), (4, 1), (3, 5), (40, 17)])
