@@ -38,7 +38,6 @@ from .quantise import (
     greedy_thin,
     ksd,
     optimal_weights,
-    snis_weights,
     uniform_sample,
 )
 from .targets import (

@@ -3,12 +3,11 @@
 Provides the kernel discrepancy of a weighted point set, the optimal
 simplex-constrained reweighting (an exact active-set solve of min w^T K w
 over the probability simplex by Wolfe's minimum-norm-point method on a
-given Gram, certified by its duality gap), the indices of greedy thinning
-to m points, and the root-kernel importance weights used as a baseline.
-Thinning reads the kernel diagonal and one column per pick from one
-kernel context of its candidates, so it evaluates the target once, its
-working memory is O(n) and it never builds the n x n Gram; the Gram size
-guard lives in ``SteinKernel.cross``.
+given Gram, certified by its duality gap) and the indices of greedy
+thinning to m points.  Thinning reads the kernel diagonal and one column
+per pick from one kernel context of its candidates, so it evaluates the
+target once, its working memory is O(n) and it never builds the n x n
+Gram; the Gram size guard lives in ``SteinKernel.cross``.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .errors import InvalidSimplex, NegativeQuadraticForm
 
@@ -28,7 +28,6 @@ __all__ = [
     "quadratic_form",
     "optimal_weights",
     "greedy_thin",
-    "snis_weights",
 ]
 
 
@@ -106,44 +105,27 @@ class QPResult:
 
     weights: np.ndarray
     objective: float
-    kkt_residual: float
     iterations: int
     converged: bool
     duality_gap: float
 
 
-def _kkt_residual(g, w, support_tol=1e-8):
-    """Max violation of stationarity/complementarity at w, given g = K w.
-
-    On the support the quantity (Kw)_i must equal a common multiplier;
-    off the support it must not fall below it.
-    """
-    lam = float(g @ w)
-    on = w > support_tol
-    resid = 0.0
-    if np.any(on):
-        resid = float(np.max(np.abs(g[on] - lam)))
-    if np.any(~on):
-        resid = max(resid, float(np.max(np.maximum(lam - g[~on], 0.0))))
-    return resid
-
-
 def _affine_minimiser(gram, support):
     """Minimiser of w^T K w on the affine hull of the support.
 
-    Solves the bordered KKT system [K_SS 1; 1^T 0][v; mu] = [0; 1].
-    Repeated states make K_SS singular; least squares then returns the
-    minimum-norm solution of the (consistent) system.
+    Solves the bordered KKT system [K_SS 1; 1^T 0][v; mu] = [0; 1] by one
+    LAPACK ``dgesv``.  Repeated states can make K_SS exactly singular
+    (``info > 0``); least squares then returns the minimum-norm solution
+    of the (consistent) system.
     """
     m = len(support)
-    system = np.ones((m + 1, m + 1))
-    system[:m, :m] = gram[np.ix_(support, support)]
+    system = np.ones((m + 1, m + 1), order="F")
+    system[:m, :m] = gram.take(support, 0).take(support, 1)
     system[m, m] = 0.0
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
-    try:
-        sol = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
+    sol, info = dgesv(system, rhs)[2:]
+    if info > 0:
         sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
     return sol[:m]
 
@@ -162,51 +144,72 @@ def optimal_weights(gram, max_iter=None):
     step adds the steepest-descent vertex to the support S, then minor
     steps move toward the minimiser on the affine hull of S, dropping the
     first coordinate to reach zero, until that minimiser lies strictly
-    inside the simplex.  With u = eps * max|diag K|, the rounding unit of
-    the gradient, the result is certified optimal (``converged``) when the
-    Frank-Wolfe duality gap satisfies gap <= GAP_TOL * |f| + n * u.
-    Iteration goes on below that, until gap <= GAP_TOL * |f| + u or
-    rounding stalls the method (the entering vertex leaves at once), so
-    the weights are as accurate as the arithmetic allows.  There is no
-    linear term, because a Stein kernel has zero mean under the target.
-    If ``max_iter`` major steps (default 10 n) run out, the better of the
-    iterate and the uniform weights is returned with ``converged=False``.
+    inside the simplex.  Each minor step is one bordered solve on K_SS.
+    With u = eps * max|diag K|, the rounding unit of the gradient, the
+    result is certified optimal (``converged``) when the Frank-Wolfe
+    duality gap satisfies gap <= GAP_TOL * |f| + n * u.  Iteration goes on
+    below that, until gap <= GAP_TOL * |f| + u or rounding stalls the
+    method (the entering vertex leaves at once), so the weights are as
+    accurate as the arithmetic allows.  There is no linear term, because a
+    Stein kernel has zero mean under the target.  K must be symmetric, as a
+    Gram is: K w is read from the rows of S.  If ``max_iter`` major
+    steps (default 10 n) run out, the better of the iterate and the
+    uniform weights is returned with ``converged=False``.  Raises
+    ValueError unless the Gram is a non-empty square 2-D array.
     """
+    gram = np.asarray(gram, dtype=np.float64)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.shape[0] == 0:
+        raise ValueError(f"gram must be a non-empty square 2-D array, got shape {gram.shape}")
     n = gram.shape[0]
     if max_iter is None:
         max_iter = 10 * n
     diag = np.diag(gram)
     unit = float(np.finfo(np.float64).eps * np.max(np.abs(diag)))
-    support = np.array([np.argmin(diag)])
-    w = np.zeros(n)
-    w[support] = 1.0
+    order = np.empty(n, dtype=np.intp)  # S in order of entry is order[:m]
+    member = np.zeros(n, dtype=bool)
+    order[0] = np.argmin(diag)
+    member[order[0]] = True
+    m = 1
+    ws = np.ones(1)  # weights on S; every weight off S is zero
     exhausted = True
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        grad = 2.0 * (gram[:, support] @ w[support])
-        f = float(w[support] @ (0.5 * grad[support]))
-        j = int(np.argmin(grad))
-        gap = float(grad[support] @ w[support] - grad[j])
-        if _certified(gap, f, unit) or j in support:
+        support = order[:m]
+        grad = 2.0 * (ws @ gram.take(support, 0))
+        gs = grad[support]
+        f = float(ws @ (0.5 * gs))
+        j = int(grad.argmin())
+        gap = float(gs @ ws - grad[j])
+        if _certified(gap, f, unit) or member[j]:
             exhausted = False
             break
-        previous = w.copy()
-        support = np.append(support, j)
+        previous = ws
+        order[m] = j
+        member[j] = True
+        m += 1
+        ws = np.concatenate((ws, (0.0,)))
         while True:  # minor steps
+            support = order[:m]
             v = _affine_minimiser(gram, support)
-            if np.all(v > 0):
-                w[support] = v
+            if v.min() > 0.0:
+                ws = v
                 break
-            ws = w[support]
             blocking = np.flatnonzero(v <= 0)
             ratios = ws[blocking] / np.maximum(ws[blocking] - v[blocking], np.finfo(np.float64).tiny)
             ws = np.maximum(ws + float(ratios.min()) * (v - ws), 0.0)
-            ws[blocking[np.argmin(ratios)]] = 0.0
-            w[support] = ws
-            support = support[ws > 0]
-        if np.array_equal(w, previous):  # stalled: the same step would repeat forever
+            ws[blocking[ratios.argmin()]] = 0.0
+            keep = ws > 0
+            member[support[~keep]] = False
+            ws = ws[keep]
+            m = len(ws)
+            order[:m] = support[keep]
+        # stalled (the entering vertex left at once and S kept its weights):
+        # the same step would repeat forever
+        if not member[j] and m == len(previous) and (ws == previous).all():
             exhausted = False
             break
+    w = np.zeros(n)
+    w[order[:m]] = ws
     w /= w.sum()
     kw = gram @ w
     if exhausted:
@@ -220,7 +223,6 @@ def optimal_weights(gram, max_iter=None):
     return QPResult(
         weights=w,
         objective=f,
-        kkt_residual=_kkt_residual(kw, w),
         iterations=iterations,
         converged=not exhausted and _certified(gap, f, n * unit),
         duality_gap=gap,
@@ -258,16 +260,3 @@ def greedy_thin(points, kernel, m):
         if j + 1 < m:
             running += kernel.cross(context, context[pick : pick + 1])[:, 0]
     return chosen
-
-
-def snis_weights(points, kernel):
-    """Weights proportional to 1/sqrt(k_P(x_i)), normalised.
-
-    These are the self-normalised importance weights when the points were
-    sampled from the over-dispersed target; the caller is responsible for
-    that provenance.  A baseline for comparisons, not a production path.
-    """
-    points = _as_points(points)
-    w = 1.0 / np.sqrt(kernel.diag_values(points))
-    w /= w.sum()
-    return WeightedSample(points=points, weights=w)

@@ -4,8 +4,10 @@ check the library.
 Everything here is deliberately naive: finite differences, exhaustive
 enumeration, dense grids, an off-the-shelf NNLS solve.  None of it shares
 code with the paths it verifies, except kernel_value, which reads one
-pair from a 1 x 1 ``kernel.cross``, and whole_grid, which calls a law's
-evaluation hooks over every grid node in one batch.
+pair from a 1 x 1 ``kernel.cross``, whole_grid, which calls a law's
+evaluation hooks over every grid node in one batch, snis_weights, which
+reads ``kernel.diag_values``, and wolfe_reference, which shares the
+certificate's GAP_TOL and the QPResult record with the solver.
 """
 
 import itertools
@@ -13,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from steinpi.quantise import GAP_TOL, QPResult, WeightedSample, _as_points
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -131,6 +135,110 @@ def qp_nnls(gram, penalty=1e3):
     w, _ = nnls(a, b, maxiter=50 * n)
     w = w / w.sum()
     return float(w @ gram @ w), w
+
+
+def kkt_residual(g, w, support_tol=1e-8):
+    """Max violation of stationarity/complementarity at w, given g = K w.
+
+    On the support the quantity (Kw)_i must equal a common multiplier;
+    off the support it must not fall below it.
+    """
+    lam = float(g @ w)
+    on = w > support_tol
+    resid = 0.0
+    if np.any(on):
+        resid = float(np.max(np.abs(g[on] - lam)))
+    if np.any(~on):
+        resid = max(resid, float(np.max(np.maximum(lam - g[~on], 0.0))))
+    return resid
+
+
+def _affine_minimiser_reference(gram, support):
+    """Bordered KKT solve by ``np.linalg.solve``, least squares if it raises."""
+    m = len(support)
+    system = np.ones((m + 1, m + 1))
+    system[:m, :m] = gram[np.ix_(support, support)]
+    system[m, m] = 0.0
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    try:
+        sol = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    return sol[:m]
+
+
+def wolfe_reference(gram, max_iter=None):
+    """Wolfe's minimum-norm-point method as first written: the support
+    grown by ``np.append``, the bordered system assembled by ``np.ix_`` and
+    solved by ``np.linalg.solve``, and the stall test a comparison of all n
+    weights with a copy.  Same steps, exits and certificate as
+    ``optimal_weights``."""
+    n = gram.shape[0]
+    if max_iter is None:
+        max_iter = 10 * n
+    diag = np.diag(gram)
+    unit = float(np.finfo(np.float64).eps * np.max(np.abs(diag)))
+    support = np.array([np.argmin(diag)])
+    w = np.zeros(n)
+    w[support] = 1.0
+    exhausted = True
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        grad = 2.0 * (gram[:, support] @ w[support])
+        f = float(w[support] @ (0.5 * grad[support]))
+        j = int(np.argmin(grad))
+        gap = float(grad[support] @ w[support] - grad[j])
+        if gap <= GAP_TOL * abs(f) + unit or j in support:
+            exhausted = False
+            break
+        previous = w.copy()
+        support = np.append(support, j)
+        while True:  # minor steps
+            v = _affine_minimiser_reference(gram, support)
+            if np.all(v > 0):
+                w[support] = v
+                break
+            ws = w[support]
+            blocking = np.flatnonzero(v <= 0)
+            ratios = ws[blocking] / np.maximum(ws[blocking] - v[blocking], np.finfo(np.float64).tiny)
+            ws = np.maximum(ws + float(ratios.min()) * (v - ws), 0.0)
+            ws[blocking[np.argmin(ratios)]] = 0.0
+            w[support] = ws
+            support = support[ws > 0]
+        if np.array_equal(w, previous):  # stalled: the same step would repeat forever
+            exhausted = False
+            break
+    w /= w.sum()
+    kw = gram @ w
+    if exhausted:
+        uniform = np.full(n, 1.0 / n)
+        ku = gram @ uniform
+        if float(uniform @ ku) < float(w @ kw):
+            w, kw = uniform, ku
+    f = float(w @ kw)
+    grad = 2.0 * kw
+    gap = float(grad @ w - grad.min())
+    return QPResult(
+        weights=w,
+        objective=f,
+        iterations=iterations,
+        converged=not exhausted and gap <= GAP_TOL * abs(f) + n * unit,
+        duality_gap=gap,
+    )
+
+
+def snis_weights(points, kernel):
+    """Weights proportional to 1/sqrt(k_P(x_i)), normalised.
+
+    These are the self-normalised importance weights when the points were
+    sampled from the over-dispersed target; the caller is responsible for
+    that provenance.  A baseline for comparisons, not a production path.
+    """
+    points = _as_points(points)
+    w = 1.0 / np.sqrt(kernel.diag_values(points))
+    w /= w.sum()
+    return WeightedSample(points=points, weights=w)
 
 
 def base_kappa(kernel, x, y):

@@ -13,7 +13,6 @@ from steinpi.errors import NoExactSampler, SteinpiError
 from steinpi.grid import CHUNK, GridSampler
 from steinpi.kernels import LangevinKernel, make_kernel
 from steinpi.pi_targets import estimate_c2, make_pi, make_power_tilt
-from steinpi.quantise import snis_weights
 from steinpi.targets import (
     TargetModel,
     default_mixture,
@@ -23,7 +22,7 @@ from steinpi.targets import (
     make_skew_normal_2d,
 )
 
-from _oracles import ConstantKernel, fd_gradient, kernel_diagonal, rel_err, whole_grid
+from _oracles import ConstantKernel, fd_gradient, kernel_diagonal, rel_err, snis_weights, whole_grid
 
 
 def _standard_normal_pi():

@@ -1,12 +1,15 @@
 """Post-processing: exact small-instance optima, greedy equivalence with an
 uncached reference, weight dominance, and the simplex invariants."""
 
+import re
+
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgesv
 
 from steinpi.errors import GramTooLarge, InvalidSimplex, NegativeQuadraticForm
 from steinpi.grid import GridSampler
-from steinpi.kernels import LangevinKernel
+from steinpi.kernels import LangevinKernel, make_kernel
 from steinpi.mala import AdaptSchedule, adaptive_warmup, random_window
 from steinpi.pi_targets import make_pi
 from steinpi.quantise import (
@@ -16,12 +19,20 @@ from steinpi.quantise import (
     ksd,
     optimal_weights,
     quadratic_form,
-    snis_weights,
     uniform_sample,
 )
 from steinpi.targets import default_mixture, find_mode, make_gaussian
 
-from _oracles import ConstantKernel, greedy_reference, qp_grid_search, qp_nnls, qp_support_enumeration
+from _oracles import (
+    ConstantKernel,
+    greedy_reference,
+    kkt_residual,
+    qp_grid_search,
+    qp_nnls,
+    qp_support_enumeration,
+    snis_weights,
+    wolfe_reference,
+)
 
 
 def _std_normal_kernel():
@@ -193,7 +204,7 @@ def test_qp_kkt_conditions_at_solution(rng):
         assert np.all(np.abs(kw[on] - lam) <= tol)
         if np.any(~on):
             assert np.all(kw[~on] >= lam - tol)
-        assert res.kkt_residual <= 1e-6
+        assert kkt_residual(kw, res.weights) <= 1e-6
 
 
 def test_qp_iteration_budget_returns_flagged_best(rng):
@@ -218,7 +229,7 @@ def test_qp_matches_nnls_oracle_on_mala_window_with_repeats():
     oracle, _ = qp_nnls(gram)
     assert res.converged
     assert res.objective <= oracle * (1.0 + 1e-8)
-    assert res.kkt_residual <= 1e-6
+    assert kkt_residual(gram @ res.weights, res.weights) <= 1e-6
 
 
 def test_qp_tripled_duplicates_singular_support(rng):
@@ -238,8 +249,71 @@ def test_qp_tripled_duplicates_singular_support(rng):
     exact, _ = qp_support_enumeration(kernel.gram(base))
     assert res.converged
     assert abs(res.objective - exact) <= 1e-8 * exact + 1e-12
-    assert res.kkt_residual <= 1e-6
+    assert kkt_residual(gram @ res.weights, res.weights) <= 1e-6
     assert abs(res.weights.sum() - 1.0) <= 1e-12
+
+
+def test_affine_minimiser_least_squares_on_exactly_singular_system():
+    _, kernel = _std_normal_kernel()
+    copy = np.array([0, 1, 0, 2])  # state 0 twice, as a rejected proposal repeats it
+    gram = kernel.gram(np.array([[0.3], [-1.2], [2.0]]))[np.ix_(copy, copy)]
+    support = np.array([0, 1, 2])  # two identical Gram rows
+    m = len(support)
+    system = np.ones((m + 1, m + 1))
+    system[:m, :m] = gram[np.ix_(support, support)]
+    system[m, m] = 0.0
+    rhs = np.eye(m + 1)[m]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(system, rhs)
+    assert dgesv(system, rhs)[3] > 0  # LAPACK reports the zero pivot
+    v = _affine_minimiser(gram, support)
+    kv = gram[np.ix_(support, support)] @ v
+    assert np.all(np.isfinite(v)) and abs(v.sum() - 1.0) <= 1e-12
+    assert np.max(np.abs(kv - kv.mean())) <= 1e-12 * np.max(np.abs(gram))
+
+
+def _reference_cases():
+    """(label, Gram) pairs: exact-grid windows of the mixture for p and pi
+    under Langevin and KGM-3, a MALA window with repeated states and the
+    tripled-duplicates Gram."""
+    target = default_mixture()
+    mode = find_mode(target, np.array([0.1]))
+    for family in ("langevin", "kgm"):
+        kernel = make_kernel(target, mode, family=family, s=3)
+        for name, law in (("p", target), ("pi", make_pi(target, kernel))):
+            sampler = GridSampler(law, [(-15.0, 15.0)], num=30001)
+            for n in (10, 30, 100):
+                pts = sampler.sample(n, np.random.default_rng(n))
+                yield f"{name}-{family}-{n}", kernel.gram(pts)
+    kernel = LangevinKernel(target, mode)
+    schedule = AdaptSchedule(epoch_lengths=(200,) * 3 + (2000,), learning_rates=(0.3,) * 3)
+    _, out = adaptive_warmup(mode.x_star[None], make_pi(target, kernel), schedule, seed=3, stream=[(0,)])
+    pts = random_window(out.states, 100, np.random.default_rng(0))
+    assert len(np.unique(pts[:, 0])) < 100  # rejected proposals repeat states
+    yield "mala-pi-100", kernel.gram(pts)
+    _, kernel = _std_normal_kernel()
+    base = np.random.default_rng(11).standard_normal((8, 1)) * 2.0
+    yield "tripled-24", kernel.gram(np.repeat(base, 3, axis=0))
+
+
+def test_qp_matches_reference_solver():
+    # the minimiser need not be unique (weight can move between copies of
+    # a repeated state), so objectives are compared, not weights
+    report = []
+    for label, gram in _reference_cases():
+        res = optimal_weights(gram)
+        ref = wolfe_reference(gram)
+        report.append(f"{label}: {res.iterations} / {ref.iterations}")
+        assert res.converged == ref.converged, label
+        assert res.converged, label
+        assert abs(res.objective - ref.objective) <= 1e-11 * abs(ref.objective), label
+    print("major steps (solver / reference):", "; ".join(report))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3, 2), (4,), (2, 2, 2)])
+def test_qp_refuses_non_square_gram(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        optimal_weights(np.ones(shape))
 
 
 def test_qp_size_guard():
