@@ -199,7 +199,8 @@ def _cmd_weights(args):
 def _cmd_thin(args):
     kernel = _kernel(_load_config(args.config))
     points, _ = _read_points(args.points, kernel.dim)
-    idx = greedy_thin(points, kernel, args.m)
+    uniform_sample(points)  # refuses non-finite points before the target is evaluated
+    idx = greedy_thin(kernel.context(points), kernel, args.m)
     return _write(args.out_dir, "indices.csv", ["index"], [(int(i),) for i in idx])
 
 
@@ -211,7 +212,7 @@ def _cmd_ksd(args):
         if weights is None:
             raise ConfigError(f"{args.weights}: no 'weight' column found")
         sample = _weighted(args.weights, sample.points, weights)
-    print(repr(ksd(sample, kernel)))
+    print(repr(ksd(sample, kernel.gram(kernel.context(sample.points)))))
     return 0
 
 

@@ -433,21 +433,24 @@ def _draw_group(seed, members, replicates, n):
 
 
 def post_process(points, kernel, post):
-    """Post-processed sample, and the n x n Gram its KSD reuses.
+    """Post-processed sample, and the Gram of its points its KSD reads.
 
-    Thinning returns before any n x n Gram is built, with None in its
-    place: its KSD needs only the Gram of the picks.  Raises InvalidSimplex
-    on non-finite points, before any kernel work, and NonConvergence when
-    the optimal weights are not certified.
+    One kernel context of the window serves every kind.  Thinning picks
+    from it and keeps the picks' rows, so its Gram is the picks' and no
+    n x n Gram is built.  Raises InvalidSimplex on non-finite points,
+    before any kernel work, and NonConvergence when the optimal weights
+    are not certified.
     """
     sample = uniform_sample(points)  # refuses non-finite points
+    ctx = kernel.context(points)
     kind = post["kind"]
     if kind == "thin":
         m = post["m"]
         m = max(1, int(round(m * len(points)))) if isinstance(m, float) else m
-        return uniform_sample(points[greedy_thin(points, kernel, m)]), None
-    gram = kernel.gram(points)
-    if kind == "none":
+        idx = greedy_thin(ctx, kernel, m)
+        sample, ctx = uniform_sample(points[idx]), ctx[idx]
+    gram = kernel.gram(ctx)
+    if kind != "optimal":
         return sample, gram
     qp = optimal_weights(gram)
     if not qp.converged:
@@ -510,7 +513,7 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
             else:
                 points = random_window(source, n, rng)
             sample, gram = post_process(points, runtime.kernel, method.post)
-            value = ksd(sample, runtime.kernel, gram=gram)
+            value = ksd(sample, gram)
             wass = None if reference is None else wasserstein1(sample, reference)
             rows.append(
                 ResultRow(

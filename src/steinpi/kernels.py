@@ -10,10 +10,10 @@ Sigma with Sigma^{-1} the negative log-density Hessian at x*.
 Every entry of k_P reads the same per-point data: the target score and
 the offsets from x* whitened by Sigma^{-1} and Sigma^{-2}.  ``context``
 holds it per point set, each piece built on first read, and evaluates
-the target only when no score is handed in; ``cross`` assembles
-[k_P(x_i, y_j)] between two contexts under the one Gram size guard,
-``gram`` is its square, bitwise-symmetric case on one batch, and
-``_diag_at`` reads k_P(x) and its gradient.  All of it is vectorised.
+the target only when no score is handed in.  Every operation reads a
+context: ``cross`` assembles [k_P(x_i, y_j)] between two under the one
+Gram size guard, ``gram`` is its square, bitwise-symmetric case on one,
+and ``_diag_at`` reads k_P(x) and its gradient.  All of it is vectorised.
 Off the diagonal, the diffusion scaling v^(c/2) enters as a tilt
 c Sigma^-1 (x - x*) / v of the score (see ``SteinKernel``), so no product
 rule is expanded by hand.
@@ -146,14 +146,13 @@ class SteinKernel:
             raise GramTooLarge(f"a {len(x)} x {len(y)} Gram exceeds the guard of {GRAM_GUARD}**2 entries")
         return self._cross(x, y)
 
-    def gram(self, x):
-        """Square Gram matrix [k_P(x_i, x_j)] of a batch, under the guard of
-        ``cross``, made bitwise symmetric by mirroring the upper triangle
-        (row-major canonical entries).  A rectangular matrix between two
-        batches is ``cross(context(x), context(y))``.
+    def gram(self, ctx):
+        """Square Gram matrix [k_P(x_i, x_j)] of one context, under the guard
+        of ``cross``, made bitwise symmetric by mirroring the upper triangle
+        (row-major canonical entries).  The Gram of points x is
+        ``gram(context(x))``; a rectangular one is ``cross(cx, cy)``.
         """
-        cx = self.context(x)
-        k = self.cross(cx, cx)
+        k = self.cross(ctx, ctx)
         lower = np.tril_indices(k.shape[0], -1)
         k[lower] = k.T[lower]
         return k

@@ -1,13 +1,12 @@
 """Post-processing of sampler output against a Stein kernel.
 
-Provides the kernel discrepancy of a weighted point set, the optimal
+Provides the kernel discrepancy of a weighted point set and the optimal
 simplex-constrained reweighting (an exact active-set solve of min w^T K w
-over the probability simplex by Wolfe's minimum-norm-point method on a
-given Gram, certified by its duality gap) and the indices of greedy
-thinning to m points.  Thinning reads the kernel diagonal and one column
-per pick from one kernel context of its candidates, so it evaluates the
-target once, its working memory is O(n) and it never builds the n x n
-Gram; the Gram size guard lives in ``SteinKernel.cross``.
+over the probability simplex by Wolfe's minimum-norm-point method,
+certified by its duality gap), both on a Gram the caller built, and the
+indices of greedy thinning to m points, read from the kernel context of
+the candidates: no target evaluation, O(n) working memory and no n x n
+Gram.  The Gram size guard lives in ``SteinKernel.cross``.
 """
 
 from __future__ import annotations
@@ -92,10 +91,8 @@ def quadratic_form(gram, weights):
     return q
 
 
-def ksd(sample, kernel, gram=None):
-    """Kernel discrepancy sqrt(w^T K w) of a weighted sample."""
-    if gram is None:
-        gram = kernel.gram(sample.points)
+def ksd(sample, gram):
+    """Kernel discrepancy sqrt(w^T K w) of a weighted sample on its points' Gram."""
     return float(np.sqrt(quadratic_form(gram, sample.weights)))
 
 
@@ -229,34 +226,32 @@ def optimal_weights(gram, max_iter=None):
     )
 
 
-def greedy_thin(points, kernel, m):
+def greedy_thin(ctx, kernel, m):
     """Indices (m,) selected by m steps of greedy discrepancy minimisation.
 
     Step j picks argmin over candidates y of
     k_P(y)/2 + sum_{i<j} k_P(y, y_i); candidates stay available, so an
     index may repeat.  Ties resolve to the lowest index (strict < scan).
-    One kernel context of the candidates (one target evaluation) gives
-    the diagonal and one n x 1 column per pick, added to a running sum:
-    O(nm) kernel evaluations and O(n) memory, with no n x n Gram.  At
-    n = 1000 this beats slicing a full Gram up to about m = n/2.  The thinned
-    sample is ``uniform_sample(points[idx])``.  Raises ValueError on an
-    empty or non-finite candidate set.
+    The kernel context of the candidates gives the diagonal and one
+    n x 1 column per pick, added to a running sum: O(nm) kernel
+    evaluations and O(n) memory, with no n x n Gram.  At n = 1000 this
+    beats slicing a full Gram up to about m = n/2.  The picks' Gram is
+    ``kernel.gram(ctx[idx])``.  Raises ValueError on an empty or
+    non-finite candidate set.
     """
-    points = _as_points(points)
-    n = points.shape[0]
+    n = len(ctx)
     if m < 1:
         raise ValueError("m must be >= 1")
     if n == 0:
         raise ValueError("candidate set must be nonempty")
-    if not np.isfinite(points).all():
+    if not np.isfinite(ctx.delta).all():
         raise ValueError("candidate points must be finite")
-    context = kernel.context(points)
-    half_diag = 0.5 * kernel._diag_at(context)[0]
+    half_diag = 0.5 * kernel._diag_at(ctx)[0]
     running = np.zeros(n)
     chosen = np.empty(m, dtype=np.int64)
     for j in range(m):
         pick = int(np.argmin(half_diag + running))
         chosen[j] = pick
         if j + 1 < m:
-            running += kernel.cross(context, context[pick : pick + 1])[:, 0]
+            running += kernel.cross(ctx, ctx[pick : pick + 1])[:, 0]
     return chosen

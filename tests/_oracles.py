@@ -458,9 +458,8 @@ class ConstantKernel:
     def cross(self, x, y):
         return np.full((len(x), len(y)), self.value)
 
-    def gram(self, x):
-        x = self.context(x)
-        return self.cross(x, x)
+    def gram(self, ctx):
+        return self.cross(ctx, ctx)
 
     def diag_values(self, x):
         return self._diag_at(self.context(x))[0]

@@ -34,9 +34,9 @@ GRID_1D = {"bounds": [[-15, 15]], "num": 30001}
 
 
 def _optimal_ksd(points, kernel):
-    gram = kernel.gram(points)
+    gram = kernel.gram(kernel.context(points))
     qp = sp.optimal_weights(gram)
-    return sp.ksd(sp.WeightedSample(points=points, weights=qp.weights), kernel, gram=gram)
+    return sp.ksd(sp.WeightedSample(points=points, weights=qp.weights), gram)
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_criterion_06_qp_objective_and_kkt():
         n = int(rng.integers(1, 11))
         kernel = kernels[case % 2]
         pts = 2.0 * rng.standard_normal((n, 1))
-        gram = kernel.gram(pts)
+        gram = kernel.gram(kernel.context(pts))
         res = sp.optimal_weights(gram)
         exact, _ = qp_support_enumeration(gram)
         assert abs(res.objective - exact) < 1e-4, (case, n)
@@ -257,7 +257,7 @@ def test_criterion_07_greedy_matches_bruteforce():
         m = int(rng.integers(1, 11))
         kernel = kernels[case % 2]
         pts = 2.0 * rng.standard_normal((n, 1))
-        fast = sp.greedy_thin(pts, kernel, m)
+        fast = sp.greedy_thin(kernel.context(pts), kernel, m)
         slow = greedy_reference(pts, kernel, m)
         np.testing.assert_array_equal(fast, slow, err_msg=f"case {case} n={n} m={m}")
 
@@ -277,12 +277,14 @@ def test_criterion_08_weight_dominance_chain():
     sampler = sp.GridSampler(pi, [(-12.0, 12.0)], num=24001)
     for seed in range(20):
         pts = sampler.sample(50, np.random.default_rng(seed))
-        gram = kernel.gram(pts)
+        ctx = kernel.context(pts)
+        gram = kernel.gram(ctx)
         qp = sp.optimal_weights(gram)
-        best = sp.ksd(sp.WeightedSample(points=pts, weights=qp.weights), kernel, gram=gram)
-        snis = sp.ksd(snis_weights(pts, kernel), kernel, gram=gram)
-        uniform = sp.ksd(sp.uniform_sample(pts), kernel, gram=gram)
-        greedy = sp.ksd(sp.uniform_sample(pts[sp.greedy_thin(pts, kernel, 50)]), kernel)
+        best = sp.ksd(sp.WeightedSample(points=pts, weights=qp.weights), gram)
+        snis = sp.ksd(snis_weights(pts, kernel), gram)
+        uniform = sp.ksd(sp.uniform_sample(pts), gram)
+        idx = sp.greedy_thin(ctx, kernel, 50)
+        greedy = sp.ksd(sp.uniform_sample(pts[idx]), kernel.gram(ctx[idx]))
         assert best <= snis + 1e-8
         assert best <= uniform + 1e-8
         assert best <= greedy + 1e-8
@@ -381,10 +383,12 @@ def test_criterion_11_thinning_near_optimal():
     for rep in range(10):
         rng = np.random.default_rng(np.random.SeedSequence(1100, spawn_key=(rep,)))
         pts = sp.random_window(out.states, 1000, rng)
-        gram = kernel.gram(pts)
+        ctx = kernel.context(pts)
+        gram = kernel.gram(ctx)
         qp = sp.optimal_weights(gram)
-        k_opt = sp.ksd(sp.WeightedSample(points=pts, weights=qp.weights), kernel, gram=gram)
-        k_thin = sp.ksd(sp.uniform_sample(pts[sp.greedy_thin(pts, kernel, 500)]), kernel)
+        k_opt = sp.ksd(sp.WeightedSample(points=pts, weights=qp.weights), gram)
+        idx = sp.greedy_thin(ctx, kernel, 500)
+        k_thin = sp.ksd(sp.uniform_sample(pts[idx]), kernel.gram(ctx[idx]))
         ratios.append(k_thin / k_opt)
     assert np.median(ratios) <= 1.2, f"median ratio {np.median(ratios):.3f}; ratios {np.round(ratios, 2)}"
 

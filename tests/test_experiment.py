@@ -31,7 +31,7 @@ from steinpi.experiment import (
 )
 from steinpi.kernels import LangevinKernel, SteinKernel, make_kernel
 from steinpi.mala import adaptive_warmup
-from steinpi.quantise import ksd
+from steinpi.quantise import greedy_thin, ksd
 from steinpi.targets import TargetModel, find_mode, make_gaussian, make_skew_normal_2d
 
 
@@ -415,14 +415,37 @@ class _SizeCounting(TargetModel):
         return self.base._evaluate(x, order)
 
 
-def test_thin_cell_evaluates_its_target_once_per_point_set():
+@pytest.mark.parametrize("kind", ["none", "optimal", "thin"])
+def test_cell_evaluates_its_target_once_per_point_set(kind):
     target = _SizeCounting(make_skew_normal_2d())
     kernel = make_kernel(target, find_mode(target, np.zeros(2)), family="kgm", s=3)
     points = np.random.default_rng(5).standard_normal((1000, 2))
     target.sizes.clear()
+    sample, gram = post_process(points, kernel, {"kind": kind, "m": 100})
+    ksd(sample, gram)
+    assert target.sizes == [1000]  # the window's one context serves the Gram, the picks and the KSD
+
+
+@pytest.mark.parametrize("family", ["langevin", "kgm"])
+@pytest.mark.parametrize("target_name", ["skew_normal", "regression"])
+def test_thin_gram_is_bitwise_the_gram_of_its_picks(target_name, family):
+    target = build_target({"name": target_name})
+    mode = find_mode(target, np.full(target.dim, 0.1))
+    kernel = make_kernel(target, mode, family=family, s=3)
+    points = mode.x_star + 0.5 * np.random.default_rng(9).standard_normal((1000, target.dim))
+    ctx = kernel.context(points)
+    idx = greedy_thin(ctx, kernel, 100)
+    assert {"a1", "u", "q"} <= ctx.__dict__.keys()  # built on all 1000 candidates
+    assert len(np.unique(idx)) < len(idx)  # some picks repeat
+    fresh = kernel.gram(kernel.context(points[idx]))
     sample, gram = post_process(points, kernel, {"kind": "thin", "m": 100})
-    ksd(sample, kernel, gram=gram)
-    assert target.sizes == [1000, 100]  # the candidates, then the picks for the KSD
+    assert np.array_equal(sample.points, points[idx])
+    assert np.array_equal(gram, fresh)
+    # One context object on both sides: numpy computes a @ a.T on one
+    # buffer by another BLAS routine than on two equal buffers, so
+    # cross(ctx[idx], ctx[idx]) of two slices can move entries at rounding
+    # level, while gram(ctx[idx]) reads one slice twice, as a fresh context.
+    assert np.array_equal(kernel.gram(ctx[idx]), fresh)
 
 
 def _one_grid_spec(*distributions):
@@ -499,7 +522,7 @@ def test_only_square_grams_hit_the_size_guard():
     kernel = LangevinKernel(target, find_mode(target, np.array([1.0])))
     points = np.linspace(-3.0, 3.0, 20_001)[:, None]
     sample, gram = post_process(points, kernel, {"kind": "thin", "m": 2})
-    assert sample.n == 2 and gram is None
+    assert sample.n == 2 and gram.shape == (2, 2)  # the picks' Gram; the candidates' is never built
     for kind in ("none", "optimal"):
         with pytest.raises(GramTooLarge):
             post_process(points, kernel, {"kind": kind})

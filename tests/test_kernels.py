@@ -104,7 +104,7 @@ def test_kernel_eval_symmetry_bitwise(kernel, rng):
     for _ in range(50):
         x = rng.standard_normal((1, 2))
         y = rng.standard_normal((1, 2))
-        gram = kernel.gram(np.concatenate([x, y]))
+        gram = kernel.gram(kernel.context(np.concatenate([x, y])))
         assert gram[0, 1] == gram[1, 0]
         # the two orders run different float operations: equal to rounding,
         # measured against the Cauchy-Schwarz bound sqrt(k(x, x) k(y, y))
@@ -292,7 +292,7 @@ def test_langevin_pi_evaluation_builds_no_whitened_pieces(rng):
 def test_gram_positive_semidefinite(kernel, rng):
     for _ in range(30):
         pts = rng.standard_normal((20, 2)) * rng.uniform(0.5, 2.0)
-        gram = kernel.gram(pts)
+        gram = kernel.gram(kernel.context(pts))
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-8 * eigs.max()
 
@@ -301,10 +301,11 @@ def test_gram_bitwise_symmetric(rng):
     target, mode = _gaussian_setup()
     kernel = KGMKernel(target, mode, s=3)
     pts = rng.standard_normal((40, 2))
-    gram = kernel.gram(pts)
+    ctx = kernel.context(pts)
+    gram = kernel.gram(ctx)
     assert np.array_equal(gram, gram.T)
-    with pytest.raises(TypeError):  # one batch only; two batches go through cross
-        kernel.gram(pts, pts)
+    with pytest.raises(TypeError):  # one context only; two go through cross
+        kernel.gram(ctx, ctx)
 
 
 @pytest.mark.parametrize("family,s", [("langevin", 1), ("kgm", 3)])
@@ -314,7 +315,7 @@ def test_gram_peak_memory_is_a_few_results(family, s, rng):
     pts = mode.x_star + rng.standard_normal((500, 2))
     tracemalloc.start()
     try:
-        gram = kernel.gram(pts)
+        gram = kernel.gram(kernel.context(pts))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -340,7 +341,7 @@ def test_gram_cross_matches_pairwise(rng):
 def test_constant_kernel_basics():
     kernel = ConstantKernel(4.0, dim=1)
     pts = np.array([[0.0], [2.0]])
-    np.testing.assert_array_equal(kernel.gram(pts), np.full((2, 2), 4.0))
+    np.testing.assert_array_equal(kernel.gram(kernel.context(pts)), np.full((2, 2), 4.0))
     np.testing.assert_array_equal(kernel.diag_values(pts), [4.0, 4.0])
     np.testing.assert_array_equal(kernel.diag_grads(pts), np.zeros((2, 1)))
 

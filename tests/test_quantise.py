@@ -54,8 +54,8 @@ class _ScaledKernel:
     def cross(self, x, y):
         return self.c * self.kernel.cross(x, y)
 
-    def gram(self, x):
-        return self.c * self.kernel.gram(x)
+    def gram(self, ctx):
+        return self.c * self.kernel.gram(ctx)
 
     def _diag_at(self, ctx, hess=None):
         values, grads = self.kernel._diag_at(ctx, hess)
@@ -87,7 +87,7 @@ def test_weighted_sample_validation():
 def test_ksd_single_point_at_mode():
     _, kernel = _std_normal_kernel()
     sample = uniform_sample(np.array([[0.0]]))
-    assert ksd(sample, kernel) == 1.0  # sqrt(k_P(0)) with k_P(0) = 1
+    assert ksd(sample, kernel.gram(kernel.context(sample.points))) == 1.0  # sqrt(k_P(0)) with k_P(0) = 1
 
 
 def test_ksd_degenerate_weights_match_single_point_bitwise():
@@ -95,7 +95,8 @@ def test_ksd_degenerate_weights_match_single_point_bitwise():
     pts = np.array([[0.3], [1.2], [-0.7]])
     concentrated = WeightedSample(points=pts, weights=np.array([1.0, 0.0, 0.0]))
     single = uniform_sample(pts[:1])
-    assert ksd(concentrated, kernel) == ksd(single, kernel)
+    gram = kernel.gram(kernel.context(pts))
+    assert ksd(concentrated, gram) == ksd(single, kernel.gram(kernel.context(pts[:1])))
 
 
 def test_ksd_uniform_weights_decrease_with_sample_size():
@@ -116,19 +117,15 @@ def test_ksd_uniform_weights_decrease_with_sample_size():
             if lo + block < len(big):
                 total += 2.0 * kernel.cross(ctx, kernel.context(big[lo + block :])).sum()
         ksd_big = np.sqrt(max(total, 0.0)) / len(big)
-        ksd_small = ksd(uniform_sample(small), kernel)
+        ksd_small = ksd(uniform_sample(small), kernel.gram(kernel.context(small)))
         wins += ksd_big < ksd_small
     assert wins == 10
 
 
 def test_negative_quadratic_form_detected():
-    class _BrokenKernel:
-        def gram(self, x):
-            return np.array([[1.0, -2.0], [-2.0, 1.0]])  # indefinite
-
-    pts = np.zeros((2, 1))
+    broken = np.array([[1.0, -2.0], [-2.0, 1.0]])  # indefinite, as no kernel's Gram is
     with pytest.raises(NegativeQuadraticForm):
-        ksd(uniform_sample(pts), _BrokenKernel())
+        ksd(uniform_sample(np.zeros((2, 1))), broken)
 
 
 def test_quadratic_form_clamps_rounding_negatives():
@@ -143,14 +140,14 @@ def test_quadratic_form_clamps_rounding_negatives():
 
 def test_qp_single_point():
     _, kernel = _std_normal_kernel()
-    res = optimal_weights(kernel.gram(np.array([[0.7]])))
+    res = optimal_weights(kernel.gram(kernel.context(np.array([[0.7]]))))
     np.testing.assert_array_equal(res.weights, [1.0])
     assert res.objective == pytest.approx(kernel.diag_values(np.array([[0.7]]))[0], rel=1e-14)
 
 
 def test_qp_symmetric_pair_splits_evenly():
     _, kernel = _std_normal_kernel()
-    res = optimal_weights(kernel.gram(np.array([[-1.3], [1.3]])))
+    res = optimal_weights(kernel.gram(kernel.context(np.array([[-1.3], [1.3]]))))
     np.testing.assert_allclose(res.weights, [0.5, 0.5], atol=1e-9)
     assert res.converged
 
@@ -159,7 +156,7 @@ def test_qp_three_points_match_simplex_grid_search(rng):
     _, kernel = _std_normal_kernel()
     for _ in range(5):
         pts = rng.standard_normal((3, 1)) * 1.5
-        gram = kernel.gram(pts)
+        gram = kernel.gram(kernel.context(pts))
         res = optimal_weights(gram)
         grid_best = qp_grid_search(gram, resolution=1e-3)
         assert res.objective <= grid_best + 1e-4
@@ -171,7 +168,7 @@ def test_qp_matches_support_enumeration(rng):
     for _ in range(10):
         n = int(rng.integers(2, 9))
         pts = rng.standard_normal((n, 1)) * 2.0
-        gram = kernel.gram(pts)
+        gram = kernel.gram(kernel.context(pts))
         res = optimal_weights(gram)
         exact, _ = qp_support_enumeration(gram)
         assert res.objective <= exact + 1e-8
@@ -193,7 +190,7 @@ def test_qp_kkt_conditions_at_solution(rng):
     _, kernel = _std_normal_kernel()
     for seed in range(10):
         pts = np.random.default_rng(seed).standard_normal((8, 1)) * 2.0
-        gram = kernel.gram(pts)
+        gram = kernel.gram(kernel.context(pts))
         res = optimal_weights(gram)
         assert res.objective >= 0.0
         assert res.duality_gap <= 1e-8 * max(1.0, res.objective)
@@ -210,10 +207,11 @@ def test_qp_kkt_conditions_at_solution(rng):
 def test_qp_iteration_budget_returns_flagged_best(rng):
     _, kernel = _std_normal_kernel()
     pts = rng.standard_normal((40, 1))
-    res = optimal_weights(kernel.gram(pts), max_iter=3)
+    gram = kernel.gram(kernel.context(pts))
+    res = optimal_weights(gram, max_iter=3)
     assert not res.converged
     assert res.iterations == 3
-    assert res.objective <= quadratic_form(kernel.gram(pts), np.full(40, 1 / 40)) + 1e-12
+    assert res.objective <= quadratic_form(gram, np.full(40, 1 / 40)) + 1e-12
 
 
 def test_qp_matches_nnls_oracle_on_mala_window_with_repeats():
@@ -224,7 +222,7 @@ def test_qp_matches_nnls_oracle_on_mala_window_with_repeats():
     _, out = adaptive_warmup(mode.x_star[None], make_pi(target, kernel), schedule, seed=5, stream=[(0,)])
     pts = random_window(out.states, 1000, np.random.default_rng(0))
     assert len(np.unique(pts[:, 0])) < 700  # rejected proposals repeat states
-    gram = kernel.gram(pts)
+    gram = kernel.gram(kernel.context(pts))
     res = optimal_weights(gram)
     oracle, _ = qp_nnls(gram)
     assert res.converged
@@ -236,7 +234,7 @@ def test_qp_tripled_duplicates_singular_support(rng):
     _, kernel = _std_normal_kernel()
     base = rng.standard_normal((8, 1)) * 2.0
     pts = np.repeat(base, 3, axis=0)
-    gram = kernel.gram(pts)
+    gram = kernel.gram(kernel.context(pts))
     # a support holding two copies of a state has a singular K_SS; the
     # bordered solve must still return the affine minimiser
     support = np.array([0, 1, 3, 6])
@@ -246,7 +244,7 @@ def test_qp_tripled_duplicates_singular_support(rng):
     assert np.max(np.abs(kv - kv.mean())) <= 1e-10
     # copies tie in the gradient, so the full solve matches the deduplicated problem
     res = optimal_weights(gram)
-    exact, _ = qp_support_enumeration(kernel.gram(base))
+    exact, _ = qp_support_enumeration(kernel.gram(kernel.context(base)))
     assert res.converged
     assert abs(res.objective - exact) <= 1e-8 * exact + 1e-12
     assert kkt_residual(gram @ res.weights, res.weights) <= 1e-6
@@ -256,7 +254,7 @@ def test_qp_tripled_duplicates_singular_support(rng):
 def test_affine_minimiser_least_squares_on_exactly_singular_system():
     _, kernel = _std_normal_kernel()
     copy = np.array([0, 1, 0, 2])  # state 0 twice, as a rejected proposal repeats it
-    gram = kernel.gram(np.array([[0.3], [-1.2], [2.0]]))[np.ix_(copy, copy)]
+    gram = kernel.gram(kernel.context(np.array([[0.3], [-1.2], [2.0]])))[np.ix_(copy, copy)]
     support = np.array([0, 1, 2])  # two identical Gram rows
     m = len(support)
     system = np.ones((m + 1, m + 1))
@@ -284,16 +282,16 @@ def _reference_cases():
             sampler = GridSampler(law, [(-15.0, 15.0)], num=30001)
             for n in (10, 30, 100):
                 pts = sampler.sample(n, np.random.default_rng(n))
-                yield f"{name}-{family}-{n}", kernel.gram(pts)
+                yield f"{name}-{family}-{n}", kernel.gram(kernel.context(pts))
     kernel = LangevinKernel(target, mode)
     schedule = AdaptSchedule(epoch_lengths=(200,) * 3 + (2000,), learning_rates=(0.3,) * 3)
     _, out = adaptive_warmup(mode.x_star[None], make_pi(target, kernel), schedule, seed=3, stream=[(0,)])
     pts = random_window(out.states, 100, np.random.default_rng(0))
     assert len(np.unique(pts[:, 0])) < 100  # rejected proposals repeat states
-    yield "mala-pi-100", kernel.gram(pts)
+    yield "mala-pi-100", kernel.gram(kernel.context(pts))
     _, kernel = _std_normal_kernel()
     base = np.random.default_rng(11).standard_normal((8, 1)) * 2.0
-    yield "tripled-24", kernel.gram(np.repeat(base, 3, axis=0))
+    yield "tripled-24", kernel.gram(kernel.context(np.repeat(base, 3, axis=0)))
 
 
 def test_qp_matches_reference_solver():
@@ -316,10 +314,10 @@ def test_qp_refuses_non_square_gram(shape):
         optimal_weights(np.ones(shape))
 
 
-def test_qp_size_guard():
+def test_gram_size_guard_stops_a_qp_sized_gram():
     _, kernel = _std_normal_kernel()
-    with pytest.raises(GramTooLarge):
-        optimal_weights(kernel.gram(np.zeros((20_001, 1))))
+    with pytest.raises(GramTooLarge):  # raised by SteinKernel.cross: optimal_weights has no guard of its own
+        optimal_weights(kernel.gram(kernel.context(np.zeros((20_001, 1)))))
 
 
 def test_qp_objective_never_above_uniform(rng):
@@ -327,7 +325,7 @@ def test_qp_objective_never_above_uniform(rng):
     target, kernel = _std_normal_kernel()
     for seed in range(5):
         pts = target.sample(60, np.random.default_rng(seed))
-        gram = kernel.gram(pts)
+        gram = kernel.gram(kernel.context(pts))
         res = optimal_weights(gram)
         assert res.objective <= quadratic_form(gram, np.full(60, 1 / 60)) + 1e-12
 
@@ -336,12 +334,12 @@ def test_scaling_kernel_leaves_weights_and_selection_unchanged(rng):
     _, kernel = _std_normal_kernel()
     scaled = _ScaledKernel(kernel, 4.0)
     pts = rng.standard_normal((12, 1))
-    res_base = optimal_weights(kernel.gram(pts))
-    res_scaled = optimal_weights(scaled.gram(pts))
+    res_base = optimal_weights(kernel.gram(kernel.context(pts)))
+    res_scaled = optimal_weights(scaled.gram(scaled.context(pts)))
     np.testing.assert_allclose(res_base.weights, res_scaled.weights, atol=1e-9)
     assert res_scaled.objective == pytest.approx(4.0 * res_base.objective, rel=1e-9)
-    idx_base = greedy_thin(pts, kernel, 6)
-    idx_scaled = greedy_thin(pts, scaled, 6)
+    idx_base = greedy_thin(kernel.context(pts), kernel, 6)
+    idx_scaled = greedy_thin(scaled.context(pts), scaled, 6)
     np.testing.assert_array_equal(idx_base, idx_scaled)
 
 
@@ -353,14 +351,14 @@ def test_scaling_kernel_leaves_weights_and_selection_unchanged(rng):
 def test_greedy_first_pick_minimises_diagonal():
     _, kernel = _std_normal_kernel()
     pts = np.array([[2.0], [0.1], [-1.0], [0.5]])
-    idx = greedy_thin(pts, kernel, 1)
+    idx = greedy_thin(kernel.context(pts), kernel, 1)
     assert idx[0] == 1  # closest to the mode, smallest k_P
 
 
 def test_greedy_matches_uncached_reference(rng):
     _, kernel = _std_normal_kernel()
     pts = rng.standard_normal((30, 1)) * 2.0
-    fast = greedy_thin(pts, kernel, 5)
+    fast = greedy_thin(kernel.context(pts), kernel, 5)
     slow = greedy_reference(pts, kernel, 5)
     np.testing.assert_array_equal(fast, slow)
 
@@ -368,24 +366,24 @@ def test_greedy_matches_uncached_reference(rng):
 def test_greedy_allows_repeated_selection():
     _, kernel = _std_normal_kernel()
     pts = np.array([[0.0], [10.0], [11.0]])
-    idx = greedy_thin(pts, kernel, 3)
+    idx = greedy_thin(kernel.context(pts), kernel, 3)
     assert (idx == 0).sum() >= 2
 
 
 def test_greedy_full_support_never_beats_optimal(rng):
     target, kernel = _std_normal_kernel()
     pts = target.sample(40, rng)
-    gram = kernel.gram(pts)
-    thinned = uniform_sample(pts[greedy_thin(pts, kernel, 40)])
+    gram = kernel.gram(kernel.context(pts))
+    thinned = uniform_sample(pts[greedy_thin(kernel.context(pts), kernel, 40)])
     optimal = optimal_weights(gram)
     best = WeightedSample(points=pts, weights=optimal.weights)
-    assert ksd(best, kernel, gram=gram) <= ksd(thinned, kernel) + 1e-8
+    assert ksd(best, gram) <= ksd(thinned, kernel.gram(kernel.context(thinned.points))) + 1e-8
 
 
 def test_greedy_uniform_weights():
     _, kernel = _std_normal_kernel()
     pts = np.linspace(-2, 2, 9)[:, None]
-    out = uniform_sample(pts[greedy_thin(pts, kernel, 4)])
+    out = uniform_sample(pts[greedy_thin(kernel.context(pts), kernel, 4)])
     np.testing.assert_array_equal(out.weights, np.full(4, 0.25))
 
 
@@ -393,7 +391,7 @@ def test_greedy_uniform_weights():
 def test_greedy_refuses_non_finite_candidates(bad):
     _, kernel = _std_normal_kernel()
     with pytest.raises(ValueError, match="finite"):
-        greedy_thin(np.array([[bad], [1.0]]), kernel, 1)
+        greedy_thin(kernel.context(np.array([[bad], [1.0]])), kernel, 1)
 
 
 # ----------------------------------------------------------------------
@@ -419,8 +417,8 @@ def test_optimal_dominates_snis_on_overdispersed_samples():
     sampler = GridSampler(pi, [(-12.0, 12.0)], num=24001)
     for seed in range(20):
         pts = sampler.sample(40, np.random.default_rng(seed))
-        gram = kernel.gram(pts)
+        gram = kernel.gram(kernel.context(pts))
         res = optimal_weights(gram)
         best = WeightedSample(points=pts, weights=res.weights)
-        assert ksd(best, kernel, gram=gram) <= ksd(snis_weights(pts, kernel), kernel, gram=gram) + 1e-8
-        assert ksd(best, kernel, gram=gram) <= ksd(uniform_sample(pts), kernel, gram=gram) + 1e-8
+        assert ksd(best, gram) <= ksd(snis_weights(pts, kernel), gram) + 1e-8
+        assert ksd(best, gram) <= ksd(uniform_sample(pts), gram) + 1e-8
