@@ -30,8 +30,8 @@ from .kernels import (
     make_kernel,
 )
 from .mala import AdaptSchedule, ChainConfig, ChainOutput, adaptive_warmup, random_window, run_chain
-from .metrics import TransportPlan, dimension_effect, wasserstein1, wasserstein1_1d, wasserstein1_exact
-from .pi_targets import C2Estimate, PiTarget, PowerTilt, estimate_c2, make_pi, make_power_tilt
+from .metrics import TransportPlan, wasserstein1, wasserstein1_1d, wasserstein1_exact
+from .pi_targets import PiTarget, PowerTilt, make_pi, make_power_tilt
 from .quantise import (
     QPResult,
     WeightedSample,

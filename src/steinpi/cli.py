@@ -192,7 +192,9 @@ def _cmd_sample(args):
 def _cmd_weights(args):
     kernel = _kernel(_load_config(args.config))
     points, _ = _read_points(args.points, kernel.dim)
-    sample, _ = post_process(points, kernel, {"kind": "optimal"})  # raises if uncertified
+    uniform_sample(points)  # refuses non-finite points before the target is evaluated
+    ctx = kernel.context(points)
+    sample, _ = post_process(points, ctx, kernel.gram(ctx), kernel, {"kind": "optimal"})  # raises if uncertified
     return _write(args.out_dir, "weights.csv", ["index", "weight"], list(enumerate(sample.weights)))
 
 

@@ -31,7 +31,7 @@ from .errors import (
     SteinpiError,
 )
 from .grid import NODE_GUARD, GridSampler
-from .kernels import make_kernel
+from .kernels import GRAM_GUARD, make_kernel
 from .mala import AdaptSchedule, adaptive_warmup, random_window
 from .metrics import wasserstein1
 from .pi_targets import StackedLaws, make_pi, make_power_tilt
@@ -432,27 +432,26 @@ def _draw_group(seed, members, replicates, n):
     return dict(zip(stream, out.states.reshape(len(stream), -1, init.shape[1])))
 
 
-def post_process(points, kernel, post):
-    """Post-processed sample, and the Gram of its points its KSD reads.
+def post_process(points, ctx, gram, kernel, post, start=None):
+    """Post-processed sample of a window, and the Gram of its points its KSD reads.
 
-    One kernel context of the window serves every kind.  Thinning picks
-    from it and keeps the picks' rows, so its Gram is the picks' and no
-    n x n Gram is built.  Raises InvalidSimplex on non-finite points,
-    before any kernel work, and NonConvergence when the optimal weights
-    are not certified.
+    The caller hands in the window's kernel context and, unless thinning,
+    its Gram (a leading block of a longer prefix's serves as well).
+    Thinning picks from the context and builds only the picks' Gram.
+    Optimal weights are solved from ``start``, a simplex point, or Wolfe's
+    cold start.  Raises InvalidSimplex on non-finite points and
+    NonConvergence when the optimal weights are not certified.
     """
     sample = uniform_sample(points)  # refuses non-finite points
-    ctx = kernel.context(points)
     kind = post["kind"]
     if kind == "thin":
         m = post["m"]
         m = max(1, int(round(m * len(points)))) if isinstance(m, float) else m
         idx = greedy_thin(ctx, kernel, m)
-        sample, ctx = uniform_sample(points[idx]), ctx[idx]
-    gram = kernel.gram(ctx)
+        return uniform_sample(points[idx]), kernel.gram(ctx[idx])
     if kind != "optimal":
         return sample, gram
-    qp = optimal_weights(gram)
+    qp = optimal_weights(gram, start=start)
     if not qp.converged:
         raise NonConvergence(
             f"optimal weights not certified after {qp.iterations} iterations: "
@@ -498,21 +497,42 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
     """All sample sizes for one (method, replicate); returns (rows, failures).
 
     ``source`` is the replicate's states, or the error that stopped its
-    draw.  Exact draws are read by prefix, a MALA chain by random window.
+    draw.  A MALA chain is read by random window, each with its own kernel
+    context and Gram.  An exact draw is read by prefix, so its windows are
+    nested: one context of the draw and one Gram of its longest prefix in
+    ``ns`` within the size guard serve every n by leading block (a longer
+    prefix builds its own Gram, and fails on the guard), and each optimal
+    solve starts from the last certified optimum of a shorter prefix,
+    padded with zeros.  The first n of a draw carries that shared build.
     """
-    method = runtime.method
+    method, kernel, kind = runtime.method, runtime.kernel, runtime.method.post["kind"]
     if isinstance(source, Exception):
         return [], [FailureRecord(method.name, replicate, n, f"sampling failed: {source}") for n in spec.ns]
+    exact = method.sampler["mechanism"] == "exact"
     rows, failures = [], []
     rng = _rng(spec.seed, method_index, replicate)
+    whole = shared = optimum = None
     for n in spec.ns:
-        start = time.perf_counter()
+        begin = time.perf_counter()
         try:
-            if method.sampler["mechanism"] == "exact":
-                points = source[:n]
+            if exact:
+                if whole is None:
+                    whole = kernel.context(source)
+                    fits = [m for m in spec.ns if m <= GRAM_GUARD]
+                    shared = kernel.gram(whole[: max(fits)]) if fits and kind != "thin" else None
+                points, ctx = source[:n], whole[:n]
+                gram = shared[:n, :n] if shared is not None and n <= len(shared) else None
             else:
                 points = random_window(source, n, rng)
-            sample, gram = post_process(points, runtime.kernel, method.post)
+                ctx, gram = kernel.context(points), None
+            if gram is None and kind != "thin":
+                gram = kernel.gram(ctx)
+            start = None
+            if optimum is not None and len(optimum) < n:
+                start = np.concatenate((optimum, np.zeros(n - len(optimum))))
+            sample, gram = post_process(points, ctx, gram, kernel, method.post, start)
+            if exact and kind == "optimal":
+                optimum = sample.weights  # certified: post_process raises otherwise
             value = ksd(sample, gram)
             wass = None if reference is None else wasserstein1(sample, reference)
             rows.append(
@@ -522,7 +542,7 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
                     method=method.name,
                     ksd=value,
                     wasserstein=wass,
-                    wall_time=time.perf_counter() - start,
+                    wall_time=time.perf_counter() - begin,
                 )
             )
         except _CELL_ERRORS as exc:
@@ -543,7 +563,10 @@ def run_experiment(spec, threads=1):
         raise ValueError(f"cells run on one thread; threads must be 1, got {threads!r}")
     target = build_target(spec.target)
     mode = find_mode(target, spec.mode_init)
-    runtimes = [MethodRuntime(m, target, mode) for m in spec.methods]
+    runtimes = [None] * len(spec.methods)
+    # pi first: its law tabulates a grid at order 1, which serves every other law too
+    for mi in sorted(range(len(runtimes)), key=lambda mi: spec.methods[mi].sampler["distribution"] != "pi"):
+        runtimes[mi] = MethodRuntime(spec.methods[mi], target, mode)
     reference = _reference_sample(spec, target, mode)
     groups = {}
     for mi, runtime in enumerate(runtimes):

@@ -8,6 +8,9 @@ resolutions used.  A grid's nodes and the base target's evaluation there
 are one table, kept on the target while it lives: p, its power tilt, pi
 and the W1 reference on one grid all derive from one evaluation of p, made
 CHUNK rows at a time: set-up memory is what is kept plus a fixed transient.
+A table is evaluated again for a law of higher order, so an experiment
+builds its pi samplers first: pi reads p's score, and every other law
+reads the log density that comes with it.
 """
 
 from __future__ import annotations

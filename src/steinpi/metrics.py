@@ -15,8 +15,6 @@ of each sample, with their weights summed, so a thinned sample's repeated
 picks cost the LP nothing; each merged row and column of the plan is
 split back over its points in proportion to their weights.  Both paths
 return an (n_a, n_b) plan whose marginals are checked on every solve.
-Also the dimension diagnostic comparing the variance of the normalised
-kernel diagonal on a standard Gaussian against its 2 c^2 / d closed form.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ __all__ = [
     "wasserstein1",
     "wasserstein1_1d",
     "wasserstein1_exact",
-    "dimension_effect",
 ]
 
 PAIR_GUARD = 1_000_000  # largest n_a * n_b (and L^2 of an assignment) of the exact solver
@@ -170,36 +167,3 @@ def wasserstein1(a, b):
     if a.dim == 1 and b.dim == 1:
         return wasserstein1_1d(a, b)
     return wasserstein1_exact(a, b).cost
-
-
-_CHUNK = 200_000  # Monte Carlo draws per batch of dimension_effect
-
-
-def dimension_effect(d, n_mc, beta=0.5, seed=0):
-    """Variance of the normalised kernel diagonal on N(0, I_d) vs theory.
-
-    For the weak-convergence kernel on a standard Gaussian the diagonal is
-    k_P(x) = 2 beta d + ||x||^2, so k_P/d deviates from its mean in
-    L^2(P) by exactly 2/d; the Monte Carlo estimate of that squared
-    deviation is returned alongside the closed-form prediction.  The
-    vanishing deviation for large d is why over-dispersion fades in high
-    dimension.
-    """
-    if d < 1 or n_mc < 2:
-        raise ValueError("need d >= 1 and n_mc >= 2")
-    rng = np.random.default_rng(seed)
-    centre = 1.0 + 2.0 * beta  # analytic mean of k_P/d
-    total = 0.0
-    total_sq = 0.0
-    remaining = n_mc
-    while remaining > 0:
-        take = min(_CHUNK, remaining)
-        x = rng.standard_normal((take, d))
-        values = (2.0 * beta * d + np.einsum("nd,nd->n", x, x)) / d - centre
-        total += values.sum()
-        total_sq += (values * values).sum()
-        remaining -= take
-    mean = total / n_mc
-    estimate = total_sq / (n_mc - 1) - n_mc / (n_mc - 1) * mean * mean
-    predicted = 2.0 / d
-    return float(estimate), float(predicted)

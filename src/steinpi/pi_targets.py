@@ -8,19 +8,16 @@ Both are targets derived from the base: each maps one evaluation of the
 base to its own, so evaluating either evaluates the base once.  A stack of
 laws over one base is a derived target too, so lockstep chains of p, pi
 and tilts share one base evaluation per step.
-Neither density needs a normalising constant anywhere in the package;
-``estimate_c2`` exists purely as a diagnostic.
+Neither density needs a normalising constant anywhere in the package.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .targets import TargetModel
 
-__all__ = ["PiTarget", "PowerTilt", "StackedLaws", "make_pi", "make_power_tilt", "estimate_c2", "C2Estimate"]
+__all__ = ["PiTarget", "PowerTilt", "StackedLaws", "make_pi", "make_power_tilt"]
 
 
 class DerivedTarget(TargetModel):
@@ -124,26 +121,3 @@ def make_power_tilt(target, r):
     may fail to normalise and the caller is responsible for judging that.
     """
     return PowerTilt(target, r)
-
-
-@dataclass(frozen=True)
-class C2Estimate:
-    """Monte Carlo estimate of the mean root kernel diagonal under P."""
-
-    value: float
-    standard_error: float
-    n: int
-
-
-def estimate_c2(target, kernel, n, rng):
-    """Estimate E_P[sqrt(k_P(X))] from n exact draws of the target.
-
-    Raises NoExactSampler for targets without an exact sampler.  The
-    standard error is the plain CLT one; a drifting estimate across
-    growing n is the practical signal that the integral may diverge.
-    """
-    x = target.sample(n, rng)  # raises NoExactSampler where unsupported
-    roots = np.sqrt(kernel.diag_values(x))
-    value = float(roots.mean())
-    se = float(roots.std(ddof=1) / np.sqrt(n))
-    return C2Estimate(value=value, standard_error=se, n=n)

@@ -134,7 +134,25 @@ def _certified(gap, f, floor):
     return gap <= GAP_TOL * abs(f) + floor
 
 
-def optimal_weights(gram, max_iter=None):
+def _minor_cycle(gram, order, member, ws):
+    """Wolfe's minor steps from the weights ws on S = order[:len(ws)]; S
+    shrinks in place (and in ``member``), and its final weights return."""
+    while True:
+        support = order[: len(ws)]
+        v = _affine_minimiser(gram, support)
+        if v.min() > 0.0:
+            return v
+        blocking = np.flatnonzero(v <= 0)
+        ratios = ws[blocking] / np.maximum(ws[blocking] - v[blocking], np.finfo(np.float64).tiny)
+        ws = np.maximum(ws + float(ratios.min()) * (v - ws), 0.0)
+        ws[blocking[ratios.argmin()]] = 0.0
+        keep = ws > 0
+        member[support[~keep]] = False
+        ws = ws[keep]
+        order[: len(ws)] = support[keep]
+
+
+def optimal_weights(gram, max_iter=None, start=None):
     """Minimise w^T K w over the probability simplex, for an n x n Gram K.
 
     Wolfe's active-set (minimum-norm-point) method on the Gram: each major
@@ -142,9 +160,13 @@ def optimal_weights(gram, max_iter=None):
     steps move toward the minimiser on the affine hull of S, dropping the
     first coordinate to reach zero, until that minimiser lies strictly
     inside the simplex.  Each minor step is one bordered solve on K_SS.
-    With u = eps * max|diag K|, the rounding unit of the gradient, the
-    result is certified optimal (``converged``) when the Frank-Wolfe
-    duality gap satisfies gap <= GAP_TOL * |f| + n * u.  Iteration goes on
+    The solve starts at the vertex argmin diag K, or at ``start``, any
+    simplex point, made such a minimiser by a minor cycle on its support
+    before the first major step: a nearby optimum, such as a shorter
+    prefix's padded with zeros, saves major steps.  With u = eps *
+    max|diag K|, the rounding unit of the gradient, the result is
+    certified optimal (``converged``) when the Frank-Wolfe duality gap
+    satisfies gap <= GAP_TOL * |f| + n * u.  Iteration goes on
     below that, until gap <= GAP_TOL * |f| + u or rounding stalls the
     method (the entering vertex leaves at once), so the weights are as
     accurate as the arithmetic allows.  There is no linear term, because a
@@ -152,7 +174,8 @@ def optimal_weights(gram, max_iter=None):
     Gram is: K w is read from the rows of S.  If ``max_iter`` major
     steps (default 10 n) run out, the better of the iterate and the
     uniform weights is returned with ``converged=False``.  Raises
-    ValueError unless the Gram is a non-empty square 2-D array.
+    ValueError unless the Gram is a non-empty square 2-D array and the
+    start, if given, n finite nonnegative weights summing to 1 within 1e-10.
     """
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.shape[0] == 0:
@@ -164,10 +187,21 @@ def optimal_weights(gram, max_iter=None):
     unit = float(np.finfo(np.float64).eps * np.max(np.abs(diag)))
     order = np.empty(n, dtype=np.intp)  # S in order of entry is order[:m]
     member = np.zeros(n, dtype=bool)
-    order[0] = np.argmin(diag)
-    member[order[0]] = True
-    m = 1
-    ws = np.ones(1)  # weights on S; every weight off S is zero
+    if start is None:
+        order[0] = np.argmin(diag)
+        ws = np.ones(1)  # weights on S; every weight off S is zero
+    else:
+        start = np.asarray(start, dtype=np.float64)
+        simplex = np.isfinite(start).all() and (start >= 0).all() and abs(start.sum() - 1.0) <= 1e-10
+        if start.shape != (n,) or not simplex:
+            raise ValueError(f"start must be {n} finite nonnegative weights summing to 1")
+        support = np.flatnonzero(start)
+        order[: len(support)] = support
+        ws = start[support]
+    member[order[: len(ws)]] = True
+    if len(ws) > 1:
+        ws = _minor_cycle(gram, order, member, ws)
+    m = len(ws)
     exhausted = True
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -183,23 +217,8 @@ def optimal_weights(gram, max_iter=None):
         previous = ws
         order[m] = j
         member[j] = True
-        m += 1
-        ws = np.concatenate((ws, (0.0,)))
-        while True:  # minor steps
-            support = order[:m]
-            v = _affine_minimiser(gram, support)
-            if v.min() > 0.0:
-                ws = v
-                break
-            blocking = np.flatnonzero(v <= 0)
-            ratios = ws[blocking] / np.maximum(ws[blocking] - v[blocking], np.finfo(np.float64).tiny)
-            ws = np.maximum(ws + float(ratios.min()) * (v - ws), 0.0)
-            ws[blocking[ratios.argmin()]] = 0.0
-            keep = ws > 0
-            member[support[~keep]] = False
-            ws = ws[keep]
-            m = len(ws)
-            order[:m] = support[keep]
+        ws = _minor_cycle(gram, order, member, np.concatenate((ws, (0.0,))))
+        m = len(ws)
         # stalled (the entering vertex left at once and S kept its weights):
         # the same step would repeat forever
         if not member[j] and m == len(previous) and (ws == previous).all():

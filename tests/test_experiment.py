@@ -20,6 +20,7 @@ from steinpi.experiment import (
     emit_plot,
     parse_experiment_spec,
     parse_kernel,
+    parse_post,
     parse_sampler,
     post_process,
     read_csv,
@@ -421,7 +422,9 @@ def test_cell_evaluates_its_target_once_per_point_set(kind):
     kernel = make_kernel(target, find_mode(target, np.zeros(2)), family="kgm", s=3)
     points = np.random.default_rng(5).standard_normal((1000, 2))
     target.sizes.clear()
-    sample, gram = post_process(points, kernel, {"kind": kind, "m": 100})
+    ctx = kernel.context(points)
+    gram = None if kind == "thin" else kernel.gram(ctx)
+    sample, gram = post_process(points, ctx, gram, kernel, {"kind": kind, "m": 100})
     ksd(sample, gram)
     assert target.sizes == [1000]  # the window's one context serves the Gram, the picks and the KSD
 
@@ -438,7 +441,7 @@ def test_thin_gram_is_bitwise_the_gram_of_its_picks(target_name, family):
     assert {"a1", "u", "q"} <= ctx.__dict__.keys()  # built on all 1000 candidates
     assert len(np.unique(idx)) < len(idx)  # some picks repeat
     fresh = kernel.gram(kernel.context(points[idx]))
-    sample, gram = post_process(points, kernel, {"kind": "thin", "m": 100})
+    sample, gram = post_process(points, kernel.context(points), None, kernel, {"kind": "thin", "m": 100})
     assert np.array_equal(sample.points, points[idx])
     assert np.array_equal(gram, fresh)
     # One context object on both sides: numpy computes a @ a.T on one
@@ -463,7 +466,7 @@ def _one_grid_spec(*distributions):
 
 @pytest.mark.parametrize(
     "distributions, orders",
-    [(("p", "power_tilt", "pi"), [0, 1]), (("pi", "p", "power_tilt"), [1])],
+    [(("p", "power_tilt", "pi"), [1]), (("pi", "p", "power_tilt"), [1])],
     ids=["p-first", "pi-first"],
 )
 def test_one_grid_evaluates_its_base_once_per_order(distributions, orders, monkeypatch):
@@ -521,11 +524,108 @@ def test_only_square_grams_hit_the_size_guard():
     target = make_gaussian([0.0])
     kernel = LangevinKernel(target, find_mode(target, np.array([1.0])))
     points = np.linspace(-3.0, 3.0, 20_001)[:, None]
-    sample, gram = post_process(points, kernel, {"kind": "thin", "m": 2})
+    ctx = kernel.context(points)
+    sample, gram = post_process(points, ctx, None, kernel, {"kind": "thin", "m": 2})
     assert sample.n == 2 and gram.shape == (2, 2)  # the picks' Gram; the candidates' is never built
     for kind in ("none", "optimal"):
         with pytest.raises(GramTooLarge):
-            post_process(points, kernel, {"kind": kind})
+            post_process(points, ctx, kernel.gram(ctx), kernel, {"kind": kind})
+
+
+_PREFIX_NS = (10, 30, 100)
+
+
+def _exact_method(target, kind):
+    """Runtime of one exact pi method (KGM-3) of target post-processed by
+    kind, and one draw of 100 states from it."""
+    grid = {"bounds": [[-15, 15]], "num": 3001} if target.dim == 1 else {"bounds": [[-6, 6]] * 2, "num": 101}
+    sampler = parse_sampler({"distribution": "pi", "grid": grid}, target.dim, 100, "sampler")
+    post = parse_post({"kind": kind, "m": 0.2} if kind == "thin" else {"kind": kind}, "post")
+    method = MethodSpec("pi", parse_kernel({"family": "kgm"}, "kernel"), sampler, post)
+    runtime = MethodRuntime(method, target, find_mode(target, np.full(target.dim, 0.1)))
+    return runtime, runtime.draw(3, 0, [0], 100)[0]
+
+
+def _cells(runtime, source, ns):
+    """(rows, failures) of one (method, replicate) reading source at each n of ns."""
+    spec = dataclasses.replace(parse_experiment_spec(_base_config()), ns=tuple(ns))
+    return experiment._run_cell(spec, runtime, 0, 0, None, source)
+
+
+@pytest.mark.parametrize("kind", ["none", "thin"])
+@pytest.mark.parametrize("name", ["mixture", "skew_normal"])
+def test_prefix_rows_are_bitwise_those_of_cells_run_alone(name, kind):
+    runtime, source = _exact_method(build_target({"name": name}), kind)
+    rows, failures = _cells(runtime, source, _PREFIX_NS)
+    alone = [_cells(runtime, source[:n], [n])[0][0] for n in _PREFIX_NS]
+    assert not failures
+    assert [(r.n, r.ksd) for r in rows] == [(r.n, r.ksd) for r in alone]
+
+
+def test_optimal_prefix_grams_are_bitwise_those_of_cells_run_alone(monkeypatch):
+    grams, solve = [], experiment.optimal_weights
+
+    def recording(gram, **kwargs):
+        grams.append(np.array(gram))
+        return solve(gram, **kwargs)
+
+    monkeypatch.setattr(experiment, "optimal_weights", recording)
+    runtime, source = _exact_method(build_target({"name": "mixture"}), "optimal")
+    rows, _ = _cells(runtime, source, _PREFIX_NS)
+    shared = grams[:]
+    grams.clear()
+    alone = [_cells(runtime, source[:n], [n])[0][0] for n in _PREFIX_NS]
+    assert len(shared) == len(grams) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(shared, grams))  # 1-D: leading blocks are the small Grams
+    for row, single in zip(rows, alone):  # warm-started solves agree with cold ones to rounding
+        assert abs(row.ksd - single.ksd) <= 1e-10 * single.ksd
+
+
+@pytest.mark.parametrize("kind", ["none", "optimal", "thin"])
+def test_exact_draw_evaluates_its_target_once_at_its_length(kind, monkeypatch):
+    grams, gram = [], SteinKernel.gram
+
+    def recording(self, ctx):
+        grams.append(len(ctx))
+        return gram(self, ctx)
+
+    monkeypatch.setattr(SteinKernel, "gram", recording)
+    target = _SizeCounting(make_skew_normal_2d())
+    runtime, source = _exact_method(target, kind)
+    target.sizes.clear()
+    rows, failures = _cells(runtime, source, _PREFIX_NS)
+    assert len(rows) == 3 and not failures
+    assert target.sizes == [100]  # one context of the draw serves every prefix
+    assert grams == ([2, 6, 20] if kind == "thin" else [100])  # the picks' Grams, or one for every prefix
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the target is evaluated at the NaN state
+def test_non_finite_state_fails_only_the_prefixes_holding_it():
+    runtime, source = _exact_method(build_target({"name": "mixture"}), "optimal")
+    source = source.copy()
+    source[20] = np.nan
+    rows, failures = _cells(runtime, source, _PREFIX_NS)
+    assert [r.n for r in rows] == [10]
+    assert [f.n for f in failures] == [30, 100]
+    assert all("finite" in f.message for f in failures)
+    assert rows[0].ksd == _cells(runtime, source[:10], [10])[0][0].ksd
+
+
+def test_uncertified_solve_never_seeds_the_next_start(monkeypatch):
+    starts, results, solve = {}, {}, experiment.optimal_weights
+
+    def uncertified_at_30(gram, start=None):
+        starts[len(gram)], results[len(gram)] = start, solve(gram, start=start)
+        return dataclasses.replace(results[len(gram)], converged=len(gram) != 30)
+
+    monkeypatch.setattr(experiment, "optimal_weights", uncertified_at_30)
+    runtime, source = _exact_method(build_target({"name": "mixture"}), "optimal")
+    rows, failures = _cells(runtime, source, _PREFIX_NS)
+    assert [r.n for r in rows] == [10, 100] and [f.n for f in failures] == [30]
+    assert starts[10] is None
+    first = results[10].weights
+    for n in (30, 100):  # both start from the n = 10 optimum, padded with zeros
+        assert np.array_equal(starts[n], np.concatenate((first, np.zeros(n - 10))))
 
 
 def test_failures_are_recorded_not_raised():

@@ -12,13 +12,12 @@ from steinpi.errors import DimensionMismatch, SizeGuard
 from steinpi.metrics import (
     _marginal_constraints,
     _plan_by_lp,
-    dimension_effect,
     wasserstein1_1d,
     wasserstein1_exact,
 )
 from steinpi.quantise import WeightedSample, uniform_sample
 
-from _oracles import wasserstein1_1d_monotone
+from _oracles import dimension_effect, wasserstein1_1d_monotone
 
 
 def _weighted(points, weights):

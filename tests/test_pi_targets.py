@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from steinpi.errors import NoExactSampler, SteinpiError
 from steinpi.grid import CHUNK, GridSampler
 from steinpi.kernels import LangevinKernel, make_kernel
-from steinpi.pi_targets import estimate_c2, make_pi, make_power_tilt
+from steinpi.pi_targets import make_pi, make_power_tilt
 from steinpi.targets import (
     TargetModel,
     default_mixture,
@@ -22,7 +22,7 @@ from steinpi.targets import (
     make_skew_normal_2d,
 )
 
-from _oracles import ConstantKernel, fd_gradient, kernel_diagonal, rel_err, snis_weights, whole_grid
+from _oracles import ConstantKernel, estimate_c2, fd_gradient, kernel_diagonal, rel_err, snis_weights, whole_grid
 
 
 def _standard_normal_pi():

@@ -21,7 +21,7 @@ from steinpi.quantise import (
     quadratic_form,
     uniform_sample,
 )
-from steinpi.targets import default_mixture, find_mode, make_gaussian
+from steinpi.targets import default_mixture, find_mode, make_gaussian, make_regression_posterior
 
 from _oracles import (
     ConstantKernel,
@@ -306,6 +306,73 @@ def test_qp_matches_reference_solver():
         assert res.converged, label
         assert abs(res.objective - ref.objective) <= 1e-11 * abs(ref.objective), label
     print("major steps (solver / reference):", "; ".join(report))
+
+
+def _nested_draw_gram(name):
+    """Gram of 100 exact pi draws (KGM-3) of the 1-D mixture or the 2-D
+    regression posterior: its leading n x n block is the Gram of the first n."""
+    target = default_mixture() if name == "mixture" else make_regression_posterior()
+    mode = find_mode(target, np.full(target.dim, 0.1))
+    kernel = make_kernel(target, mode, family="kgm", s=3)
+    sd = np.sqrt(np.diag(mode.sigma))
+    bounds = [(x - 12.0 * s, x + 12.0 * s) for x, s in zip(mode.x_star, sd)]
+    sampler = GridSampler(make_pi(target, kernel), bounds, num=3001 if target.dim == 1 else 201)
+    return kernel.gram(kernel.context(sampler.sample(100, np.random.default_rng(4))))
+
+
+def _padded(weights, n):
+    return np.concatenate((weights, np.zeros(n - len(weights))))
+
+
+@pytest.mark.parametrize("name", ["mixture", "regression"])
+def test_qp_started_at_its_optimum_stops_at_once(name):
+    gram = _nested_draw_gram(name)
+    cold = optimal_weights(gram)
+    warm = optimal_weights(gram, start=cold.weights)
+    assert cold.converged and warm.converged
+    assert warm.iterations <= 2
+    assert abs(warm.objective - cold.objective) <= 1e-12 * cold.objective
+
+
+@pytest.mark.parametrize("name", ["mixture", "regression"])
+def test_qp_warm_started_from_shorter_prefixes(name):
+    gram = _nested_draw_gram(name)
+    steps = {"cold": 0, "warm": 0}
+    optimum = None
+    for n in (10, 30, 100):
+        block = gram[:n, :n]
+        cold = optimal_weights(block)
+        warm = optimal_weights(block, start=None if optimum is None else _padded(optimum, n))
+        assert cold.converged and warm.converged, n
+        assert abs(warm.objective - cold.objective) <= 1e-10 * cold.objective, n
+        optimum = warm.weights
+        steps["cold"] += cold.iterations
+        steps["warm"] += warm.iterations
+    assert steps["warm"] < steps["cold"], steps
+
+
+@pytest.mark.parametrize("start", ["uniform", "vertex"])
+def test_qp_from_any_simplex_point_is_certified(start):
+    gram = _nested_draw_gram("mixture")
+    n = len(gram)
+    point = np.full(n, 1.0 / n) if start == "uniform" else np.eye(n)[np.argmax(np.diag(gram))]
+    cold = optimal_weights(gram)
+    res = optimal_weights(gram, start=point)
+    assert res.converged
+    assert abs(res.objective - cold.objective) <= 1e-10 * cold.objective
+
+
+@pytest.mark.parametrize(
+    "start",
+    [np.full(4, 0.25), np.full((5, 1), 0.2), [0.2, 0.2, np.nan, 0.2, 0.4], [0.2, 0.2, np.inf, 0.2, 0.2],
+     [0.6, 0.6, -0.2, 0.0, 0.0], np.full(5, 0.19), [0.2, 0.2, 0.2, 0.2, 0.2 + 1e-9]],
+    ids=["short", "column", "nan", "inf", "negative", "sum-0.95", "sum-1+1e-9"],
+)
+def test_qp_refuses_a_start_off_the_simplex(start):
+    _, kernel = _std_normal_kernel()
+    gram = kernel.gram(kernel.context(np.linspace(-2.0, 2.0, 5)[:, None]))
+    with pytest.raises(ValueError, match="start must be"):
+        optimal_weights(gram, start=start)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3, 2), (4,), (2, 2, 2)])
