@@ -13,9 +13,10 @@ from values checked by steinpi.experiment's parse functions, one per
 config block: experiment parses it all; sample sets its flags in a copy
 of the raw config, parses target, mode_init, kernel, sampler and seed,
 and draws through MethodRuntime.draw, the experiment runner's one draw
-path taken by a group of one method; the other verbs parse only target,
-mode_init and kernel, and check-assumptions its seed (--seed, else the
-config's, else 0).
+path taken by a group of one method (a warm-up flag on an exact sampler
+is an error, like a warmup block there); the other verbs parse only
+target, mode_init and kernel, and check-assumptions its seed (--seed,
+else the config's, else 0).  weights solves by certified_weights.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from .experiment import (
     MethodRuntime,
     MethodSpec,
     build_target,
+    certified_weights,
     config_object,
     parse_experiment_spec,
     parse_kernel,
     parse_mode_init,
     parse_sampler,
     parse_seed,
-    post_process,
     run_experiment,
     write_csv,
     write_experiment_outputs,
@@ -193,9 +194,8 @@ def _cmd_weights(args):
     kernel = _kernel(_load_config(args.config))
     points, _ = _read_points(args.points, kernel.dim)
     uniform_sample(points)  # refuses non-finite points before the target is evaluated
-    ctx = kernel.context(points)
-    sample, _ = post_process(points, ctx, kernel.gram(ctx), kernel, {"kind": "optimal"})  # raises if uncertified
-    return _write(args.out_dir, "weights.csv", ["index", "weight"], list(enumerate(sample.weights)))
+    qp = certified_weights(kernel.gram(kernel.context(points)))  # raises if uncertified
+    return _write(args.out_dir, "weights.csv", ["index", "weight"], list(enumerate(qp.weights)))
 
 
 def _cmd_thin(args):

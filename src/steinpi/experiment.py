@@ -61,7 +61,7 @@ __all__ = [
     "ExperimentResult",
     "parse_experiment_spec",
     "build_target",
-    "post_process",
+    "certified_weights",
     "run_experiment",
     "summarise",
     "significant_improvement",
@@ -252,6 +252,8 @@ def parse_sampler(cfg, dim, n, path):
             raise ConfigError(f"{path}.r: must be a number > 0, got {r!r}")
         r = float(r)
     mechanism = _choice(cfg, "mechanism", ("exact", "mala"), path)
+    if (unread := "warmup" if mechanism == "exact" else "grid") in cfg:
+        raise ConfigError(f"{path}.{unread}: the {mechanism} mechanism does not read this key")
     grid = warmup = None
     if mechanism == "exact":
         grid = _parse_grid(cfg.get("grid", {}), dim, f"{path}.grid", f"{path}.mechanism")
@@ -266,6 +268,8 @@ def parse_sampler(cfg, dim, n, path):
 def parse_post(cfg, path):
     """Checked post-processor block: kind, and m, a thinning's size (else None)."""
     kind = _choice(config_object(cfg, path, ("kind", "m")), "kind", ("none", "optimal", "thin"), path)
+    if kind != "thin" and "m" in cfg:
+        raise ConfigError(f"{path}.m: the {kind} post does not read this key")
     m = _require(cfg, "m", path) if kind == "thin" else None
     if m is not None and not (_is_count(m) or (isinstance(m, float) and 0.0 < m < 1.0)):
         raise ConfigError(f"{path}.m: must be an integer >= 1 or a float in (0, 1), got {m!r}")
@@ -432,32 +436,17 @@ def _draw_group(seed, members, replicates, n):
     return dict(zip(stream, out.states.reshape(len(stream), -1, init.shape[1])))
 
 
-def post_process(points, ctx, gram, kernel, post, start=None):
-    """Post-processed sample of a window, and the Gram of its points its KSD reads.
-
-    The caller hands in the window's kernel context and, unless thinning,
-    its Gram (a leading block of a longer prefix's serves as well).
-    Thinning picks from the context and builds only the picks' Gram.
-    Optimal weights are solved from ``start``, a simplex point, or Wolfe's
-    cold start.  Raises InvalidSimplex on non-finite points and
-    NonConvergence when the optimal weights are not certified.
-    """
-    sample = uniform_sample(points)  # refuses non-finite points
-    kind = post["kind"]
-    if kind == "thin":
-        m = post["m"]
-        m = max(1, int(round(m * len(points)))) if isinstance(m, float) else m
-        idx = greedy_thin(ctx, kernel, m)
-        return uniform_sample(points[idx]), kernel.gram(ctx[idx])
-    if kind != "optimal":
-        return sample, gram
+def certified_weights(gram, start=None):
+    """The QPResult of the optimal weights on gram, solved from ``start``, a
+    simplex point, or Wolfe's cold start; raises NonConvergence unless its
+    duality gap certifies it."""
     qp = optimal_weights(gram, start=start)
     if not qp.converged:
         raise NonConvergence(
             f"optimal weights not certified after {qp.iterations} iterations: "
             f"duality gap {qp.duality_gap!r} at objective {qp.objective!r}"
         )
-    return WeightedSample(points=points, weights=qp.weights), gram
+    return qp
 
 
 def _reference_sample(spec, target, mode):
@@ -497,56 +486,59 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
     """All sample sizes for one (method, replicate); returns (rows, failures).
 
     ``source`` is the replicate's states, or the error that stopped its
-    draw.  A MALA chain is read by random window, each with its own kernel
-    context and Gram.  An exact draw is read by prefix, so its windows are
-    nested: one context of the draw and one Gram of its longest prefix in
-    ``ns`` within the size guard serve every n by leading block (a longer
-    prefix builds its own Gram, and fails on the guard), and each optimal
-    solve starts from the last certified optimum of a shorter prefix,
-    padded with zeros.  The first n of a draw carries that shared build.
+    draw.  Every n is read as a prefix of a window: an exact draw is one
+    window for all of ``ns``, and a chain gives one random window per n,
+    drawn in ``ns`` order.  A window builds one kernel context and, unless
+    thinning, one Gram of its longest prefix within the size guard, whose
+    leading block each n reads (a longer n builds its own, and fails on the
+    guard); thinning builds only the picks' Gram.  An optimal solve starts
+    from the last certified optimum of a shorter prefix of its window,
+    padded with zeros.  The first n of a window carries its build.
     """
     method, kernel, kind = runtime.method, runtime.kernel, runtime.method.post["kind"]
     if isinstance(source, Exception):
         return [], [FailureRecord(method.name, replicate, n, f"sampling failed: {source}") for n in spec.ns]
-    exact = method.sampler["mechanism"] == "exact"
     rows, failures = [], []
     rng = _rng(spec.seed, method_index, replicate)
-    whole = shared = optimum = None
-    for n in spec.ns:
-        begin = time.perf_counter()
-        try:
-            if exact:
+    exact = method.sampler["mechanism"] == "exact"
+    windows = [(source, spec.ns)] if exact else [(random_window(source, n, rng), (n,)) for n in spec.ns]
+    for window, ns in windows:
+        whole = shared = optimum = None
+        for n in ns:
+            begin = time.perf_counter()
+            try:
                 if whole is None:
-                    whole = kernel.context(source)
-                    fits = [m for m in spec.ns if m <= GRAM_GUARD]
+                    whole = kernel.context(window)
+                    fits = [m for m in ns if m <= GRAM_GUARD]
                     shared = kernel.gram(whole[: max(fits)]) if fits and kind != "thin" else None
-                points, ctx = source[:n], whole[:n]
-                gram = shared[:n, :n] if shared is not None and n <= len(shared) else None
-            else:
-                points = random_window(source, n, rng)
-                ctx, gram = kernel.context(points), None
-            if gram is None and kind != "thin":
-                gram = kernel.gram(ctx)
-            start = None
-            if optimum is not None and len(optimum) < n:
-                start = np.concatenate((optimum, np.zeros(n - len(optimum))))
-            sample, gram = post_process(points, ctx, gram, kernel, method.post, start)
-            if exact and kind == "optimal":
-                optimum = sample.weights  # certified: post_process raises otherwise
-            value = ksd(sample, gram)
-            wass = None if reference is None else wasserstein1(sample, reference)
-            rows.append(
-                ResultRow(
-                    replicate=replicate,
-                    n=n,
-                    method=method.name,
-                    ksd=value,
-                    wasserstein=wass,
-                    wall_time=time.perf_counter() - begin,
+                points, ctx = window[:n], whole[:n]
+                sample = uniform_sample(points)  # refuses non-finite points
+                if kind == "thin":
+                    m = method.post["m"]
+                    idx = greedy_thin(ctx, kernel, max(1, int(round(m * n))) if isinstance(m, float) else m)
+                    sample, gram = uniform_sample(points[idx]), kernel.gram(ctx[idx])
+                else:
+                    gram = shared[:n, :n] if shared is not None and n <= len(shared) else kernel.gram(ctx)
+                if kind == "optimal":
+                    start = None
+                    if optimum is not None and len(optimum) < n:
+                        start = np.concatenate((optimum, np.zeros(n - len(optimum))))
+                    optimum = certified_weights(gram, start).weights
+                    sample = WeightedSample(points=points, weights=optimum)
+                value = ksd(sample, gram)
+                wass = None if reference is None else wasserstein1(sample, reference)
+                rows.append(
+                    ResultRow(
+                        replicate=replicate,
+                        n=n,
+                        method=method.name,
+                        ksd=value,
+                        wasserstein=wass,
+                        wall_time=time.perf_counter() - begin,
+                    )
                 )
-            )
-        except _CELL_ERRORS as exc:
-            failures.append(FailureRecord(method.name, replicate, n, str(exc)))
+            except _CELL_ERRORS as exc:
+                failures.append(FailureRecord(method.name, replicate, n, str(exc)))
     return rows, failures
 
 

@@ -74,6 +74,8 @@ class ChainConfig:
             raise ValueError("epsilon must be positive and finite")
         if self.n < 1:
             raise ValueError("chain length must be >= 1")
+        if not np.isfinite(self.m).all():  # Cholesky does not raise on NaN
+            raise ValueError("preconditioners must be finite")
         np.linalg.cholesky(np.asarray(self.m, dtype=np.float64))  # SPD check
 
 
@@ -119,6 +121,8 @@ class AdaptSchedule:
             raise ValueError("learning rates must lie in [0, 1]")
         if any(not isinstance(n, (int, np.integer)) or n < 1 for n in self.epoch_lengths):
             raise ValueError("epoch lengths must be positive integers")
+        if any(n < 2 for n in self.epoch_lengths[:-1]):  # a covariance needs two states
+            raise ValueError("every tuning epoch (all but the last) needs at least 2 steps")
         if not 0 < self.epsilon0 < math.inf:
             raise ValueError("epsilon0 must be positive and finite")
         if not 0.0 < self.target_accept < 1.0:

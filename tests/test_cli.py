@@ -309,6 +309,20 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
         ("sample", {"kernel": {"family": "kgm", "S": 3}}, "config.kernel.S: unknown key"),
         ("check-assumptions", {"kernel": {"familly": "kgm"}}, "config.kernel.familly: unknown key"),
         ("check-assumptions", {"target": {"name": "skew_normal", "alpha": 4}}, "config.target.alpha: unknown key"),
+        # every key is read by the variant its block chose
+        ("experiment", {"sampler": {"mechanism": "mala", "grid": {"num": 5}}},
+         "config.methods[0].sampler.grid: the mala mechanism does not read this key"),
+        ("experiment", {"sampler": {"grid": GRID, "warmup": {}}},
+         "config.methods[0].sampler.warmup: the exact mechanism does not read this key"),
+        ("experiment", {"post": {"kind": "none", "m": 4}}, "config.methods[0].post.m: the none post does not read this key"),
+        ("experiment", {"post": {"kind": "optimal", "m": 0.5}},
+         "config.methods[0].post.m: the optimal post does not read this key"),
+        ("sample", {"sampler": {"mechanism": "mala", "grid": GRID}}, "config.sampler.grid: the mala mechanism"),
+        ("sample --epsilon0 0.5", {}, "config.sampler.warmup: the exact mechanism"),
+        # a one-step tuning epoch would make every chain's preconditioner NaN
+        ("experiment", {"sampler": {"mechanism": "mala", "warmup": {"epoch_lengths": [1, 300]}}},
+         "config.methods[0].sampler.warmup: every tuning epoch"),
+        ("sample --epoch-length 1", {"sampler": {"mechanism": "mala"}}, "config.sampler.warmup: every tuning epoch"),
     ],
     ids=["beta-2", "s-0", "s-x", "ns-3", "r-0", "grid-num-1", "grid-num-float",
          "grid-bounds-reversed", "grid-bounds-2d", "grid-nodes-above-guard", "mode-init-2d",
@@ -327,7 +341,9 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
          "kernel-unknown-key", "sampler-unknown-key", "grid-unknown-key", "post-unknown-key",
          "wasserstein-unknown-key", "wasserstein-grid-unknown-key", "gaussian-unknown-key",
          "mixture-unknown-key", "sample-sampler-unknown-key", "sample-kernel-unknown-key",
-         "check-assumptions-kernel-unknown-key", "check-assumptions-target-unknown-key"],
+         "check-assumptions-kernel-unknown-key", "check-assumptions-target-unknown-key",
+         "mala-grid", "exact-warmup", "none-m", "optimal-m", "sample-mala-grid", "sample-epsilon0-exact",
+         "one-step-tuning-epoch", "sample-epoch-length-1"],
 )
 def test_bad_kernel_or_ns_fails_before_sampling(
     verb, change, path, experiment_config, pipeline_config, tmp_path, capsys

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import steinpi.experiment as experiment
-from steinpi.errors import ConfigError, EmptySummary, GramTooLarge, InsufficientReplicates
+from steinpi.errors import ConfigError, EmptySummary, InsufficientReplicates
 from steinpi.experiment import (
     MethodRuntime,
     MethodSpec,
@@ -22,7 +22,6 @@ from steinpi.experiment import (
     parse_kernel,
     parse_post,
     parse_sampler,
-    post_process,
     read_csv,
     run_experiment,
     significant_improvement,
@@ -30,7 +29,7 @@ from steinpi.experiment import (
     write_csv,
     write_experiment_outputs,
 )
-from steinpi.kernels import LangevinKernel, SteinKernel, make_kernel
+from steinpi.kernels import GRAM_GUARD, SteinKernel
 from steinpi.mala import adaptive_warmup
 from steinpi.quantise import greedy_thin, ksd
 from steinpi.targets import TargetModel, find_mode, make_gaussian, make_skew_normal_2d
@@ -416,32 +415,49 @@ class _SizeCounting(TargetModel):
         return self.base._evaluate(x, order)
 
 
+def _chain_runtime(target, kernel, post):
+    """Runtime of one MALA method of p under a kernel block, post-processed by
+    a post block; its cells read random windows of whatever states they get."""
+    sampler = parse_sampler({"mechanism": "mala"}, target.dim, 1, "sampler")
+    method = MethodSpec("p", parse_kernel(kernel, "kernel"), sampler, parse_post(post, "post"))
+    return MethodRuntime(method, target, find_mode(target, np.full(target.dim, 0.1)))
+
+
+def _scored(monkeypatch):
+    """Every (sample, gram) pair a cell hands to ksd, in call order."""
+    seen = []
+    monkeypatch.setattr(experiment, "ksd", lambda sample, gram: seen.append((sample, gram)) or ksd(sample, gram))
+    return seen
+
+
 @pytest.mark.parametrize("kind", ["none", "optimal", "thin"])
 def test_cell_evaluates_its_target_once_per_point_set(kind):
     target = _SizeCounting(make_skew_normal_2d())
-    kernel = make_kernel(target, find_mode(target, np.zeros(2)), family="kgm", s=3)
-    points = np.random.default_rng(5).standard_normal((1000, 2))
+    post = {"kind": kind, "m": 100} if kind == "thin" else {"kind": kind}
+    runtime = _chain_runtime(target, {"family": "kgm", "s": 3}, post)
+    source = np.random.default_rng(5).standard_normal((1500, 2))
+    ns = (300, 1000)
     target.sizes.clear()
-    ctx = kernel.context(points)
-    gram = None if kind == "thin" else kernel.gram(ctx)
-    sample, gram = post_process(points, ctx, gram, kernel, {"kind": kind, "m": 100})
-    ksd(sample, gram)
-    assert target.sizes == [1000]  # the window's one context serves the Gram, the picks and the KSD
+    rows, failures = _cells(runtime, source, ns)
+    assert len(rows) == 2 and not failures
+    assert target.sizes == list(ns)  # each window's one context serves the Gram, the picks and the KSD
 
 
 @pytest.mark.parametrize("family", ["langevin", "kgm"])
 @pytest.mark.parametrize("target_name", ["skew_normal", "regression"])
-def test_thin_gram_is_bitwise_the_gram_of_its_picks(target_name, family):
+def test_thin_gram_is_bitwise_the_gram_of_its_picks(target_name, family, monkeypatch):
     target = build_target({"name": target_name})
-    mode = find_mode(target, np.full(target.dim, 0.1))
-    kernel = make_kernel(target, mode, family=family, s=3)
+    runtime = _chain_runtime(target, {"family": family, "s": 3}, {"kind": "thin", "m": 100})
+    mode, kernel = runtime.mode, runtime.kernel
     points = mode.x_star + 0.5 * np.random.default_rng(9).standard_normal((1000, target.dim))
     ctx = kernel.context(points)
     idx = greedy_thin(ctx, kernel, 100)
     assert {"a1", "u", "q"} <= ctx.__dict__.keys()  # built on all 1000 candidates
     assert len(np.unique(idx)) < len(idx)  # some picks repeat
     fresh = kernel.gram(kernel.context(points[idx]))
-    sample, gram = post_process(points, kernel.context(points), None, kernel, {"kind": "thin", "m": 100})
+    scored = _scored(monkeypatch)
+    _cells(runtime, points, [1000])  # a window as long as its chain is the whole chain
+    ((sample, gram),) = scored
     assert np.array_equal(sample.points, points[idx])
     assert np.array_equal(gram, fresh)
     # One context object on both sides: numpy computes a @ a.T on one
@@ -520,16 +536,18 @@ def test_shared_grid_tables_draw_what_fresh_targets_draw(target_cfg, grid):
             assert np.array_equal(a, b)
 
 
-def test_only_square_grams_hit_the_size_guard():
+def test_only_square_grams_hit_the_size_guard(monkeypatch):
     target = make_gaussian([0.0])
-    kernel = LangevinKernel(target, find_mode(target, np.array([1.0])))
     points = np.linspace(-3.0, 3.0, 20_001)[:, None]
-    ctx = kernel.context(points)
-    sample, gram = post_process(points, ctx, None, kernel, {"kind": "thin", "m": 2})
+    scored = _scored(monkeypatch)
+    thin = _chain_runtime(target, {"family": "langevin"}, {"kind": "thin", "m": 2})
+    assert len(_cells(thin, points, [20_001])[0]) == 1
+    ((sample, gram),) = scored
     assert sample.n == 2 and gram.shape == (2, 2)  # the picks' Gram; the candidates' is never built
+    too_large = f"a 20001 x 20001 Gram exceeds the guard of {GRAM_GUARD}**2 entries"  # GramTooLarge
     for kind in ("none", "optimal"):
-        with pytest.raises(GramTooLarge):
-            post_process(points, ctx, kernel.gram(ctx), kernel, {"kind": kind})
+        rows, failures = _cells(_chain_runtime(target, {"family": "langevin"}, {"kind": kind}), points, [20_001])
+        assert not rows and [f.message for f in failures] == [too_large]
 
 
 _PREFIX_NS = (10, 30, 100)
@@ -626,6 +644,31 @@ def test_uncertified_solve_never_seeds_the_next_start(monkeypatch):
     first = results[10].weights
     for n in (30, 100):  # both start from the n = 10 optimum, padded with zeros
         assert np.array_equal(starts[n], np.concatenate((first, np.zeros(n - 10))))
+
+
+@pytest.mark.parametrize("mechanism", ["exact", "mala"])
+def test_only_prefixes_of_one_window_start_warm(mechanism, monkeypatch):
+    # the same 100 states: an exact draw's n are prefixes of one window, so
+    # each solve after the first starts from the last certified optimum; a
+    # chain's n read random windows of their own, so every solve starts cold
+    starts, solve = [], experiment.optimal_weights
+
+    def recording(gram, start=None):
+        starts.append(start)
+        return solve(gram, start=start)
+
+    monkeypatch.setattr(experiment, "optimal_weights", recording)
+    target = build_target({"name": "mixture"})
+    runtime, source = _exact_method(target, "optimal")
+    if mechanism == "mala":
+        runtime = _chain_runtime(target, {"family": "kgm"}, {"kind": "optimal"})
+    rows, failures = _cells(runtime, source, _PREFIX_NS)
+    assert len(rows) == 3 and not failures
+    if mechanism == "mala":
+        assert starts == [None] * 3
+    else:
+        assert starts[0] is None
+        assert [len(start) for start in starts[1:]] == list(_PREFIX_NS[1:])
 
 
 def test_failures_are_recorded_not_raised():

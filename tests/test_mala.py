@@ -436,6 +436,24 @@ def test_adapt_schedule_rejects_an_initial_step_that_is_not_positive_and_finite(
         AdaptSchedule(epsilon0=epsilon0, epoch_lengths=(10, 10))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_chain_config_rejects_a_preconditioner_that_is_not_finite(value):
+    # Cholesky does not raise on NaN: such a chain would reject every proposal
+    m = np.stack([np.eye(2), np.array([[1.0, value], [value, 1.0]])])
+    with pytest.raises(ValueError, match="preconditioners must be finite"):
+        ChainConfig(epsilon=np.array([0.5, 0.5]), m=m, n=10, seed=0, stream=((0,), (1,)))
+    with pytest.raises(ValueError, match="preconditioners must be finite"):
+        ChainConfig(epsilon=np.array([0.5]), m=np.full((1, 2, 2), value), n=10, seed=0, stream=((0,),))
+
+
+@pytest.mark.parametrize("lengths", [(1, 50), (10, 1, 50), (1, 1)])
+def test_adapt_schedule_rejects_a_one_step_tuning_epoch(lengths):
+    # the sample covariance of one state is NaN, and so would be every preconditioner after it
+    with pytest.raises(ValueError, match="at least 2 steps"):
+        AdaptSchedule(epoch_lengths=lengths)
+    assert AdaptSchedule(epoch_lengths=(2,) * (len(lengths) - 1) + (1,)).epoch_lengths[-1] == 1
+
+
 def test_single_chain_call_forms_are_rejected():
     # a single chain is the R = 1 ensemble; a (d,) state or a shared (d, d)
     # preconditioner is refused with the form that is expected
