@@ -132,10 +132,10 @@ class SteinKernel:
     # ------------------------------------------------------------------
 
     def context(self, x, score=None):
-        """The per-point context of a batch x; the target is evaluated
-        only when no score is handed in."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        """The per-point context of a batch x; the target is evaluated only
+        when no score is handed in, and x with a score is an (n, d) array."""
         if score is None:
+            x = np.atleast_2d(np.asarray(x, dtype=np.float64))
             score = self.target.grad_log_density(x)
         return KernelContext(x - self.x_star, score, self.sigma_inv, self.sigma_inv2)
 

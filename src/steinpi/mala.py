@@ -31,6 +31,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import SteinpiError
+
 __all__ = [
     "ChainConfig",
     "ChainOutput",
@@ -148,19 +150,27 @@ class _Precond:
     With M = L L^T, ``whiten`` applies L^{-1} and ``sqrt_inv_apply`` applies
     B = L^{-T}, so B B^T = M^{-1}.  ``m`` is one (d, d) matrix or one per
     chain, (R, d, d); the operations take one vector (d,) or a batch (R, d),
-    row r with chain r's matrix.
+    row r with chain r's matrix, kept as d contiguous columns (d,) or (R, d):
+    col_0 g_0 + col_1 g_1 + ... are the products and sums of ``_rowdot``.
     """
 
     def __init__(self, m):
-        self.m = np.asarray(m, dtype=np.float64)
-        self.whitener = np.linalg.inv(np.linalg.cholesky(self.m))
-        self.sqrt_inv = np.swapaxes(self.whitener, -1, -2)
+        whitener = np.linalg.inv(np.linalg.cholesky(np.asarray(m, dtype=np.float64)))
+        self._whitener_cols = [np.ascontiguousarray(whitener[..., j]) for j in range(whitener.shape[-1])]
+        self._sqrt_inv_cols = [np.ascontiguousarray(whitener[..., j, :]) for j in range(whitener.shape[-1])]
+
+    @staticmethod
+    def _apply(cols, g):
+        out = cols[0] * g[..., 0:1]
+        for j in range(1, len(cols)):
+            out += cols[j] * g[..., j : j + 1]
+        return out
 
     def whiten(self, g):
-        return _rowdot(self.whitener, g[..., None, :])
+        return self._apply(self._whitener_cols, g)
 
     def sqrt_inv_apply(self, z):
-        return _rowdot(self.sqrt_inv, z[..., None, :])
+        return self._apply(self._sqrt_inv_cols, z)
 
 
 def _raws_per_step(dim):
@@ -180,9 +190,10 @@ def _stream_randoms(seed, stream, n, dim, start_step=0):
     return ndtri(u[:, :dim]), np.log(u[:, dim])
 
 
-def _step_size(eps):
-    """(eps as a column, sqrt(2 eps) likewise, 4 eps) of step sizes of shape () or (R,)."""
-    col = np.asarray(eps)[..., None]
+def _step_size(eps, dim=1):
+    """(eps repeated over dim columns, sqrt(2 eps) likewise, 4 eps) of step
+    sizes of shape () or (R,); with a state's dim, no product broadcasts."""
+    col = np.repeat(np.asarray(eps)[..., None], dim, axis=-1)
     return col, np.sqrt(2.0 * col), 4.0 * eps
 
 
@@ -208,18 +219,20 @@ def _step(x, logp_x, h_x, target, size, pre, z, half_zz, log_u):
     is x - nu_prop = -B w with w = eps (h_x + h_prop) + sqrt(2 eps) z, so
     its squared M-norm is ||w||^2.  The proposal's gradient is whitened
     once and returned as the next state's h.  A proposal with a nonfinite
-    density or gradient is rejected.
+    density or gradient is rejected: only when a log-ratio is not finite
+    are the proposals checked, and a failing one's ratio set to -inf.
     """
     col, root, four_eps = size
-    prop = x + pre.sqrt_inv_apply(col * h_x + root * z)
+    noise = root * z
+    prop = x + pre.sqrt_inv_apply(col * h_x + noise)
     logp_p, grad_p = target.log_density_with_grad(prop)
-    finite = np.isfinite(logp_p) & np.isfinite(grad_p).all(axis=-1)
-    if not finite.all():  # a -inf density rejects; a zero gradient keeps the ratio quiet
-        logp_p = np.where(finite, logp_p, -np.inf)
-        grad_p = np.where(finite[..., None], grad_p, 0.0)
     h_p = pre.whiten(grad_p)
-    w = col * (h_x + h_p) + root * z
+    w = col * (h_x + h_p) + noise
     log_ratio = logp_p - logp_x - _rowdot(w, w) / four_eps + half_zz
+    finite = np.isfinite(log_ratio)
+    if not finite.all():  # the ratio a -inf density with a zero gradient would give
+        finite = np.isfinite(logp_p) & np.isfinite(grad_p).all(axis=-1)
+        log_ratio = np.where(finite, log_ratio, -np.inf)
     accepted = log_u < log_ratio
     keep = accepted[..., None]
     return _Transition(
@@ -242,32 +255,37 @@ def run_chain(init, target, config, start_step=0):
     its first post-init state.  Restarting every chain from its state k
     with ``start_step = k + 1`` reproduces the states after k bitwise,
     because each step owns a fixed slice of each chain's Philox stream.
+    Raises SteinpiError, naming their stream keys, for chains that start
+    where log p or its gradient is not finite.
     """
     x = _as_states(init)
     chains, dim = x.shape
     eps = np.asarray(config.epsilon, dtype=np.float64)
     if eps.shape != (chains,) or len(config.stream) != chains:
         raise ValueError(f"{chains} chains need (R,) = ({chains},) step sizes and {chains} stream keys")
-    size = _step_size(eps)
+    size = _step_size(eps, dim)
     pre = _Precond(_as_spd_matrix(config.m, chains, dim))
     draws = [_stream_randoms(config.seed, s, config.n, dim, start_step) for s in config.stream]
     normals, log_us = (np.stack(a, axis=1) for a in zip(*draws))
     half_zz = 0.5 * _rowdot(normals, normals)
-    states = np.empty((chains, config.n, dim))
-    accept = np.empty((chains, config.n), dtype=bool)
-    nonfinite = np.zeros(chains, dtype=np.int64)
+    states = np.empty((config.n, chains, dim))  # step-major while running
+    accept, nonfinite = np.empty((2, config.n, chains), dtype=bool)
     logp, grad = target.log_density_with_grad(x)
+    stuck = ~(np.isfinite(logp) & np.isfinite(grad).all(axis=-1))
+    if stuck.any():  # such a chain would reject every proposal
+        keys = [config.stream[r] for r in np.flatnonzero(stuck)]
+        raise SteinpiError(f"chains {keys} start where log p or its gradient is not finite")
     h = pre.whiten(grad)
-    for i in range(config.n):
-        x, logp, h, accept[:, i], bad = _step(x, logp, h, target, size, pre, normals[i], half_zz[i], log_us[i])[:5]
-        states[:, i] = x
-        nonfinite += bad
+    with np.errstate(invalid="ignore"):  # a proposal's nonfinite gradient is rejected
+        for i in range(config.n):
+            x, logp, h, accept[i], nonfinite[i] = _step(x, logp, h, target, size, pre, normals[i], half_zz[i], log_us[i])[:5]
+            states[i] = x
     return ChainOutput(
-        states=states.reshape(-1, dim),
-        accept_flags=accept.ravel(),
+        states=states.transpose(1, 0, 2).reshape(-1, dim),
+        accept_flags=accept.T.ravel(),
         accept_rate=float(accept.mean()),
         nonfinite_proposals=int(nonfinite.sum()),
-        chain_accept_rates=accept.mean(axis=1),
+        chain_accept_rates=accept.mean(axis=0),
     )
 
 

@@ -45,7 +45,8 @@ class StackedLaws(DerivedTarget):
 
     An evaluation at order o evaluates the base once, at o plus the largest
     lift, and hands each law its block of the values up to its own order
-    o + lift.  A law therefore reads what it would read alone, provided the
+    o + lift; a derived law's values overwrite its block of a copy of the
+    base's.  A law therefore reads what it would read alone, provided the
     base's derivatives up to an order do not depend on the order its hook
     ran at, and its rows not on the batch (row invariance).
     """
@@ -57,16 +58,18 @@ class StackedLaws(DerivedTarget):
             raise ValueError("stacked laws must derive from one base")
         self.laws, self.rows = laws, rows
         self.lift = max(law.lift for law in laws)
+        self._blocks = [slice(k * rows, (k + 1) * rows) for k in range(len(laws))]
 
     def _from_base(self, x, order, *values):
         if len(x) != self.rows * len(self.laws):
             raise ValueError(f"{len(self.laws)} laws of {self.rows} rows each, got {len(x)} rows")
-        blocks = []
-        for k, law in enumerate(self.laws):
-            rows = slice(k * self.rows, (k + 1) * self.rows)
-            own = [None if a is None or i > order + law.lift else a[rows] for i, a in enumerate(values)]
-            blocks.append(law._from_base(x[rows], order, *own))
-        return tuple(None if parts[0] is None else np.concatenate(parts) for parts in zip(*blocks))
+        out = [None if a is None or i > order else a.copy() for i, a in enumerate(values)]
+        for law, rows in zip(self.laws, self._blocks):
+            if type(law) is not DerivedTarget:  # a pass-through law's block is the base's
+                own = [None if a is None or i > order + law.lift else a[rows] for i, a in enumerate(values)]
+                for whole, part in zip(out[: order + 1], law._from_base(x[rows], order, *own)):
+                    whole[rows] = part
+        return tuple(out)
 
 
 class PiTarget(DerivedTarget):

@@ -314,30 +314,23 @@ class RegressionPosterior(TargetModel):
         self.y = y
 
     def _evaluate(self, x, order):
-        x1 = x[:, 0:1]
-        x2 = x[:, 1:2]
-        basis = 1.0 + self.t[None, :] * x2  # d f_i / d x1
-        f = x1 * basis
-        resid = self.y[None, :] - f
-        logp = -0.5 * np.einsum("nd,nd->n", x, x) - 0.5 * np.einsum("ni,ni->n", resid, resid)
+        fac = np.empty((3, x.shape[0], self.t.size))  # resid, basis = d f / d x1 and t x1 = d f / d x2
+        np.multiply(x.T[:, :, None], self.t, out=fac[2:0:-1])  # fac[2] = t x1, fac[1] = t x2
+        fac[1] += 1.0
+        np.subtract(self.y, np.multiply(x[:, 0:1], fac[1], out=fac[0]), out=fac[0])
+        # one einsum (no BLAS) for the sums over i this order reads: resid with
+        # itself, then with every factor, then every pair of factors
+        dots = np.einsum("ani,bni->nab", fac[: 1 + 2 * (order > 1)], fac[: 1 + 2 * (order > 0)])
+        logp = -0.5 * np.einsum("nd,nd->n", x, x) - 0.5 * dots[:, 0, 0]
         if order < 1:
             return logp, None, None
-        dfdx2 = self.t[None, :] * x1
-        grad = np.empty((x.shape[0], 2))
-        grad[:, 0] = np.einsum("ni,ni->n", resid, basis)
-        grad[:, 1] = np.einsum("ni,ni->n", resid, dfdx2)
-        grad -= x
+        grad = dots[:, 0, 1:] - x
         if order < 2:
             return logp, grad, None
-        h11 = -np.einsum("ni,ni->n", basis, basis)
-        h22 = -np.einsum("ni,ni->n", dfdx2, dfdx2)
-        # cross term picks up resid_i * d^2 f_i / dx1 dx2 = resid_i * t_i
-        h12 = -np.einsum("ni,ni->n", basis, dfdx2) + np.einsum("ni,i->n", resid, self.t)
-        hess = np.empty((x.shape[0], 2, 2))
-        hess[:, 0, 0] = h11 - 1.0
-        hess[:, 1, 1] = h22 - 1.0
-        hess[:, 0, 1] = h12
-        hess[:, 1, 0] = h12
+        hess = -dots[:, 1:, 1:] - np.eye(2)
+        cross = np.einsum("ni,i->n", fac[0], self.t)  # resid_i * d^2 f_i / dx1 dx2 = resid_i * t_i
+        hess[:, 0, 1] += cross
+        hess[:, 1, 0] += cross
         return logp, grad, hess
 
 

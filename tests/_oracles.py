@@ -8,7 +8,8 @@ pair from a 1 x 1 ``kernel.cross``, whole_grid, which calls a law's
 evaluation hooks over every grid node in one batch, snis_weights, which
 reads ``kernel.diag_values``, as estimate_c2 does, and wolfe_reference,
 which shares the certificate's GAP_TOL and the QPResult record with the
-solver.  dimension_effect computes the Langevin diagonal on a standard
+solver, and regression_reference, which reads a RegressionPosterior's
+data.  dimension_effect computes the Langevin diagonal on a standard
 Gaussian, 2 beta d + ||x||^2, in closed form and calls no kernel.
 """
 
@@ -440,6 +441,38 @@ def mala_chain_reference(init, target, eps, m, normals, log_us):
         states.append(x)
         flags.append(accept)
     return np.array(states), np.array(flags)
+
+
+def regression_reference(target, x, order):
+    """(logp, grad, hess) of a RegressionPosterior over a batch (n, 2), term
+    by term: each sum over the observations is its own ``"ni,ni->n"`` einsum,
+    and the Hessian is filled entry by entry.  The fused hook reads the same
+    sums from one einsum, so the two agree bitwise."""
+    x1 = x[:, 0:1]
+    x2 = x[:, 1:2]
+    basis = 1.0 + target.t[None, :] * x2  # d f_i / d x1
+    f = x1 * basis
+    resid = target.y[None, :] - f
+    logp = -0.5 * np.einsum("nd,nd->n", x, x) - 0.5 * np.einsum("ni,ni->n", resid, resid)
+    if order < 1:
+        return logp, None, None
+    dfdx2 = target.t[None, :] * x1
+    grad = np.empty((x.shape[0], 2))
+    grad[:, 0] = np.einsum("ni,ni->n", resid, basis)
+    grad[:, 1] = np.einsum("ni,ni->n", resid, dfdx2)
+    grad -= x
+    if order < 2:
+        return logp, grad, None
+    h11 = -np.einsum("ni,ni->n", basis, basis)
+    h22 = -np.einsum("ni,ni->n", dfdx2, dfdx2)
+    # cross term picks up resid_i * d^2 f_i / dx1 dx2 = resid_i * t_i
+    h12 = -np.einsum("ni,ni->n", basis, dfdx2) + np.einsum("ni,i->n", resid, target.t)
+    hess = np.empty((x.shape[0], 2, 2))
+    hess[:, 0, 0] = h11 - 1.0
+    hess[:, 1, 1] = h22 - 1.0
+    hess[:, 0, 1] = h12
+    hess[:, 1, 0] = h12
+    return logp, grad, hess
 
 
 class ConstantKernel:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import steinpi.experiment as experiment
-from steinpi.errors import ConfigError, EmptySummary, InsufficientReplicates
+from steinpi.errors import ConfigError, EmptySummary, InsufficientReplicates, SteinpiError
 from steinpi.experiment import (
     MethodRuntime,
     MethodSpec,
@@ -238,6 +238,28 @@ def test_failed_chain_loses_only_its_replicate(monkeypatch):
     assert [(r.replicate, r.ksd) for r in result.rows] == [
         (r.replicate, r.ksd) for r in clean.rows if r.replicate != 1
     ]
+
+
+def test_chain_started_where_pi_is_not_finite_is_a_failed_draw():
+    # the mixture's log p is NaN at the mode, where every chain starts: the
+    # draw raises a SteinpiError, recorded per replicate, and the run goes on
+    mixture = build_target({"name": "mixture"})
+    mode = find_mode(mixture, np.array([0.1]))
+
+    class _NanAtMode(TargetModel):
+        dim = 1
+
+        def _evaluate(self, x, order):
+            logp, grad, hess = mixture._evaluate(x, order)
+            return np.where(x[:, 0] == mode.x_star[0], np.nan, logp), grad, hess
+
+    spec = parse_experiment_spec(_base_config(replicates=2, ns=[15], methods=[_mala_method()]))
+    runtime = MethodRuntime(spec.methods[0], _NanAtMode(), mode)
+    sources = experiment._sources(spec, [(0, runtime)], [0, 1])
+    assert sorted(sources) == [(0, 0), (0, 1)]
+    for r in (0, 1):
+        assert isinstance(sources[0, r], SteinpiError)
+        assert f"chains [(0, {r}, 0)] start where log p or its gradient is not finite" in str(sources[0, r])
 
 
 def test_failed_exact_draw_loses_only_its_replicate(monkeypatch):

@@ -5,11 +5,13 @@ adaptive warm-up behaviour."""
 import numpy as np
 import pytest
 
+from steinpi.errors import SteinpiError
 from steinpi.kernels import LangevinKernel
 from steinpi.mala import (
     AdaptSchedule,
     ChainConfig,
     _Precond,
+    _rowdot,
     _step,
     _step_size,
     _stream_randoms,
@@ -131,6 +133,92 @@ def test_nonfinite_proposals_counted_not_raised():
     assert out.nonfinite_proposals > 0
     assert np.all(np.abs(out.states) <= 1.5)
     assert np.all(np.isfinite(out.states))
+
+
+class _BrokenOutside(TargetModel):
+    """A standard Gaussian in 2-D, broken outside the unit-radius ball in
+    one of three ways: log p = +inf, a NaN gradient or an infinite gradient
+    (of both signs) at a finite density."""
+
+    dim = 2
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def _evaluate(self, x, order):
+        logp, grad = -0.5 * np.einsum("nd,nd->n", x, x), -x.copy()
+        out = np.einsum("nd,nd->n", x, x) > 1.0
+        if self.kind == "inf_density":
+            logp[out] = np.inf
+        else:
+            grad[out] = np.nan if self.kind == "nan_gradient" else [np.inf, -np.inf]
+        return logp, grad, None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["inf_density", "nan_gradient", "inf_gradient"])
+def test_broken_proposals_are_rejected_and_counted(kind):
+    # each chain of an ensemble matches the textbook chain, which rejects a
+    # proposal with a nonfinite density or gradient before its ratio is
+    # formed; the sampler forms it first, silently, and then rejects
+    target = _BrokenOutside(kind)
+    eps = np.array([0.5, 0.8, 1.2])
+    ms = np.stack([np.eye(2), np.diag([3.0, 0.5]), np.array([[2.0, 0.7], [0.7, 1.0]])])
+    streams = ((4, 0), (4, 1), (4, 2))
+    n, seed = 300, 13
+    out = run_chain(np.zeros((3, 2)), target, ChainConfig(epsilon=eps, m=ms, n=n, seed=seed, stream=streams))
+    states = out.states.reshape(3, n, 2)
+    proposals_outside = 0
+    for r in range(3):
+        normals, log_us = _stream_randoms(seed, streams[r], n, 2)
+        ref_states, ref_flags = mala_chain_reference(np.zeros(2), target, eps[r], ms[r], normals, log_us)
+        assert states[r].tobytes() == ref_states.tobytes()
+        np.testing.assert_array_equal(out.accept_flags.reshape(3, n)[r], ref_flags)
+        pre = _Precond(ms[r])
+        before = np.concatenate([np.zeros((1, 2)), ref_states[:-1]])
+        h = pre.whiten(target.grad_log_density(before))
+        prop = before + pre.sqrt_inv_apply(eps[r] * h + np.sqrt(2.0 * eps[r]) * normals)
+        proposals_outside += int((np.einsum("nd,nd->n", prop, prop) > 1.0).sum())
+    assert out.nonfinite_proposals == proposals_outside > 0
+    assert np.all(np.einsum("nd,nd->n", out.states, out.states) <= 1.0)
+    assert np.all(np.isfinite(out.states))
+    assert 0.0 < out.accept_rate < 1.0
+
+
+@pytest.mark.parametrize("kind", ["nan_density", "inf_gradient"])
+def test_chain_started_where_the_target_is_not_finite_raises(kind):
+    # such a chain would reject every proposal and never move; the error
+    # names the stream keys of the chains that start there
+    class _BrokenAtOne(TargetModel):
+        dim = 1
+
+        def _evaluate(self, x, order):
+            logp, grad = -0.5 * x[:, 0] ** 2, -x.copy()
+            at_one = x[:, 0] == 1.0
+            logp[at_one] = np.nan if kind == "nan_density" else logp[at_one]
+            grad[at_one] = np.inf if kind == "inf_gradient" else grad[at_one]
+            return logp, grad, None
+
+    cfg = ChainConfig(epsilon=np.full(3, 0.5), m=np.ones((3, 1, 1)), n=20, seed=0, stream=((0, 0), (0, 1), (0, 2)))
+    with pytest.raises(SteinpiError, match=r"chains \[\(0, 1\)\] start where log p or its gradient is not finite"):
+        run_chain(np.array([[0.0], [1.0], [-0.5]]), _BrokenAtOne(), cfg)
+    assert run_chain(np.array([[0.0], [2.0], [-0.5]]), _BrokenAtOne(), cfg).states.shape == (60, 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+@pytest.mark.parametrize("chains", [None, 1, 12])
+def test_preconditioner_columns_equal_rowdot_bitwise(dim, chains, rng):
+    # whiten applies L^-1 and sqrt_inv_apply L^-T column by column; both are
+    # the products and left-to-right sums of _rowdot over the matrix rows
+    shape = (dim,) if chains is None else (chains, dim)
+    a = rng.standard_normal(shape[:-1] + (dim, dim))
+    m = a @ np.swapaxes(a, -1, -2) + dim * np.eye(dim)
+    whitener = np.linalg.inv(np.linalg.cholesky(m))
+    pre = _Precond(m)
+    for _ in range(20):
+        g = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        assert pre.whiten(g).tobytes() == _rowdot(whitener, g[..., None, :]).tobytes()
+        assert pre.sqrt_inv_apply(g).tobytes() == _rowdot(np.swapaxes(whitener, -1, -2), g[..., None, :]).tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from steinpi.targets import (
     simulated_regression_data,
 )
 
-from _oracles import fd_gradient, fd_jacobian, rel_err
+from _oracles import fd_gradient, fd_jacobian, regression_reference, rel_err
 
 
 def builtin_targets():
@@ -250,6 +250,21 @@ def test_regression_single_datum_conjugate_root():
     target = make_regression_posterior(np.array([0.0]), np.array([1.0]))
     grad = target.grad_log_density(np.array([0.5, 0.0]))
     assert grad[0] == 0.0
+
+
+@pytest.mark.parametrize("rows", [1, 6, 12, 1000])
+def test_regression_fused_evaluation_equals_term_by_term_reference_bitwise(rows, rng):
+    # the hook reads every sum over the observations from one einsum; each
+    # equals its own "ni,ni->n" einsum, batched or at a single point
+    target = make_regression_posterior()
+    x = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-2, 3, size=(rows, 1))
+    for order in (0, 1, 2):
+        got, want = target._evaluate(x, order), regression_reference(target, x, order)
+        for g, w in zip(got, want):
+            assert (g is None and w is None) or g.tobytes() == w.tobytes()
+        single = target._at(x[0], order)
+        for g, w in zip(single, want):
+            assert (g is None and w is None) or np.asarray(g).tobytes() == w[0].tobytes()
 
 
 def test_regression_has_no_exact_sampler(rng):
