@@ -2,8 +2,10 @@
 
 Provides the kernel discrepancy of a weighted point set and the optimal
 simplex-constrained reweighting (an exact active-set solve of min w^T K w
-over the probability simplex by Wolfe's minimum-norm-point method,
-certified by its duality gap), both on a Gram the caller built, and the
+over the probability simplex by Wolfe's minimum-norm-point method, whose
+minor steps are triangular solves on a Cholesky factor of the support's
+Gram, updated as the support changes, certified by its duality gap),
+both on a Gram the caller built, and the
 indices of greedy thinning to m points, read from the kernel context of
 the candidates: no target evaluation, O(n) working memory and no n x n
 Gram.  The Gram size guard lives in ``SteinKernel.cross``.
@@ -15,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dgesv, dpotrf
 
 from .errors import InvalidSimplex, NegativeQuadraticForm
 
@@ -98,17 +101,23 @@ def ksd(sample, gram):
 
 @dataclass(frozen=True, eq=False)
 class QPResult:
-    """Solution of the simplex-constrained quadratic program."""
+    """Solution of the simplex-constrained quadratic program.
+
+    ``fallbacks`` counts the minor steps solved by the bordered system
+    instead of the Cholesky factor of K_SS.
+    """
 
     weights: np.ndarray
     objective: float
     iterations: int
     converged: bool
     duality_gap: float
+    fallbacks: int
 
 
 def _affine_minimiser(gram, support):
-    """Minimiser of w^T K w on the affine hull of the support.
+    """Minimiser of w^T K w on the affine hull of the support, where the
+    Cholesky factor of K_SS does not serve.
 
     Solves the bordered KKT system [K_SS 1; 1^T 0][v; mu] = [0; 1] by one
     LAPACK ``dgesv``.  Repeated states can make K_SS exactly singular
@@ -128,28 +137,147 @@ def _affine_minimiser(gram, support):
 
 
 GAP_TOL = 1e-8  # relative duality gap of a certified solve
+# Least squared pivot of the factor, relative to K_jj.  A repeated state's
+# pivot is rounding: at most 1.1e-15 for copies of the 1540 members of 63
+# optimal supports of up to 200 states.  Distinct neighbours on the
+# 30,001-node mixture grid gave pivots down to 3.2e-14.
+PIVOT_TOL = 1e-14
+_TINY = np.finfo(np.float64).tiny
 
 
 def _certified(gap, f, floor):
     return gap <= GAP_TOL * abs(f) + floor
 
 
-def _minor_cycle(gram, order, member, ws):
-    """Wolfe's minor steps from the weights ws on S = order[:len(ws)]; S
-    shrinks in place (and in ``member``), and its final weights return."""
+class _Support:
+    """Wolfe's support S = order[:m] in order of entry, with its mask
+    ``member``, the rows K[S, :], the Cholesky factor L of K_SS and
+    z = L^-1 1.
+
+    The buffers hold ``cap`` entries, doubled as S grows; past m the rows
+    and z are zero and L is the identity, so every triangular solve is one
+    ``dtrsv`` on whole buffers.  An append borders L, a drop refactors the
+    trailing block, and a start or several drops at once refactor K_SS.
+    A pivot below PIVOT_TOL or a failed ``dpotrf`` clears ``factored``
+    until the next append; minor steps then solve the bordered system,
+    and ``fallbacks`` counts them.
+    """
+
+    def __init__(self, gram, support):
+        n, m = len(gram), len(support)
+        self.gram, self.diag, self.m = gram, np.diag(gram), m
+        self.order = np.empty(n, dtype=np.intp)
+        self.order[:m] = support
+        self.member = np.zeros(n, dtype=bool)
+        self.member[support] = True
+        self.cap = min(n, max(16, 2 * m))
+        self.rows = np.zeros((self.cap, n))
+        self.rows[:m] = gram.take(support, 0)
+        self.z = np.zeros(self.cap)
+        self.ones = np.ones(self.cap)
+        self.fallbacks = 0
+        self._refactor()
+
+    def _refactor(self):
+        m = self.m
+        a = np.eye(self.cap, order="F")
+        a[:m, :m] = self.rows[:m].take(self.order[:m], 1)
+        self.L, info = dpotrf(a, lower=1, overwrite_a=1)
+        pivots = np.diagonal(self.L)[:m] ** 2
+        self.factored = info == 0 and bool((pivots > PIVOT_TOL * self.diag[self.order[:m]]).all())
+        if self.factored:
+            self._solve_ones()
+
+    def _solve_ones(self):
+        self.z = dtrsv(self.L, self.ones, lower=1)
+        self.z[self.m :] = 0.0
+
+    def _grow(self):
+        m, n = self.m, len(self.gram)
+        self.cap = min(2 * self.cap, n)
+        rows, L, z = np.zeros((self.cap, n)), np.eye(self.cap, order="F"), np.zeros(self.cap)
+        rows[:m], L[:m, :m], z[:m] = self.rows[:m], self.L[:m, :m], self.z[:m]
+        self.rows, self.L, self.z, self.ones = rows, L, z, np.ones(self.cap)
+
+    def append(self, j):
+        """Add index j, not in S, at the end of S."""
+        if self.m == self.cap:
+            self._grow()
+        m, L = self.m, self.L
+        refactor = not self.factored
+        if self.factored:
+            l = dtrsv(L, self.rows[:, j], lower=1)
+            d2 = self.diag[j] - l @ l
+            self.factored = d2 > PIVOT_TOL * self.diag[j]
+            if self.factored:
+                d = math.sqrt(d2)
+                L[m, :m] = l[:m]
+                L[m, m] = d
+                self.z[m] = (1.0 - l @ self.z) / d
+        self.rows[m] = self.gram[j]
+        self.order[m] = j
+        self.member[j] = True
+        self.m = m + 1
+        if refactor:
+            self._refactor()
+
+    def minimiser(self):
+        """Minimiser of w^T K w on the affine hull of S: K_SS^-1 1, normalised."""
+        if not self.factored:
+            self.fallbacks += 1
+            return _affine_minimiser(self.gram, self.order[: self.m])
+        v = dtrsv(self.L, self.z, lower=1, trans=1)[: self.m]
+        v /= v.sum()
+        return v
+
+    def drop(self, ws, k):
+        """Remove the entries of S whose weight in ws is zero, entry k
+        among them, and return the remaining weights."""
+        m, order, rows, L = self.m, self.order, self.rows, self.L
+        keep = ws > 0
+        ws = ws[keep]
+        self.m = len(ws)
+        if self.m < m - 1 or not self.factored:
+            self.member[order[:m][~keep]] = False
+            order[: self.m] = order[:m][keep]
+            rows[: self.m] = rows[:m][keep]
+            rows[self.m : m] = 0.0
+            if self.factored:
+                self._refactor()
+            return ws
+        # one entry: slices shift, and only the trailing block is refactored
+        self.member[order[k]] = False
+        order[k : m - 1] = order[k + 1 : m]
+        rows[k : m - 1] = rows[k + 1 : m]
+        rows[m - 1] = 0.0
+        if k < m - 1:
+            # without entry k, K_SS is L11 L11^T bordered by L31, with the
+            # trailing block L33 L33^T + l32 l32^T
+            tail = L[k + 1 : m, k:m]
+            block, info = dpotrf(tail @ tail.T, lower=1)
+            L[k : m - 1, :k] = L[k + 1 : m, :k]
+            L[k : m - 1, k : m - 1] = block
+            self.factored = info == 0
+        L[m - 1, :m] = 0.0
+        L[m - 1, m - 1] = 1.0
+        self._solve_ones()
+        return ws
+
+
+def _minor_cycle(support, ws):
+    """Wolfe's minor steps from the weights ws on S, which shrinks in
+    ``support``; S's final weights return."""
     while True:
-        support = order[: len(ws)]
-        v = _affine_minimiser(gram, support)
+        v = support.minimiser()
         if v.min() > 0.0:
             return v
-        blocking = np.flatnonzero(v <= 0)
-        ratios = ws[blocking] / np.maximum(ws[blocking] - v[blocking], np.finfo(np.float64).tiny)
-        ws = np.maximum(ws + float(ratios.min()) * (v - ws), 0.0)
-        ws[blocking[ratios.argmin()]] = 0.0
-        keep = ws > 0
-        member[support[~keep]] = False
-        ws = ws[keep]
-        order[: len(ws)] = support[keep]
+        blocking = (v <= 0).nonzero()[0]
+        wb = ws[blocking]
+        ratios = wb / np.maximum(wb - v[blocking], _TINY)
+        first = ratios.argmin()
+        ws = np.maximum(ws + float(ratios[first]) * (v - ws), 0.0)
+        ws[blocking[first]] = 0.0
+        ws = support.drop(ws, blocking[first])
 
 
 def optimal_weights(gram, max_iter=None, start=None):
@@ -159,7 +287,11 @@ def optimal_weights(gram, max_iter=None, start=None):
     step adds the steepest-descent vertex to the support S, then minor
     steps move toward the minimiser on the affine hull of S, dropping the
     first coordinate to reach zero, until that minimiser lies strictly
-    inside the simplex.  Each minor step is one bordered solve on K_SS.
+    inside the simplex.  That minimiser is K_SS^-1 1 normalised, read from
+    a Cholesky factor of K_SS that each append and drop updates in
+    O(|S|^2) work.  A pivot below PIVOT_TOL (a repeated state, as a start
+    may hold) or a failed factorisation sends the rest of that minor cycle
+    to the bordered system, and ``fallbacks`` counts its minor steps.
     The solve starts at the vertex argmin diag K, or at ``start``, any
     simplex point, made such a minimiser by a minor cycle on its support
     before the first major step: a nearby optimum, such as a shorter
@@ -185,47 +317,43 @@ def optimal_weights(gram, max_iter=None, start=None):
         max_iter = 10 * n
     diag = np.diag(gram)
     unit = float(np.finfo(np.float64).eps * np.max(np.abs(diag)))
-    order = np.empty(n, dtype=np.intp)  # S in order of entry is order[:m]
-    member = np.zeros(n, dtype=bool)
     if start is None:
-        order[0] = np.argmin(diag)
+        initial = np.array([np.argmin(diag)])
         ws = np.ones(1)  # weights on S; every weight off S is zero
     else:
         start = np.asarray(start, dtype=np.float64)
         simplex = np.isfinite(start).all() and (start >= 0).all() and abs(start.sum() - 1.0) <= 1e-10
         if start.shape != (n,) or not simplex:
             raise ValueError(f"start must be {n} finite nonnegative weights summing to 1")
-        support = np.flatnonzero(start)
-        order[: len(support)] = support
-        ws = start[support]
-    member[order[: len(ws)]] = True
+        initial = np.flatnonzero(start)
+        ws = start[initial]
+    support = _Support(gram, initial)
+    order, member = support.order, support.member
     if len(ws) > 1:
-        ws = _minor_cycle(gram, order, member, ws)
-    m = len(ws)
+        ws = _minor_cycle(support, ws)
     exhausted = True
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        support = order[:m]
-        grad = 2.0 * (ws @ gram.take(support, 0))
-        gs = grad[support]
-        f = float(ws @ (0.5 * gs))
-        j = int(grad.argmin())
-        gap = float(gs @ ws - grad[j])
+        m = len(ws)
+        # half the gradient, K w: f = w.(K w) is w.(grad/2), and the gap
+        # 2 (f - min K w) is grad.w - min grad, bitwise, as doubling is exact
+        half = ws @ support.rows[:m]
+        f = float(ws @ half[order[:m]])
+        j = int(half.argmin())
+        gap = 2.0 * (f - float(half[j]))
         if _certified(gap, f, unit) or member[j]:
             exhausted = False
             break
         previous = ws
-        order[m] = j
-        member[j] = True
-        ws = _minor_cycle(gram, order, member, np.concatenate((ws, (0.0,))))
-        m = len(ws)
+        support.append(j)
+        ws = _minor_cycle(support, np.concatenate((ws, (0.0,))))
         # stalled (the entering vertex left at once and S kept its weights):
         # the same step would repeat forever
-        if not member[j] and m == len(previous) and (ws == previous).all():
+        if not member[j] and len(ws) == len(previous) and (ws == previous).all():
             exhausted = False
             break
     w = np.zeros(n)
-    w[order[:m]] = ws
+    w[order[: len(ws)]] = ws
     w /= w.sum()
     kw = gram @ w
     if exhausted:
@@ -242,6 +370,7 @@ def optimal_weights(gram, max_iter=None, start=None):
         iterations=iterations,
         converged=not exhausted and _certified(gap, f, n * unit),
         duality_gap=gap,
+        fallbacks=support.fallbacks,
     )
 
 

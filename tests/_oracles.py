@@ -176,7 +176,9 @@ def wolfe_reference(gram, max_iter=None):
     grown by ``np.append``, the bordered system assembled by ``np.ix_`` and
     solved by ``np.linalg.solve``, and the stall test a comparison of all n
     weights with a copy.  Same steps, exits and certificate as
-    ``optimal_weights``."""
+    ``optimal_weights``, which reads the same minimisers from a Cholesky
+    factor; here every minor step is a bordered solve, and ``fallbacks``
+    counts them all."""
     n = gram.shape[0]
     if max_iter is None:
         max_iter = 10 * n
@@ -186,7 +188,7 @@ def wolfe_reference(gram, max_iter=None):
     w = np.zeros(n)
     w[support] = 1.0
     exhausted = True
-    iterations = 0
+    iterations = fallbacks = 0
     for iterations in range(1, max_iter + 1):
         grad = 2.0 * (gram[:, support] @ w[support])
         f = float(w[support] @ (0.5 * grad[support]))
@@ -199,6 +201,7 @@ def wolfe_reference(gram, max_iter=None):
         support = np.append(support, j)
         while True:  # minor steps
             v = _affine_minimiser_reference(gram, support)
+            fallbacks += 1
             if np.all(v > 0):
                 w[support] = v
                 break
@@ -228,6 +231,7 @@ def wolfe_reference(gram, max_iter=None):
         iterations=iterations,
         converged=not exhausted and gap <= GAP_TOL * abs(f) + n * unit,
         duality_gap=gap,
+        fallbacks=fallbacks,
     )
 
 

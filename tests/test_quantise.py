@@ -1,10 +1,12 @@
 """Post-processing: exact small-instance optima, greedy equivalence with an
 uncached reference, weight dominance, and the simplex invariants."""
 
+import functools
 import re
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgesv
 
 from steinpi.errors import GramTooLarge, InvalidSimplex, NegativeQuadraticForm
@@ -15,6 +17,7 @@ from steinpi.pi_targets import make_pi
 from steinpi.quantise import (
     WeightedSample,
     _affine_minimiser,
+    _Support,
     greedy_thin,
     ksd,
     optimal_weights,
@@ -25,6 +28,7 @@ from steinpi.targets import default_mixture, find_mode, make_gaussian, make_regr
 
 from _oracles import (
     ConstantKernel,
+    _affine_minimiser_reference,
     greedy_reference,
     kkt_residual,
     qp_grid_search,
@@ -270,9 +274,23 @@ def test_affine_minimiser_least_squares_on_exactly_singular_system():
     assert np.max(np.abs(kv - kv.mean())) <= 1e-12 * np.max(np.abs(gram))
 
 
+@functools.lru_cache(maxsize=None)
+def _regression_mala_window():
+    """Gram of a 1000-state window of one pi (Langevin) MALA chain on the 2-D
+    regression posterior, as ``configs/regression_mala.json`` solves."""
+    target = make_regression_posterior()
+    mode = find_mode(target, np.zeros(2))
+    kernel = LangevinKernel(target, mode)
+    schedule = AdaptSchedule(epoch_lengths=(200,) * 3 + (3000,), learning_rates=(0.3,) * 3)
+    _, out = adaptive_warmup(mode.x_star[None], make_pi(target, kernel), schedule, seed=8, stream=[(0,)])
+    pts = random_window(out.states, 1000, np.random.default_rng(1))
+    return kernel.gram(kernel.context(pts))
+
+
 def _reference_cases():
     """(label, Gram) pairs: exact-grid windows of the mixture for p and pi
-    under Langevin and KGM-3, a MALA window with repeated states and the
+    under Langevin and KGM-3, MALA windows with repeated states (the
+    mixture's at n = 100, the regression posterior's at n = 1000) and the
     tripled-duplicates Gram."""
     target = default_mixture()
     mode = find_mode(target, np.array([0.1]))
@@ -289,6 +307,7 @@ def _reference_cases():
     pts = random_window(out.states, 100, np.random.default_rng(0))
     assert len(np.unique(pts[:, 0])) < 100  # rejected proposals repeat states
     yield "mala-pi-100", kernel.gram(kernel.context(pts))
+    yield "regression-mala-pi-1000", _regression_mala_window()
     _, kernel = _std_normal_kernel()
     base = np.random.default_rng(11).standard_normal((8, 1)) * 2.0
     yield "tripled-24", kernel.gram(kernel.context(np.repeat(base, 3, axis=0)))
@@ -296,16 +315,96 @@ def _reference_cases():
 
 def test_qp_matches_reference_solver():
     # the minimiser need not be unique (weight can move between copies of
-    # a repeated state), so objectives are compared, not weights
-    report = []
+    # a repeated state), so objectives are compared, not weights; the
+    # factor and the bordered solve differ only by rounding, so they take
+    # the same major steps, and from a cold start no repeated state enters
+    # S, so the factor serves every minor step
     for label, gram in _reference_cases():
         res = optimal_weights(gram)
         ref = wolfe_reference(gram)
-        report.append(f"{label}: {res.iterations} / {ref.iterations}")
         assert res.converged == ref.converged, label
         assert res.converged, label
+        assert res.iterations == ref.iterations, label
+        assert res.fallbacks == 0, label
         assert abs(res.objective - ref.objective) <= 1e-11 * abs(ref.objective), label
-    print("major steps (solver / reference):", "; ".join(report))
+
+
+def test_qp_warm_started_on_a_long_mala_window():
+    gram = _regression_mala_window()
+    cold = optimal_weights(gram)
+    prefix = optimal_weights(gram[:300, :300])
+    warm = optimal_weights(gram, start=_padded(prefix.weights, 1000))
+    assert prefix.converged
+    assert warm.converged == cold.converged
+    assert abs(warm.objective - cold.objective) <= 1e-11 * cold.objective
+
+
+def _check_factor(support, gram):
+    m, cap = support.m, support.cap
+    s = support.order[:m]
+    assert support.factored
+    np.testing.assert_array_equal(support.member, np.isin(np.arange(len(gram)), s))
+    np.testing.assert_array_equal(support.rows[:m], gram[s])
+    assert not support.rows[m:].any() and not support.z[m:].any()
+    np.testing.assert_array_equal(support.L[:, m:], np.eye(cap)[:, m:])  # padded with the identity
+    L = support.L[:m, :m]
+    assert not np.triu(L, 1).any()
+    assert np.max(np.abs(L @ L.T - gram[np.ix_(s, s)])) <= 1e-12 * np.max(np.diag(gram))
+    np.testing.assert_allclose(support.z[:m], solve_triangular(L, np.ones(m), lower=True), rtol=1e-12)
+    v = support.minimiser()
+    np.testing.assert_allclose(v, _affine_minimiser_reference(gram, s), rtol=0, atol=1e-10)
+
+
+def _scattered_gram():
+    """Gram (KGM-3) of 100 Gaussian points around the 2-D regression
+    posterior's mode: distinct states, so any 30 give a well-conditioned K_SS."""
+    target = make_regression_posterior()
+    mode = find_mode(target, np.full(2, 0.1))
+    kernel = make_kernel(target, mode, family="kgm", s=3)
+    pts = mode.x_star + 2.0 * np.random.default_rng(4).standard_normal((100, 2)) @ np.linalg.cholesky(mode.sigma).T
+    return kernel.gram(kernel.context(pts))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factor_follows_appends_and_drops(seed):
+    gram = _scattered_gram()
+    rng = np.random.default_rng(seed)
+    entries = rng.permutation(len(gram))[:30]
+    support = _Support(gram, entries[:3])  # a start: one dpotrf of K_SS
+    _check_factor(support, gram)
+    for j in entries[3:]:  # 27 appends, the buffers doubled on the way
+        support.append(j)
+    assert support.cap == 32
+    _check_factor(support, gram)
+    for k in (0, 11, -1):  # single drops: the first, one inside, the last
+        k %= support.m
+        order = list(support.order[: support.m])
+        ws = rng.uniform(0.5, 1.0, support.m)
+        ws[k] = 0.0
+        np.testing.assert_array_equal(support.drop(ws, k), ws[ws > 0])
+        assert list(support.order[: support.m]) == order[:k] + order[k + 1 :]
+        _check_factor(support, gram)
+    ws = rng.uniform(0.5, 1.0, support.m)
+    ws[[2, 5, 17]] = 0.0  # several at once: one dpotrf of K_SS
+    kept = support.drop(ws, 5)
+    assert len(kept) == support.m == 24
+    _check_factor(support, gram)
+    support.append(entries[0])
+    _check_factor(support, gram)
+
+
+def test_start_on_repeated_states_falls_back_to_the_bordered_solve(rng):
+    _, kernel = _std_normal_kernel()
+    base = rng.standard_normal((8, 1)) * 2.0
+    gram = kernel.gram(kernel.context(np.repeat(base, 3, axis=0)))
+    start = np.zeros(24)
+    start[[0, 1, 3, 6]] = 0.25  # entries 0 and 1 are copies of one state
+    res = optimal_weights(gram, start=start)
+    exact, _ = qp_support_enumeration(kernel.gram(kernel.context(base)))
+    assert res.fallbacks > 0
+    assert res.converged
+    assert abs(res.objective - exact) <= 1e-8 * exact + 1e-12
+    assert kkt_residual(gram @ res.weights, res.weights) <= 1e-6
 
 
 def _nested_draw_gram(name):
