@@ -6,9 +6,9 @@ is no wall-clock seeding.  Only sample, experiment and check-assumptions
 draw random numbers, so only they take --seed, an integer >= 0 like a
 config's seed.  Exit codes: 0 success, 1 configuration error (malformed
 points CSVs, counts below 1 and a --radius or --b1 out of range
-included), 2 numerical failure (non-finite points included).  Only
-sample, weights, thin and experiment write files, into --out-dir;
-wasserstein reads no config and takes no flags.  Each verb builds only
+included), 2 numerical failure (non-finite points or target scores
+included).  Only sample, weights, thin and experiment write files, into
+--out-dir; wasserstein reads no config and takes no flags.  Each verb builds only
 from values checked by steinpi.experiment's parse functions, one per
 config block: experiment parses it all; sample sets its flags in a copy
 of the raw config, parses target, mode_init, kernel, sampler and seed,

@@ -493,7 +493,8 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
     leading block each n reads (a longer n builds its own, and fails on the
     guard); thinning builds only the picks' Gram.  An optimal solve starts
     from the last certified optimum of a shorter prefix of its window,
-    padded with zeros.  The first n of a window carries its build.
+    padded with zeros.  The first n of a window carries its build, and a
+    window whose context is refused fails every n that reads it.
     """
     method, kernel, kind = runtime.method, runtime.kernel, runtime.method.post["kind"]
     if isinstance(source, Exception):

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GramTooLarge
+from .errors import GramTooLarge, SteinpiError
 from .targets import ModeInfo
 
 __all__ = [
@@ -133,10 +133,17 @@ class SteinKernel:
 
     def context(self, x, score=None):
         """The per-point context of a batch x; the target is evaluated only
-        when no score is handed in, and x with a score is an (n, d) array."""
+        when no score is handed in, and x with a score is an (n, d) array.
+        Raises SteinpiError, naming the first row, if a score it evaluates
+        at a finite point is not finite; a point that is not finite is
+        left to the caller's own check of the points."""
         if score is None:
             x = np.atleast_2d(np.asarray(x, dtype=np.float64))
             score = self.target.grad_log_density(x)
+            bad = np.isfinite(x).all(axis=1) & ~np.isfinite(score).all(axis=1)
+            if bad.any():
+                row = int(bad.argmax())
+                raise SteinpiError(f"target score is not finite at row {row}, x = {x[row].tolist()}")
         return KernelContext(x - self.x_star, score, self.sigma_inv, self.sigma_inv2)
 
     def cross(self, x, y):

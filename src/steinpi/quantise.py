@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dgesv, dpotrf
+from scipy.linalg.lapack import dpotrf
 
 from .errors import InvalidSimplex, NegativeQuadraticForm
 
@@ -101,39 +101,13 @@ def ksd(sample, gram):
 
 @dataclass(frozen=True, eq=False)
 class QPResult:
-    """Solution of the simplex-constrained quadratic program.
-
-    ``fallbacks`` counts the minor steps solved by the bordered system
-    instead of the Cholesky factor of K_SS.
-    """
+    """Solution of the simplex-constrained quadratic program."""
 
     weights: np.ndarray
     objective: float
     iterations: int
     converged: bool
     duality_gap: float
-    fallbacks: int
-
-
-def _affine_minimiser(gram, support):
-    """Minimiser of w^T K w on the affine hull of the support, where the
-    Cholesky factor of K_SS does not serve.
-
-    Solves the bordered KKT system [K_SS 1; 1^T 0][v; mu] = [0; 1] by one
-    LAPACK ``dgesv``.  Repeated states can make K_SS exactly singular
-    (``info > 0``); least squares then returns the minimum-norm solution
-    of the (consistent) system.
-    """
-    m = len(support)
-    system = np.ones((m + 1, m + 1), order="F")
-    system[:m, :m] = gram.take(support, 0).take(support, 1)
-    system[m, m] = 0.0
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
-    sol, info = dgesv(system, rhs)[2:]
-    if info > 0:
-        sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
-    return sol[:m]
 
 
 GAP_TOL = 1e-8  # relative duality gap of a certified solve
@@ -142,6 +116,7 @@ GAP_TOL = 1e-8  # relative duality gap of a certified solve
 # optimal supports of up to 200 states.  Distinct neighbours on the
 # 30,001-node mixture grid gave pivots down to 3.2e-14.
 PIVOT_TOL = 1e-14
+STEPS_PER_POINT = 10  # a solve on n points makes at most this many major steps per point
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -156,11 +131,9 @@ class _Support:
 
     The buffers hold ``cap`` entries, doubled as S grows; past m the rows
     and z are zero and L is the identity, so every triangular solve is one
-    ``dtrsv`` on whole buffers.  An append borders L, a drop refactors the
-    trailing block, and a start or several drops at once refactor K_SS.
-    A pivot below PIVOT_TOL or a failed ``dpotrf`` clears ``factored``
-    until the next append; minor steps then solve the bordered system,
-    and ``fallbacks`` counts them.
+    ``dtrsv`` on whole buffers.  A start factors K_SS by one ``dpotrf``
+    (``factored`` says whether every pivot passed PIVOT_TOL), an append
+    borders L, and a drop refactors only the trailing block.
     """
 
     def __init__(self, gram, support):
@@ -173,20 +146,13 @@ class _Support:
         self.cap = min(n, max(16, 2 * m))
         self.rows = np.zeros((self.cap, n))
         self.rows[:m] = gram.take(support, 0)
-        self.z = np.zeros(self.cap)
         self.ones = np.ones(self.cap)
-        self.fallbacks = 0
-        self._refactor()
-
-    def _refactor(self):
-        m = self.m
         a = np.eye(self.cap, order="F")
-        a[:m, :m] = self.rows[:m].take(self.order[:m], 1)
+        a[:m, :m] = self.rows[:m].take(support, 1)
         self.L, info = dpotrf(a, lower=1, overwrite_a=1)
         pivots = np.diagonal(self.L)[:m] ** 2
-        self.factored = info == 0 and bool((pivots > PIVOT_TOL * self.diag[self.order[:m]]).all())
-        if self.factored:
-            self._solve_ones()
+        self.factored = info == 0 and bool((pivots > PIVOT_TOL * self.diag[support]).all())
+        self._solve_ones()
 
     def _solve_ones(self):
         self.z = dtrsv(self.L, self.ones, lower=1)
@@ -200,52 +166,46 @@ class _Support:
         self.rows, self.L, self.z, self.ones = rows, L, z, np.ones(self.cap)
 
     def append(self, j):
-        """Add index j, not in S, at the end of S."""
+        """Add index j, not in S, at the end of S; False, and S unchanged,
+        if its pivot d^2 is at most PIVOT_TOL * K_jj."""
         if self.m == self.cap:
             self._grow()
         m, L = self.m, self.L
-        refactor = not self.factored
-        if self.factored:
-            l = dtrsv(L, self.rows[:, j], lower=1)
-            d2 = self.diag[j] - l @ l
-            self.factored = d2 > PIVOT_TOL * self.diag[j]
-            if self.factored:
-                d = math.sqrt(d2)
-                L[m, :m] = l[:m]
-                L[m, m] = d
-                self.z[m] = (1.0 - l @ self.z) / d
+        l = dtrsv(L, self.rows[:, j], lower=1)
+        d2 = self.diag[j] - l @ l
+        if not d2 > PIVOT_TOL * self.diag[j]:
+            return False
+        d = math.sqrt(d2)
+        L[m, :m] = l[:m]
+        L[m, m] = d
+        self.z[m] = (1.0 - l @ self.z) / d
         self.rows[m] = self.gram[j]
         self.order[m] = j
         self.member[j] = True
         self.m = m + 1
-        if refactor:
-            self._refactor()
+        return True
 
     def minimiser(self):
         """Minimiser of w^T K w on the affine hull of S: K_SS^-1 1, normalised."""
-        if not self.factored:
-            self.fallbacks += 1
-            return _affine_minimiser(self.gram, self.order[: self.m])
         v = dtrsv(self.L, self.z, lower=1, trans=1)[: self.m]
         v /= v.sum()
         return v
 
     def drop(self, ws, k):
         """Remove the entries of S whose weight in ws is zero, entry k
-        among them, and return the remaining weights."""
-        m, order, rows, L = self.m, self.order, self.rows, self.L
+        among them, and return the remaining weights.  Several reach zero
+        at once only on a tie; they leave one at a time, the last first."""
         keep = ws > 0
         ws = ws[keep]
-        self.m = len(ws)
-        if self.m < m - 1 or not self.factored:
-            self.member[order[:m][~keep]] = False
-            order[: self.m] = order[:m][keep]
-            rows[: self.m] = rows[:m][keep]
-            rows[self.m : m] = 0.0
-            if self.factored:
-                self._refactor()
-            return ws
-        # one entry: slices shift, and only the trailing block is refactored
+        for entry in (k,) if len(ws) == self.m - 1 else np.flatnonzero(~keep)[::-1]:
+            self._remove(entry)
+        self._solve_ones()
+        return ws
+
+    def _remove(self, k):
+        """Remove entry k of S: later entries shift up, and only the
+        trailing block of L is refactored."""
+        m, order, rows, L = self.m, self.order, self.rows, self.L
         self.member[order[k]] = False
         order[k : m - 1] = order[k + 1 : m]
         rows[k : m - 1] = rows[k + 1 : m]
@@ -255,13 +215,13 @@ class _Support:
             # trailing block L33 L33^T + l32 l32^T
             tail = L[k + 1 : m, k:m]
             block, info = dpotrf(tail @ tail.T, lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"Cholesky update of Wolfe's support failed (dpotrf info {info})")
             L[k : m - 1, :k] = L[k + 1 : m, :k]
             L[k : m - 1, k : m - 1] = block
-            self.factored = info == 0
         L[m - 1, :m] = 0.0
         L[m - 1, m - 1] = 1.0
-        self._solve_ones()
-        return ws
+        self.m = m - 1
 
 
 def _minor_cycle(support, ws):
@@ -280,7 +240,7 @@ def _minor_cycle(support, ws):
         ws = support.drop(ws, blocking[first])
 
 
-def optimal_weights(gram, max_iter=None, start=None):
+def optimal_weights(gram, start=None):
     """Minimise w^T K w over the probability simplex, for an n x n Gram K.
 
     Wolfe's active-set (minimum-norm-point) method on the Gram: each major
@@ -289,51 +249,52 @@ def optimal_weights(gram, max_iter=None, start=None):
     first coordinate to reach zero, until that minimiser lies strictly
     inside the simplex.  That minimiser is K_SS^-1 1 normalised, read from
     a Cholesky factor of K_SS that each append and drop updates in
-    O(|S|^2) work.  A pivot below PIVOT_TOL (a repeated state, as a start
-    may hold) or a failed factorisation sends the rest of that minor cycle
-    to the bordered system, and ``fallbacks`` counts its minor steps.
-    The solve starts at the vertex argmin diag K, or at ``start``, any
-    simplex point, made such a minimiser by a minor cycle on its support
-    before the first major step: a nearby optimum, such as a shorter
-    prefix's padded with zeros, saves major steps.  With u = eps *
-    max|diag K|, the rounding unit of the gradient, the result is
-    certified optimal (``converged``) when the Frank-Wolfe duality gap
-    satisfies gap <= GAP_TOL * |f| + n * u.  Iteration goes on
-    below that, until gap <= GAP_TOL * |f| + u or rounding stalls the
-    method (the entering vertex leaves at once), so the weights are as
-    accurate as the arithmetic allows.  There is no linear term, because a
-    Stein kernel has zero mean under the target.  K must be symmetric, as a
-    Gram is: K w is read from the rows of S.  If ``max_iter`` major
-    steps (default 10 n) run out, the better of the iterate and the
-    uniform weights is returned with ``converged=False``.  Raises
-    ValueError unless the Gram is a non-empty square 2-D array and the
-    start, if given, n finite nonnegative weights summing to 1 within 1e-10.
+    O(|S|^2) work.  The solve starts at the vertex argmin diag K, or at
+    ``start``, any simplex point, made such a minimiser by a minor cycle
+    on its support before the first major step: a nearby optimum, such as
+    a shorter prefix's padded with zeros, saves major steps.  A start
+    whose K_SS has no factor with every pivot d^2 > PIVOT_TOL * K_jj (two
+    copies of one state, say) is not used, and the solve starts cold.
+    With u = eps * max|diag K|, the rounding unit of the gradient, the
+    result is certified optimal (``converged``) when the Frank-Wolfe
+    duality gap satisfies gap <= GAP_TOL * |f| + n * u.  Iteration goes
+    on below that, until gap <= GAP_TOL * |f| + u, or until the method
+    stalls: rounding makes the entering vertex leave at once, or its
+    pivot fails the test above (it lies in the span of S), so the weights
+    are as accurate as the arithmetic allows.  After STEPS_PER_POINT * n
+    major steps the iterate returns with ``converged=False``.  There is no
+    linear term, because a Stein kernel has zero mean under the target.  K
+    must be symmetric positive semidefinite, as a Gram is: K w is read
+    from the rows of S.  Raises ValueError unless the Gram is a non-empty
+    finite square 2-D array and the start, if given, n finite nonnegative
+    weights summing to 1 within 1e-10, and LinAlgError if rounding breaks
+    a drop's update of the factor.
     """
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.shape[0] == 0:
         raise ValueError(f"gram must be a non-empty square 2-D array, got shape {gram.shape}")
+    if not np.isfinite(gram).all():
+        raise ValueError("gram must be finite")
     n = gram.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
     diag = np.diag(gram)
     unit = float(np.finfo(np.float64).eps * np.max(np.abs(diag)))
-    if start is None:
-        initial = np.array([np.argmin(diag)])
-        ws = np.ones(1)  # weights on S; every weight off S is zero
-    else:
+    support = None
+    if start is not None:
         start = np.asarray(start, dtype=np.float64)
         simplex = np.isfinite(start).all() and (start >= 0).all() and abs(start.sum() - 1.0) <= 1e-10
         if start.shape != (n,) or not simplex:
             raise ValueError(f"start must be {n} finite nonnegative weights summing to 1")
         initial = np.flatnonzero(start)
-        ws = start[initial]
-    support = _Support(gram, initial)
+        support, ws = _Support(gram, initial), start[initial]
+    if support is None or not support.factored:
+        # cold: S is the vertex argmin diag K; every weight off S is zero
+        support, ws = _Support(gram, np.array([np.argmin(diag)])), np.ones(1)
     order, member = support.order, support.member
     if len(ws) > 1:
         ws = _minor_cycle(support, ws)
     exhausted = True
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, STEPS_PER_POINT * n + 1):
         m = len(ws)
         # half the gradient, K w: f = w.(K w) is w.(grad/2), and the gap
         # 2 (f - min K w) is grad.w - min grad, bitwise, as doubling is exact
@@ -341,11 +302,10 @@ def optimal_weights(gram, max_iter=None, start=None):
         f = float(ws @ half[order[:m]])
         j = int(half.argmin())
         gap = 2.0 * (f - float(half[j]))
-        if _certified(gap, f, unit) or member[j]:
+        if _certified(gap, f, unit) or member[j] or not support.append(j):
             exhausted = False
             break
         previous = ws
-        support.append(j)
         ws = _minor_cycle(support, np.concatenate((ws, (0.0,))))
         # stalled (the entering vertex left at once and S kept its weights):
         # the same step would repeat forever
@@ -356,11 +316,6 @@ def optimal_weights(gram, max_iter=None, start=None):
     w[order[: len(ws)]] = ws
     w /= w.sum()
     kw = gram @ w
-    if exhausted:
-        uniform = np.full(n, 1.0 / n)
-        ku = gram @ uniform
-        if float(uniform @ ku) < float(w @ kw):
-            w, kw = uniform, ku
     f = float(w @ kw)
     grad = 2.0 * kw
     gap = float(grad @ w - grad.min())
@@ -370,7 +325,6 @@ def optimal_weights(gram, max_iter=None, start=None):
         iterations=iterations,
         converged=not exhausted and _certified(gap, f, n * unit),
         duality_gap=gap,
-        fallbacks=support.fallbacks,
     )
 
 

@@ -7,7 +7,7 @@ code with the paths it verifies, except kernel_value, which reads one
 pair from a 1 x 1 ``kernel.cross``, whole_grid, which calls a law's
 evaluation hooks over every grid node in one batch, snis_weights, which
 reads ``kernel.diag_values``, as estimate_c2 does, and wolfe_reference,
-which shares the certificate's GAP_TOL and the QPResult record with the
+which shares the certificate's GAP_TOL, the step budget and the QPResult record with the
 solver, and regression_reference, which reads a RegressionPosterior's
 data.  dimension_effect computes the Langevin diagonal on a standard
 Gaussian, 2 beta d + ||x||^2, in closed form and calls no kernel.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from steinpi.quantise import GAP_TOL, QPResult, WeightedSample, _as_points
+from steinpi.quantise import GAP_TOL, STEPS_PER_POINT, QPResult, WeightedSample, _as_points
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -171,25 +171,22 @@ def _affine_minimiser_reference(gram, support):
     return sol[:m]
 
 
-def wolfe_reference(gram, max_iter=None):
+def wolfe_reference(gram):
     """Wolfe's minimum-norm-point method as first written: the support
     grown by ``np.append``, the bordered system assembled by ``np.ix_`` and
     solved by ``np.linalg.solve``, and the stall test a comparison of all n
-    weights with a copy.  Same steps, exits and certificate as
+    weights with a copy.  Same steps, exits, budget and certificate as
     ``optimal_weights``, which reads the same minimisers from a Cholesky
-    factor; here every minor step is a bordered solve, and ``fallbacks``
-    counts them all."""
+    factor; here every minor step is a bordered solve."""
     n = gram.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
     diag = np.diag(gram)
     unit = float(np.finfo(np.float64).eps * np.max(np.abs(diag)))
     support = np.array([np.argmin(diag)])
     w = np.zeros(n)
     w[support] = 1.0
     exhausted = True
-    iterations = fallbacks = 0
-    for iterations in range(1, max_iter + 1):
+    iterations = 0
+    for iterations in range(1, STEPS_PER_POINT * n + 1):
         grad = 2.0 * (gram[:, support] @ w[support])
         f = float(w[support] @ (0.5 * grad[support]))
         j = int(np.argmin(grad))
@@ -201,7 +198,6 @@ def wolfe_reference(gram, max_iter=None):
         support = np.append(support, j)
         while True:  # minor steps
             v = _affine_minimiser_reference(gram, support)
-            fallbacks += 1
             if np.all(v > 0):
                 w[support] = v
                 break
@@ -217,11 +213,6 @@ def wolfe_reference(gram, max_iter=None):
             break
     w /= w.sum()
     kw = gram @ w
-    if exhausted:
-        uniform = np.full(n, 1.0 / n)
-        ku = gram @ uniform
-        if float(uniform @ ku) < float(w @ kw):
-            w, kw = uniform, ku
     f = float(w @ kw)
     grad = 2.0 * kw
     gap = float(grad @ w - grad.min())
@@ -231,7 +222,6 @@ def wolfe_reference(gram, max_iter=None):
         iterations=iterations,
         converged=not exhausted and gap <= GAP_TOL * abs(f) + n * unit,
         duality_gap=gap,
-        fallbacks=fallbacks,
     )
 
 

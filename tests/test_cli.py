@@ -555,6 +555,18 @@ def test_weights_refuses_non_finite_points(cell, pipeline_config, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", [["ksd"], ["thin", "--m", "2"], ["weights"]], ids=["ksd", "thin", "weights"])
+def test_a_target_score_that_is_not_finite_is_a_numerical_failure(verb, pipeline_config, tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_text("x0\n0\n1\n1e200\n")  # the mixture's score overflows to nan at 1e200
+    out = tmp_path / "out"
+    writes = [] if verb == ["ksd"] else ["--out-dir", str(out)]
+    assert main([verb[0], "--config", pipeline_config, "--points", str(points), *verb[1:], *writes]) == 2
+    captured = capsys.readouterr()
+    assert "numerical failure: target score is not finite at row 2, x = [1e+200]" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_failures_are_written_when_no_cell_can_be_summarised(tmp_path, capsys):
     cfg = {
         "target": {"name": "mixture"},

@@ -651,6 +651,16 @@ def test_non_finite_state_fails_only_the_prefixes_holding_it():
     assert rows[0].ksd == _cells(runtime, source[:10], [10])[0][0].ksd
 
 
+def test_state_whose_score_is_not_finite_fails_its_window():
+    runtime, source = _exact_method(build_target({"name": "mixture"}), "optimal")
+    source = source.copy()
+    source[20] = 1e200  # finite, but the mixture's score there is not
+    rows, failures = _cells(runtime, source, _PREFIX_NS)
+    # the window's one context is refused, so every n reading it fails
+    assert not rows and [f.n for f in failures] == list(_PREFIX_NS)
+    assert all(f.message == "target score is not finite at row 20, x = [1e+200]" for f in failures)
+
+
 def test_uncertified_solve_never_seeds_the_next_start(monkeypatch):
     starts, results, solve = {}, {}, experiment.optimal_weights
 

@@ -7,16 +7,16 @@ import re
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgesv
 
-from steinpi.errors import GramTooLarge, InvalidSimplex, NegativeQuadraticForm
+from steinpi.errors import GramTooLarge, InvalidSimplex, NegativeQuadraticForm, NonConvergence
+from steinpi.experiment import certified_weights
 from steinpi.grid import GridSampler
 from steinpi.kernels import LangevinKernel, make_kernel
 from steinpi.mala import AdaptSchedule, adaptive_warmup, random_window
 from steinpi.pi_targets import make_pi
+import steinpi.quantise as quantise
 from steinpi.quantise import (
     WeightedSample,
-    _affine_minimiser,
     _Support,
     greedy_thin,
     ksd,
@@ -208,14 +208,26 @@ def test_qp_kkt_conditions_at_solution(rng):
         assert kkt_residual(kw, res.weights) <= 1e-6
 
 
-def test_qp_iteration_budget_returns_flagged_best(rng):
+def test_qp_exhausted_budget_returns_the_iterate_unconverged(rng, monkeypatch):
     _, kernel = _std_normal_kernel()
-    pts = rng.standard_normal((40, 1))
-    gram = kernel.gram(kernel.context(pts))
-    res = optimal_weights(gram, max_iter=3)
-    assert not res.converged
-    assert res.iterations == 3
-    assert res.objective <= quadratic_form(gram, np.full(40, 1 / 40)) + 1e-12
+    gram = kernel.gram(kernel.context(rng.standard_normal((40, 1))))
+    start = np.zeros(40)
+    start[:3] = 1 / 3
+    assert _Support(gram, np.arange(3)).factored
+    assert optimal_weights(gram, start=start).converged
+    monkeypatch.setattr(quantise, "STEPS_PER_POINT", 0)
+    res = optimal_weights(gram, start=start)
+    # no major step: the iterate is the start's minor cycle, the minimiser
+    # on the affine hull of its final support
+    assert not res.converged and res.iterations == 0
+    assert res.weights.min() >= 0.0 and abs(res.weights.sum() - 1.0) <= 1e-12
+    assert np.flatnonzero(res.weights).max() < 3
+    assert res.objective <= quadratic_form(gram, start)
+    kw = gram @ res.weights
+    on = res.weights > 0
+    assert np.max(np.abs(kw[on] - res.objective)) <= 1e-10 * np.max(np.abs(gram))
+    with pytest.raises(NonConvergence, match="not certified after 0 iterations"):
+        certified_weights(gram, start=start)
 
 
 def test_qp_matches_nnls_oracle_on_mala_window_with_repeats():
@@ -239,39 +251,15 @@ def test_qp_tripled_duplicates_singular_support(rng):
     base = rng.standard_normal((8, 1)) * 2.0
     pts = np.repeat(base, 3, axis=0)
     gram = kernel.gram(kernel.context(pts))
-    # a support holding two copies of a state has a singular K_SS; the
-    # bordered solve must still return the affine minimiser
-    support = np.array([0, 1, 3, 6])
-    v = _affine_minimiser(gram, support)
-    kv = gram[np.ix_(support, support)] @ v
-    assert np.all(np.isfinite(v)) and abs(v.sum() - 1.0) <= 1e-12
-    assert np.max(np.abs(kv - kv.mean())) <= 1e-10
-    # copies tie in the gradient, so the full solve matches the deduplicated problem
+    # copies of a state have Gram rows equal up to rounding, so no second
+    # copy enters the support (its pivot would be refused), and the full
+    # solve matches the deduplicated problem
     res = optimal_weights(gram)
     exact, _ = qp_support_enumeration(kernel.gram(kernel.context(base)))
     assert res.converged
     assert abs(res.objective - exact) <= 1e-8 * exact + 1e-12
     assert kkt_residual(gram @ res.weights, res.weights) <= 1e-6
     assert abs(res.weights.sum() - 1.0) <= 1e-12
-
-
-def test_affine_minimiser_least_squares_on_exactly_singular_system():
-    _, kernel = _std_normal_kernel()
-    copy = np.array([0, 1, 0, 2])  # state 0 twice, as a rejected proposal repeats it
-    gram = kernel.gram(kernel.context(np.array([[0.3], [-1.2], [2.0]])))[np.ix_(copy, copy)]
-    support = np.array([0, 1, 2])  # two identical Gram rows
-    m = len(support)
-    system = np.ones((m + 1, m + 1))
-    system[:m, :m] = gram[np.ix_(support, support)]
-    system[m, m] = 0.0
-    rhs = np.eye(m + 1)[m]
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(system, rhs)
-    assert dgesv(system, rhs)[3] > 0  # LAPACK reports the zero pivot
-    v = _affine_minimiser(gram, support)
-    kv = gram[np.ix_(support, support)] @ v
-    assert np.all(np.isfinite(v)) and abs(v.sum() - 1.0) <= 1e-12
-    assert np.max(np.abs(kv - kv.mean())) <= 1e-12 * np.max(np.abs(gram))
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,15 +305,14 @@ def test_qp_matches_reference_solver():
     # the minimiser need not be unique (weight can move between copies of
     # a repeated state), so objectives are compared, not weights; the
     # factor and the bordered solve differ only by rounding, so they take
-    # the same major steps, and from a cold start no repeated state enters
-    # S, so the factor serves every minor step
+    # the same major steps, and an entry refused for its pivot would end
+    # the solve early and break that count
     for label, gram in _reference_cases():
         res = optimal_weights(gram)
         ref = wolfe_reference(gram)
         assert res.converged == ref.converged, label
         assert res.converged, label
         assert res.iterations == ref.iterations, label
-        assert res.fallbacks == 0, label
         assert abs(res.objective - ref.objective) <= 1e-11 * abs(ref.objective), label
 
 
@@ -342,7 +329,6 @@ def test_qp_warm_started_on_a_long_mala_window():
 def _check_factor(support, gram):
     m, cap = support.m, support.cap
     s = support.order[:m]
-    assert support.factored
     np.testing.assert_array_equal(support.member, np.isin(np.arange(len(gram)), s))
     np.testing.assert_array_equal(support.rows[:m], gram[s])
     assert not support.rows[m:].any() and not support.z[m:].any()
@@ -371,9 +357,10 @@ def test_factor_follows_appends_and_drops(seed):
     rng = np.random.default_rng(seed)
     entries = rng.permutation(len(gram))[:30]
     support = _Support(gram, entries[:3])  # a start: one dpotrf of K_SS
+    assert support.factored
     _check_factor(support, gram)
     for j in entries[3:]:  # 27 appends, the buffers doubled on the way
-        support.append(j)
+        assert support.append(j)
     assert support.cap == 32
     _check_factor(support, gram)
     for k in (0, 11, -1):  # single drops: the first, one inside, the last
@@ -385,26 +372,57 @@ def test_factor_follows_appends_and_drops(seed):
         assert list(support.order[: support.m]) == order[:k] + order[k + 1 :]
         _check_factor(support, gram)
     ws = rng.uniform(0.5, 1.0, support.m)
-    ws[[2, 5, 17]] = 0.0  # several at once: one dpotrf of K_SS
+    ws[[2, 5, 17]] = 0.0  # several at once, as on a tie: three single drops, the last first
+    order = list(support.order[: support.m])
     kept = support.drop(ws, 5)
     assert len(kept) == support.m == 24
+    assert list(support.order[: support.m]) == [e for i, e in enumerate(order) if i not in (2, 5, 17)]
     _check_factor(support, gram)
-    support.append(entries[0])
+    assert support.append(entries[0])
     _check_factor(support, gram)
 
 
-def test_start_on_repeated_states_falls_back_to_the_bordered_solve(rng):
+def test_failed_trailing_refactor_raises(monkeypatch):
+    gram = _scattered_gram()
+    support = _Support(gram, np.arange(5))
+    monkeypatch.setattr(quantise, "dpotrf", lambda a, lower: (a, 1))
+    ws = np.full(5, 0.25)
+    ws[2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="Cholesky update"):
+        support.drop(ws, 2)
+
+
+def test_start_on_repeated_states_runs_cold(rng):
     _, kernel = _std_normal_kernel()
     base = rng.standard_normal((8, 1)) * 2.0
     gram = kernel.gram(kernel.context(np.repeat(base, 3, axis=0)))
     start = np.zeros(24)
     start[[0, 1, 3, 6]] = 0.25  # entries 0 and 1 are copies of one state
+    assert not _Support(gram, np.flatnonzero(start)).factored
     res = optimal_weights(gram, start=start)
+    cold = optimal_weights(gram)
     exact, _ = qp_support_enumeration(kernel.gram(kernel.context(base)))
-    assert res.fallbacks > 0
     assert res.converged
+    assert res.iterations == cold.iterations and res.objective == cold.objective
+    np.testing.assert_array_equal(res.weights, cold.weights)
     assert abs(res.objective - exact) <= 1e-8 * exact + 1e-12
     assert kkt_residual(gram @ res.weights, res.weights) <= 1e-6
+
+
+def test_entry_in_the_span_but_not_the_affine_hull_stops_the_solve():
+    # the second feature vector is half the first, so from the first
+    # vertex the entering one has a zero pivot: it lies in the span of S
+    # (whose affine hull misses it) and is refused
+    features = np.array([[2.0, 2.0], [1.0, 1.0], [3.0, 0.0]])
+    gram = features @ features.T
+    start = np.array([1.0, 0.0, 0.0])
+    res = optimal_weights(gram, start=start)
+    np.testing.assert_array_equal(res.weights, start)
+    assert not res.converged and res.iterations == 1
+    assert res.duality_gap == 2.0 * (gram[0, 0] - gram[0, 1])
+    with pytest.raises(NonConvergence):
+        certified_weights(gram, start=start)
+    assert optimal_weights(gram).converged  # the cold start is the optimal vertex
 
 
 def _nested_draw_gram(name):
@@ -478,6 +496,15 @@ def test_qp_refuses_a_start_off_the_simplex(start):
 def test_qp_refuses_non_square_gram(shape):
     with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
         optimal_weights(np.ones(shape))
+
+
+@pytest.mark.parametrize("entry, value", [((0, 2), np.nan), ((1, 1), np.inf)], ids=["nan-entry", "inf-diagonal"])
+def test_qp_refuses_a_gram_that_is_not_finite(entry, value):
+    _, kernel = _std_normal_kernel()
+    gram = kernel.gram(kernel.context(np.linspace(-2.0, 2.0, 5)[:, None]))
+    gram[entry] = gram[entry[::-1]] = value
+    with pytest.raises(ValueError, match="gram must be finite"):
+        optimal_weights(gram)
 
 
 def test_gram_size_guard_stops_a_qp_sized_gram():
