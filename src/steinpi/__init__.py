@@ -15,7 +15,6 @@ from .errors import (
     InsufficientReplicates,
     InvalidSimplex,
     NegativeQuadraticForm,
-    NoExactSampler,
     NonConvergence,
     NotPositiveDefinite,
     SizeGuard,
@@ -30,7 +29,7 @@ from .kernels import (
     make_kernel,
 )
 from .mala import AdaptSchedule, ChainConfig, ChainOutput, adaptive_warmup, random_window, run_chain
-from .metrics import TransportPlan, wasserstein1, wasserstein1_1d, wasserstein1_exact
+from .metrics import wasserstein1, wasserstein1_1d, wasserstein1_exact
 from .pi_targets import PiTarget, PowerTilt, make_pi, make_power_tilt
 from .quantise import (
     QPResult,

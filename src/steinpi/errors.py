@@ -17,10 +17,6 @@ class InvalidSimplex(SteinpiError):
     """Weights are not a valid point of the probability simplex."""
 
 
-class NoExactSampler(SteinpiError):
-    """The target does not support exact sampling."""
-
-
 class NegativeQuadraticForm(SteinpiError):
     """A Gram quadratic form was negative beyond rounding tolerance."""
 

@@ -4,12 +4,13 @@ An experiment is described by a JSON-friendly dict: one target, a list of
 methods (kernel + sampling distribution + mechanism + post-processor), a
 grid of sample sizes, a replicate count and a seed.  Execution is
 deterministic given the seed: replicates run on independent RNG streams,
-and cells run one after another in key order.  Every
-replicate is drawn before its cells, through one path (_draw_group): the
-MALA methods that share a warm-up schedule run all their chains as one
-ensemble over their stacked laws, which no chain depends on.
-Wall times are recorded but written to a separate file, outside the
-determinism contract.
+and cells run one after another in key order.  Every replicate is drawn
+before its cells, through one path (_draw_group): an exact method draws
+from a grid sampler of its law, the one exact mechanism, and the MALA
+methods that share a warm-up schedule run all their chains as one
+ensemble over their stacked laws, which no chain depends on.  Results
+are written as CSV and SVG and never read back here; wall times go to a
+separate file, outside the determinism contract.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ __all__ = [
     "significant_improvement",
     "emit_plot",
     "write_csv",
-    "read_csv",
     "write_experiment_outputs",
 ]
 
@@ -488,13 +488,13 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
     ``source`` is the replicate's states, or the error that stopped its
     draw.  Every n is read as a prefix of a window: an exact draw is one
     window for all of ``ns``, and a chain gives one random window per n,
-    drawn in ``ns`` order.  A window builds one kernel context and, unless
-    thinning, one Gram of its longest prefix within the size guard, whose
-    leading block each n reads (a longer n builds its own, and fails on the
-    guard); thinning builds only the picks' Gram.  An optimal solve starts
-    from the last certified optimum of a shorter prefix of its window,
-    padded with zeros.  The first n of a window carries its build, and a
-    window whose context is refused fails every n that reads it.
+    drawn in ``ns`` order.  Before its first n, a window builds one kernel
+    context and, unless thinning, one Gram of its longest prefix within the
+    size guard, whose leading block each n reads (a longer n builds its
+    own, and fails on the guard); thinning builds only the picks' Gram.  An
+    optimal solve starts from the last certified optimum of a shorter
+    prefix of its window, padded with zeros.  The first n of a window
+    carries its build; a refused build fails every n of its window.
     """
     method, kernel, kind = runtime.method, runtime.kernel, runtime.method.post["kind"]
     if isinstance(source, Exception):
@@ -504,14 +504,17 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
     exact = method.sampler["mechanism"] == "exact"
     windows = [(source, spec.ns)] if exact else [(random_window(source, n, rng), (n,)) for n in spec.ns]
     for window, ns in windows:
-        whole = shared = optimum = None
+        begin = time.perf_counter()
+        try:
+            whole = kernel.context(window)
+            fits = [m for m in ns if m <= GRAM_GUARD]
+            shared = kernel.gram(whole[: max(fits)]) if fits and kind != "thin" else None
+        except _CELL_ERRORS as exc:
+            failures.extend(FailureRecord(method.name, replicate, n, str(exc)) for n in ns)
+            continue
+        optimum = None
         for n in ns:
-            begin = time.perf_counter()
             try:
-                if whole is None:
-                    whole = kernel.context(window)
-                    fits = [m for m in ns if m <= GRAM_GUARD]
-                    shared = kernel.gram(whole[: max(fits)]) if fits and kind != "thin" else None
                 points, ctx = window[:n], whole[:n]
                 sample = uniform_sample(points)  # refuses non-finite points
                 if kind == "thin":
@@ -540,6 +543,7 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
                 )
             except _CELL_ERRORS as exc:
                 failures.append(FailureRecord(method.name, replicate, n, str(exc)))
+            begin = time.perf_counter()
     return rows, failures
 
 
@@ -652,16 +656,6 @@ def write_csv(path, header, rows):
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_csv(path):
-    """Read back a CSV written by write_csv: (header, rows of strings)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    header = lines[0].split(",") if lines else []
-    return header, [line.split(",") for line in lines[1:]]
 
 
 _PALETTE = ("#7e2f8e", "#4dbeee", "#d95319", "#77ac30", "#000000", "#edb120")

@@ -148,10 +148,19 @@ class SteinKernel:
 
     def cross(self, x, y):
         """Matrix [k_P(x_i, y_j)] between two contexts.  Raises GramTooLarge,
-        before allocating it, when rows x columns exceeds GRAM_GUARD**2."""
+        before allocating it, when rows x columns exceeds GRAM_GUARD**2, and
+        SteinpiError, naming the first row, if an entry between finite points
+        is not finite; a point that is not finite is left to the caller."""
         if len(x) * len(y) > GRAM_GUARD**2:
             raise GramTooLarge(f"a {len(x)} x {len(y)} Gram exceeds the guard of {GRAM_GUARD}**2 entries")
-        return self._cross(x, y)
+        k = self._cross(x, y)
+        if not np.isfinite(k).all():
+            finite_x, finite_y = (np.isfinite(z.delta).all(axis=1) for z in (x, y))
+            bad = ~np.isfinite(k) & finite_x[:, None] & finite_y
+            if bad.any():
+                row, col = np.unravel_index(bad.argmax(), bad.shape)
+                raise SteinpiError(f"kernel entry at row {row}, column {col} is not finite")
+        return k
 
     def gram(self, ctx):
         """Square Gram matrix [k_P(x_i, x_j)] of one context, under the guard

@@ -4,23 +4,22 @@ Exact 1-Wasserstein between weighted samples: in one dimension via
 quantile-function integration, whose cost is one stable sort of both
 samples together (a timsort, in which a presorted reference is a single
 run that the other sample's points are merged into), and for small
-multivariate instances by
-exact discrete optimal transport with Euclidean ground cost, solved one
-of two ways.  When every weight within each sample is the same
-(compared exactly), the larger size L is a multiple of the smaller and
-L^2 <= PAIR_GUARD, transport is an assignment problem: each point is
-repeated L / n times and the L x L assignment is solved.  Every other
-input is solved as the transport linear program over the distinct points
-of each sample, with their weights summed, so a thinned sample's repeated
-picks cost the LP nothing; each merged row and column of the plan is
-split back over its points in proportion to their weights.  Both paths
-return an (n_a, n_b) plan whose marginals are checked on every solve.
+multivariate instances by exact discrete optimal transport with
+Euclidean ground cost, solved one of two ways.  When every weight within
+each sample is the same (compared exactly), the larger size L is a
+multiple of the smaller and L^2 <= PAIR_GUARD, transport is an
+assignment problem: each point is repeated L / n times and the L x L
+assignment is solved.  Every other input is solved as the transport
+linear program over the distinct points of each sample, with their
+weights summed, so a thinned sample's repeated picks cost the LP
+nothing.  Both paths return the optimal cost alone.  The LP's plan is
+checked against the summed weights it was solved for; an assignment on
+a square, finite cost matrix is a full matching or raises.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
@@ -29,21 +28,12 @@ from scipy.sparse import coo_matrix
 from .errors import DimensionMismatch, NonConvergence, SizeGuard
 
 __all__ = [
-    "TransportPlan",
     "wasserstein1",
     "wasserstein1_1d",
     "wasserstein1_exact",
 ]
 
 PAIR_GUARD = 1_000_000  # largest n_a * n_b (and L^2 of an assignment) of the exact solver
-
-
-@dataclass(frozen=True, eq=False)
-class TransportPlan:
-    """An optimal coupling between two weighted samples."""
-
-    cost: float
-    plan: np.ndarray  # (n_a, n_b) masses
 
 
 def wasserstein1_1d(a, b):
@@ -76,11 +66,13 @@ def _marginal_constraints(na, nb):
     return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(na + nb - 1, na * nb))
 
 
-def _plan_by_lp(cost, wa, wb):
-    """Optimal (cost, plan) of the transport LP, solved by HiGHS simplex.
+def _cost_by_lp(cost, wa, wb):
+    """Optimal cost of the transport LP, solved by HiGHS simplex; raises
+    NonConvergence unless the solve succeeds with a plan whose marginal
+    sums are within 1e-8 of wa and wb.
 
-    The feasibility tolerances sit below the 1e-8 marginal check: at the
-    HiGHS default of 1e-7 a weight below about 1e-7 could be dropped."""
+    The feasibility tolerances sit below that check: at the HiGHS default
+    of 1e-7 a weight below about 1e-7 could be dropped."""
     na, nb = cost.shape
     a_eq = _marginal_constraints(na, nb)
     b_eq = np.concatenate([wa, wb[:-1]])
@@ -88,26 +80,18 @@ def _plan_by_lp(cost, wa, wb):
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=tols)
     if not res.success:
         raise NonConvergence(f"transport LP failed: {res.message}")
-    return float(res.fun), res.x.reshape(na, nb)
+    plan = res.x.reshape(na, nb)
+    row_err = np.max(np.abs(plan.sum(axis=1) - wa))
+    col_err = np.max(np.abs(plan.sum(axis=0) - wb))
+    if max(row_err, col_err) > 1e-8:
+        raise NonConvergence(f"transport plan infeasible: marginal errors {row_err}, {col_err}")
+    return float(res.fun)
 
 
 def _merged(sample):
-    """A sample's distinct points, their summed weights, the index of each
-    point among them, and each point's share of its summed weight (0 where
-    that sum is 0)."""
+    """A sample's distinct points and their summed weights."""
     points, index = np.unique(sample.points, axis=0, return_inverse=True)
-    index = index.ravel()
-    mass = np.bincount(index, weights=sample.weights, minlength=len(points))
-    share = np.divide(sample.weights, mass[index], out=np.zeros(sample.n), where=mass[index] > 0)
-    return points, mass, index, share
-
-
-def _plan_by_merged_lp(a, b):
-    """The transport LP solved on the distinct points of each sample, its
-    plan split back to every point in proportion to its weight."""
-    (pa, wa, ia, sa), (pb, wb, ib, sb) = _merged(a), _merged(b)
-    value, plan = _plan_by_lp(_distances(pa, pb), wa, wb)
-    return value, plan[np.ix_(ia, ib)] * sa[:, None] * sb
+    return points, np.bincount(index.ravel(), weights=sample.weights, minlength=len(points))
 
 
 def _distances(x, y):
@@ -116,8 +100,8 @@ def _distances(x, y):
     return np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
 
 
-def _plan_by_assignment(cost):
-    """Optimal (cost, plan) between equal-weight samples whose sizes divide.
+def _cost_by_assignment(cost):
+    """Optimal cost between equal-weight samples whose sizes divide.
 
     With L = max(n_a, n_b), repeating each point L / n times turns the
     transport into an L x L assignment with mass 1 / L per matched pair.
@@ -126,23 +110,19 @@ def _plan_by_assignment(cost):
     size = max(na, nb)
     ra, rb = size // na, size // nb
     rows, cols = linear_sum_assignment(np.repeat(np.repeat(cost, ra, axis=0), rb, axis=1))
-    i, j = rows // ra, cols // rb
-    plan = np.zeros((na, nb))
-    plan[i, j] = 1.0 / size  # ra or rb is 1, so no (i, j) repeats
-    return math.fsum(cost[i, j]) / size, plan
+    return math.fsum(cost[rows // ra, cols // rb]) / size
 
 
 def wasserstein1_exact(a, b):
-    """Exact discrete optimal transport with Euclidean ground cost.
+    """Exact discrete optimal transport cost with Euclidean ground cost.
 
     Solved as an assignment when every weight within each sample is the
     same (compared exactly), the larger size L is a multiple of the
     smaller and L^2 <= PAIR_GUARD; its cost is the correctly rounded sum
     of the matched distances, divided by L.  Otherwise the transport
     linear program between the samples' distinct points is solved with
-    the HiGHS simplex solver.  Either way the optimal plan is returned,
-    and its feasibility (marginal sums within 1e-8) is verified on every
-    solve.
+    the HiGHS simplex solver, and its plan's feasibility (marginal sums
+    within 1e-8 of the summed weights) is verified on every solve.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"samples have dimensions {a.dim} and {b.dim}")
@@ -152,18 +132,13 @@ def wasserstein1_exact(a, b):
     size = max(na, nb)
     equal_weights = np.all(a.weights == a.weights[0]) and np.all(b.weights == b.weights[0])
     if size % min(na, nb) == 0 and size * size <= PAIR_GUARD and equal_weights:
-        value, gamma = _plan_by_assignment(_distances(a.points, b.points))
-    else:
-        value, gamma = _plan_by_merged_lp(a, b)
-    row_err = np.max(np.abs(gamma.sum(axis=1) - a.weights))
-    col_err = np.max(np.abs(gamma.sum(axis=0) - b.weights))
-    if max(row_err, col_err) > 1e-8:
-        raise NonConvergence(f"transport plan infeasible: marginal errors {row_err}, {col_err}")
-    return TransportPlan(cost=value, plan=gamma)
+        return _cost_by_assignment(_distances(a.points, b.points))
+    (pa, wa), (pb, wb) = _merged(a), _merged(b)
+    return _cost_by_lp(_distances(pa, pb), wa, wb)
 
 
 def wasserstein1(a, b):
     """Exact 1-Wasserstein distance: by quantiles when both samples are 1-D, else by transport."""
     if a.dim == 1 and b.dim == 1:
         return wasserstein1_1d(a, b)
-    return wasserstein1_exact(a, b).cost
+    return wasserstein1_exact(a, b)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr
 
-from .errors import InvalidSimplex, NoExactSampler, NonConvergence, NotPositiveDefinite
+from .errors import InvalidSimplex, NonConvergence, NotPositiveDefinite
 
 __all__ = [
     "TargetModel",
@@ -95,24 +95,15 @@ class TargetModel:
         """(log p, grad) from one evaluation."""
         return self._at(x, 1)[:2]
 
-    def sample(self, n, rng):
-        """Draw n exact samples, when the target admits an exact sampler."""
-        raise NoExactSampler(f"{type(self).__name__} has no exact sampler")
-
 
 @dataclass(frozen=True)
 class ModeInfo:
-    """A mode x* of the target with the local curvature factorised.
-
-    ``sigma_inv`` is the negative Hessian of log p at x*, ``sigma`` its
-    inverse and ``chol_sigma_inv`` the lower-triangular Cholesky factor of
-    ``sigma_inv``.
-    """
+    """A mode x* of the target with its local curvature: ``sigma_inv`` is
+    the negative Hessian of log p at x* and ``sigma`` its inverse."""
 
     x_star: np.ndarray
     sigma: np.ndarray
     sigma_inv: np.ndarray
-    chol_sigma_inv: np.ndarray
 
     @classmethod
     def from_hessian(cls, x_star, hessian):
@@ -131,11 +122,8 @@ class ModeInfo:
             raise NotPositiveDefinite(
                 f"negative Hessian at the mode has min eigenvalue {eigvals.min():.3e}"
             )
-        chol = np.linalg.cholesky(sigma_inv)
-        ident = np.eye(len(x_star))
-        sigma = np.linalg.solve(sigma_inv, ident)
-        sigma = 0.5 * (sigma + sigma.T)
-        return cls(x_star=x_star, sigma=sigma, sigma_inv=sigma_inv, chol_sigma_inv=chol)
+        sigma = np.linalg.solve(sigma_inv, np.eye(len(x_star)))
+        return cls(x_star=x_star, sigma=0.5 * (sigma + sigma.T), sigma_inv=sigma_inv)
 
 
 def find_mode(target, init, max_iter=200, grad_tol=1e-8):
@@ -188,7 +176,7 @@ def find_mode(target, init, max_iter=200, grad_tol=1e-8):
 
 
 class Gaussian(TargetModel):
-    """N(mean, cov), exactly normalised, with an exact sampler."""
+    """N(mean, cov), exactly normalised."""
 
     def __init__(self, mean, cov=None):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
@@ -196,7 +184,7 @@ class Gaussian(TargetModel):
         if cov is None:
             cov = np.eye(self.dim)
         self.cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
-        self._chol = np.linalg.cholesky(self.cov)
+        np.linalg.cholesky(self.cov)  # refuses a covariance that is not positive definite
         self._prec = np.linalg.inv(self.cov)
         self._prec = 0.5 * (self._prec + self._prec.T)
         sign, logdet = np.linalg.slogdet(self.cov)
@@ -211,10 +199,6 @@ class Gaussian(TargetModel):
         if order >= 2:
             hess = np.broadcast_to(-self._prec, (x.shape[0], self.dim, self.dim)).copy()
         return logp, grad, hess
-
-    def sample(self, n, rng):
-        z = rng.standard_normal((n, self.dim))
-        return self.mean + z @ self._chol.T
 
 
 def make_gaussian(mean, cov=None):
@@ -277,11 +261,6 @@ class GaussianMixture(TargetModel):
         diag_term = np.einsum("nk,k->n", r, 1.0 / self._var)
         eye = np.eye(self.dim)
         return logp, g, outer - diag_term[:, None, None] * eye - np.einsum("nd,ne->nde", g, g)
-
-    def sample(self, n, rng):
-        idx = rng.choice(len(self.weights), size=n, p=self.weights)
-        z = rng.standard_normal((n, self.dim))
-        return self.means[idx] + self.scales[idx, None] * z
 
 
 def make_gaussian_mixture(weights, means, scales):

@@ -11,6 +11,9 @@ which shares the certificate's GAP_TOL, the step budget and the QPResult record 
 solver, and regression_reference, which reads a RegressionPosterior's
 data.  dimension_effect computes the Langevin diagonal on a standard
 Gaussian, 2 beta d + ||x||^2, in closed form and calls no kernel.
+exact_sample draws a Gaussian or a Gaussian mixture target by its closed
+form from the target's parameters; the pipeline's one exact mechanism is
+the grid.  read_csv reads back what ``experiment.write_csv`` wrote.
 """
 
 import itertools
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from steinpi.quantise import GAP_TOL, STEPS_PER_POINT, QPResult, WeightedSample, _as_points
+from steinpi.targets import Gaussian, GaussianMixture
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -531,6 +535,23 @@ def whole_grid(law, bounds, num):
     return nodes, table, cdf
 
 
+class NoExactSampler(Exception):
+    """The target has no closed-form exact sampler here."""
+
+
+def exact_sample(target, n, rng):
+    """n exact draws of a Gaussian or a Gaussian mixture target, by their
+    closed forms; raises NoExactSampler for any other target."""
+    if isinstance(target, Gaussian):
+        z = rng.standard_normal((n, target.dim))
+        return target.mean + z @ np.linalg.cholesky(target.cov).T
+    if isinstance(target, GaussianMixture):
+        idx = rng.choice(len(target.weights), size=n, p=target.weights)
+        z = rng.standard_normal((n, target.dim))
+        return target.means[idx] + target.scales[idx, None] * z
+    raise NoExactSampler(f"{type(target).__name__} has no exact sampler")
+
+
 @dataclass(frozen=True)
 class C2Estimate:
     """Monte Carlo estimate of the mean root kernel diagonal under P."""
@@ -547,7 +568,7 @@ def estimate_c2(target, kernel, n, rng):
     standard error is the plain CLT one; a drifting estimate across
     growing n is the practical signal that the integral may diverge.
     """
-    x = target.sample(n, rng)  # raises NoExactSampler where unsupported
+    x = exact_sample(target, n, rng)  # raises NoExactSampler where unsupported
     roots = np.sqrt(kernel.diag_values(x))
     value = float(roots.mean())
     se = float(roots.std(ddof=1) / np.sqrt(n))
@@ -585,3 +606,13 @@ def dimension_effect(d, n_mc, beta=0.5, seed=0):
     estimate = total_sq / (n_mc - 1) - n_mc / (n_mc - 1) * mean * mean
     predicted = 2.0 / d
     return float(estimate), float(predicted)
+
+
+def read_csv(path):
+    """Read back a CSV written by write_csv: (header, rows of strings)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    header = lines[0].split(",") if lines else []
+    return header, [line.split(",") for line in lines[1:]]

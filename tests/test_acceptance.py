@@ -21,6 +21,7 @@ from steinpi.experiment import (
 )
 from _oracles import (
     dimension_effect,
+    exact_sample,
     fd_gradient,
     greedy_reference,
     kkt_residual,
@@ -142,7 +143,7 @@ def test_criterion_04_zero_mean_embedding_at_scale():
     fixed_y = (-4.0, -1.5, 0.0, 0.8, 3.0)
     for name, (target, init) in targets.items():
         mode = sp.find_mode(target, init)
-        draws = target.sample(1_000_000, np.random.default_rng(99))
+        draws = exact_sample(target, 1_000_000, np.random.default_rng(99))
         for family, s in (("langevin", 1), ("kgm", 3)):
             kernel = sp.make_kernel(target, mode, family=family, s=s)
             ctx = kernel.context(draws)

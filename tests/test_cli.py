@@ -17,10 +17,11 @@ from steinpi.experiment import (
     parse_experiment_spec,
     parse_kernel,
     parse_sampler,
-    read_csv,
 )
 from steinpi.mala import AdaptSchedule
 from steinpi.targets import find_mode
+
+from _oracles import read_csv
 
 
 def _write_config(path, cfg):
@@ -564,6 +565,26 @@ def test_a_target_score_that_is_not_finite_is_a_numerical_failure(verb, pipeline
     assert main([verb[0], "--config", pipeline_config, "--points", str(points), *verb[1:], *writes]) == 2
     captured = capsys.readouterr()
     assert "numerical failure: target score is not finite at row 2, x = [1e+200]" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products of scores overflow
+@pytest.mark.parametrize(
+    "verb, at",
+    [(["ksd"], "row 0, column 2"), (["thin", "--m", "2"], "row 2, column 0"), (["weights"], "row 0, column 2")],
+    ids=["ksd", "thin", "weights"],
+)
+def test_a_kernel_entry_that_is_not_finite_is_a_numerical_failure(verb, at, tmp_path, capsys):
+    # the Gaussian's score at 1e200 is finite, but k_P(x, 1e200) is not
+    cfg = {"target": {"name": "gaussian", "dim": 1}, "kernel": {"family": "langevin"}}
+    config = _write_config(tmp_path / "gaussian.json", cfg)
+    points = tmp_path / "points.csv"
+    points.write_text("x0\n0\n1\n1e200\n")
+    out = tmp_path / "out"
+    writes = [] if verb == ["ksd"] else ["--out-dir", str(out)]
+    assert main([verb[0], "--config", config, "--points", str(points), *verb[1:], *writes]) == 2
+    captured = capsys.readouterr()
+    assert f"numerical failure: kernel entry at {at} is not finite" in captured.err
     assert captured.out == "" and not out.exists()
 
 

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 import steinpi.experiment as experiment
+import steinpi.metrics as metrics
 from steinpi.errors import ConfigError, EmptySummary, InsufficientReplicates, SteinpiError
 from steinpi.experiment import (
     MethodRuntime,
@@ -22,7 +24,6 @@ from steinpi.experiment import (
     parse_kernel,
     parse_post,
     parse_sampler,
-    read_csv,
     run_experiment,
     significant_improvement,
     summarise,
@@ -33,6 +34,8 @@ from steinpi.kernels import GRAM_GUARD, SteinKernel
 from steinpi.mala import adaptive_warmup
 from steinpi.quantise import greedy_thin, ksd
 from steinpi.targets import TargetModel, find_mode, make_gaussian, make_skew_normal_2d
+
+from _oracles import read_csv
 
 
 def _base_config(**overrides):
@@ -652,13 +655,49 @@ def test_non_finite_state_fails_only_the_prefixes_holding_it():
 
 
 def test_state_whose_score_is_not_finite_fails_its_window():
-    runtime, source = _exact_method(build_target({"name": "mixture"}), "optimal")
+    target = _SizeCounting(build_target({"name": "mixture"}))
+    runtime, source = _exact_method(target, "optimal")
     source = source.copy()
     source[20] = 1e200  # finite, but the mixture's score there is not
+    target.sizes.clear()
     rows, failures = _cells(runtime, source, _PREFIX_NS)
     # the window's one context is refused, so every n reading it fails
     assert not rows and [f.n for f in failures] == list(_PREFIX_NS)
     assert all(f.message == "target score is not finite at row 20, x = [1e+200]" for f in failures)
+    assert target.sizes == [100]  # the refused window is evaluated once, not once per n
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products of scores overflow
+@pytest.mark.parametrize("kind", ["none", "optimal", "thin"])
+def test_state_whose_kernel_entries_are_not_finite_fails_its_window(kind):
+    runtime, source = _exact_method(make_gaussian([0.0]), kind)
+    source = source.copy()
+    source[20] = 1e200  # the Gaussian's score there is finite, its kernel entries are not
+    rows, failures = _cells(runtime, source, _PREFIX_NS)
+    if kind == "thin":  # no shared Gram: only the prefixes holding the state fail, at their picks
+        assert [r.n for r in rows] == [10] and [f.n for f in failures] == [30, 100]
+    else:  # the window's shared Gram is refused, so every n reading it fails
+        assert not rows and [f.n for f in failures] == list(_PREFIX_NS)
+    assert all(f.message.startswith("kernel entry at row ") for f in failures)
+
+
+def test_cell_whose_w1_raises_is_a_failure_and_the_run_continues(monkeypatch):
+    calls, solve = [], metrics.linprog
+
+    def failing_first(*args, **kwargs):
+        calls.append(None)
+        return OptimizeResult(success=False, message="stub failure") if len(calls) == 1 else solve(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "linprog", failing_first)
+    grid = {"bounds": [[-6, 6], [-6, 6]], "num": 41}
+    spec = parse_experiment_spec({
+        "target": {"name": "skew_normal"}, "mode_init": [0, 0], "seed": 3, "replicates": 2, "ns": [10],
+        "methods": [{"name": "p", "kernel": {"family": "kgm"}, "sampler": {"distribution": "p", "grid": grid}}],
+        "wasserstein": {"reference_n": 25, "grid": grid},  # 10 does not divide 25: every W1 is an LP
+    })
+    result = run_experiment(spec)
+    assert [(f.replicate, f.message) for f in result.failures] == [(0, "transport LP failed: stub failure")]
+    assert [r.replicate for r in result.rows] == [1] and len(calls) == 2
 
 
 def test_uncertified_solve_never_seeds_the_next_start(monkeypatch):

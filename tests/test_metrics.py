@@ -1,17 +1,19 @@
 """Transport distances: metric axioms, agreement between the 1D, LP and
-assignment paths, which inputs take the assignment, plan feasibility, and
-the 1/d variance law of the kernel diagonal."""
+assignment paths, which inputs take the assignment, the LP's feasibility
+check, and the 1/d variance law of the kernel diagonal."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, linprog
 
 import steinpi.metrics as metrics
-from steinpi.errors import DimensionMismatch, SizeGuard
+from steinpi.errors import DimensionMismatch, NonConvergence, SizeGuard
 from steinpi.metrics import (
+    _cost_by_lp,
     _marginal_constraints,
-    _plan_by_lp,
+    _merged,
     wasserstein1_1d,
     wasserstein1_exact,
 )
@@ -91,7 +93,7 @@ def test_exact_transport_permutation_costs_nothing(rng):
     pts = rng.standard_normal((6, 2))
     a = uniform_sample(pts)
     b = uniform_sample(pts[::-1].copy())
-    assert wasserstein1_exact(a, b).cost == pytest.approx(0.0, abs=1e-12)
+    assert wasserstein1_exact(a, b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exact_transport_agrees_with_1d_path(rng):
@@ -99,7 +101,7 @@ def test_exact_transport_agrees_with_1d_path(rng):
         a = _weighted(rng.standard_normal((7, 1)), np.full(7, 1 / 7))
         wb = rng.random(5)
         b = _weighted(rng.standard_normal((5, 1)), wb / wb.sum())
-        assert wasserstein1_exact(a, b).cost == pytest.approx(wasserstein1_1d(a, b), abs=1e-9)
+        assert wasserstein1_exact(a, b) == pytest.approx(wasserstein1_1d(a, b), abs=1e-9)
 
 
 def test_exact_transport_keeps_a_weight_below_the_solver_default_tolerance(rng):
@@ -110,7 +112,7 @@ def test_exact_transport_keeps_a_weight_below_the_solver_default_tolerance(rng):
         wa[0] = 8e-8 * wa[1:].sum() / (1.0 - 8e-8)
         a = _weighted(rng.standard_normal((8, 1)), wa / wa.sum())
         b = uniform_sample(rng.standard_normal((9, 1)))
-        assert abs(wasserstein1_exact(a, b).cost - wasserstein1_1d(a, b)) <= 1e-12
+        assert abs(wasserstein1_exact(a, b) - wasserstein1_1d(a, b)) <= 1e-12
 
 
 def test_exact_transport_degenerate_tie():
@@ -118,42 +120,57 @@ def test_exact_transport_degenerate_tie():
     # vertex plan moving unit mass across unit edges costs exactly 1
     a = _weighted([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
     b = _weighted([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
-    plan = wasserstein1_exact(a, b)
-    assert plan.cost == pytest.approx(1.0, abs=1e-12)
+    assert wasserstein1_exact(a, b) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_exact_transport_plan_is_feasible(rng):
+def _cost(x, y):
+    """Euclidean distances between the rows of x and of y."""
+    return np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+
+
+def test_exact_transport_plan_is_feasible(rng, monkeypatch):
+    # the LP's plan, on the distinct points and their summed weights
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(linprog(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(metrics, "linprog", recorded)
     wa = rng.random(6)
     wb = rng.random(4)
-    a = _weighted(rng.standard_normal((6, 2)), wa / wa.sum())
+    pa = rng.standard_normal((5, 2))
+    a = _weighted(pa[[0, 1, 2, 3, 4, 2]], wa / wa.sum())
     b = _weighted(rng.standard_normal((4, 2)), wb / wb.sum())
-    gamma = wasserstein1_exact(a, b).plan
-    assert gamma.shape == (6, 4)
-    np.testing.assert_allclose(gamma.sum(axis=1), a.weights, atol=1e-8)
-    np.testing.assert_allclose(gamma.sum(axis=0), b.weights, atol=1e-8)
+    cost = wasserstein1_exact(a, b)
+    (res,) = results
+    (ma, mass_a), (mb, mass_b) = _merged(a), _merged(b)
+    gamma = res.x.reshape(5, 4)
+    np.testing.assert_allclose(gamma.sum(axis=1), mass_a, atol=1e-8)
+    np.testing.assert_allclose(gamma.sum(axis=0), mass_b, atol=1e-8)
     assert np.all(gamma >= 0)
+    assert cost == res.fun
+    assert np.sum(gamma * _cost(ma, mb)) == pytest.approx(cost, rel=1e-12)
     # equal weights, 4 divides 12, repeated points: the assignment path
     pts = rng.standard_normal((3, 2))
     a = uniform_sample(pts[[0, 0, 1, 2]])
     b = uniform_sample(np.concatenate([pts, rng.standard_normal((9, 2))]))
-    gamma = wasserstein1_exact(a, b).plan
-    assert gamma.shape == (4, 12)
-    np.testing.assert_allclose(gamma.sum(axis=1), a.weights, atol=1e-8)
-    np.testing.assert_allclose(gamma.sum(axis=0), b.weights, atol=1e-8)
-    assert np.all(gamma >= 0)
+    cost = wasserstein1_exact(a, b)
+    assert len(results) == 1  # the assignment calls no LP
+    assert cost == pytest.approx(_cost_by_lp(_cost(a.points, b.points), a.weights, b.weights), rel=1e-12)
 
 
 def test_exact_transport_metric_axioms(rng):
     samples = [uniform_sample(rng.standard_normal((5, 2))) for _ in range(6)]
     for s in samples[:3]:
-        assert wasserstein1_exact(s, s).cost == pytest.approx(0.0, abs=1e-10)
+        assert wasserstein1_exact(s, s) == pytest.approx(0.0, abs=1e-10)
     for _ in range(20):
         i, j, k = rng.integers(0, len(samples), 3)
-        dij = wasserstein1_exact(samples[i], samples[j]).cost
-        dji = wasserstein1_exact(samples[j], samples[i]).cost
+        dij = wasserstein1_exact(samples[i], samples[j])
+        dji = wasserstein1_exact(samples[j], samples[i])
         assert dij == pytest.approx(dji, abs=1e-10)
-        dik = wasserstein1_exact(samples[i], samples[k]).cost
-        dkj = wasserstein1_exact(samples[k], samples[j]).cost
+        dik = wasserstein1_exact(samples[i], samples[k])
+        dkj = wasserstein1_exact(samples[k], samples[j])
         assert dij <= dik + dkj + 1e-8
 
 
@@ -192,8 +209,8 @@ def test_assignment_cost_equals_lp_cost(na, nb, d, rng, solver_calls):
     ]
     for a, b in pairs:
         cost = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=-1)
-        reference, _ = _plan_by_lp(cost, a.weights, b.weights)
-        assert wasserstein1_exact(a, b).cost == pytest.approx(reference, rel=1e-12, abs=1e-15)
+        reference = _cost_by_lp(cost, a.weights, b.weights)
+        assert wasserstein1_exact(a, b) == pytest.approx(reference, rel=1e-12, abs=1e-15)
     assert solver_calls == {"assignment": 2, "lp": 2}
 
 
@@ -215,19 +232,38 @@ def test_inputs_without_the_assignment_property_take_the_lp(a, b, solver_calls):
 
 def test_lp_on_merged_points_equals_the_lp_on_every_point(rng, solver_calls):
     # repeated points, one of them twice with zero weight, in both samples:
-    # the LP runs on the distinct points and its plan is split back exactly
+    # the LP on the distinct points costs what the LP on every point does
     pa, pb = rng.standard_normal((4, 2)), rng.standard_normal((5, 2))
     a = _weighted(pa[[0, 1, 1, 2, 3, 3, 0]], [0.1, 0.2, 0.1, 0.3, 0.0, 0.0, 0.3])
     b = _weighted(pb[[0, 0, 1, 2, 3, 4, 4, 4]], [0.05, 0.15, 0.2, 0.1, 0.1, 0.2, 0.1, 0.1])
-    cost = np.linalg.norm(a.points[:, None, :] - b.points[None, :, :], axis=-1)
-    reference, _ = _plan_by_lp(cost, a.weights, b.weights)
-    plan = wasserstein1_exact(a, b)
-    assert plan.cost == pytest.approx(reference, rel=1e-12)
-    assert np.sum(plan.plan * cost) == pytest.approx(reference, rel=1e-12)
-    np.testing.assert_allclose(plan.plan.sum(axis=1), a.weights, atol=1e-10)
-    np.testing.assert_allclose(plan.plan.sum(axis=0), b.weights, atol=1e-10)
-    assert np.all(plan.plan[a.weights == 0] == 0)
+    reference = _cost_by_lp(_cost(a.points, b.points), a.weights, b.weights)
+    assert wasserstein1_exact(a, b) == pytest.approx(reference, rel=1e-12)
     assert solver_calls == {"assignment": 0, "lp": 2}
+
+
+_LP_INPUT = (_weighted(np.eye(3, 2)[[0, 1, 1, 2]], [0.1, 0.2, 0.3, 0.4]), uniform_sample(np.ones((2, 2))))
+
+
+def test_a_failed_lp_raises_non_convergence(monkeypatch):
+    failed = OptimizeResult(success=False, message="stub failure")
+    monkeypatch.setattr(metrics, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(NonConvergence, match="transport LP failed: stub failure"):
+        wasserstein1_exact(*_LP_INPUT)
+
+
+@pytest.mark.parametrize("error", [1e-6, 1e-10])
+def test_an_lp_plan_off_its_merged_marginals_raises_non_convergence(error, monkeypatch):
+    def perturbed(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.x[0] += error  # the first merged row and column sums move by error
+        return res
+
+    monkeypatch.setattr(metrics, "linprog", perturbed)
+    if error > 1e-8:
+        with pytest.raises(NonConvergence, match="transport plan infeasible"):
+            wasserstein1_exact(*_LP_INPUT)
+    else:
+        assert wasserstein1_exact(*_LP_INPUT) > 0
 
 
 @pytest.mark.parametrize("na, path", [(30, "lp"), (100, "assignment")])
@@ -237,7 +273,7 @@ def test_exact_transport_is_bitwise_unchanged_by_a_lexsorted_reference(na, path,
     ref = uniform_sample(np.round(rng.standard_normal((500, 2)) * 4) / 4)
     assert len(np.unique(ref.points, axis=0)) < 500
     a = _thinned(rng, na, 2, na // 2)
-    assert wasserstein1_exact(a, _lexsorted(ref)).cost == wasserstein1_exact(a, ref).cost
+    assert wasserstein1_exact(a, _lexsorted(ref)) == wasserstein1_exact(a, ref)
     assert solver_calls == {"assignment": 0, "lp": 0, path: 2}
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from steinpi.errors import NoExactSampler, SteinpiError
+from steinpi.errors import SteinpiError
 from steinpi.grid import CHUNK, GridSampler
 from steinpi.kernels import LangevinKernel, make_kernel
 from steinpi.pi_targets import make_pi, make_power_tilt
@@ -22,7 +22,16 @@ from steinpi.targets import (
     make_skew_normal_2d,
 )
 
-from _oracles import ConstantKernel, estimate_c2, fd_gradient, kernel_diagonal, rel_err, snis_weights, whole_grid
+from _oracles import (
+    ConstantKernel,
+    NoExactSampler,
+    estimate_c2,
+    fd_gradient,
+    kernel_diagonal,
+    rel_err,
+    snis_weights,
+    whole_grid,
+)
 
 
 def _standard_normal_pi():

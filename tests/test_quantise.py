@@ -29,6 +29,7 @@ from steinpi.targets import default_mixture, find_mode, make_gaussian, make_regr
 from _oracles import (
     ConstantKernel,
     _affine_minimiser_reference,
+    exact_sample,
     greedy_reference,
     kkt_residual,
     qp_grid_search,
@@ -109,7 +110,7 @@ def test_ksd_uniform_weights_decrease_with_sample_size():
     block = 1000
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        big = target.sample(10_000, rng)
+        big = exact_sample(target, 10_000, rng)
         small = big[:100]
         # blockwise V-statistic over the upper triangle; a dense 1e4 Gram
         # would not fit comfortably in memory
@@ -517,7 +518,7 @@ def test_qp_objective_never_above_uniform(rng):
     # the certified optimum can never lie above the uniform weights
     target, kernel = _std_normal_kernel()
     for seed in range(5):
-        pts = target.sample(60, np.random.default_rng(seed))
+        pts = exact_sample(target, 60, np.random.default_rng(seed))
         gram = kernel.gram(kernel.context(pts))
         res = optimal_weights(gram)
         assert res.objective <= quadratic_form(gram, np.full(60, 1 / 60)) + 1e-12
@@ -565,7 +566,7 @@ def test_greedy_allows_repeated_selection():
 
 def test_greedy_full_support_never_beats_optimal(rng):
     target, kernel = _std_normal_kernel()
-    pts = target.sample(40, rng)
+    pts = exact_sample(target, 40, rng)
     gram = kernel.gram(kernel.context(pts))
     thinned = uniform_sample(pts[greedy_thin(kernel.context(pts), kernel, 40)])
     optimal = optimal_weights(gram)
