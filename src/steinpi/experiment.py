@@ -494,7 +494,8 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
     own, and fails on the guard); thinning builds only the picks' Gram.  An
     optimal solve starts from the last certified optimum of a shorter
     prefix of its window, padded with zeros.  The first n of a window
-    carries its build; a refused build fails every n of its window.
+    carries its build; a refused context or shared Gram fails every n of
+    it, while a thin cell fails only the prefixes holding the bad state.
     """
     method, kernel, kind = runtime.method, runtime.kernel, runtime.method.post["kind"]
     if isinstance(source, Exception):
@@ -516,11 +517,10 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
         for n in ns:
             try:
                 points, ctx = window[:n], whole[:n]
-                sample = uniform_sample(points)  # refuses non-finite points
                 if kind == "thin":
                     m = method.post["m"]
                     idx = greedy_thin(ctx, kernel, max(1, int(round(m * n))) if isinstance(m, float) else m)
-                    sample, gram = uniform_sample(points[idx]), kernel.gram(ctx[idx])
+                    points, gram = points[idx], kernel.gram(ctx[idx])
                 else:
                     gram = shared[:n, :n] if shared is not None and n <= len(shared) else kernel.gram(ctx)
                 if kind == "optimal":
@@ -528,7 +528,7 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
                     if optimum is not None and len(optimum) < n:
                         start = np.concatenate((optimum, np.zeros(n - len(optimum))))
                     optimum = certified_weights(gram, start).weights
-                    sample = WeightedSample(points=points, weights=optimum)
+                sample = WeightedSample(points=points, weights=optimum) if kind == "optimal" else uniform_sample(points)
                 value = ksd(sample, gram)
                 wass = None if reference is None else wasserstein1(sample, reference)
                 rows.append(

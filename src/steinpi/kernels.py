@@ -14,6 +14,8 @@ the target only when no score is handed in.  Every operation reads a
 context: ``cross`` assembles [k_P(x_i, y_j)] between two under the one
 Gram size guard, ``gram`` is its square, bitwise-symmetric case on one,
 and ``_diag_at`` reads k_P(x) and its gradient.  All of it is vectorised.
+A score ``context`` evaluates, an entry of ``cross`` and the diagonal
+thinning reads are finite, or ``_finite`` refuses them, naming the row.
 Off the diagonal, the diffusion scaling v^(c/2) enters as a tilt
 c Sigma^-1 (x - x*) / v of the score (see ``SteinKernel``), so no product
 rule is expanded by hand.
@@ -40,6 +42,15 @@ __all__ = [
 ]
 
 GRAM_GUARD = 20_000  # a Gram may hold at most GRAM_GUARD**2 entries
+
+
+def _finite(compute, message):
+    """compute() under no numpy warnings; SteinpiError(message(*index)) at its first entry not finite."""
+    with np.errstate(all="ignore"):
+        values = compute()
+    if not np.isfinite(values).all():
+        raise SteinpiError(message(*np.unravel_index(np.isfinite(values).argmin(), values.shape)))
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,40 +145,27 @@ class SteinKernel:
     def context(self, x, score=None):
         """The per-point context of a batch x; the target is evaluated only
         when no score is handed in, and x with a score is an (n, d) array.
-        Raises SteinpiError, naming the first row, if a score it evaluates
-        at a finite point is not finite; a point that is not finite is
-        left to the caller's own check of the points."""
+        A score it evaluates must be finite, and a non-finite point has no
+        score (GARCH's formulas give finite limits there); a handed-in score
+        is not checked, as pi's MALA step rejects such proposals unraised."""
         if score is None:
             x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-            score = self.target.grad_log_density(x)
-            bad = np.isfinite(x).all(axis=1) & ~np.isfinite(score).all(axis=1)
-            if bad.any():
-                row = int(bad.argmax())
-                raise SteinpiError(f"target score is not finite at row {row}, x = {x[row].tolist()}")
+            message = lambda row, _: f"target score is not finite at row {row}, x = {x[row].tolist()}"
+            score = _finite(lambda: np.where(np.isfinite(x), self.target.grad_log_density(x), np.nan), message)
         return KernelContext(x - self.x_star, score, self.sigma_inv, self.sigma_inv2)
 
     def cross(self, x, y):
-        """Matrix [k_P(x_i, y_j)] between two contexts.  Raises GramTooLarge,
-        before allocating it, when rows x columns exceeds GRAM_GUARD**2, and
-        SteinpiError, naming the first row, if an entry between finite points
-        is not finite; a point that is not finite is left to the caller."""
+        """Matrix [k_P(x_i, y_j)] between two contexts, every entry finite;
+        GramTooLarge, before allocating it, if rows x columns > GRAM_GUARD**2."""
         if len(x) * len(y) > GRAM_GUARD**2:
             raise GramTooLarge(f"a {len(x)} x {len(y)} Gram exceeds the guard of {GRAM_GUARD}**2 entries")
-        k = self._cross(x, y)
-        if not np.isfinite(k).all():
-            finite_x, finite_y = (np.isfinite(z.delta).all(axis=1) for z in (x, y))
-            bad = ~np.isfinite(k) & finite_x[:, None] & finite_y
-            if bad.any():
-                row, col = np.unravel_index(bad.argmax(), bad.shape)
-                raise SteinpiError(f"kernel entry at row {row}, column {col} is not finite")
-        return k
+        return _finite(lambda: self._cross(x, y), "kernel entry at row {}, column {} is not finite".format)
 
     def gram(self, ctx):
         """Square Gram matrix [k_P(x_i, x_j)] of one context, under the guard
         of ``cross``, made bitwise symmetric by mirroring the upper triangle
         (row-major canonical entries).  The Gram of points x is
-        ``gram(context(x))``; a rectangular one is ``cross(cx, cy)``.
-        """
+        ``gram(context(x))``; a rectangular one is ``cross(cx, cy)``."""
         k = self.cross(ctx, ctx)
         lower = np.tril_indices(k.shape[0], -1)
         k[lower] = k.T[lower]

@@ -21,6 +21,7 @@ from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dpotrf
 
 from .errors import InvalidSimplex, NegativeQuadraticForm
+from .kernels import _finite
 
 __all__ = [
     "WeightedSample",
@@ -338,17 +339,15 @@ def greedy_thin(ctx, kernel, m):
     n x 1 column per pick, added to a running sum: O(nm) kernel
     evaluations and O(n) memory, with no n x n Gram.  At n = 1000 this
     beats slicing a full Gram up to about m = n/2.  The picks' Gram is
-    ``kernel.gram(ctx[idx])``.  Raises ValueError on an empty or
-    non-finite candidate set.
+    ``kernel.gram(ctx[idx])``.  Raises ValueError on an empty candidate
+    set, and SteinpiError on a diagonal value that is not finite.
     """
     n = len(ctx)
     if m < 1:
         raise ValueError("m must be >= 1")
     if n == 0:
         raise ValueError("candidate set must be nonempty")
-    if not np.isfinite(ctx.delta).all():
-        raise ValueError("candidate points must be finite")
-    half_diag = 0.5 * kernel._diag_at(ctx)[0]
+    half_diag = 0.5 * _finite(lambda: kernel._diag_at(ctx)[0], "kernel diagonal at row {} is not finite".format)
     running = np.zeros(n)
     chosen = np.empty(m, dtype=np.int64)
     for j in range(m):

@@ -310,6 +310,8 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
         ("sample", {"kernel": {"family": "kgm", "S": 3}}, "config.kernel.S: unknown key"),
         ("check-assumptions", {"kernel": {"familly": "kgm"}}, "config.kernel.familly: unknown key"),
         ("check-assumptions", {"target": {"name": "skew_normal", "alpha": 4}}, "config.target.alpha: unknown key"),
+        ("check-assumptions", {"target": {"name": "garch"}, "mode_init": [0.0] * 4, "kernel": {"family": "kgm"}},
+         "config.kernel.family"),
         # every key is read by the variant its block chose
         ("experiment", {"sampler": {"mechanism": "mala", "grid": {"num": 5}}},
          "config.methods[0].sampler.grid: the mala mechanism does not read this key"),
@@ -342,7 +344,7 @@ def test_one_replicate_experiment_fails_before_sampling(experiment_config, tmp_p
          "kernel-unknown-key", "sampler-unknown-key", "grid-unknown-key", "post-unknown-key",
          "wasserstein-unknown-key", "wasserstein-grid-unknown-key", "gaussian-unknown-key",
          "mixture-unknown-key", "sample-sampler-unknown-key", "sample-kernel-unknown-key",
-         "check-assumptions-kernel-unknown-key", "check-assumptions-target-unknown-key",
+         "check-assumptions-kernel-unknown-key", "check-assumptions-target-unknown-key", "check-assumptions-kgm-4d",
          "mala-grid", "exact-warmup", "none-m", "optimal-m", "sample-mala-grid", "sample-epsilon0-exact",
          "one-step-tuning-epoch", "sample-epoch-length-1"],
 )
@@ -533,59 +535,48 @@ def test_numerical_failure_exit_code(pipeline_config, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf"])
-def test_thin_refuses_non_finite_points(cell, pipeline_config, tmp_path, capsys):
+_VERBS = {"ksd": ["ksd"], "thin": ["thin", "--m", "2"], "thin-m1": ["thin", "--m", "1"], "weights": ["weights"]}
+
+
+def _refused(config, verb, cell, tmp_path, capsys):
+    """The one stderr line of a verb refusing the points 0, 1 and cell; no output is written."""
     points = tmp_path / "points.csv"
-    points.write_text(f"x0\n{cell}\n1.0\n")
+    points.write_text(f"x0\n0\n1\n{cell}\n")
     out = tmp_path / "out"
-    args = ["thin", "--config", pipeline_config, "--points", str(points), "--m", "1", "--out-dir", str(out)]
-    assert main(args) == 2
-    assert "numerical failure" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("cell", ["nan", "inf"])
-def test_weights_refuses_non_finite_points(cell, pipeline_config, tmp_path, capsys):
-    points = tmp_path / "points.csv"
-    points.write_text(f"x0\n{cell}\n1.0\n")
-    out = tmp_path / "out"
-    args = ["weights", "--config", pipeline_config, "--points", str(points), "--out-dir", str(out)]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "must be finite" in err and "certified" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("verb", [["ksd"], ["thin", "--m", "2"], ["weights"]], ids=["ksd", "thin", "weights"])
-def test_a_target_score_that_is_not_finite_is_a_numerical_failure(verb, pipeline_config, tmp_path, capsys):
-    points = tmp_path / "points.csv"
-    points.write_text("x0\n0\n1\n1e200\n")  # the mixture's score overflows to nan at 1e200
-    out = tmp_path / "out"
-    writes = [] if verb == ["ksd"] else ["--out-dir", str(out)]
-    assert main([verb[0], "--config", pipeline_config, "--points", str(points), *verb[1:], *writes]) == 2
+    writes = [] if verb == "ksd" else ["--out-dir", str(out)]
+    assert main([_VERBS[verb][0], "--config", config, "--points", str(points), *_VERBS[verb][1:], *writes]) == 2
     captured = capsys.readouterr()
-    assert "numerical failure: target score is not finite at row 2, x = [1e+200]" in captured.err
     assert captured.out == "" and not out.exists()
+    return captured.err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products of scores overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "verb, at",
-    [(["ksd"], "row 0, column 2"), (["thin", "--m", "2"], "row 2, column 0"), (["weights"], "row 0, column 2")],
-    ids=["ksd", "thin", "weights"],
+    "verb, cell",
+    [pytest.param(verb, cell, id=verb + f"-{cell}" * (cell != "1e200"))
+     for cell in ("1e200", "nan", "inf") for verb in _VERBS],
 )
-def test_a_kernel_entry_that_is_not_finite_is_a_numerical_failure(verb, at, tmp_path, capsys):
-    # the Gaussian's score at 1e200 is finite, but k_P(x, 1e200) is not
-    cfg = {"target": {"name": "gaussian", "dim": 1}, "kernel": {"family": "langevin"}}
-    config = _write_config(tmp_path / "gaussian.json", cfg)
-    points = tmp_path / "points.csv"
-    points.write_text("x0\n0\n1\n1e200\n")
-    out = tmp_path / "out"
-    writes = [] if verb == ["ksd"] else ["--out-dir", str(out)]
-    assert main([verb[0], "--config", config, "--points", str(points), *verb[1:], *writes]) == 2
-    captured = capsys.readouterr()
-    assert f"numerical failure: kernel entry at {at} is not finite" in captured.err
-    assert captured.out == "" and not out.exists()
+def test_a_target_score_that_is_not_finite_is_a_numerical_failure(verb, cell, pipeline_config, tmp_path, capsys):
+    # the mixture's score is not finite at each cell (it overflows to nan at 1e200)
+    err = _refused(pipeline_config, verb, cell, tmp_path, capsys)
+    if verb == "ksd" and cell != "1e200":  # its uniform sample refuses the point first
+        assert err == "numerical failure: points and weights must be finite\n"
+    else:
+        assert err == f"numerical failure: target score is not finite at row 2, x = [{float(cell)!r}]\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "verb, family",
+    [pytest.param(verb, family, id=verb + "-kgm" * (family == "kgm"))
+     for family in ("langevin", "kgm") for verb in _VERBS],
+)
+def test_a_kernel_entry_that_is_not_finite_is_a_numerical_failure(verb, family, tmp_path, capsys):
+    # the Gaussian's score at 1e200 is finite, but k_P(x, 1e200) and k_P(1e200) are not
+    cfg = {"target": {"name": "gaussian", "dim": 1}, "kernel": {"family": family}}
+    err = _refused(_write_config(tmp_path / "gaussian.json", cfg), verb, "1e200", tmp_path, capsys)
+    at = "diagonal at row 2" if verb.startswith("thin") else "entry at row 0, column 2"
+    assert err == f"numerical failure: kernel {at} is not finite\n"
 
 
 def test_failures_are_written_when_no_cell_can_be_summarised(tmp_path, capsys):

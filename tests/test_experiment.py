@@ -30,7 +30,7 @@ from steinpi.experiment import (
     write_csv,
     write_experiment_outputs,
 )
-from steinpi.kernels import GRAM_GUARD, SteinKernel
+from steinpi.kernels import GRAM_GUARD, LangevinKernel, SteinKernel
 from steinpi.mala import adaptive_warmup
 from steinpi.quantise import greedy_thin, ksd
 from steinpi.targets import TargetModel, find_mode, make_gaussian, make_skew_normal_2d
@@ -642,43 +642,41 @@ def test_exact_draw_evaluates_its_target_once_at_its_length(kind, monkeypatch):
     assert grams == ([2, 6, 20] if kind == "thin" else [100])  # the picks' Grams, or one for every prefix
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the target is evaluated at the NaN state
-def test_non_finite_state_fails_only_the_prefixes_holding_it():
-    runtime, source = _exact_method(build_target({"name": "mixture"}), "optimal")
-    source = source.copy()
-    source[20] = np.nan
-    rows, failures = _cells(runtime, source, _PREFIX_NS)
-    assert [r.n for r in rows] == [10]
-    assert [f.n for f in failures] == [30, 100]
-    assert all("finite" in f.message for f in failures)
-    assert rows[0].ksd == _cells(runtime, source[:10], [10])[0][0].ksd
-
-
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_state_whose_score_is_not_finite_fails_its_window():
     target = _SizeCounting(build_target({"name": "mixture"}))
     runtime, source = _exact_method(target, "optimal")
-    source = source.copy()
-    source[20] = 1e200  # finite, but the mixture's score there is not
-    target.sizes.clear()
-    rows, failures = _cells(runtime, source, _PREFIX_NS)
-    # the window's one context is refused, so every n reading it fails
-    assert not rows and [f.n for f in failures] == list(_PREFIX_NS)
-    assert all(f.message == "target score is not finite at row 20, x = [1e+200]" for f in failures)
-    assert target.sizes == [100]  # the refused window is evaluated once, not once per n
+    for state in (np.nan, 1e200):  # the mixture's score is not finite at either
+        bad = source.copy()
+        bad[20] = state
+        target.sizes.clear()
+        rows, failures = _cells(runtime, bad, _PREFIX_NS)
+        # the window's one context is refused, so every n reading it fails, n = 10 included
+        assert not rows and [f.n for f in failures] == list(_PREFIX_NS)
+        assert all(f.message == f"target score is not finite at row 20, x = [{state!r}]" for f in failures)
+        assert target.sizes == [100]  # the refused window is evaluated once, not once per n
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products of scores overflow
+def test_state_that_is_not_finite_has_no_score_where_its_formula_has_a_limit():
+    target = build_target({"name": "garch"})  # its score formulas stay finite as theta3 -> inf
+    kernel = LangevinKernel(target, find_mode(target, np.zeros(4)))
+    with pytest.raises(SteinpiError, match=r"target score is not finite at row 1, x = \[.*, inf, "):
+        kernel.context(np.array([kernel.x_star, kernel.x_star + [0, 0, np.inf, 0]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["none", "optimal", "thin"])
 def test_state_whose_kernel_entries_are_not_finite_fails_its_window(kind):
     runtime, source = _exact_method(make_gaussian([0.0]), kind)
     source = source.copy()
-    source[20] = 1e200  # the Gaussian's score there is finite, its kernel entries are not
+    source[20] = 1e200  # the Gaussian's score there is finite, its kernel entries and diagonal are not
     rows, failures = _cells(runtime, source, _PREFIX_NS)
-    if kind == "thin":  # no shared Gram: only the prefixes holding the state fail, at their picks
+    if kind == "thin":  # no shared Gram: only the prefixes holding the state fail, at its diagonal
         assert [r.n for r in rows] == [10] and [f.n for f in failures] == [30, 100]
+        assert all(f.message == "kernel diagonal at row 20 is not finite" for f in failures)
     else:  # the window's shared Gram is refused, so every n reading it fails
         assert not rows and [f.n for f in failures] == list(_PREFIX_NS)
-    assert all(f.message.startswith("kernel entry at row ") for f in failures)
+        assert all(f.message.startswith("kernel entry at row ") for f in failures)
 
 
 def test_cell_whose_w1_raises_is_a_failure_and_the_run_continues(monkeypatch):

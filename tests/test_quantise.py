@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from steinpi.errors import GramTooLarge, InvalidSimplex, NegativeQuadraticForm, NonConvergence
+from steinpi.errors import GramTooLarge, InvalidSimplex, NegativeQuadraticForm, NonConvergence, SteinpiError
 from steinpi.experiment import certified_weights
 from steinpi.grid import GridSampler
 from steinpi.kernels import LangevinKernel, make_kernel
@@ -584,8 +584,17 @@ def test_greedy_uniform_weights():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_greedy_refuses_non_finite_candidates(bad):
     _, kernel = _std_normal_kernel()
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(SteinpiError, match="target score is not finite at row 0"):
         greedy_thin(kernel.context(np.array([[bad], [1.0]])), kernel, 1)
+
+
+@pytest.mark.parametrize("family", ["langevin", "kgm"])
+def test_greedy_refuses_a_diagonal_that_is_not_finite(family):
+    # the score at 1e200 is finite, the diagonal not (inf for Langevin, nan for KGM-3); m = 1 reads no column
+    target = make_gaussian([0.0])
+    kernel = make_kernel(target, find_mode(target, np.array([1.0])), family)
+    with pytest.raises(SteinpiError, match="kernel diagonal at row 2 is not finite"):
+        greedy_thin(kernel.context(np.array([[0.0], [1.0], [1e200]])), kernel, 1)
 
 
 # ----------------------------------------------------------------------
