@@ -18,7 +18,7 @@ from __future__ import annotations
 import numbers
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -494,8 +494,9 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
     own, and fails on the guard); thinning builds only the picks' Gram.  An
     optimal solve starts from the last certified optimum of a shorter
     prefix of its window, padded with zeros.  The first n of a window
-    carries its build; a refused context or shared Gram fails every n of
-    it, while a thin cell fails only the prefixes holding the bad state.
+    carries its build.  A refused context fails every n of its window; a
+    refused shared Gram is dropped, each n then builds its own, and so, as
+    in a thin cell, only the prefixes holding the bad state fail.
     """
     method, kernel, kind = runtime.method, runtime.kernel, runtime.method.post["kind"]
     if isinstance(source, Exception):
@@ -508,11 +509,13 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
         begin = time.perf_counter()
         try:
             whole = kernel.context(window)
-            fits = [m for m in ns if m <= GRAM_GUARD]
-            shared = kernel.gram(whole[: max(fits)]) if fits and kind != "thin" else None
         except _CELL_ERRORS as exc:
             failures.extend(FailureRecord(method.name, replicate, n, str(exc)) for n in ns)
             continue
+        fits, shared = [m for m in ns if m <= GRAM_GUARD], None
+        if fits and kind != "thin":
+            with suppress(*_CELL_ERRORS):  # refused: each n builds its own, so only those holding the bad row fail
+                shared = kernel.gram(whole[: max(fits)])
         optimum = None
         for n in ns:
             try:
@@ -547,14 +550,22 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
     return rows, failures
 
 
+def _drop_grid_state(target, runtimes):
+    """Free target's grid tables (grid._table) and every sampler; the cells read neither."""
+    vars(target).pop("_grid_tables", None)
+    for runtime in runtimes:
+        runtime.sampler = None
+
+
 def run_experiment(spec, threads=1):
     """Execute every (method, replicate, n) cell; deterministic given seed.
 
     Per-cell failures are recorded and the run continues.  Every
     method's replicates are drawn first, through one path: each exact
     method alone, and the MALA methods of one warm-up schedule as one
-    ensemble.  The cells then run one after another, in (method index,
-    replicate) order.  ``threads`` must be 1; the benchmark harness passes it.
+    ensemble.  The grid tables and samplers are then freed, and the cells
+    run one after another, in (method index, replicate) order.  ``threads``
+    must be 1; the benchmark harness passes it.
     """
     if threads != 1:
         raise ValueError(f"cells run on one thread; threads must be 1, got {threads!r}")
@@ -572,6 +583,7 @@ def run_experiment(spec, threads=1):
     sources = {}
     for members in groups.values():
         sources.update(_sources(spec, members, list(range(spec.replicates))))
+    _drop_grid_state(target, runtimes)
     result = ExperimentResult()
     for mi, replicate in sorted(sources):
         rows, failures = _run_cell(spec, runtimes[mi], mi, replicate, reference, sources[mi, replicate])

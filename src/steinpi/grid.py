@@ -8,6 +8,8 @@ resolutions used.  A grid's nodes and the base target's evaluation there
 are one table, kept on the target while it lives: p, its power tilt, pi
 and the W1 reference on one grid all derive from one evaluation of p, made
 CHUNK rows at a time: set-up memory is what is kept plus a fixed transient.
+run_experiment drops the tables and its samplers once its draws are made,
+so they are not held through the cells.
 A table is evaluated again for a law of higher order, so an experiment
 builds its pi samplers first: pi reads p's score, and every other law
 reads the log density that comes with it.

@@ -14,6 +14,8 @@ Gaussian, 2 beta d + ||x||^2, in closed form and calls no kernel.
 exact_sample draws a Gaussian or a Gaussian mixture target by its closed
 form from the target's parameters; the pipeline's one exact mechanism is
 the grid.  read_csv reads back what ``experiment.write_csv`` wrote.
+w1_by_lcm_assignment solves transport as one assignment on lcm-many
+copies, where the library solves a linear program.
 """
 
 import itertools
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from steinpi.quantise import GAP_TOL, STEPS_PER_POINT, QPResult, WeightedSample, _as_points
 from steinpi.targets import Gaussian, GaussianMixture
@@ -374,6 +377,18 @@ def wasserstein1_1d_monotone(xa, wa, xb, wb):
         if wb[j] <= 1e-15:
             j += 1
     return cost
+
+
+def w1_by_lcm_assignment(a, b):
+    """Exact transport cost between two equal-weight samples of any sizes:
+    with L = lcm(n_a, n_b), each point is repeated L / n times, and the
+    L x L assignment on Euclidean distances is solved by scipy."""
+    size = math.lcm(len(a.points), len(b.points))
+    xa = np.repeat(a.points, size // len(a.points), axis=0)
+    xb = np.repeat(b.points, size // len(b.points), axis=0)
+    cost = np.linalg.norm(xa[:, None, :] - xb[None, :, :], axis=-1)
+    rows, cols = linear_sum_assignment(cost)
+    return math.fsum(cost[rows, cols]) / size
 
 
 def mala_log_ratio_reference(x, prop, eps, m, target):

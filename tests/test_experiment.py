@@ -388,6 +388,33 @@ def test_grouped_mala_writes_the_bytes_of_per_method_draws(tmp_path, monkeypatch
         assert (tmp_path / "grouped" / name).read_bytes() == (tmp_path / "per-method" / name).read_bytes()
 
 
+def test_cells_run_without_grid_state_and_write_the_bytes_of_a_run_that_keeps_it(tmp_path, monkeypatch):
+    grid = {"bounds": [[-6, 6], [-6, 6]], "num": 41}
+    methods = [
+        {"name": name, "kernel": {"family": "kgm"}, "post": post, "sampler": {"distribution": name, "grid": grid}}
+        for name, post in (("p", {"kind": "thin", "m": 5}), ("power_tilt", {}), ("pi", {"kind": "optimal"}))
+    ]
+    cfg = _base_config(target={"name": "skew_normal"}, mode_init=[0.0, 0.0], replicates=2, ns=[10, 30],
+                       methods=methods, wasserstein={"reference_n": 25, "grid": grid})
+    spec = parse_experiment_spec(cfg)
+    seen, run_cell = [], experiment._run_cell
+
+    def recording(spec, runtime, *args):
+        seen.append((runtime.sampler is None, "_grid_tables" in vars(runtime.kernel.target)))
+        return run_cell(spec, runtime, *args)
+
+    monkeypatch.setattr(experiment, "_run_cell", recording)
+    result = run_experiment(spec)
+    write_experiment_outputs(result, tmp_path / "dropped")
+    assert seen == [(True, False)] * 6 and len(result.rows) == 12 and not result.failures
+    seen.clear()
+    monkeypatch.setattr(experiment, "_drop_grid_state", lambda target, runtimes: None)
+    write_experiment_outputs(run_experiment(spec), tmp_path / "kept")
+    assert seen == [(False, True)] * 6
+    for name in ("results.csv", "summary.csv", "plot.svg"):
+        assert (tmp_path / "dropped" / name).read_bytes() == (tmp_path / "kept" / name).read_bytes()
+
+
 def test_power_tilt_and_thin_post_processor():
     cfg = _base_config(replicates=2, ns=[12])
     cfg["methods"] = [
@@ -671,12 +698,13 @@ def test_state_whose_kernel_entries_are_not_finite_fails_its_window(kind):
     source = source.copy()
     source[20] = 1e200  # the Gaussian's score there is finite, its kernel entries and diagonal are not
     rows, failures = _cells(runtime, source, _PREFIX_NS)
-    if kind == "thin":  # no shared Gram: only the prefixes holding the state fail, at its diagonal
-        assert [r.n for r in rows] == [10] and [f.n for f in failures] == [30, 100]
+    # only the prefixes holding the state fail: a refused shared Gram is rebuilt per n
+    assert [r.n for r in rows] == [10] and [f.n for f in failures] == [30, 100]
+    assert rows[0].ksd == _cells(runtime, source[:10], [10])[0][0].ksd
+    if kind == "thin":  # no Gram of the candidates: the greedy pass reads the diagonal first
         assert all(f.message == "kernel diagonal at row 20 is not finite" for f in failures)
-    else:  # the window's shared Gram is refused, so every n reading it fails
-        assert not rows and [f.n for f in failures] == list(_PREFIX_NS)
-        assert all(f.message.startswith("kernel entry at row ") for f in failures)
+    else:
+        assert all(f.message == "kernel entry at row 0, column 20 is not finite" for f in failures)
 
 
 def test_cell_whose_w1_raises_is_a_failure_and_the_run_continues(monkeypatch):

@@ -19,7 +19,7 @@ from steinpi.metrics import (
 )
 from steinpi.quantise import WeightedSample, uniform_sample
 
-from _oracles import dimension_effect, wasserstein1_1d_monotone
+from _oracles import dimension_effect, w1_by_lcm_assignment, wasserstein1_1d_monotone
 
 
 def _weighted(points, weights):
@@ -212,6 +212,16 @@ def test_assignment_cost_equals_lp_cost(na, nb, d, rng, solver_calls):
         reference = _cost_by_lp(cost, a.weights, b.weights)
         assert wasserstein1_exact(a, b) == pytest.approx(reference, rel=1e-12, abs=1e-15)
     assert solver_calls == {"assignment": 2, "lp": 2}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lp_cost_equals_an_assignment_on_lcm_copies(d, rng, solver_calls):
+    # 6 picks from 4 locations against 15 points: 15 is no multiple of 6,
+    # so the LP solves it, while the oracle assigns lcm(6, 15) = 30 copies
+    for _ in range(5):
+        a, b = _thinned(rng, 6, d, 4), uniform_sample(rng.standard_normal((15, d)))
+        assert wasserstein1_exact(a, b) == pytest.approx(w1_by_lcm_assignment(a, b), rel=1e-12, abs=0)
+    assert solver_calls == {"assignment": 0, "lp": 5}
 
 
 @pytest.mark.parametrize(
