@@ -5,7 +5,18 @@ density p(x) sqrt(k_P(x)) with adaptive preconditioned MALA, then
 post-process the states by optimal simplex reweighting or greedy thinning
 and evaluate the result with kernel discrepancies and exact 1-Wasserstein
 distances.
+
+Importing steinpi pins OpenBLAS, OpenMP and MKL to one thread, unless the
+variable is already set, so that outputs do not depend on the thread
+count.  The pin takes effect only if numpy has not been imported yet.
 """
+
+import os
+
+# read once, when numpy loads its BLAS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .errors import (
     ConfigError,

@@ -32,7 +32,7 @@ from .errors import (
     SteinpiError,
 )
 from .grid import NODE_GUARD, GridSampler
-from .kernels import GRAM_GUARD, make_kernel
+from .kernels import make_kernel
 from .mala import AdaptSchedule, adaptive_warmup, random_window
 from .metrics import wasserstein1
 from .pi_targets import StackedLaws, make_pi, make_power_tilt
@@ -489,14 +489,14 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
     draw.  Every n is read as a prefix of a window: an exact draw is one
     window for all of ``ns``, and a chain gives one random window per n,
     drawn in ``ns`` order.  Before its first n, a window builds one kernel
-    context and, unless thinning, one Gram of its longest prefix within the
-    size guard, whose leading block each n reads (a longer n builds its
-    own, and fails on the guard); thinning builds only the picks' Gram.  An
+    context and, unless thinning, one Gram of its longest prefix, whose
+    leading block each n reads; thinning builds only the picks' Gram.  An
     optimal solve starts from the last certified optimum of a shorter
     prefix of its window, padded with zeros.  The first n of a window
-    carries its build.  A refused context fails every n of its window; a
-    refused shared Gram is dropped, each n then builds its own, and so, as
-    in a thin cell, only the prefixes holding the bad state fail.
+    carries its build.  A refused context fails every n of its window.  A
+    refused shared Gram, over the size guard or holding a bad state, is
+    dropped and each n builds its own, so, as in a thin cell, only the
+    prefixes over the guard or holding the bad state fail.
     """
     method, kernel, kind = runtime.method, runtime.kernel, runtime.method.post["kind"]
     if isinstance(source, Exception):
@@ -512,10 +512,10 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
         except _CELL_ERRORS as exc:
             failures.extend(FailureRecord(method.name, replicate, n, str(exc)) for n in ns)
             continue
-        fits, shared = [m for m in ns if m <= GRAM_GUARD], None
-        if fits and kind != "thin":
-            with suppress(*_CELL_ERRORS):  # refused: each n builds its own, so only those holding the bad row fail
-                shared = kernel.gram(whole[: max(fits)])
+        shared = None
+        if kind != "thin":
+            with suppress(*_CELL_ERRORS):  # refused: each n builds its own, and fails only if that is refused too
+                shared = kernel.gram(whole[: max(ns)])
         optimum = None
         for n in ns:
             try:
@@ -525,7 +525,7 @@ def _run_cell(spec, runtime, method_index, replicate, reference, source):
                     idx = greedy_thin(ctx, kernel, max(1, int(round(m * n))) if isinstance(m, float) else m)
                     points, gram = points[idx], kernel.gram(ctx[idx])
                 else:
-                    gram = shared[:n, :n] if shared is not None and n <= len(shared) else kernel.gram(ctx)
+                    gram = kernel.gram(ctx) if shared is None else shared[:n, :n]
                 if kind == "optimal":
                     start = None
                     if optimum is not None and len(optimum) < n:

@@ -143,13 +143,13 @@ class SteinKernel:
     # ------------------------------------------------------------------
 
     def context(self, x, score=None):
-        """The per-point context of a batch x; the target is evaluated only
-        when no score is handed in, and x with a score is an (n, d) array.
-        A score it evaluates must be finite, and a non-finite point has no
-        score (GARCH's formulas give finite limits there); a handed-in score
-        is not checked, as pi's MALA step rejects such proposals unraised."""
+        """The per-point context of a batch x (n, d); the target is evaluated
+        only when no score is handed in.  A score it evaluates must be
+        finite, and a non-finite point has no score (GARCH's formulas give
+        finite limits there); a handed-in score is not checked, as pi's MALA
+        step rejects such proposals unraised."""
         if score is None:
-            x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+            x = np.asarray(x, dtype=np.float64)
             message = lambda row, _: f"target score is not finite at row {row}, x = {x[row].tolist()}"
             score = _finite(lambda: np.where(np.isfinite(x), self.target.grad_log_density(x), np.nan), message)
         return KernelContext(x - self.x_star, score, self.sigma_inv, self.sigma_inv2)
@@ -172,8 +172,7 @@ class SteinKernel:
         return k
 
     def _diag(self, x, order):
-        """k_P and, at order 1, its gradient over a batch; one target evaluation."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        """k_P and, at order 1, its gradient over a batch (n, d); one target evaluation."""
         _, score, hess = self.target._at(x, order + 1)
         return self._diag_at(self.context(x, score), hess)
 

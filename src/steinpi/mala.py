@@ -17,9 +17,10 @@ Chains run as an ensemble: R chains, each with its own step size,
 preconditioner and stream, step in lockstep as one (R, d) state, so the
 target is evaluated once per step for all of them.  Every operation acts
 on each chain's row alone, so a chain's states do not depend on the batch
-it runs in.  There is no other call form: a single chain is the R = 1
-ensemble, a (1, d) state with one step size, one (1, d, d) preconditioner
-and one stream key.
+it runs in.  There is no other call form, here or in the private step
+and preconditioner: a single chain is the R = 1 ensemble, a (1, d) state
+with one step size, one (1, d, d) preconditioner and one stream key, and
+the target reads it as a batch of one.
 """
 
 from __future__ import annotations
@@ -148,10 +149,10 @@ class _Precond:
     """Cholesky-backed preconditioner operations, factorised once.
 
     With M = L L^T, ``whiten`` applies L^{-1} and ``sqrt_inv_apply`` applies
-    B = L^{-T}, so B B^T = M^{-1}.  ``m`` is one (d, d) matrix or one per
-    chain, (R, d, d); the operations take one vector (d,) or a batch (R, d),
-    row r with chain r's matrix, kept as d contiguous columns (d,) or (R, d):
-    col_0 g_0 + col_1 g_1 + ... are the products and sums of ``_rowdot``.
+    B = L^{-T}, so B B^T = M^{-1}.  ``m`` holds one matrix per chain,
+    (R, d, d); the operations take a batch (R, d), row r with chain r's
+    matrix, kept as d contiguous (R, d) columns: col_0 g_0 + col_1 g_1 +
+    ... are the products and sums of ``_rowdot``.
     """
 
     def __init__(self, m):
@@ -190,9 +191,9 @@ def _stream_randoms(seed, stream, n, dim, start_step=0):
     return ndtri(u[:, :dim]), np.log(u[:, dim])
 
 
-def _step_size(eps, dim=1):
-    """(eps repeated over dim columns, sqrt(2 eps) likewise, 4 eps) of step
-    sizes of shape () or (R,); with a state's dim, no product broadcasts."""
+def _step_size(eps, dim):
+    """(eps repeated over dim columns, sqrt(2 eps) likewise, 4 eps) of R
+    step sizes (R,): (R, dim), (R, dim) and (R,), so no product broadcasts."""
     col = np.repeat(np.asarray(eps)[..., None], dim, axis=-1)
     return col, np.sqrt(2.0 * col), 4.0 * eps
 
@@ -211,10 +212,9 @@ def _step(x, logp_x, h_x, target, size, pre, z, half_zz, log_u):
     """One MALA transition from states with cached densities and whitened
     gradients h = L^{-1} grad.
 
-    Takes one chain (a (d,) state with scalar density, step size and
-    log-uniform) or an ensemble ((R, d) states with (R,) of the others),
-    the step-size constants ``_step_size(eps)``, a standard normal z
-    shaped like the states and half_zz = ||z||^2 / 2.  The move is
+    Takes an ensemble of R chains, (R, d) states with (R,) densities, the
+    step-size constants ``_step_size(eps, d)``, standard normals z (R, d),
+    half_zz = ||z||^2 / 2 and log-uniforms, both (R,).  The move is
     prop - x = B (eps h_x + sqrt(2 eps) z) and the reverse move's residual
     is x - nu_prop = -B w with w = eps (h_x + h_prop) + sqrt(2 eps) z, so
     its squared M-norm is ||w||^2.  The proposal's gradient is whitened

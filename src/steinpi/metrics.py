@@ -11,8 +11,9 @@ multiple of the smaller and L^2 <= PAIR_GUARD, transport is an
 assignment problem: each point is repeated L / n times and the L x L
 assignment is solved.  Every other input is solved as the transport
 linear program over the distinct points of each sample, with their
-weights summed, so a thinned sample's repeated picks cost the LP
-nothing; HiGHS solves it by simplex with presolve off, which reduces
+weights summed and points of zero mass dropped, so neither a thinned
+sample's repeated picks nor an optimal sample's zero weights cost the
+LP anything; HiGHS solves it by simplex with presolve off, which reduces
 nothing between equal-weight samples and costs time.  Both paths return
 the optimal cost alone.  The LP's plan is checked against the summed
 weights it was solved for; an assignment on a square, finite cost
@@ -77,8 +78,7 @@ def _cost_by_lp(cost, wa, wb):
     of 1e-7 a weight below about 1e-7 could be dropped.  Presolve is off:
     on the thinned 2-D samples' LPs it changed neither the simplex
     iterations nor the optimum, and took about a sixth of the solve time.
-    With zero weights, which presolve removes, the optimum moves at
-    rounding level and the solve is still faster without it."""
+    Zero weights, which presolve would remove, never reach it."""
     na, nb = cost.shape
     a_eq = _marginal_constraints(na, nb)
     b_eq = np.concatenate([wa, wb[:-1]])
@@ -95,9 +95,11 @@ def _cost_by_lp(cost, wa, wb):
 
 
 def _merged(sample):
-    """A sample's distinct points and their summed weights."""
+    """A sample's distinct points of positive summed weight, and those weights."""
     points, index = np.unique(sample.points, axis=0, return_inverse=True)
-    return points, np.bincount(index.ravel(), weights=sample.weights, minlength=len(points))
+    weights = np.bincount(index.ravel(), weights=sample.weights, minlength=len(points))
+    mass = weights > 0
+    return points[mass], weights[mass]
 
 
 def _distances(x, y):
@@ -126,9 +128,10 @@ def wasserstein1_exact(a, b):
     same (compared exactly), the larger size L is a multiple of the
     smaller and L^2 <= PAIR_GUARD; its cost is the correctly rounded sum
     of the matched distances, divided by L.  Otherwise the transport
-    linear program between the samples' distinct points is solved with
-    the HiGHS simplex solver, and its plan's feasibility (marginal sums
-    within 1e-8 of the summed weights) is verified on every solve.
+    linear program between the samples' distinct points of positive mass
+    is solved with the HiGHS simplex solver, and its plan's feasibility
+    (marginal sums within 1e-8 of the summed weights) is verified on
+    every solve.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"samples have dimensions {a.dim} and {b.dim}")

@@ -22,6 +22,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .errors import InvalidSimplex, NegativeQuadraticForm
 from .kernels import _finite
+from .targets import _as_batch
 
 __all__ = [
     "WeightedSample",
@@ -34,24 +35,15 @@ __all__ = [
 ]
 
 
-def _as_points(points):
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.ndim != 2:
-        raise ValueError(f"points must be (n, d), got shape {points.shape}")
-    return points
-
-
 @dataclass(frozen=True, eq=False)
 class WeightedSample:
-    """Points with nonnegative weights summing to one."""
+    """Points (n, d) with nonnegative weights summing to one."""
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _as_points(self.points))
+        object.__setattr__(self, "points", _as_batch(self.points))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         w = self.weights
         if w.ndim != 1 or w.shape[0] != self.points.shape[0]:
@@ -73,8 +65,8 @@ class WeightedSample:
 
 
 def uniform_sample(points):
-    """Equal weights 1/n on the given points."""
-    points = _as_points(points)
+    """Equal weights 1/n on the given points (n, d)."""
+    points = _as_batch(points)
     n = points.shape[0]
     return WeightedSample(points=points, weights=np.full(n, 1.0 / n))
 

@@ -5,10 +5,11 @@ gradient and Hessian; no automatic differentiation is used anywhere.  A
 target implements one hook, ``_evaluate(x, order)``, which computes log p
 and its derivatives up to ``order`` over a batch in one pass, with no loop
 over rows (the GARCH posterior loops over time steps only); the public
-evaluators wrap it and take a single point ``(d,)`` or a batch ``(n, d)``.
-Row r of a batch is bitwise the value at the single point r: products and
-sums over the dimension use einsum or element-wise arithmetic, not BLAS
-matmul, whose rounding depends on the batch size.
+evaluators wrap it.  A point set is an ``(n, d)`` array, and a single
+point is a batch of one.  Row r of a batch is bitwise the batch of one
+at that row: products and sums over the dimension use einsum or
+element-wise arithmetic, not BLAS matmul, whose rounding depends on the
+batch size.
 """
 
 from __future__ import annotations
@@ -36,21 +37,13 @@ __all__ = [
 _REGRESSION_DATA_SEED = 111  # fixed so the simulated posterior is byte-reproducible
 
 
-def _as_batch(x, dim):
-    """Coerce input to (n, d), remembering whether it was a single point."""
+def _as_batch(x, dim=None):
+    """x as an (n, d) float array, with d = dim if one is given; anything else is a ValueError."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise DimensionError(dim, x.shape)
-        return x[None, :], True
-    if x.ndim == 2 and x.shape[1] == dim:
-        return x, False
-    raise DimensionError(dim, x.shape)
-
-
-class DimensionError(ValueError):
-    def __init__(self, dim, shape):
-        super().__init__(f"expected point(s) of dimension {dim}, got shape {shape}")
+    if x.ndim != 2 or dim not in (None, x.shape[1]):
+        of = "" if dim is None else f" of dimension {dim}"
+        raise ValueError(f"expected points{of} as an (n, d) array, got shape {x.shape}")
+    return x
 
 
 class TargetModel:
@@ -60,9 +53,8 @@ class TargetModel:
     of shape (n, d) it returns ``(logp, grad, hess)`` of shapes (n,),
     (n, d) and (n, d, d), computed in one pass, with every entry above
     ``order`` (0, 1 or 2) left as None.  The public evaluators are thin
-    wrappers on the hook that also take a single point (d,).  Evaluation
-    is pure.  A target may hold exact-grid tables of itself
-    (``grid._table``).
+    wrappers on the hook and take only a batch (n, d).  Evaluation is
+    pure.  A target may hold exact-grid tables of itself (``grid._table``).
     """
 
     dim: int
@@ -71,16 +63,8 @@ class TargetModel:
         raise NotImplementedError
 
     def _at(self, x, order):
-        """The hook at a point (d,) or a batch (n, d), shaped like the input."""
-        xb, single = _as_batch(x, self.dim)
-        logp, grad, hess = self._evaluate(xb, order)
-        if not single:
-            return logp, grad, hess
-        return (
-            float(logp[0]),
-            None if grad is None else grad[0],
-            None if hess is None else hess[0],
-        )
+        """The hook on a batch (n, d)."""
+        return self._evaluate(_as_batch(x, self.dim), order)
 
     def log_density(self, x):
         return self._at(x, 0)[0]
@@ -140,7 +124,7 @@ def find_mode(target, init, max_iter=200, grad_tol=1e-8):
     if grad_tol <= 0:
         raise ValueError("grad_tol must be positive")
     x = np.asarray(init, dtype=np.float64).copy()
-    logp, g, h = target._at(x, 2)
+    logp, g, h = (a[0] for a in target._at(x[None], 2))  # init is one start: a batch of one
     if not np.all(np.isfinite(g)):
         raise ValueError("target gradient is not finite at init")
     for _ in range(max_iter):
@@ -161,14 +145,14 @@ def find_mode(target, init, max_iter=200, grad_tol=1e-8):
         descent = step @ g
         for _ in range(60):
             cand = x + t * step
-            logp_cand = target.log_density(cand)
+            logp_cand = target.log_density(cand[None])[0]
             if np.isfinite(logp_cand) and logp_cand >= logp + 1e-4 * t * descent:
                 break
             t *= 0.5
         else:
             raise NonConvergence("line search failed to make progress")
         x = x + t * step
-        logp, g, h = target._at(x, 2)
+        logp, g, h = (a[0] for a in target._at(x[None], 2))
     raise NonConvergence(
         f"gradient norm {np.linalg.norm(g):.3e} "
         f"above tolerance {grad_tol:.3e} after {max_iter} iterations"
@@ -473,7 +457,7 @@ class GarchPosterior(TargetModel):
         return logp, grad, hess
 
     def log_jacobian(self, theta):
-        """log |J| of the unconstraining transform's inverse at theta (4,) or a batch (n, 4)."""
+        """log |J| of the unconstraining transform's inverse over a batch theta (n, 4)."""
         theta = np.asarray(theta, dtype=np.float64).T
         s3, s4 = _sigmoid(theta[2]), _sigmoid(theta[3])
         return theta[1] + np.log(s3 * (1.0 - s3)) + np.log(1.0 - s3) + np.log(s4 * (1.0 - s4))

@@ -25,32 +25,36 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from steinpi.quantise import GAP_TOL, STEPS_PER_POINT, QPResult, WeightedSample, _as_points
+from steinpi.quantise import GAP_TOL, STEPS_PER_POINT, QPResult, WeightedSample
 from steinpi.targets import Gaussian, GaussianMixture
 
 
 def fd_gradient(f, x, h=1e-6):
-    """Central finite-difference gradient of a scalar function."""
+    """Central finite-difference gradient at a point x (d,) of a scalar
+    function f on batches, (n, d) -> (n,): each pair x +/- e is one batch."""
     x = np.asarray(x, dtype=np.float64)
     g = np.empty_like(x)
     for i in range(x.shape[0]):
         step = h * max(1.0, abs(x[i]))
         e = np.zeros_like(x)
         e[i] = step
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
+        plus, minus = f(np.stack([x + e, x - e]))
+        g[i] = (plus - minus) / (2.0 * step)
     return g
 
 
 def fd_jacobian(f, x, h=1e-6):
-    """Central finite-difference Jacobian of a vector function."""
+    """Central finite-difference Jacobian at a point x (d,) of a vector
+    function f on batches, (n, d) -> (n, ...): each pair x +/- e is one batch."""
     x = np.asarray(x, dtype=np.float64)
-    f0 = np.asarray(f(x))
+    f0 = np.asarray(f(x[None]))[0]
     jac = np.empty((x.shape[0],) + f0.shape)
     for i in range(x.shape[0]):
         step = h * max(1.0, abs(x[i]))
         e = np.zeros_like(x)
         e[i] = step
-        jac[i] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * step)
+        plus, minus = np.asarray(f(np.stack([x + e, x - e])))
+        jac[i] = (plus - minus) / (2.0 * step)
     return jac
 
 
@@ -239,7 +243,6 @@ def snis_weights(points, kernel):
     sampled from the over-dispersed target; the caller is responsible for
     that provenance.  A baseline for comparisons, not a production path.
     """
-    points = _as_points(points)
     w = 1.0 / np.sqrt(kernel.diag_values(points))
     w /= w.sum()
     return WeightedSample(points=points, weights=w)
@@ -405,11 +408,11 @@ def mala_log_ratio_reference(x, prop, eps, m, target):
     cov = 2.0 * eps * m_inv
 
     def mean(a):
-        return a + eps * m_inv @ target.grad_log_density(a)
+        return a + eps * m_inv @ target.grad_log_density(a[None])[0]
 
     log_q_fwd = multivariate_normal.logpdf(prop, mean=mean(x), cov=cov)
     log_q_bwd = multivariate_normal.logpdf(x, mean=mean(prop), cov=cov)
-    return target.log_density(prop) - target.log_density(x) + log_q_bwd - log_q_fwd
+    return target.log_density(prop[None])[0] - target.log_density(x[None])[0] + log_q_bwd - log_q_fwd
 
 
 def mala_chain_reference(init, target, eps, m, normals, log_us):
@@ -437,13 +440,13 @@ def mala_chain_reference(init, target, eps, m, normals, log_us):
         return [dot(a[i], v) for i in range(d)]
 
     x = [float(c) for c in init]
-    logp, grad = target.log_density_with_grad(np.array(x))
+    logp, grad = (a[0] for a in target.log_density_with_grad(np.array([x])))
     states, flags = [], []
     for z, log_u in zip(normals.tolist(), log_us.tolist()):
         h_x = apply(whitener, grad.tolist())
         move = apply(whitener.T, [eps * h_x[j] + root * z[j] for j in range(d)])
         prop = [x[j] + move[j] for j in range(d)]
-        logp_p, grad_p = target.log_density_with_grad(np.array(prop))
+        logp_p, grad_p = (a[0] for a in target.log_density_with_grad(np.array([prop])))
         accept = False
         if np.isfinite(logp_p) and np.isfinite(grad_p).all():
             h_p = apply(whitener, grad_p.tolist())
@@ -501,7 +504,7 @@ class ConstantKernel:
         self.dim = dim
 
     def context(self, x, score=None):
-        return np.atleast_2d(np.asarray(x, dtype=np.float64))  # rows select like a context
+        return np.asarray(x, dtype=np.float64)  # rows select like a context
 
     def cross(self, x, y):
         return np.full((len(x), len(y)), self.value)

@@ -164,8 +164,8 @@ def test_criterion_05_gradient_suites():
     failures = []
 
     def check(tag, value_fn, grad_fn, points):
-        for x in points:
-            if rel_err(grad_fn(x), fd_gradient(value_fn, x)) >= 1e-5:
+        for x, grad in zip(points, grad_fn(points)):
+            if rel_err(grad, fd_gradient(value_fn, x)) >= 1e-5:
                 failures.append(tag)
                 return
 
@@ -192,8 +192,8 @@ def test_criterion_05_gradient_suites():
             pts = rng.standard_normal((100, target.dim))
             check(
                 f"diag:{tag}:{family}{s}",
-                lambda x: kernel.diag_values(x[None])[0],
-                lambda x: kernel.diag_grads(x[None])[0],
+                kernel.diag_values,
+                kernel.diag_grads,
                 pts,
             )
 
@@ -299,7 +299,7 @@ def test_criterion_08_weight_dominance_chain():
 
 
 def test_criterion_09_detailed_balance_and_preconditioning():
-    from steinpi.mala import _Precond, _step, _step_size
+    from steinpi.mala import _Precond, _rowdot, _step, _step_size
 
     rng = np.random.default_rng(909)
     for _ in range(100):
@@ -308,12 +308,12 @@ def test_criterion_09_detailed_balance_and_preconditioning():
         eps = float(rng.uniform(0.05, 1.0))
         a = rng.standard_normal((d, d))
         m = a @ a.T + d * np.eye(d)
-        pre = _Precond(m)
-        x = rng.standard_normal(d)
+        pre = _Precond(m[None])
+        x = rng.standard_normal((1, d))
         logp, grad = target.log_density_with_grad(x)
-        z = rng.standard_normal(d)
-        res = _step(x, logp, pre.whiten(grad), target, _step_size(eps), pre, z, 0.5 * z @ z, np.log(rng.random()))
-        oracle = mala_log_ratio_reference(x, res.proposal, eps, m, target)
+        z = rng.standard_normal((1, d))
+        res = _step(x, logp, pre.whiten(grad), target, _step_size(np.array([eps]), d), pre, z, 0.5 * _rowdot(z, z), np.log(rng.random(1)))
+        oracle = mala_log_ratio_reference(x[0], res.proposal[0], eps, m, target)
         assert abs(res.log_ratio - oracle) <= 1e-12
 
     # preconditioning = whitening: chains related by the Cholesky transpose
@@ -362,16 +362,18 @@ def test_criterion_10_adaptive_acceptance_window():
 #     same 1000 chain states on the trimodal mixture.
 #
 #     KNOWN RED.  Both sides of this comparison are verified against
-#     independent exact oracles elsewhere in the suite (criteria 6 and 7),
-#     and the bound fails under every faithful protocol tried: the
-#     median ratio is 1.6-4.4 rather than <= 1.2, for both kernel
-#     families, for chains targeting either law, for tuned and default
-#     schedules, and for both readings of "the same states".  On a
-#     one-dimensional support the simplex-optimal weights are close to
-#     spectrally accurate (discrepancy ~1e-3 at n = 1000), which a
-#     uniform-weight selection of 500 points cannot approach; the 20%
-#     margin describes multivariate chain behaviour, not this regime.
-#     The assertion is kept as stated rather than loosened.
+#     independent exact oracles elsewhere in the suite (criteria 6 and 7).
+#     tests/measure_criterion_11.py reruns this protocol (a pi chain from
+#     AdaptSchedule(), seed 1100, ten windows of 1000, greedy thinning to
+#     500) on three targets under two kernels.  Median greedy / optimal
+#     KSD ratios: 1-D mixture 4.96 (Langevin, this test) and 15.6
+#     (KGM-3); 2-D regression 2.77 and 2.52; 2-D skew normal 1.52 and
+#     2.53.  The 20% margin is missed in two dimensions too, so the
+#     one-dimensional regime is not the whole reason.  Optimal weights on
+#     the distinct greedy picks read 1.82 here (1.17-6.39 over the six),
+#     so most of this test's gap is the picks' uniform weights rather
+#     than which states greedy selects.  The assertion is kept as stated
+#     rather than loosened.
 # ----------------------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """Row invariance of batched evaluation: row r of a batch is bitwise the
-single-point value.  Lockstep MALA ensembles rely on it, so that a chain
-does not depend on the batch it runs in."""
+batch of one at that row.  Lockstep MALA ensembles rely on it, so that a
+chain does not depend on the batch it runs in."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ import pytest
 from steinpi.experiment import build_target
 from steinpi.kernels import make_kernel
 from steinpi.pi_targets import make_pi, make_power_tilt
-from steinpi.targets import find_mode
+from steinpi.quantise import WeightedSample, uniform_sample
+from steinpi.targets import default_mixture, find_mode
 
 TARGETS = {
     "gaussian-2d": {"name": "gaussian", "mean": [0.5, -1.0], "cov": [[2.0, 0.3], [0.3, 1.0]]},
@@ -22,14 +23,14 @@ TARGETS = {
 
 
 def _assert_rows_match_single_calls(fn, batch):
-    """fn(batch)[r] == fn(batch[r]) bitwise, for every output of fn."""
+    """fn(batch)[r] == fn(batch[r : r + 1])[0] bitwise, for every output of fn."""
     full = fn(batch)
     full = full if isinstance(full, tuple) else (full,)
-    for r, point in enumerate(batch):
-        single = fn(point)
+    for r in range(len(batch)):
+        single = fn(batch[r : r + 1])
         single = single if isinstance(single, tuple) else (single,)
         for f, s in zip(full, single):
-            np.testing.assert_array_equal(f[r], s)
+            np.testing.assert_array_equal(f[r], s[0])
 
 
 @pytest.fixture(scope="module", params=sorted(TARGETS))
@@ -51,9 +52,8 @@ def test_batch_rows_equal_single_point_calls(target_and_mode, size):
     _assert_rows_match_single_calls(tilt.hessian_log_density, batch)
     for family in ("langevin", "kgm"):
         kernel = make_kernel(target, mode, family=family, s=3)
-        for method in (kernel.diag_values, kernel.diag_grads):
-            # the diagonal methods take batches only; a single point is a batch of one
-            _assert_rows_match_single_calls(lambda x, f=method: f(x) if x.ndim == 2 else f(x[None])[0], batch)
+        _assert_rows_match_single_calls(kernel.diag_values, batch)
+        _assert_rows_match_single_calls(kernel.diag_grads, batch)
         _assert_rows_match_single_calls(make_pi(target, kernel).log_density_with_grad, batch)
 
 
@@ -67,3 +67,30 @@ def test_lower_orders_do_not_depend_on_the_order_the_hook_ran_at(target_and_mode
     np.testing.assert_array_equal(at2[0], at1[0])
     np.testing.assert_array_equal(at2[1], at1[1])
     np.testing.assert_array_equal(at2[0], at0[0])
+
+
+_MIXTURE = default_mixture()
+_KERNEL = make_kernel(_MIXTURE, find_mode(_MIXTURE, np.array([0.1])), family="langevin")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        _MIXTURE.log_density,
+        _MIXTURE.grad_log_density,
+        _MIXTURE.hessian_log_density,
+        _MIXTURE.log_density_with_grad,
+        _KERNEL.context,
+        _KERNEL.diag_values,
+        _KERNEL.diag_grads,
+        lambda x: WeightedSample(points=x, weights=np.full(3, 1.0 / 3.0)),
+        uniform_sample,
+    ],
+    ids=["log_density", "grad_log_density", "hessian_log_density", "log_density_with_grad",
+         "context", "diag_values", "diag_grads", "WeightedSample", "uniform_sample"],
+)
+def test_a_flat_array_is_not_a_point_set(call):
+    # on the 1-D mixture [0.1, 0.2, 0.3] could read as three points or as one
+    # point of dimension 3; every layer refuses it alike and names (n, d)
+    with pytest.raises(ValueError, match=r"as an \(n, d\) array, got shape \(3,\)"):
+        call(np.array([0.1, 0.2, 0.3]))

@@ -602,6 +602,19 @@ def test_only_square_grams_hit_the_size_guard(monkeypatch):
         assert not rows and [f.message for f in failures] == [too_large]
 
 
+def test_a_window_over_the_size_guard_keeps_the_rows_that_fit():
+    # the shared Gram of the whole window is refused before it is built, so
+    # n = 10 builds its own, bitwise the row of a window that fits, and
+    # only n = 20 001 fails on the guard
+    runtime, _ = _exact_method(build_target({"name": "mixture"}), "optimal")
+    source = runtime.draw(3, 0, [0], 20_001)[0]
+    rows, failures = _cells(runtime, source, [10, 20_001])
+    (alone,), _ = _cells(runtime, source, [10])
+    assert [(r.n, r.ksd) for r in rows] == [(10, alone.ksd)]
+    too_large = f"a 20001 x 20001 Gram exceeds the guard of {GRAM_GUARD}**2 entries"
+    assert [(f.n, f.message) for f in failures] == [(20_001, too_large)]
+
+
 _PREFIX_NS = (10, 30, 100)
 
 

@@ -45,12 +45,12 @@ def _cfg(eps, m, n, seed=0, stream=()):
 def test_step_small_epsilon_stays_and_accepts(rng):
     target = make_gaussian(np.zeros(2))
     eps = 1e-12
-    pre = _Precond(np.eye(2))
+    pre = _Precond(np.eye(2)[None])
     for _ in range(100):
-        x = rng.standard_normal(2)
+        x = rng.standard_normal((1, 2))
         logp, grad = target.log_density_with_grad(x)
-        z = rng.standard_normal(2)
-        res = _step(x, logp, pre.whiten(grad), target, _step_size(eps), pre, z, 0.5 * z @ z, np.log(rng.random()))
+        z = rng.standard_normal((1, 2))
+        res = _step(x, logp, pre.whiten(grad), target, _step_size(np.array([eps]), 2), pre, z, 0.5 * _rowdot(z, z), np.log(rng.random(1)))
         assert np.linalg.norm(res.proposal - x) < 1e-5
         assert abs(res.log_ratio) < 1e-8
         assert res.accepted
@@ -59,13 +59,13 @@ def test_step_small_epsilon_stays_and_accepts(rng):
 def test_step_log_ratio_matches_proposal_density_oracle(rng):
     target = make_gaussian([0.0])
     eps = 0.5
-    pre = _Precond(np.eye(1))
+    pre = _Precond(np.eye(1)[None])
     for _ in range(100):
-        x = rng.standard_normal(1)
+        x = rng.standard_normal((1, 1))
         logp, grad = target.log_density_with_grad(x)
-        z = rng.standard_normal(1)
-        res = _step(x, logp, pre.whiten(grad), target, _step_size(eps), pre, z, 0.5 * z @ z, np.log(rng.random()))
-        oracle = mala_log_ratio_reference(x, res.proposal, eps, np.eye(1), target)
+        z = rng.standard_normal((1, 1))
+        res = _step(x, logp, pre.whiten(grad), target, _step_size(np.array([eps]), 1), pre, z, 0.5 * _rowdot(z, z), np.log(rng.random(1)))
+        oracle = mala_log_ratio_reference(x[0], res.proposal[0], eps, np.eye(1), target)
         assert abs(res.log_ratio - oracle) < 1e-12
 
 
@@ -76,21 +76,21 @@ def test_step_log_ratio_oracle_random_configurations(rng):
         eps = float(rng.uniform(0.05, 1.0))
         a = rng.standard_normal((d, d))
         m = a @ a.T + d * np.eye(d)
-        pre = _Precond(m)
-        x = rng.standard_normal(d)
+        pre = _Precond(m[None])
+        x = rng.standard_normal((1, d))
         logp, grad = target.log_density_with_grad(x)
-        z = rng.standard_normal(d)
-        res = _step(x, logp, pre.whiten(grad), target, _step_size(eps), pre, z, 0.5 * z @ z, np.log(rng.random()))
-        oracle = mala_log_ratio_reference(x, res.proposal, eps, m, target)
+        z = rng.standard_normal((1, d))
+        res = _step(x, logp, pre.whiten(grad), target, _step_size(np.array([eps]), d), pre, z, 0.5 * _rowdot(z, z), np.log(rng.random(1)))
+        oracle = mala_log_ratio_reference(x[0], res.proposal[0], eps, m, target)
         assert abs(res.log_ratio - oracle) < 1e-12
 
 
 def test_proposal_noise_scale_with_scalar_preconditioner(rng):
     # with M = 4, the injected noise has standard deviation sqrt(2 eps / 4)
     eps = 0.3
-    pre = _Precond(np.array([[4.0]]))
+    pre = _Precond(np.array([[[4.0]]]))
     z = rng.standard_normal((100_000, 1))
-    noise = np.sqrt(2 * eps) * np.array([pre.sqrt_inv_apply(zz) for zz in z])[:, 0]
+    noise = np.sqrt(2 * eps) * np.array([pre.sqrt_inv_apply(zz[None])[0] for zz in z])[:, 0]
     assert abs(noise.std() - np.sqrt(eps / 2.0)) / np.sqrt(eps / 2.0) < 0.01
 
 
@@ -174,7 +174,7 @@ def test_broken_proposals_are_rejected_and_counted(kind):
         ref_states, ref_flags = mala_chain_reference(np.zeros(2), target, eps[r], ms[r], normals, log_us)
         assert states[r].tobytes() == ref_states.tobytes()
         np.testing.assert_array_equal(out.accept_flags.reshape(3, n)[r], ref_flags)
-        pre = _Precond(ms[r])
+        pre = _Precond(np.broadcast_to(ms[r], (n, 2, 2)))  # chain r's matrix on each of its n states
         before = np.concatenate([np.zeros((1, 2)), ref_states[:-1]])
         h = pre.whiten(target.grad_log_density(before))
         prop = before + pre.sqrt_inv_apply(eps[r] * h + np.sqrt(2.0 * eps[r]) * normals)
@@ -206,12 +206,12 @@ def test_chain_started_where_the_target_is_not_finite_raises(kind):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4])
-@pytest.mark.parametrize("chains", [None, 1, 12])
+@pytest.mark.parametrize("chains", [1, 12])
 def test_preconditioner_columns_equal_rowdot_bitwise(dim, chains, rng):
     # whiten applies L^-1 and sqrt_inv_apply L^-T column by column; both are
     # the products and left-to-right sums of _rowdot over the matrix rows
-    shape = (dim,) if chains is None else (chains, dim)
-    a = rng.standard_normal(shape[:-1] + (dim, dim))
+    shape = (chains, dim)
+    a = rng.standard_normal((chains, dim, dim))
     m = a @ np.swapaxes(a, -1, -2) + dim * np.eye(dim)
     whitener = np.linalg.inv(np.linalg.cholesky(m))
     pre = _Precond(m)

@@ -251,6 +251,17 @@ def test_lp_on_merged_points_equals_the_lp_on_every_point(rng, solver_calls):
     assert solver_calls == {"assignment": 0, "lp": 2}
 
 
+def test_zero_mass_points_do_not_enter_the_lp(rng):
+    # a 2-D sample with a repeated point and points of zero weight costs what
+    # it costs with those points deleted, and its merged points all carry mass
+    pa, b = rng.standard_normal((6, 2)), uniform_sample(rng.standard_normal((7, 2)))
+    a = _weighted(pa[[0, 1, 1, 2, 3, 4, 5, 5]], [0.2, 0.1, 0.2, 0.0, 0.25, 0.25, 0.0, 0.0])
+    deleted = _weighted(pa[[0, 1, 3, 4]], [0.2, 0.3, 0.25, 0.25])
+    points, weights = _merged(a)
+    assert len(points) == 4 and np.all(weights > 0)
+    assert wasserstein1_exact(a, b) == pytest.approx(wasserstein1_exact(deleted, b), rel=1e-12)
+
+
 _LP_INPUT = (_weighted(np.eye(3, 2)[[0, 1, 1, 2]], [0.1, 0.2, 0.3, 0.4]), uniform_sample(np.ones((2, 2))))
 
 

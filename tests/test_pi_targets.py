@@ -56,7 +56,7 @@ def test_pi_gradient_matches_finite_differences(rng):
     mode = find_mode(target, np.array([0.1]))
     pi = make_pi(target, LangevinKernel(target, mode))
     pts = 3.0 * rng.standard_normal((100, 1))
-    worst = max(rel_err(pi.grad_log_density(x), fd_gradient(pi.log_density, x)) for x in pts)
+    worst = max(rel_err(g, fd_gradient(pi.log_density, x)) for x, g in zip(pts, pi.grad_log_density(pts)))
     assert worst < 1e-5
 
 
@@ -64,8 +64,8 @@ def test_pi_gradient_is_exactly_assembled_from_pieces(rng):
     target, kernel, pi = _standard_normal_pi()
     for x in rng.standard_normal((20, 1)):
         diag = kernel_diagonal(kernel, x)
-        expected = target.grad_log_density(x) + 0.5 * diag.grad / diag.value
-        np.testing.assert_array_equal(pi.grad_log_density(x), expected)
+        expected = target.grad_log_density(x[None])[0] + 0.5 * diag.grad / diag.value
+        np.testing.assert_array_equal(pi.grad_log_density(x[None])[0], expected)
 
 
 class _Counting(TargetModel):
@@ -89,12 +89,12 @@ def test_one_pi_evaluation_evaluates_base_and_diagonal_once(family, monkeypatch,
     original = kernel.context
     monkeypatch.setattr(kernel, "context", lambda x, score: contexts.append(len(x)) or original(x, score))
     pi = make_pi(target, kernel)
-    for x in (rng.standard_normal((6, 2)), rng.standard_normal(2)):
+    for x in (rng.standard_normal((6, 2)), rng.standard_normal((1, 2))):
         target.orders.clear()
         contexts.clear()
         pi.log_density_with_grad(x)
         assert target.orders == [2]  # the gradient of k_P needs the base Hessian
-        assert contexts == [1 if x.ndim == 1 else 6]
+        assert contexts == [len(x)]
     target.orders.clear()
     pi.log_density(rng.standard_normal((6, 2)))
     assert target.orders == [1]
@@ -104,7 +104,7 @@ def test_pi_has_heavier_tails_than_base():
     _, _, pi = _standard_normal_pi()
 
     def dens(x):
-        return np.exp(pi.log_density(np.array([x])))
+        return np.exp(pi.log_density(np.array([[x]]))[0])
 
     norm = quad(dens, -12, 12, limit=200)[0]
     mean = quad(lambda x: x * dens(x), -12, 12, limit=200)[0] / norm
@@ -140,7 +140,7 @@ def test_power_tilt_gradient_scales_exactly():
     target = make_gaussian([0.0])
     tilt = make_power_tilt(target, 1.0)
     assert tilt.exponent == 0.5
-    x = np.array([1.3])
+    x = np.array([[1.3]])
     np.testing.assert_array_equal(tilt.grad_log_density(x), 0.5 * target.grad_log_density(x))
 
 
@@ -148,14 +148,14 @@ def test_power_tilt_standard_normal_halves_precision():
     # p^(1/2) for a standard normal is N(0, 2) up to normalisation
     target = make_gaussian([0.0])
     tilt = make_power_tilt(target, 1.0)
-    assert tilt.grad_log_density(np.array([1.0]))[0] == pytest.approx(-0.5, rel=1e-15)
+    assert tilt.grad_log_density(np.array([[1.0]]))[0, 0] == pytest.approx(-0.5, rel=1e-15)
 
 
 def test_power_tilt_large_r_flattens():
     target = make_gaussian(np.zeros(2))
     tilt = make_power_tilt(target, 1e8)
     assert tilt.exponent < 1e-7
-    x = np.array([1.0, -2.0])
+    x = np.array([[1.0, -2.0]])
     ratio = np.linalg.norm(tilt.grad_log_density(x)) / np.linalg.norm(target.grad_log_density(x))
     assert ratio < 1e-7
 

@@ -80,7 +80,7 @@ def test_weighted_sample_validation():
         WeightedSample(points=pts, weights=np.array([0.5, 0.6, -0.1]))
     with pytest.raises(InvalidSimplex):
         WeightedSample(points=pts, weights=np.array([0.5, np.nan, 0.5]))
-    ws = uniform_sample(np.arange(3.0))
+    ws = uniform_sample(np.arange(3.0)[:, None])
     assert ws.dim == 1 and ws.n == 3
 
 

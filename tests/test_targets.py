@@ -43,7 +43,7 @@ def test_gradients_match_finite_differences(name, rng):
     target, spread = builtin_targets()[name]
     pts = spread * rng.standard_normal((100, target.dim))
     worst = max(
-        rel_err(target.grad_log_density(x), fd_gradient(target.log_density, x)) for x in pts
+        rel_err(g, fd_gradient(target.log_density, x)) for x, g in zip(pts, target.grad_log_density(pts))
     )
     assert worst < 1e-5
 
@@ -53,8 +53,8 @@ def test_hessians_match_differenced_gradients(name, rng):
     target, spread = builtin_targets()[name]
     pts = spread * rng.standard_normal((100, target.dim))
     worst = max(
-        rel_err(target.hessian_log_density(x), fd_jacobian(target.grad_log_density, x))
-        for x in pts
+        rel_err(h, fd_jacobian(target.grad_log_density, x))
+        for x, h in zip(pts, target.hessian_log_density(pts))
     )
     assert worst < 1e-4
 
@@ -135,7 +135,7 @@ def test_find_mode_invariant_to_init():
 def test_mode_info_factorisation():
     target = make_gaussian([0.0, 0.0], np.array([[2.0, 0.7], [0.7, 1.0]]))
     mode = find_mode(target, np.array([1.0, 1.0]))
-    np.testing.assert_array_equal(mode.sigma_inv, -target.hessian_log_density(mode.x_star))
+    np.testing.assert_array_equal(mode.sigma_inv, -target.hessian_log_density(mode.x_star[None])[0])
     assert rel_err(np.eye(2), mode.sigma @ mode.sigma_inv) < 1e-10
 
 
@@ -151,19 +151,19 @@ def test_mode_info_rejects_indefinite():
 
 def test_mixture_single_component_normalisation():
     target = make_gaussian_mixture([1.0], [0.0], [1.0])
-    assert target.log_density(np.array([0.0])) == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-15)
+    assert target.log_density(np.array([[0.0]]))[0] == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-15)
 
 
 def test_mixture_symmetric_gradient_vanishes():
     target = make_gaussian_mixture([0.5, 0.5], [-2.0, 2.0], [1.0, 1.0])
-    np.testing.assert_allclose(target.grad_log_density(np.array([0.0])), [0.0], atol=1e-16)
+    np.testing.assert_allclose(target.grad_log_density(np.array([[0.0]]))[0], [0.0], atol=1e-16)
 
 
 def test_mixture_gradient_finite_differences(rng):
     target = default_mixture()
     pts = 3.0 * rng.standard_normal((50, 1))
     worst = max(
-        rel_err(target.grad_log_density(x), fd_gradient(target.log_density, x)) for x in pts
+        rel_err(g, fd_gradient(target.log_density, x)) for x, g in zip(pts, target.grad_log_density(pts))
     )
     assert worst < 1e-6
 
@@ -176,8 +176,8 @@ def test_mixture_component_permutation_bitwise(perm, x):
     scales = np.array([0.8, 1.0, 0.8])
     base = make_gaussian_mixture(weights, means, scales)
     shuffled = make_gaussian_mixture(weights[list(perm)], means[list(perm)], scales[list(perm)])
-    p = np.array([x])
-    assert base.log_density(p) == shuffled.log_density(p)
+    p = np.array([[x]])
+    assert base.log_density(p)[0] == shuffled.log_density(p)[0]
     assert np.array_equal(base.grad_log_density(p), shuffled.grad_log_density(p))
 
 
@@ -238,7 +238,7 @@ def test_regression_hessian_at_mode(rng):
     mode = find_mode(target, np.zeros(2))
     assert (
         rel_err(
-            target.hessian_log_density(mode.x_star),
+            target.hessian_log_density(mode.x_star[None])[0],
             fd_jacobian(target.grad_log_density, mode.x_star),
         )
         < 1e-6
@@ -247,23 +247,23 @@ def test_regression_hessian_at_mode(rng):
 
 def test_regression_single_datum_conjugate_root():
     target = make_regression_posterior(np.array([0.0]), np.array([1.0]))
-    grad = target.grad_log_density(np.array([0.5, 0.0]))
+    grad = target.grad_log_density(np.array([[0.5, 0.0]]))[0]
     assert grad[0] == 0.0
 
 
 @pytest.mark.parametrize("rows", [1, 6, 12, 1000])
 def test_regression_fused_evaluation_equals_term_by_term_reference_bitwise(rows, rng):
     # the hook reads every sum over the observations from one einsum; each
-    # equals its own "ni,ni->n" einsum, batched or at a single point
+    # equals its own "ni,ni->n" einsum, in a batch or a batch of one
     target = make_regression_posterior()
     x = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-2, 3, size=(rows, 1))
     for order in (0, 1, 2):
         got, want = target._evaluate(x, order), regression_reference(target, x, order)
         for g, w in zip(got, want):
             assert (g is None and w is None) or g.tobytes() == w.tobytes()
-        single = target._at(x[0], order)
+        single = target._at(x[:1], order)
         for g, w in zip(single, want):
-            assert (g is None and w is None) or np.asarray(g).tobytes() == w[0].tobytes()
+            assert (g is None and w is None) or g[0].tobytes() == w[0].tobytes()
 
 
 def test_regression_has_no_exact_sampler(rng):
@@ -279,13 +279,13 @@ def test_regression_has_no_exact_sampler(rng):
 def test_skew_normal_log_density_at_origin():
     target = make_skew_normal_2d()
     expected = np.log(4.0) - np.log(2.0 * np.pi) + 2.0 * np.log(0.5)
-    assert target.log_density(np.zeros(2)) == pytest.approx(expected, abs=1e-14)
+    assert target.log_density(np.zeros((1, 2)))[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_skew_normal_gradient_at_origin():
     # d/dx1 log Phi(6 x1) at 0 is 6 phi(0) / Phi(0) = 12 phi(0)
     target = make_skew_normal_2d()
-    grad = target.grad_log_density(np.zeros(2))
+    grad = target.grad_log_density(np.zeros((1, 2)))[0]
     phi0 = 1.0 / np.sqrt(2.0 * np.pi)
     assert grad[0] == pytest.approx(12.0 * phi0, rel=1e-14)
     assert grad[1] == pytest.approx(-6.0 * phi0, rel=1e-14)
@@ -294,7 +294,7 @@ def test_skew_normal_gradient_at_origin():
 def test_skew_normal_gradient_finite_differences():
     target = make_skew_normal_2d()
     x = np.array([1.5, -0.7])
-    assert rel_err(target.grad_log_density(x), fd_gradient(target.log_density, x)) < 1e-6
+    assert rel_err(target.grad_log_density(x[None])[0], fd_gradient(target.log_density, x)) < 1e-6
 
 
 def test_skew_normal_stable_in_far_tails():
@@ -338,7 +338,7 @@ def test_garch_constant_series_matches_volatility_recursion():
                 s2 = phi2 + phi3 * a**2 + phi4 * s2
                 a = yt - phi1
                 loglik += -0.5 * np.log(s2) - a**2 / (2.0 * s2)
-            assert value == pytest.approx(loglik + target.log_jacobian(theta), rel=1e-13)
+            assert value == pytest.approx(loglik + target.log_jacobian(theta[None])[0], rel=1e-13)
 
 
 def test_garch_log_density_is_invariant_to_a_location_shift():
@@ -356,7 +356,7 @@ def test_garch_log_jacobian_closed_form_at_zero():
     target = make_garch_posterior(simulate_garch_series((0.2, 0.5, 0.3, 0.4), 30, seed=1))
     # theta = 0: phi2 term contributes 0, each sigmoid term log(1/4), the
     # stick remainder log(1/2); total -5 log 2
-    assert target.log_jacobian(np.zeros(4)) == pytest.approx(-5.0 * np.log(2.0), rel=1e-14)
+    assert target.log_jacobian(np.zeros((1, 4)))[0] == pytest.approx(-5.0 * np.log(2.0), rel=1e-14)
 
 
 def test_garch_gradient_finite_differences(rng):
@@ -364,7 +364,7 @@ def test_garch_gradient_finite_differences(rng):
     target = make_garch_posterior(y)
     pts = 0.6 * rng.standard_normal((30, 4))
     worst = max(
-        rel_err(target.grad_log_density(x), fd_gradient(target.log_density, x)) for x in pts
+        rel_err(g, fd_gradient(target.log_density, x)) for x, g in zip(pts, target.grad_log_density(pts))
     )
     assert worst < 1e-5
 
